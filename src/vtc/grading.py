@@ -237,10 +237,10 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
                                 leading))
     rows: dict[tuple, dict] = {}
     for i, im in enumerate(images):
-        for key, c in variational._form_mono_items(im):
+        for key, c in variational.form_mono_items(im):
             rows.setdefault(key, {})[("c", i)] = c
     rhs: dict[tuple, Fraction] = {}
-    for key, c in variational._form_mono_items(residual):
+    for key, c in variational.form_mono_items(residual):
         rhs[key] = rhs.get(key, Fraction(0)) + c
         rows.setdefault(key, {})
     equations = [(coeffs, -rhs.get(key, Fraction(0)))
@@ -249,30 +249,8 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
     if sol is None:
         # Retry modulo exact horizontal differentials: saturate the row set
         # with d-images of candidate primitives of the rows already present.
-        x_cap = max((variational._mono_x_degree(m)
-                     for (_, _, m) in rows), default=0) + 1
-        seen = set(rows)
-        queue = sorted(seen, key=repr)
-        d_cands: dict[tuple, dict[tuple, Fraction]] = {}
-        while queue:
-            fresh: list[tuple] = []
-            for row in queue:
-                for cand in variational._preimages(row, x_cap):
-                    if cand in d_cands:
-                        continue
-                    try:
-                        image = dict(variational._form_mono_items(
-                            forms.d(variational._single(spectrum.dim, cand))))
-                    except kernel.JetOrderCapExceeded:
-                        continue
-                    if not image:
-                        continue
-                    d_cands[cand] = image
-                    for r in image:
-                        if r not in seen:
-                            seen.add(r)
-                            fresh.append(r)
-            queue = sorted(fresh, key=repr)
+        x_cap = variational.max_x_degree(rows) + 1
+        d_cands = variational.saturate_d(spectrum.dim, rows, x_cap)
         full: dict[tuple, dict] = {key: dict(cs) for key, cs in rows.items()}
         for cand, image in d_cands.items():
             for row, c in image.items():

@@ -242,14 +242,11 @@ class _Parser:
         if word in spectrum.parameters:
             return forms.scalar_form(dim, kernel.parameter(word))
         try:
-            f = spectrum.field(word)
+            spectrum.field(word)
         except KeyError:
             self.fail(f"unknown name {word!r}", t)
-        comp, mi = self.jet_indices()
-        if len(comp) != len(f.shape):
-            self.fail(f"field {word!r} takes {len(f.shape)} component "
-                      f"labels, got {len(comp)}", t)
-        return forms.scalar_form(dim, kernel.jet(spectrum, word, comp, mi))
+        g = self.jet_of(spectrum, word, t)
+        return forms.scalar_form(dim, GradedScalar.generator(g))
 
     def bracketed_index(self, dim: int) -> int:
         self.expect("op", "[")
@@ -283,8 +280,23 @@ class _Parser:
             spectrum.field(word)
         except KeyError:
             self.fail(f"unknown field {word!r}", t)
+        return self.jet_of(spectrum, word, t)
+
+    def jet_of(self, spectrum: Spectrum, word: str, t: Token) -> kernel.Gen:
+        """The jet variable of field ``word`` named by the indices that follow."""
+        shape = spectrum.field(word).shape
         comp, mi = self.jet_indices()
-        return kernel.jet_gen(spectrum, word, comp, mi)
+        if len(comp) != len(shape):
+            self.fail(f"field {word!r} takes {len(shape)} component "
+                      f"labels, got {len(comp)}", t)
+        for j in mi:
+            if j >= spectrum.dim:
+                self.fail(f"direction {j} out of range for dimension "
+                          f"{spectrum.dim}", t)
+        try:
+            return kernel.jet_gen(spectrum, word, comp, mi)
+        except ValueError as e:
+            self.fail(str(e), t)
 
     def scalar_expression(self, spectrum: Spectrum) -> GradedScalar:
         t = self.peek()

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from . import forms, kernel, linsolve
 from .forms import LocalForm
@@ -186,7 +186,7 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
 MonoKey = tuple[tuple[int, ...], tuple[Gen, ...], kernel.Monomial]
 
 
-def _form_mono_items(form: LocalForm) -> Iterator[tuple[MonoKey, Fraction]]:
+def form_mono_items(form: LocalForm) -> Iterator[tuple[MonoKey, Fraction]]:
     for (dxs, contacts), s in form.terms.items():
         for mono, c in s.terms.items():
             yield (dxs, contacts, mono), c
@@ -257,11 +257,23 @@ def _block_key(key: MonoKey) -> tuple:
     return tuple(sorted(counts.items(), key=repr))
 
 
-def _solve_d_block(dim: int, rhs: dict[MonoKey, Fraction], x_cap: int,
-                   ) -> Optional[dict[MonoKey, Fraction]]:
+def max_x_degree(keys: Iterable[MonoKey]) -> int:
+    """Largest base-coordinate degree among the monomials of some form keys."""
+    return max((_mono_x_degree(mono) for (_, _, mono) in keys), default=0)
+
+
+def saturate_d(dim: int, rows: Iterable[MonoKey], x_cap: int,
+               ) -> dict[MonoKey, dict[MonoKey, Fraction]]:
+    """Close ``rows`` under preimages of d: ``{candidate: d(candidate)}``.
+
+    Every candidate is a preimage (within coordinate degree ``x_cap``) of a
+    row already present, and every monomial of its nonzero d-image becomes a
+    row in turn.  Candidates past the jet-order cap are skipped.  The result
+    is the least fixpoint, so it does not depend on the order of the rows.
+    """
     candidates: dict[MonoKey, dict[MonoKey, Fraction]] = {}
-    seen_rows: set[MonoKey] = set(rhs)
-    queue = sorted(rhs)
+    seen_rows: set[MonoKey] = set(rows)
+    queue = sorted(seen_rows)
     while queue:
         next_rows: list[MonoKey] = []
         for row in queue:
@@ -269,7 +281,7 @@ def _solve_d_block(dim: int, rhs: dict[MonoKey, Fraction], x_cap: int,
                 if cand in candidates:
                     continue
                 try:
-                    image = dict(_form_mono_items(forms.d(_single(dim, cand))))
+                    image = dict(form_mono_items(forms.d(_single(dim, cand))))
                 except kernel.JetOrderCapExceeded:
                     continue
                 if not image:
@@ -280,13 +292,17 @@ def _solve_d_block(dim: int, rhs: dict[MonoKey, Fraction], x_cap: int,
                         seen_rows.add(r)
                         next_rows.append(r)
         queue = sorted(next_rows)
-    by_row: dict[MonoKey, dict[MonoKey, Fraction]] = {}
-    for cand, image in candidates.items():
+    return candidates
+
+
+def _solve_d_block(dim: int, rhs: dict[MonoKey, Fraction], x_cap: int,
+                   ) -> Optional[dict[MonoKey, Fraction]]:
+    by_row: dict[MonoKey, dict[MonoKey, Fraction]] = {row: {} for row in rhs}
+    for cand, image in saturate_d(dim, rhs, x_cap).items():
         for row, c in image.items():
             by_row.setdefault(row, {})[cand] = c
-    equations = []
-    for row in sorted(seen_rows):
-        equations.append((by_row.get(row, {}), rhs.get(row, Fraction(0))))
+    equations = [(by_row[row], rhs.get(row, Fraction(0)))
+                 for row in sorted(by_row)]
     return linsolve.solve_linear(equations)
 
 
@@ -303,12 +319,12 @@ def _solve_d(rho: LocalForm) -> LocalForm:
         return LocalForm.zero(rho.dim)
     dim = rho.dim
     blocks: dict[tuple, dict[MonoKey, Fraction]] = {}
-    for key, c in _form_mono_items(rho):
+    for key, c in form_mono_items(rho):
         blocks.setdefault(_block_key(key), {})[key] = c
     sigma = LocalForm.zero(dim)
     for label in sorted(blocks, key=repr):
         rhs = blocks[label]
-        x_base = max(_mono_x_degree(m) for (_, _, m) in rhs)
+        x_base = max_x_degree(rhs)
         solution = _solve_d_block(dim, rhs, x_base)
         if solution is None:
             solution = _solve_d_block(dim, rhs, x_base + 1)

@@ -5,6 +5,7 @@ back to equal models, and the Maxwell report's first descendant matches
 the radiative structure written out longhand.
 """
 
+import hashlib
 import json
 from fractions import Fraction as Fr
 
@@ -130,6 +131,27 @@ def test_reports_are_byte_deterministic(built):
     assert report.emit(r1, "text") == report.emit(r2, "text")
 
 
+# SHA-256 of the emitted reports of the built-in models; any change to a
+# mathematical answer or to the report layout shows up here.
+PINNED_REPORT_SHA256 = {
+    ("maxwell", "json"):
+        "0cd55c814b3f8e431c8f9ce92b928d7d8e3aeb1a3c80951fd63ca9e78ad1c9fa",
+    ("maxwell", "text"):
+        "10a1b1a30c89208767bbf06b77303a461b40cd6ef11e8a756114b6f9d4c7984a",
+    ("chiral", "json"):
+        "82c9e1da9c511849da769a631aae8c15341699c0b428c76e48e3064e4fc2feab",
+    ("chiral", "text"):
+        "ce1269a713c53f5cb0fd60513032884532a04ec5c8b85d905fa08018ff56cae5",
+}
+
+
+def test_reports_match_pinned_digests(maxwell_report, chiral_report):
+    reports = {"maxwell": maxwell_report, "chiral": chiral_report}
+    for (name, fmt), digest in PINNED_REPORT_SHA256.items():
+        emitted = report.emit(reports[name], fmt)
+        assert hashlib.sha256(emitted).hexdigest() == digest, (name, fmt)
+
+
 def test_maxwell_first_descendant_is_the_radiative_structure(maxwell_report):
     m = builtin_models.maxwell()
     sp = m.spectrum
@@ -218,6 +240,34 @@ def test_cli_usage_errors_exit_2(capsys):
     assert cli.main(["descend", "no-such-model"]) == 2
     assert cli.main(["bracket", "chiral", "--a", "oops", "--b", "1"]) == 2
     capsys.readouterr()
+
+
+def test_cli_component_out_of_range_in_expression_exits_2(capsys):
+    rc = cli.main(["bracket", "maxwell", "--a", "A[9] ^ vol", "--b", "C ^ vol"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vtc: line 1, column 1: component (9,) out of range")
+
+
+def test_cli_derivative_out_of_range_in_expression_exits_2(capsys):
+    rc = cli.main(["bracket", "maxwell", "--a", "A[0],[7] ^ vol",
+                   "--b", "C ^ vol"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "vtc: line 1, column 1: direction 7 out of range for dimension 4\n"
+
+
+def test_cli_component_out_of_range_in_model_file_exits_2(tmp_path, capsys):
+    text = ("model bad\ndim 2\n"
+            "field A { parity 0, ghost 0, role field, shape 2 }\n"
+            "structure odd-BV\n"
+            "density S = A[5] ^ dx[0] ^ dx[1]\n"
+            "master S\n")
+    path = tmp_path / "bad.vtc"
+    path.write_text(text)
+    assert cli.main(["check-master", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("vtc: line 5, column 13: component (5,) out of range")
 
 
 def test_cli_math_violations_exit_1(tmp_path, capsys):

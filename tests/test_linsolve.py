@@ -1,0 +1,156 @@
+"""The sparse exact solver against an independent dense oracle.
+
+The oracle is textbook Gauss-Jordan elimination on the dense augmented
+matrix, with the columns in sorted key order.  The reduced row-echelon form
+of a system is unique, so the solution with every free column pinned to 0
+is too: ``solve_linear`` must return exactly that dict, or None exactly
+when the oracle finds a row 0 = b with b nonzero.
+"""
+
+import random
+from fractions import Fraction as Fr
+
+from vtc import linsolve
+
+
+def dense_rref_solve(equations):
+    """(solution or None, pivot columns) by dense Gauss-Jordan elimination."""
+    cols = sorted({c for coeffs, _ in equations for c, v in coeffs.items() if v})
+    matrix = [[Fr(coeffs.get(c, 0)) for c in cols] + [Fr(rhs)]
+              for coeffs, rhs in equations]
+    pivot_cols = []
+    for j in range(len(cols)):
+        r = len(pivot_cols)
+        p = next((i for i in range(r, len(matrix)) if matrix[i][j]), None)
+        if p is None:
+            continue
+        matrix[r], matrix[p] = matrix[p], matrix[r]
+        lead = matrix[r][j]
+        matrix[r] = [v / lead for v in matrix[r]]
+        for i, row in enumerate(matrix):
+            if i != r and row[j]:
+                f = row[j]
+                matrix[i] = [a - f * b for a, b in zip(row, matrix[r])]
+        pivot_cols.append(j)
+    pivots = {cols[j] for j in pivot_cols}
+    if any(row[-1] for row in matrix[len(pivot_cols):]):
+        return None, pivots
+    solution = {c: Fr(0) for c in cols}
+    for i, j in enumerate(pivot_cols):
+        solution[cols[j]] = matrix[i][-1]
+    return solution, pivots
+
+
+def _random_row(rnd, keys, density):
+    return {k: Fr(rnd.randint(-3, 3), rnd.randint(1, 3))
+            for k in keys if rnd.random() < density}
+
+
+def _combination(rnd, rows):
+    """A random rational combination of (coeffs, rhs) rows."""
+    coeffs, rhs = {}, Fr(0)
+    for row, b in rows:
+        f = Fr(rnd.randint(-2, 2), rnd.randint(1, 2))
+        for k, v in row.items():
+            coeffs[k] = coeffs.get(k, Fr(0)) + f * v
+        rhs += f * b
+    return coeffs, rhs
+
+
+def _low_rank_system(rnd, keys):
+    """Rows spanning fewer dimensions than there are columns, consistent."""
+    rank = rnd.randint(1, max(1, len(keys) - 1))
+    truth = {k: Fr(rnd.randint(-4, 4), rnd.randint(1, 3)) for k in keys}
+    base = []
+    for _ in range(rank):
+        row = _random_row(rnd, keys, 0.5)
+        base.append((row, sum((v * truth[k] for k, v in row.items()), Fr(0))))
+    return [_combination(rnd, base) for _ in range(rnd.randint(1, 2 * rank + 2))]
+
+
+def _check_against_oracle(equations):
+    expected, pivots = dense_rref_solve(equations)
+    got = linsolve.solve_linear(equations)
+    assert got == expected
+    if got is not None:
+        for coeffs, rhs in equations:
+            assert sum((v * got[k] for k, v in coeffs.items() if v), Fr(0)) == rhs
+    return got, pivots
+
+
+def test_random_sparse_systems_match_the_dense_oracle():
+    rnd = random.Random(20240611)
+    consistent = inconsistent = 0
+    for _ in range(300):
+        keys = list(range(rnd.randint(1, 9)))
+        equations = [(_random_row(rnd, keys, rnd.choice((0.2, 0.4, 0.8))),
+                      Fr(rnd.randint(-3, 3)))
+                     for _ in range(rnd.randint(1, 12))]
+        got, _ = _check_against_oracle(equations)
+        if got is None:
+            inconsistent += 1
+        else:
+            consistent += 1
+    assert consistent > 50 and inconsistent > 50
+
+
+def test_rank_deficient_systems_pin_free_columns_to_zero():
+    rnd = random.Random(7)
+    free_seen = 0
+    for _ in range(200):
+        keys = [f"v{i}" for i in range(rnd.randint(2, 9))]
+        equations = _low_rank_system(rnd, keys)
+        got, pivots = _check_against_oracle(equations)
+        assert got is not None
+        free = set(got) - pivots
+        assert len(pivots) < len(keys)
+        for k in free:
+            assert got[k] == 0
+        free_seen += len(free)
+    assert free_seen > 200
+
+
+def test_inconsistent_systems_return_none():
+    rnd = random.Random(11)
+    for _ in range(200):
+        keys = list(range(rnd.randint(1, 8)))
+        equations = _low_rank_system(rnd, keys)
+        coeffs, rhs = _combination(rnd, equations)
+        # a row in the span of the others, with a different right-hand side
+        equations.insert(rnd.randint(0, len(equations)),
+                         (coeffs, rhs + rnd.choice((-1, 1, Fr(1, 2)))))
+        assert dense_rref_solve(equations)[0] is None
+        assert linsolve.solve_linear(equations) is None
+
+
+def test_mixed_tagged_tuple_keys_match_the_dense_oracle():
+    # the homogenizer's columns: ("c", i) for candidate fields and
+    # ("b", monomial key) for d-images of candidate primitives
+    keys = ([("b", ((j,), (), ((("x", k), 1),))) for j in range(3) for k in range(2)]
+            + [("c", i) for i in range(5)])
+    rnd = random.Random(3)
+    for _ in range(150):
+        chosen = rnd.sample(keys, rnd.randint(1, len(keys)))
+        if rnd.random() < 0.5:
+            equations = _low_rank_system(rnd, chosen)
+        else:
+            equations = [(_random_row(rnd, chosen, 0.3), Fr(rnd.randint(-2, 2)))
+                         for _ in range(rnd.randint(1, 14))]
+        got, pivots = _check_against_oracle(equations)
+        if got is not None:
+            for k in set(got) - pivots:
+                assert got[k] == 0
+
+
+def test_column_that_cancels_and_reappears():
+    equations = [
+        ({"x0": Fr(1), "x2": Fr(1)}, Fr(1)),
+        ({"x1": Fr(1), "x2": Fr(-1), "x4": Fr(1)}, Fr(2)),
+        ({"x2": Fr(1), "x3": Fr(1)}, Fr(3)),
+        # reducing by the x0 pivot cancels x2; the x1 pivot brings it back,
+        # and it must then be eliminated against the x2 pivot
+        ({"x0": Fr(1), "x1": Fr(1), "x2": Fr(1), "x3": Fr(5)}, Fr(10)),
+    ]
+    got, pivots = _check_against_oracle(equations)
+    assert pivots == {"x0", "x1", "x2", "x3"}
+    assert got == {"x0": Fr(-1), "x1": Fr(4), "x2": Fr(2), "x3": Fr(1), "x4": Fr(0)}
