@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import builtin_models, foliation, parser, report, symplectic
+from . import builtin_models, parser, report, symplectic
 from .model import Model, form_text
 
 USAGE_ERROR = 2
@@ -56,20 +56,16 @@ def _cmd_homogenize(args) -> int:
 def _cmd_bracket(args) -> int:
     m = _load_model(args.model)
     if args.foliated:
-        F = m.foliation
-        if F is None:
+        if m.foliation is None:
             raise parser.ParseError("model declares no foliation", 0, 0)
-        run = report._Run(m, steps=1)
-        st = run.reduced_structure
-        spectrum = F.spatial
-        a = parser.parse_expression(args.a, spectrum)
-        b = parser.parse_expression(args.b, spectrum)
-        out = foliation.f_bracket(a, b, st)
+        st = report._Run(m, steps=1).reduced_structure
+        spectrum = m.foliation.spatial
     else:
         st = m.structure()
-        a = parser.parse_expression(args.a, m.spectrum)
-        b = parser.parse_expression(args.b, m.spectrum)
-        out = symplectic.bracket(a, b, st)
+        spectrum = m.spectrum
+    a = parser.parse_expression(args.a, spectrum)
+    b = parser.parse_expression(args.b, spectrum)
+    out = symplectic.bracket(a, b, st)
     sys.stdout.write(form_text(out) + "\n")
     return 0
 

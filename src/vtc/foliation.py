@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import forms, kernel, printing, symplectic, variational
-from .forms import EvoField, LocalForm
+from .forms import LocalForm
 from .kernel import Gen, GradedScalar, Spectrum
 
 
@@ -173,18 +173,6 @@ def reduce(a: LocalForm, F: FoliationContext) -> LocalForm:
 # ---------------------------------------------------------------------------
 
 
-def f_hamiltonian_field(A: LocalForm,
-                        structure: symplectic.PresympStructure) -> EvoField:
-    """Evolutionary field on the phase algebra with i_X omega ~ delta(A)."""
-    return symplectic.hamiltonian_field(A, structure)
-
-
-def f_bracket(A: LocalForm, B: LocalForm,
-              structure: symplectic.PresympStructure) -> LocalForm:
-    """Bracket of leafwise Hamiltonian densities over the reduced structure."""
-    return symplectic.bracket(A, B, structure)
-
-
 def charge_density(J: LocalForm, F: FoliationContext,
                    structure: Optional[symplectic.PresympStructure] = None,
                    ) -> LocalForm:
@@ -196,7 +184,7 @@ def charge_density(J: LocalForm, F: FoliationContext,
     """
     sigma = reduce(J, F)
     if structure is not None:
-        square = f_bracket(sigma, sigma, structure)
+        square = symplectic.bracket(sigma, sigma, structure)
         if not variational.equiv_mod_d(square, LocalForm.zero(F.spatial.dim)):
             raise FoliationError(
                 "reduced charge density violates the master equation")

@@ -27,10 +27,33 @@ parity(X) + 1 that kills scalars and dx and sends d(phi^a_I) to the
 prolonged component X^a_I.  The vertical Lie derivative is
 
     lie(X, w) = contract(X, delta(w)) + (-1)^{parity(X)} delta(contract(X, w)).
+
+d, delta and contract write each image term straight into its canonical key
+(dx directions ascending, contacts sorted) and sign it once.  For a term
+s ^ w, let P(w) be its number of dx plus the parities of its contacts, and
+cp(g) the parity of the contact d(g).  Then:
+
+* d, coefficient part: (-1)^{P(w)} total_j(s) with dx^j inserted into w,
+  times (-1)^{#(dx^i in w with i < j)}; zero when dx^j is already there.
+* d, contact part: s with one contact d(phi_I) replaced by d(phi_{Ij}) and
+  dx^j inserted, times (-1)^{C(w) + #(dx^i in w with i > j)}, where C(w) is
+  the parity of all contacts of w, times (-1)^{cp(phi) * c}, where c is the
+  parity of the contacts d(phi_{Ij}) passes on its way to its sorted place;
+  zero when dx^j is already there, or d(phi_{Ij}) is odd and already there.
+* delta: (-1)^{P(w)} right_partial_g(s) with d(g) inserted into w, times
+  (-1)^{cp(g) * (#dx + parity of the contacts before d(g))}; zero when d(g)
+  is odd and already there.
+* contract, contact d(phi^a_I) at slot k: s * X^a_I with that contact
+  removed, where the odd part of X^a_I changes sign when the dx and the
+  contacts before slot k have odd parity, times (-1)^{(parity(X) + 1) * c}
+  with c the parity of the contacts after slot k.
+
+Signs are applied by negation, never by multiplying coefficients.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -46,6 +69,16 @@ _EMPTY: Key = ((), ())
 
 def _contact_parity(g: Gen) -> int:
     return (kernel.gen_parity(g) + 1) % 2
+
+
+def _odd_part_negated(s: GradedScalar) -> GradedScalar:
+    """s with its parity-odd part negated: what s turns into when an odd
+    factor moves past it."""
+    p = s.grade_of("parity")
+    if p is not None:
+        return -s if p else s
+    parts = s.grade_split("parity")
+    return parts[0] - parts[1]
 
 
 class LocalForm:
@@ -222,11 +255,6 @@ class LocalForm:
     def coefficient(self, key: Key) -> GradedScalar:
         return self.terms.get(key, kernel.ZERO)
 
-    def map_scalars(self, fn) -> "LocalForm":
-        """Apply fn to every coefficient scalar (no re-sorting: fn must not
-        change which term a contribution belongs to)."""
-        return LocalForm(self.dim, {k: fn(s) for k, s in self.terms.items()})
-
 
 Factor = tuple  # ("s", GradedScalar) | ("dx", int) | ("c", Gen)
 
@@ -243,9 +271,7 @@ def _append_factor(dim: int, key: Key,
         if not f:
             return
         crossed = len(dxs) + sum(_contact_parity(g) for g in contacts)
-        for p, part in f.grade_split("parity").items():
-            sign = -1 if (p and crossed % 2) else 1
-            sink.append((key, (s * part) * sign))
+        sink.append((key, s * (_odd_part_negated(f) if crossed % 2 else f)))
     elif kind == "dx":
         i = factor[1]
         if not 0 <= i < dim:
@@ -254,9 +280,8 @@ def _append_factor(dim: int, key: Key,
             return
         pos = sum(1 for p in dxs if p < i)
         crossed = (len(dxs) - pos) + sum(_contact_parity(g) for g in contacts)
-        sign = -1 if crossed % 2 else 1
         new_dxs = dxs[:pos] + (i,) + dxs[pos:]
-        sink.append(((new_dxs, contacts), s * sign))
+        sink.append(((new_dxs, contacts), -s if crossed % 2 else s))
     elif kind == "c":
         g = factor[1]
         p = _contact_parity(g)
@@ -266,35 +291,37 @@ def _append_factor(dim: int, key: Key,
         while pos > 0 and contacts[pos - 1] > g:
             pos -= 1
         crossed = sum(_contact_parity(h) for h in contacts[pos:])
-        sign = -1 if (p and crossed % 2) else 1
         new_contacts = contacts[:pos] + (g,) + contacts[pos:]
-        sink.append(((dxs, new_contacts), s * sign))
+        sink.append(((dxs, new_contacts), -s if (p and crossed % 2) else s))
     else:
         raise ValueError(f"unknown factor kind {kind!r}")
 
 
 def _accumulate(out: dict[Key, GradedScalar], dim: int,
-                factors: Sequence[Factor], coeff: Union[int, Fraction] = 1,
-                start: tuple[Key, GradedScalar] = (_EMPTY, kernel.ONE)) -> None:
-    """Canonicalize the wedge of ``factors`` (times coeff) into ``out``."""
-    current = [(start[0], start[1] * Fraction(coeff))]
+                factors: Sequence[Factor], key: Key, s: GradedScalar) -> None:
+    """Canonicalize the term (key, s) right-multiplied by ``factors`` into
+    ``out``."""
+    current = [(key, s)]
     for factor in factors:
         nxt: list = []
-        for key, s in current:
-            if s:
-                _append_factor(dim, key, s, factor, nxt)
+        for k, t in current:
+            if t:
+                _append_factor(dim, k, t, factor, nxt)
         current = nxt
         if not current:
             return
-    for key, s in current:
-        if not s:
-            continue
-        t = out.get(key)
-        t = s if t is None else t + s
+    for k, t in current:
         if t:
-            out[key] = t
-        else:
-            out.pop(key, None)
+            _add_term(out, k, t)
+
+
+def _add_term(out: dict[Key, GradedScalar], key: Key, s: GradedScalar) -> None:
+    t = out.get(key)
+    t = s if t is None else t + s
+    if t:
+        out[key] = t
+    else:
+        out.pop(key, None)
 
 
 def _term_factors(key: Key, s: GradedScalar) -> list[Factor]:
@@ -312,7 +339,7 @@ def wedge(a: LocalForm, b: LocalForm) -> LocalForm:
     for kb, sb in b.terms.items():
         factors = _term_factors(kb, sb)
         for ka, sa in a.terms.items():
-            _accumulate(out, a.dim, factors, start=(ka, sa))
+            _accumulate(out, a.dim, factors, ka, sa)
     return LocalForm(a.dim, out)
 
 
@@ -369,28 +396,36 @@ def d(form: LocalForm) -> LocalForm:
     out: dict[Key, GradedScalar] = {}
     dim = form.dim
     for (dxs, contacts), s in form.terms.items():
-        base_par = (len(dxs) + sum(_contact_parity(g) for g in contacts)) % 2
-        # derivative of the coefficient scalar
-        sign0 = -1 if base_par else 1
-        for j in range(dim):
+        cpar = sum(_contact_parity(g) for g in contacts)
+        # the directions j whose dx^j is not in w yet, with the number of
+        # dx^i in w with i < j
+        free = [(j, bisect_left(dxs, j)) for j in range(dim) if j not in dxs]
+        # (-1)^{P(w)} total_j(s) ^ dx^j ^ w: dx^j moves right past the
+        # dx^i with i < j
+        for j, pos in free:
             ds = s.total_derivative(j)
             if ds:
-                factors: list[Factor] = [("s", ds), ("dx", j)]
-                factors += [("dx", i) for i in dxs]
-                factors += [("c", g) for g in contacts]
-                _accumulate(out, dim, factors, sign0)
-        # derivative of each contact factor: d(phi_I) -> d(phi_{Ij}) ^ dx^j
+                sign = len(dxs) + cpar + pos
+                _add_term(out, (dxs[:pos] + (j,) + dxs[pos:], contacts),
+                          -ds if sign % 2 else ds)
+        # d(phi_I) -> d(phi_{Ij}) ^ dx^j, signed by the parity of the
+        # contacts after it; dx^j moves left past the earlier contacts,
+        # d(phi_{Ij}) and the dx^i with i > j (together C(w) + #(i > j)),
+        # then d(phi_{Ij}) moves to its sorted place among the others
         for idx, g in enumerate(contacts):
-            after = sum(_contact_parity(h) for h in contacts[idx + 1:]) % 2
-            sign = -1 if after else 1
-            for j in range(dim):
+            p = _contact_parity(g)
+            others = contacts[:idx] + contacts[idx + 1:]
+            for j, pos in free:
                 g2 = kernel.jet_shift(g, j)
-                factors = [("s", s)]
-                factors += [("dx", i) for i in dxs]
-                factors += [("c", h) for h in contacts[:idx]]
-                factors += [("c", g2), ("dx", j)]
-                factors += [("c", h) for h in contacts[idx + 1:]]
-                _accumulate(out, dim, factors, sign)
+                if p and g2 in others:
+                    continue
+                k = bisect_right(others, g2)
+                sign = cpar + len(dxs) - pos
+                if p:
+                    sign += sum(_contact_parity(h)
+                                for h in others[min(k, idx):max(k, idx)])
+                key = (dxs[:pos] + (j,) + dxs[pos:], others[:k] + (g2,) + others[k:])
+                _add_term(out, key, -s if sign % 2 else s)
     return LocalForm(dim, out)
 
 
@@ -399,15 +434,20 @@ def delta(form: LocalForm) -> LocalForm:
     out: dict[Key, GradedScalar] = {}
     dim = form.dim
     for (dxs, contacts), s in form.terms.items():
-        base_par = (len(dxs) + sum(_contact_parity(g) for g in contacts)) % 2
-        sign0 = -1 if base_par else 1
+        base_par = len(dxs) + sum(_contact_parity(h) for h in contacts)
         for g in sorted(s.jet_generators()):
+            p = _contact_parity(g)
+            if p and g in contacts:
+                continue
             df = s.right_partial(g)
             if df:
-                factors: list[Factor] = [("s", df), ("c", g)]
-                factors += [("dx", i) for i in dxs]
-                factors += [("c", h) for h in contacts]
-                _accumulate(out, dim, factors, sign0)
+                # d(g) moves right past the dx^i and the contacts below it
+                k = bisect_right(contacts, g)
+                sign = base_par
+                if p:
+                    sign += len(dxs) + sum(_contact_parity(h) for h in contacts[:k])
+                _add_term(out, (dxs, contacts[:k] + (g,) + contacts[k:]),
+                          -df if sign % 2 else df)
     return LocalForm(dim, out)
 
 
@@ -523,18 +563,17 @@ def contract(X: EvoField, form: LocalForm) -> LocalForm:
     dim = form.dim
     dpar = (X.parity + 1) % 2
     for (dxs, contacts), s in form.terms.items():
+        crossed = len(dxs)
         for idx, g in enumerate(contacts):
             comp = X.component(g)
-            if not comp:
-                continue
-            after = sum(_contact_parity(h) for h in contacts[idx + 1:]) % 2
-            sign = -1 if (dpar and after) else 1
-            factors: list[Factor] = [("s", s)]
-            factors += [("dx", i) for i in dxs]
-            factors += [("c", h) for h in contacts[:idx]]
-            factors += [("s", comp)]
-            factors += [("c", h) for h in contacts[idx + 1:]]
-            _accumulate(out, dim, factors, sign)
+            if comp:
+                # the component moves left past the dx^i and contacts[:idx]
+                if crossed % 2:
+                    comp = _odd_part_negated(comp)
+                if dpar and sum(_contact_parity(h) for h in contacts[idx + 1:]) % 2:
+                    comp = -comp
+                _add_term(out, (dxs, contacts[:idx] + contacts[idx + 1:]), s * comp)
+            crossed += _contact_parity(g)
     return LocalForm(dim, out)
 
 
@@ -570,21 +609,6 @@ def interior_coordinate(form: LocalForm, j: int) -> LocalForm:
         if j not in dxs:
             continue
         pos = dxs.index(j)
-        sp = s.grade_of("parity")
-        if sp is None:
-            for p, part in s.grade_split("parity").items():
-                sign = -1 if (p + pos) % 2 else 1
-                _add_term(out, (dxs[:pos] + dxs[pos + 1:], ()), part * sign)
-        else:
-            sign = -1 if (sp + pos) % 2 else 1
-            _add_term(out, (dxs[:pos] + dxs[pos + 1:], ()), s * sign)
+        t = _odd_part_negated(s)
+        _add_term(out, (dxs[:pos] + dxs[pos + 1:], ()), -t if pos % 2 else t)
     return LocalForm(form.dim, out)
-
-
-def _add_term(out: dict[Key, GradedScalar], key: Key, s: GradedScalar) -> None:
-    t = out.get(key)
-    t = s if t is None else t + s
-    if t:
-        out[key] = t
-    else:
-        out.pop(key, None)

@@ -70,10 +70,6 @@ def mi_remove(mi: Sequence[int], j: int) -> tuple[int, ...]:
     return tuple(parts)
 
 
-def mi_contains(mi: Sequence[int], j: int) -> bool:
-    return j in mi
-
-
 # ---------------------------------------------------------------------------
 # Field declarations
 # ---------------------------------------------------------------------------
@@ -365,6 +361,13 @@ class GradedScalar:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _wrap(cls, terms: dict[Monomial, Fraction]) -> "GradedScalar":
+        """A scalar on ``terms`` as given: Fraction coefficients, none zero."""
+        res = cls.__new__(cls)
+        res.terms = terms
+        return res
+
+    @classmethod
     def constant(cls, c: Coefficient) -> "GradedScalar":
         return cls({ONE_MONO: Fraction(c)})
 
@@ -400,21 +403,18 @@ class GradedScalar:
         other = _coerce(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
-            s = out.get(m, Fraction(0)) + c
+            prev = out.get(m)
+            s = c if prev is None else prev + c
             if s:
                 out[m] = s
             else:
                 out.pop(m, None)
-        res = GradedScalar.__new__(GradedScalar)
-        res.terms = out
-        return res
+        return GradedScalar._wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self) -> "GradedScalar":
-        res = GradedScalar.__new__(GradedScalar)
-        res.terms = {m: -c for m, c in self.terms.items()}
-        return res
+        return GradedScalar._wrap({m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other: "GradedScalar") -> "GradedScalar":
         return self + (-_coerce(other))
@@ -424,25 +424,30 @@ class GradedScalar:
 
     def __mul__(self, other: Union["GradedScalar", Coefficient]) -> "GradedScalar":
         if isinstance(other, (int, Fraction)):
+            # scalars are never mutated, so a sign needs no new coefficients
+            if other == 1:
+                return self
+            if other == -1:
+                return -self
             other = Fraction(other)
-            res = GradedScalar.__new__(GradedScalar)
-            res.terms = {} if not other else {m: c * other for m, c in self.terms.items()}
-            return res
+            return GradedScalar._wrap(
+                {m: c * other for m, c in self.terms.items()} if other else {})
         out: dict[Monomial, Fraction] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, m = mono_mul(m1, m2)
                 if m is None:
                     continue
-                c = c1 * c2 * sign
-                s = out.get(m, Fraction(0)) + c
+                c = c1 * c2
+                if sign < 0:
+                    c = -c
+                prev = out.get(m)
+                s = c if prev is None else prev + c
                 if s:
                     out[m] = s
                 else:
                     out.pop(m, None)
-        res = GradedScalar.__new__(GradedScalar)
-        res.terms = out
-        return res
+        return GradedScalar._wrap(out)
 
     def __rmul__(self, other: Coefficient) -> "GradedScalar":
         if isinstance(other, (int, Fraction)):
@@ -493,19 +498,22 @@ class GradedScalar:
                         crossed = sum(gen_parity(k) & (x & 1) for k, x in m[:idx])
                     else:
                         crossed = sum(gen_parity(k) & (x & 1) for k, x in m[idx + 1:])
-                    sign = -1 if crossed % 2 else 1
                     rest = m[:idx] + m[idx + 1:]
-                    cc = c * sign
-                else:
-                    rest = m[:idx] + ((h, e - 1),) + m[idx + 1:] if e > 1 else m[:idx] + m[idx + 1:]
+                    cc = -c if crossed % 2 else c
+                elif e > 1:
+                    rest = m[:idx] + ((h, e - 1),) + m[idx + 1:]
                     cc = c * e
-                s = out.get(rest, Fraction(0)) + cc
+                else:
+                    rest = m[:idx] + m[idx + 1:]
+                    cc = c
+                prev = out.get(rest)
+                s = cc if prev is None else prev + cc
                 if s:
                     out[rest] = s
                 else:
                     out.pop(rest, None)
                 break
-        return GradedScalar(out)
+        return GradedScalar._wrap(out)
 
     def total_derivative(self, j: int) -> "GradedScalar":
         """Total derivative in base direction j.
@@ -542,12 +550,15 @@ class GradedScalar:
                     if mono is None:
                         continue
                     sign *= sign2
-                s = out.get(mono, Fraction(0)) + cc * sign
+                if sign < 0:
+                    cc = -cc
+                prev = out.get(mono)
+                s = cc if prev is None else prev + cc
                 if s:
                     out[mono] = s
                 else:
                     out.pop(mono, None)
-        return GradedScalar(out)
+        return GradedScalar._wrap(out)
 
     def total_derivative_mi(self, mi: Sequence[int]) -> "GradedScalar":
         cur = self

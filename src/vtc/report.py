@@ -165,9 +165,9 @@ def _stage_brackets(run: _Run) -> tuple[dict, bool]:
         G = run.m.phase_densities[name]
         v = {
             "commutes_with_charge": variational.equiv_mod_d(
-                foliation.f_bracket(G, run.charge, st), z),
+                symplectic.bracket(G, run.charge, st), z),
             "involutive": variational.equiv_mod_d(
-                foliation.f_bracket(G, G, st), z),
+                symplectic.bracket(G, G, st), z),
             "evolution_generated_by_charge":
                 symplectic.verify_evolution_generator(run.charge, G, st),
         }

@@ -68,9 +68,6 @@ class PresympStructure:
     def ghost(self) -> Optional[int]:
         return self.omega.ghost()
 
-    def horizontal_degree(self) -> Optional[int]:
-        return self.omega.hdeg()
-
 
 def _pair_weight(spectrum: Spectrum, f: kernel.FieldSpec, comp: tuple[int, ...]) -> Fraction:
     w = Fraction(1)

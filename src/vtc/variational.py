@@ -91,11 +91,9 @@ def el_derivative(lam: LocalForm) -> dict[Gen, GradedScalar]:
 
 
 def _contact_vol_sign(dim: int, g: Gen) -> int:
-    """Sign relating d(phi) ^ vol to the canonical vol ^ d(phi) layout."""
-    probe = forms.wedge(forms.contact(dim, g), forms.volume(dim))
-    ((key, s),) = probe.terms.items()
-    ((mono, c),) = s.terms.items()
-    return 1 if c > 0 else -1
+    """Sign relating d(phi) ^ vol to the canonical vol ^ d(phi) layout:
+    d(phi), odd exactly when phi is even, moves past dim odd dx's."""
+    return -1 if (kernel.gen_parity(g) == kernel.EVEN and dim % 2) else 1
 
 
 def source_form(dim: int, components: dict[Gen, GradedScalar]) -> LocalForm:

@@ -224,7 +224,7 @@ def test_current_reduces_to_the_gauss_density(mx):
 
 
 def test_energy_commutes_with_the_reduced_charge(mx):
-    got = foliation.f_bracket(mx["H"], mx["Jred"], mx["st_red"])
+    got = symplectic.bracket(mx["H"], mx["Jred"], mx["st_red"])
     assert variational.equiv_mod_d(got, LocalForm.zero(3))
 
 

@@ -222,7 +222,7 @@ def test_charge_density_rejects_non_charges(maxwell):
 
 def test_energy_generates_ampere_evolution(maxwell):
     spl = maxwell["spl"]
-    XH = foliation.f_hamiltonian_field(maxwell["H"], maxwell["st_red"])
+    XH = symplectic.hamiltonian_field(maxwell["H"], maxwell["st_red"])
     comps = {g: v for g, v in XH.base_components().items() if not v.is_zero()}
     want = {}
     for i in range(3):
@@ -240,9 +240,9 @@ def test_energy_commutes_with_the_constraint(maxwell, gauss):
     z = LocalForm.zero(3)
     st_red = maxwell["st_red"]
     assert variational.equiv_mod_d(
-        foliation.f_bracket(maxwell["H"], gauss, st_red), z)
+        symplectic.bracket(maxwell["H"], gauss, st_red), z)
     assert variational.equiv_mod_d(
-        foliation.f_bracket(maxwell["H"], maxwell["H"], st_red), z)
+        symplectic.bracket(maxwell["H"], maxwell["H"], st_red), z)
 
 
 def test_constraint_generates_the_evolution(maxwell, gauss):

@@ -1,0 +1,240 @@
+"""An independent oracle for d, delta and contract, and property tests of the
+complex identities.
+
+The oracle applies each derivation D of parity e literally by the
+right-derivation rule of the ``forms`` docstring: a term is the wedge of its
+single factors s ^ dx^{i1} ^ ... ^ d(phi_1) ^ ..., and
+
+    D(f_1 ^ ... ^ f_n) = sum_k (-1)^{e * parity(f_{k+1} ^ ... ^ f_n)}
+                         f_1 ^ ... ^ D(f_k) ^ ... ^ f_n,
+
+with D(f_k) given on single factors.  Every product is taken with
+``forms.wedge``, so the signs come from the generic factor-by-factor
+canonicalisation, not from the sign rules the engine's derivations use.
+"""
+
+import random
+from fractions import Fraction
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from vtc import forms as F
+from vtc import kernel as K
+
+
+SP = K.Spectrum(4, [
+    K.FieldSpec("A", K.EVEN, 0, shape=(4,)),
+    K.FieldSpec("C", K.ODD, 1),
+    K.FieldSpec("As", K.ODD, -1, role=K.ROLE_ANTIFIELD, shape=(4,)),
+    K.FieldSpec("Cs", K.EVEN, -2, role=K.ROLE_ANTIFIELD),
+], parameters=("k",))
+
+DIM = 4
+
+
+def J(name, comp=(), mi=()):
+    return K.jet(SP, name, comp, mi)
+
+
+def G(name, comp=(), mi=()):
+    return K.jet_gen(SP, name, comp, mi)
+
+
+def sf(s):
+    return F.scalar_form(DIM, s)
+
+
+# -- the oracle ----------------------------------------------------------------
+
+
+def single_factors(key, s):
+    """The term (key, s) as its list of (form, parity) single factors; the
+    scalar's parity is never needed, since nothing stands to its left."""
+    dxs, contacts = key
+    fs = [(sf(s), None)]
+    fs += [(F.dx(DIM, i), 1) for i in dxs]
+    fs += [(F.contact(DIM, g), (K.gen_parity(g) + 1) % 2) for g in contacts]
+    return fs
+
+
+def by_right_derivation(form, parity, on_scalar, on_dx, on_contact):
+    out = F.LocalForm.zero(DIM)
+    for key, s in form.terms.items():
+        dxs, contacts = key
+        images = [on_scalar(s)] + [on_dx(i) for i in dxs] + [on_contact(g) for g in contacts]
+        fs = single_factors(key, s)
+        for k, image in enumerate(images):
+            if image.is_zero():
+                continue
+            rest = sum(p for _, p in fs[k + 1:])
+            term = F.wedge_all([f for f, _ in fs[:k]] + [image] + [f for f, _ in fs[k + 1:]])
+            out = out - term if (parity and rest % 2) else out + term
+    return out
+
+
+def zero_form(_):
+    return F.LocalForm.zero(DIM)
+
+
+def oracle_d(form):
+    def on_scalar(s):
+        return sum((F.wedge(sf(s.total_derivative(j)), F.dx(DIM, j)) for j in range(DIM)),
+                   F.LocalForm.zero(DIM))
+
+    def on_contact(g):
+        return sum((F.wedge(F.contact(DIM, K.jet_shift(g, j)), F.dx(DIM, j))
+                    for j in range(DIM)), F.LocalForm.zero(DIM))
+
+    return by_right_derivation(form, 1, on_scalar, zero_form, on_contact)
+
+
+def oracle_delta(form):
+    def on_scalar(s):
+        return sum((F.wedge(sf(s.right_partial(g)), F.contact(DIM, g))
+                    for g in sorted(s.jet_generators())), F.LocalForm.zero(DIM))
+
+    return by_right_derivation(form, 1, on_scalar, zero_form, zero_form)
+
+
+def oracle_contract(X, form):
+    def on_contact(g):
+        return sf(X.component(g))
+
+    return by_right_derivation(form, (X.parity + 1) % 2, zero_form, zero_form, on_contact)
+
+
+# -- seeded random forms -------------------------------------------------------
+
+
+POOL = [K.parameter("k"), K.x(0), K.x(2), J("A", (0,)), J("A", (1,), (0,)),
+        J("A", (2,), (1, 3)), J("C"), J("C", (), (0,)), J("C", (), (2,)),
+        J("As", (0,)), J("As", (2,), (1,)), J("Cs"), J("Cs", (), (3,))]
+# d(A) and d(As) are odd contacts, d(C) and d(Cs) even ones
+CPOOL = [G("A", (0,)), G("A", (1,), (0,)), G("A", (0,), (0,)), G("C"),
+         G("C", (), (1,)), G("As", (0,)), G("As", (3,), (2,)), G("Cs"), G("Cs", (), (0,))]
+
+
+def random_scalar(rnd, nterms=3, nfac=3):
+    """Sums of random monomials: the parity is often mixed."""
+    t = K.ZERO
+    for _ in range(rnd.randint(1, nterms)):
+        term = K.scalar(Fraction(rnd.randint(-3, 3) or 1, rnd.randint(1, 3)))
+        for _ in range(rnd.randint(0, nfac)):
+            term = term * rnd.choice(POOL)
+        t = t + term
+    return t
+
+
+def random_term(rnd):
+    w = sf(random_scalar(rnd))
+    for _ in range(rnd.randint(0, 3)):
+        w = F.wedge(w, F.dx(DIM, rnd.randrange(DIM)))
+    for _ in range(rnd.randint(0, 3)):
+        w = F.wedge(w, F.contact(DIM, rnd.choice(CPOOL)))
+    return w
+
+
+def random_form(rnd):
+    w = F.LocalForm.zero(DIM)
+    for _ in range(rnd.randint(1, 3)):
+        w = w + random_term(rnd)
+    return w
+
+
+def repeated_even_contacts(rnd):
+    """Terms with d(C)^d(C): C is odd, so its contacts are even and a
+    repeated one survives."""
+    out = []
+    for g in (G("C"), G("C", (), (1,))):
+        dg = F.contact(DIM, g)
+        w = F.wedge_all([sf(random_scalar(rnd)), F.dx(DIM, rnd.randrange(DIM)), dg, dg])
+        out.append(w)
+        out.append(F.wedge(w, F.contact(DIM, rnd.choice(CPOOL))))
+        out.append(F.wedge(F.contact(DIM, rnd.choice(CPOOL)), w))
+    return out
+
+
+def fields():
+    """Odd and even evolutionary fields; the last has a component of mixed
+    parity."""
+    brs = F.EvoField(SP, {G("A", (m,)): J("C", (), (m,)) for m in range(DIM)},
+                     parity=K.ODD)
+    translation = F.EvoField(SP, {G("A", (m,)): J("A", (m,), (1,)) for m in range(DIM)},
+                             parity=K.EVEN)
+    antifield = F.EvoField(SP, {G("As", (m,)): J("A", (m,), (0,)) * J("C")
+                                for m in range(DIM)} | {G("Cs"): J("A", (1,), (2,))},
+                           parity=K.EVEN)
+    mixed = F.EvoField(SP, {G("A", (0,)): J("A", (1,)) + J("C") * J("Cs"),
+                            G("C"): J("As", (2,), (0,)) + K.x(0) * J("C", (), (1,))},
+                       parity=K.EVEN)
+    return [brs, translation, antifield, mixed]
+
+
+def sample_forms(seed, n):
+    rnd = random.Random(seed)
+    return [random_form(rnd) for _ in range(n)] + repeated_even_contacts(rnd)
+
+
+def test_sample_covers_the_cases():
+    forms = sample_forms(31, 60)
+    parities = {w.parity() for w in forms}
+    assert {0, 1, None} <= parities
+    scalars = [s for w in forms for s in w.terms.values()]
+    assert any(s.parity() is None for s in scalars)
+    assert any(len(set(c)) < len(c) for w in forms for _, c in w.terms)
+    assert {X.parity for X in fields()} == {0, 1}
+
+
+def test_d_matches_the_right_derivation_oracle():
+    for w in sample_forms(31, 60):
+        assert F.d(w) == oracle_d(w)
+
+
+def test_delta_matches_the_right_derivation_oracle():
+    for w in sample_forms(32, 60):
+        assert F.delta(w) == oracle_delta(w)
+
+
+def test_contract_matches_the_right_derivation_oracle():
+    forms = sample_forms(33, 40)
+    for X in fields():
+        for w in forms:
+            assert F.contract(X, w) == oracle_contract(X, w)
+
+
+# -- property tests of the complex identities ---------------------------------
+
+
+@st.composite
+def local_forms(draw):
+    w = F.LocalForm.zero(DIM)
+    for _ in range(draw(st.integers(1, 3))):
+        s = K.scalar(Fraction(draw(st.integers(-4, 4).filter(bool)), draw(st.integers(1, 3))))
+        for f in draw(st.lists(st.sampled_from(POOL), max_size=3)):
+            s = s * f
+        term = sf(s)
+        for i in draw(st.lists(st.integers(0, DIM - 1), max_size=3)):
+            term = F.wedge(term, F.dx(DIM, i))
+        for g in draw(st.lists(st.sampled_from(CPOOL), max_size=3)):
+            term = F.wedge(term, F.contact(DIM, g))
+        w = w + term
+    return w
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_forms())
+def test_d_squares_to_zero(w):
+    assert F.d(F.d(w)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_forms())
+def test_delta_squares_to_zero(w):
+    assert F.delta(F.delta(w)).is_zero()
+
+
+@settings(max_examples=60, deadline=None)
+@given(local_forms())
+def test_d_and_delta_anticommute(w):
+    assert (F.d(F.delta(w)) + F.delta(F.d(w))).is_zero()

@@ -125,6 +125,15 @@ def test_volume_is_top():
     assert F.wedge(dx(0), vol).is_zero()
 
 
+def test_d_of_a_top_form_takes_no_derivative(monkeypatch):
+    # every dx^j is already present, so d is zero without differentiating:
+    # the jet-order cap, which total_j(A[0]_1) would exceed, is not reached
+    monkeypatch.setenv("VTC_JET_ORDER_CAP", "1")
+    w = F.wedge_all([sf(J("A", (0,), (1,))), F.volume(DIM), ct(G("C", (), (2,)))])
+    assert not w.is_zero()
+    assert F.d(w).is_zero()
+
+
 # -- randomized complex identities ------------------------------------------
 
 

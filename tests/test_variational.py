@@ -163,6 +163,17 @@ def test_source_decompose_rejects_wrong_degree():
         V.source_decompose(F.wedge(F.contact(DIM, G("C")), F.dx(DIM, 0)))
 
 
+def test_contact_vol_sign_matches_the_wedge():
+    for dim in range(1, 5):
+        sp = K.Spectrum(dim, [K.FieldSpec("A", K.EVEN, 0), K.FieldSpec("C", K.ODD, 1)])
+        for name in ("A", "C"):
+            g = K.jet_gen(sp, name, (), (0,))
+            probe = F.wedge(F.contact(dim, g), F.volume(dim))
+            ((key, s),) = probe.terms.items()
+            assert key == (tuple(range(dim)), (g,))
+            assert s == K.scalar(V._contact_vol_sign(dim, g))
+
+
 # -- horizontal homotopy ----------------------------------------------------
 
 
