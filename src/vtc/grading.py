@@ -6,6 +6,20 @@ factors), the formal diffeomorphisms e^X generated by degree-raising
 evolutionary fields, a bounded search that homogenizes an inhomogeneous
 presymplectic form by such a flow, and the nested-bracket construction that
 turns a degree-n generator into an n-ary bracket on degree-0 densities.
+
+Each stage of the homogenizer search solves one linear system: its columns
+are candidate fields X_i = m_i * d/d(phi_i), its rows the form monomials of
+their Lie images L_{X_i}(leading) and of the residual.  Only the candidates
+that can be linked to the residual are imaged.  A row's block label
+(``variational.block_key``) counts its factors per field component, and
+the labels an image can reach are known before it is computed: contract
+trades one phi_i contact for a total derivative of m_i, and neither total
+derivatives nor delta change the counts.  Closing the residual's labels
+under these predictions picks whole connected components of the system;
+the rest is homogeneous, so its coefficients in the reduced row-echelon
+solution are 0 and it cannot make the system inconsistent.  The retry
+modulo d, taken only when the first solve is inconsistent, runs on the
+full row set, as its bounds depend on every row.
 """
 
 from __future__ import annotations
@@ -227,37 +241,107 @@ def _basis_field(spectrum: Spectrum, direction: Gen,
                     parity=kernel.EVEN, ghost=0)
 
 
+def _predicted_labels(leading: LocalForm,
+                      basis: Sequence[tuple[Gen, kernel.Monomial]],
+                      ) -> list[frozenset]:
+    """For each candidate m * d/d(phi), the block labels its image can reach.
+
+    lie(X, L) = contract(X, delta L) +- delta(contract(X, L)), and contract
+    trades one contact with base phi for a total derivative of m, which
+    keeps m's label, as delta does.  So each image row is labelled
+    label(r) - (one phi factor) + label(m) for some row r of L or delta L
+    holding a contact with base phi.
+    """
+    # rows of L and delta L with one contact taken out, by the contact's base
+    # and then by label
+    reduced: dict[Gen, dict[tuple, variational.MonoKey]] = {}
+    for form in (leading, forms.delta(leading)):
+        for (dxs, contacts, mono), _ in variational.form_mono_items(form):
+            for idx, g in enumerate(contacts):
+                rest = (dxs, contacts[:idx] + contacts[idx + 1:], mono)
+                reduced.setdefault(kernel.jet_base(g), {}).setdefault(
+                    variational.block_key(rest), rest)
+    return [frozenset(variational.block_key((dxs, contacts, rest_mono + mono))
+                      for dxs, contacts, rest_mono
+                      in reduced.get(direction, {}).values())
+            for direction, mono in basis]
+
+
+def _candidates_in_reach(leading: LocalForm, residual: LocalForm,
+                         basis: Sequence[tuple[Gen, kernel.Monomial]],
+                         ) -> list[int]:
+    """Indices of the candidates whose images can be linked to the residual.
+
+    Starting from the residual's labels, take in every candidate whose
+    predicted labels meet them, together with all its labels, until nothing
+    changes.
+    """
+    groups: dict[frozenset, list[int]] = {}
+    for i, labels in enumerate(_predicted_labels(leading, basis)):
+        if labels:
+            groups.setdefault(labels, []).append(i)
+    reach = {variational.block_key(key)
+             for key, _ in variational.form_mono_items(residual)}
+    kept: list[int] = []
+    grown = True
+    while grown:
+        grown = False
+        for labels in list(groups):
+            if not reach.isdisjoint(labels):
+                kept.extend(groups.pop(labels))
+                reach |= labels
+                grown = True
+    return sorted(kept)
+
+
 def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
                  basis: Sequence[tuple[Gen, kernel.Monomial]],
                  ) -> Optional[dict[int, Fraction]]:
-    """Coefficients c with sum_i c_i L_{X_i}(leading) + residual = 0 mod d."""
-    images = []
-    for direction, mono in basis:
-        images.append(forms.lie(_basis_field(spectrum, direction, mono),
-                                leading))
+    """Coefficients c with sum_i c_i L_{X_i}(leading) + residual = 0 mod d.
+
+    Only the candidates in reach of the residual (``_candidates_in_reach``)
+    pay for a Lie image.  Their rows, with the residual's, are whole
+    connected components of the system over all candidates: every other
+    candidate's image lies in labels outside the closure.  What is left out
+    is a homogeneous system, on which the reduced row-echelon solution of
+    ``solve_linear`` (free columns 0) is 0, and a homogeneous system is
+    always consistent.  So the solution and the verdict of the first solve
+    are those of the full system.  The retry modulo d needs all rows,
+    because its coordinate-degree bound and its saturation depend on them,
+    so it first adds the images left out.
+    """
     rows: dict[tuple, dict] = {}
-    for i, im in enumerate(images):
-        for key, c in variational.form_mono_items(im):
-            rows.setdefault(key, {})[("c", i)] = c
+
+    def add_images(indices: Sequence[int]) -> None:
+        for i in indices:
+            direction, mono = basis[i]
+            image = forms.lie(_basis_field(spectrum, direction, mono), leading)
+            for key, c in variational.form_mono_items(image):
+                rows.setdefault(key, {})[("c", i)] = c
+
+    kept = _candidates_in_reach(leading, residual, basis)
+    add_images(kept)
     rhs: dict[tuple, Fraction] = {}
     for key, c in variational.form_mono_items(residual):
         rhs[key] = rhs.get(key, Fraction(0)) + c
         rows.setdefault(key, {})
-    equations = [(coeffs, -rhs.get(key, Fraction(0)))
-                 for key, coeffs in sorted(rows.items(), key=repr)]
-    sol = linsolve.solve_linear(equations)
+
+    def solve() -> Optional[dict]:
+        return linsolve.solve_linear(
+            [(rows[key], -rhs.get(key, Fraction(0))) for key in sorted(rows)])
+
+    sol = solve()
     if sol is None:
         # Retry modulo exact horizontal differentials: saturate the row set
         # with d-images of candidate primitives of the rows already present.
+        kept_set = set(kept)
+        add_images([i for i in range(len(basis)) if i not in kept_set])
         x_cap = variational.max_x_degree(rows) + 1
         d_cands = variational.saturate_d(spectrum.dim, rows, x_cap)
-        full: dict[tuple, dict] = {key: dict(cs) for key, cs in rows.items()}
         for cand, image in d_cands.items():
             for row, c in image.items():
-                full.setdefault(row, {})[("b", cand)] = c
-        equations = [(coeffs, -rhs.get(key, Fraction(0)))
-                     for key, coeffs in sorted(full.items(), key=repr)]
-        sol = linsolve.solve_linear(equations)
+                rows.setdefault(row, {})[("b", cand)] = c
+        sol = solve()
     if sol is None:
         return None
     return {i: v for (tag, i), v in sol.items() if tag == "c" and v}

@@ -4,7 +4,7 @@ descent, and the BRST current.
 
 The sign conventions are self-calibrating: reading a Hamiltonian field off a
 source decomposition contracts the structure with probe fields carrying a
-fresh auxiliary generator of the right parity, so every Koszul factor is
+reserved auxiliary generator of the right parity, so every Koszul factor is
 computed by the form engine itself rather than hard-coded.
 """
 
@@ -177,18 +177,16 @@ def _label(g: Gen) -> str:
     return printing.gen_str(g)
 
 
-_probe_counter = [0]
-
-
 def _probe_rows(spectrum: Spectrum, om: LocalForm, h: Gen,
                 probe_parity: int) -> dict[Gen, GradedScalar]:
     """Rows contributed by direction h: contract omega with a probe field
-    whose component is a fresh auxiliary generator, then strip it off.
+    whose component is the reserved auxiliary generator ``.probe``, then
+    strip it off.  The parser cannot create auxiliary generators, so no
+    structure it builds contains ``.probe``.
 
     The returned coefficient c is normalized so the direction's contribution
     to the source component along g is (component of h) * c."""
-    _probe_counter[0] += 1
-    aux = kernel.aux_gen(f".probe{_probe_counter[0]}", probe_parity)
+    aux = kernel.aux_gen(".probe", probe_parity)
     X = EvoField(spectrum, {h: GradedScalar.generator(aux)}, name="probe")
     contracted = forms.contract(X, om)
     vol_key = tuple(range(om.dim))

@@ -238,9 +238,17 @@ def _has_repeat_odd_contact(contacts: tuple[Gen, ...]) -> bool:
     return False
 
 
-def _block_key(key: MonoKey) -> tuple:
-    """Invariant of a form monomial preserved by d: per-component jet factor
-    counts together with parameter and auxiliary powers."""
+def block_key(key: MonoKey) -> tuple:
+    """Block label of a form monomial: how many of its factors (contacts and
+    scalar jet factors together) belong to each field component, with the
+    powers of parameters and auxiliaries.
+
+    Base coordinates, dx factors and derivative indices do not count, so
+    total derivatives, d and delta keep the label, and the label of a
+    product is the sum of its factors' labels.  The label depends only on
+    the multiset of factors: ``mono`` may be any concatenation of monomials,
+    canonical or not.  Every monomial of d(m) has the label of m, so the
+    system inverting d splits into independent blocks, one per label."""
     dxs, contacts, mono = key
     counts: dict = {}
     for g in contacts:
@@ -318,7 +326,7 @@ def _solve_d(rho: LocalForm) -> LocalForm:
     dim = rho.dim
     blocks: dict[tuple, dict[MonoKey, Fraction]] = {}
     for key, c in form_mono_items(rho):
-        blocks.setdefault(_block_key(key), {})[key] = c
+        blocks.setdefault(block_key(key), {})[key] = c
     sigma = LocalForm.zero(dim)
     for label in sorted(blocks, key=repr):
         rhs = blocks[label]

@@ -6,11 +6,13 @@ printed homogenizer with an exact certificate, and the derived brackets
 built from the homogenized charge obey the homotopy identities.
 """
 
+import collections
 from fractions import Fraction as Fr
 
 import pytest
 
-from vtc import builtin_models, forms, foliation, grading, kernel, symplectic, variational
+from vtc import (builtin_models, forms, foliation, grading, kernel, linsolve,
+                 symplectic, variational)
 from vtc.forms import LocalForm
 from vtc.kernel import FieldSpec, Spectrum
 
@@ -166,6 +168,156 @@ def test_unreachable_ansatz_reports_failure(reduced):
     bad = reduced["w1red"] + ghostly
     with pytest.raises(grading.NoHomogenizerError):
         grading.find_homogenizer(bad, spl, jet_order=0, poly_degree=1)
+
+
+# -- pruning the homogenizer's candidates -----------------------------------
+
+
+def image_labels(image):
+    return {variational.block_key(key)
+            for key, _ in variational.form_mono_items(image)}
+
+
+def full_stage_solve(spectrum, leading, residual, basis, images):
+    """A stage solved over every candidate, with no pruning: (solution,
+    whether the first solve was consistent)."""
+    rows = {}
+    for i, image in enumerate(images):
+        for key, c in variational.form_mono_items(image):
+            rows.setdefault(key, {})[("c", i)] = c
+    rhs = {}
+    for key, c in variational.form_mono_items(residual):
+        rhs[key] = rhs.get(key, Fr(0)) + c
+        rows.setdefault(key, {})
+
+    def solve():
+        return linsolve.solve_linear(
+            [(coeffs, -rhs.get(key, Fr(0)))
+             for key, coeffs in sorted(rows.items(), key=repr)])
+
+    sol = solve()
+    first_consistent = sol is not None
+    if sol is None:
+        x_cap = variational.max_x_degree(rows) + 1
+        for cand, image in variational.saturate_d(spectrum.dim, rows, x_cap).items():
+            for key, c in image.items():
+                rows.setdefault(key, {})[("b", cand)] = c
+        sol = solve()
+    assert sol is not None
+    return ({i: v for (tag, i), v in sol.items() if tag == "c" and v},
+            first_consistent)
+
+
+@pytest.fixture(scope="module")
+def first_stage(reduced):
+    """The chiral homogenizer's one stage: every candidate with its image."""
+    spl = reduced["spl"]
+    (k0, leading), (gap, residual) = grading.degree_split(
+        reduced["w1red"], grading.KIND_MOMENTUM)
+    buckets = grading._candidate_monomials(grading._ansatz_pool(spl, 2), 3)
+    basis = grading._stage_basis(spl, grading.KIND_MOMENTUM, gap - k0, buckets)
+    images = [forms.lie(grading._basis_field(spl, direction, mono), leading)
+              for direction, mono in basis]
+    return dict(spl=spl, leading=leading, residual=residual, basis=basis,
+                images=images)
+
+
+def test_every_candidate_image_lies_in_its_predicted_labels(first_stage):
+    predicted = grading._predicted_labels(first_stage["leading"],
+                                          first_stage["basis"])
+    images = first_stage["images"]
+    assert len(images) == len(predicted) == 5940
+    assert sum(1 for im in images if im) == 4455
+    for image, labels in zip(images, predicted):
+        assert image_labels(image) <= labels
+
+
+def test_pruned_stage_solve_equals_the_full_solve(first_stage):
+    args = (first_stage["spl"], first_stage["leading"],
+            first_stage["residual"], first_stage["basis"])
+    kept = grading._candidates_in_reach(*args[1:])
+    assert 0 < len(kept) < 20
+    sol = grading._stage_solve(*args)
+    assert (sol, True) == full_stage_solve(*args, first_stage["images"])
+    assert sol and set(sol) <= set(kept)
+
+
+@pytest.fixture
+def two_blocks():
+    """A stage where the direction w meets two rows of L, so the candidate
+    u_x d/dw reaches the blocks {u, u} and {u, v}; u_x d/dz reaches only
+    {u, v} and v_x d/du only {v, w}.  The residual lies in {u, u}."""
+    spec = Spectrum(1, [FieldSpec(name, kernel.EVEN, 0) for name in "uvwz"])
+
+    def ct(name):
+        return forms.contact(1, kernel.jet_gen(spec, name))
+
+    dx = forms.dx(1, 0)
+    leading = (forms.wedge_all([ct("u"), ct("w"), dx])
+               + forms.wedge_all([ct("v"), ct("w"), dx])
+               + forms.wedge_all([ct("v"), ct("z"), dx]))
+    ux = ((kernel.jet_gen(spec, "u", (), (0,)), 1),)
+    vx = ((kernel.jet_gen(spec, "v", (), (0,)), 1),)
+    basis = [(kernel.jet_gen(spec, "z"), ux), (kernel.jet_gen(spec, "w"), ux),
+             (kernel.jet_gen(spec, "u"), vx)]
+    images = [forms.lie(grading._basis_field(spec, direction, mono), leading)
+              for direction, mono in basis]
+    uu = variational.block_key(((), (kernel.jet_gen(spec, "u"),) * 2, ()))
+    residual = LocalForm(1, {key: s for key, s in images[1].terms.items()
+                             if variational.block_key(key + ((),)) == uu})
+    assert residual and image_labels(residual) == {uu}
+    return dict(spec=spec, ct=ct, leading=leading, residual=residual,
+                basis=basis, images=images)
+
+
+def test_closure_follows_a_candidate_into_a_second_block(two_blocks):
+    # u_x d/dz comes first and is needed to solve the {u, v} rows that
+    # u_x d/dw brings in, so it is in reach only on the closure's second pass
+    spec, leading, residual, basis, images = (
+        two_blocks[k] for k in ("spec", "leading", "residual", "basis", "images"))
+    predicted = grading._predicted_labels(leading, basis)
+    for image, labels in zip(images, predicted):
+        assert image and image_labels(image) <= labels
+    assert image_labels(images[1]) == predicted[1] and len(predicted[1]) == 2
+    assert grading._candidates_in_reach(leading, residual, basis) == [0, 1]
+    sol = grading._stage_solve(spec, leading, residual, basis)
+    assert (sol, True) == full_stage_solve(spec, leading, residual, basis, images)
+    assert sorted(sol) == [0, 1]
+
+
+def test_retry_modulo_d_solves_the_full_system(two_blocks, monkeypatch):
+    # an exact form outside the images' span makes the first solve
+    # inconsistent; the retry must see the rows of every candidate, the one
+    # out of reach included
+    spec, leading, basis, images, ct = (
+        two_blocks[k] for k in ("spec", "leading", "basis", "images", "ct"))
+    residual = two_blocks["residual"] + forms.d(forms.wedge(ct("u"), ct("v")))
+    systems = []
+    solve_linear = linsolve.solve_linear
+
+    def recording(equations):
+        systems.append(collections.Counter(
+            (frozenset(coeffs.items()), rhs) for coeffs, rhs in equations))
+        return solve_linear(equations)
+
+    monkeypatch.setattr(linsolve, "solve_linear", recording)
+    sol = grading._stage_solve(spec, leading, residual, basis)
+    assert (sol, False) == full_stage_solve(spec, leading, residual, basis, images)
+    assert sol
+    assert len(systems) == 4 and systems[1] == systems[3]
+
+
+def test_prediction_reads_the_rows_of_delta_leading():
+    # L = y du ^ dx holds no contact of y, but delta L = dy ^ du ^ dx does:
+    # the image of v d/dy comes from contract(X, delta L) alone
+    spec = Spectrum(1, [FieldSpec(name, kernel.EVEN, 0) for name in "uvy"])
+    leading = forms.wedge_all([
+        forms.scalar_form(1, kernel.jet(spec, "y")),
+        forms.contact(1, kernel.jet_gen(spec, "u")), forms.dx(1, 0)])
+    basis = [(kernel.jet_gen(spec, "y"), ((kernel.jet_gen(spec, "v"), 1),))]
+    image = forms.lie(grading._basis_field(spec, *basis[0]), leading)
+    assert image
+    assert image_labels(image) == set(grading._predicted_labels(leading, basis)[0])
 
 
 def test_conjugated_euler_field_fixes_structure(reduced):

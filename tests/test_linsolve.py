@@ -154,3 +154,32 @@ def test_column_that_cancels_and_reappears():
     got, pivots = _check_against_oracle(equations)
     assert pivots == {"x0", "x1", "x2", "x3"}
     assert got == {"x0": Fr(-1), "x1": Fr(4), "x2": Fr(2), "x3": Fr(1), "x4": Fr(0)}
+
+
+def test_row_order_does_not_change_the_solution():
+    # the reduced row-echelon form does not depend on the row order, so
+    # callers may sort their rows by any key
+    rnd = random.Random(5)
+    kinds = {"random": 0, "rank-deficient": 0, "inconsistent": 0}
+    for _ in range(150):
+        keys = list(range(rnd.randint(1, 8)))
+        kind = rnd.choice(sorted(kinds))
+        if kind == "random":
+            equations = [(_random_row(rnd, keys, 0.4), Fr(rnd.randint(-3, 3)))
+                         for _ in range(rnd.randint(1, 10))]
+        else:
+            equations = _low_rank_system(rnd, keys)
+            if kind == "inconsistent":
+                coeffs, rhs = _combination(rnd, equations)
+                equations.append((coeffs, rhs + 1))
+        expected = linsolve.solve_linear(equations)
+        if kind == "inconsistent":
+            assert expected is None
+        if kind == "rank-deficient":
+            assert expected is not None
+        for _ in range(4):
+            shuffled = list(equations)
+            rnd.shuffle(shuffled)
+            assert linsolve.solve_linear(shuffled) == expected
+        kinds[kind] += 1
+    assert min(kinds.values()) > 30

@@ -335,6 +335,17 @@ def test_hamiltonian_field_of_zero_is_zero(maxwell):
     assert X.is_zero()
 
 
+def test_hamiltonian_field_is_the_same_on_every_call(maxwell):
+    # the probe fields use one reserved auxiliary name: no state carries
+    # over from one call to the next
+    first = symplectic.hamiltonian_field(maxwell["S"], maxwell["st"])
+    second = symplectic.hamiltonian_field(maxwell["S"], maxwell["st"])
+    assert first.base_components() == second.base_components() \
+        == maxwell["Q"].base_components()
+    assert (first.parity, first.ghost) == (second.parity, second.ghost)
+    assert repr(first) == repr(second)
+
+
 def test_hamiltonian_field_reports_degenerate_direction():
     spec = small_bv_spectrum()
     vol = forms.volume(1)
