@@ -10,10 +10,10 @@ from fractions import Fraction
 from importlib import resources
 
 from . import forms, foliation, kernel, model
-from .forms import LocalForm
+from .forms import LocalForm, dressed
 from .kernel import (EVEN, FieldSpec, ODD, ROLE_ANTIFIELD, ROLE_FIELD,
                      ROLE_SOURCE, Spectrum)
-from .model import Model, dressed, phase_spectrum, structure_constants
+from .model import Model, phase_spectrum, structure_constants
 
 ETA = (Fraction(1), Fraction(-1), Fraction(-1), Fraction(-1))
 

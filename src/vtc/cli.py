@@ -12,7 +12,7 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import builtin_models, parser, report, symplectic
+from . import builtin_models, kernel, parser, report, symplectic
 from .model import Model, form_text
 
 USAGE_ERROR = 2
@@ -119,6 +119,11 @@ def build_argparser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     ap = build_argparser()
     args = ap.parse_args(argv)
+    try:
+        kernel.jet_order_cap()
+    except ValueError as e:
+        sys.stderr.write(f"vtc: {e}\n")
+        return USAGE_ERROR
     try:
         return args.func(args)
     except parser.ParseError as e:

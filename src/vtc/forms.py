@@ -375,6 +375,14 @@ def volume(dim: int) -> LocalForm:
     return LocalForm(dim, {(tuple(range(dim)), ()): kernel.ONE})
 
 
+def dressed(spectrum: Spectrum, name: str, comp: Sequence[int] = (),
+            mi: Sequence[int] = ()) -> LocalForm:
+    """A field component as a local form, wedged with its declared dressing."""
+    sf = scalar_form(spectrum.dim, kernel.jet(spectrum, name, comp, mi))
+    fac = spectrum.field(name).form_factor
+    return sf if fac is None else wedge(sf, constant_horizontal(spectrum.dim, fac))
+
+
 def constant_horizontal(dim: int,
                         terms: Sequence[tuple[Union[int, Fraction],
                                               tuple[int, ...]]]) -> LocalForm:

@@ -38,17 +38,6 @@ def structure_constants(name: str) -> dict[tuple[int, int, int], Fraction]:
     return eps
 
 
-def dressed(spectrum: Spectrum, name: str, comp: Sequence[int] = (),
-            mi: Sequence[int] = ()) -> LocalForm:
-    """A field component as a local form, wedged with its declared dressing."""
-    f = spectrum.field(name)
-    sf = forms.scalar_form(spectrum.dim, kernel.jet(spectrum, name, comp, mi))
-    if f.form_factor is None:
-        return sf
-    return forms.wedge(sf,
-                       forms.constant_horizontal(spectrum.dim, f.form_factor))
-
-
 def phase_spectrum(spacetime: Spectrum, time_directions: Sequence[int],
                    field_map: Mapping[str, str],
                    extra_fields: Sequence[FieldSpec] = ()) -> Spectrum:

@@ -11,6 +11,7 @@ term list, so identical inputs yield byte-identical serializations.
 from __future__ import annotations
 
 import json
+from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
 from . import foliation, forms, grading, kernel, model, symplectic, variational
@@ -54,50 +55,32 @@ def field_json(X: forms.EvoField) -> dict:
 
 
 class _Run:
-    """Shared state between stages; prerequisites compute lazily."""
+    """Shared state between stages, one per report: each prerequisite is
+    computed lazily, once.  The master check, the current and the descent
+    chain reuse the one gauge system's cached master check and descendants.
+    """
 
     def __init__(self, m: Model, steps: int):
         self.m = m
         self.steps = steps
-        self._cache: dict[str, object] = {}
 
-    def _get(self, key: str, build):
-        if key not in self._cache:
-            self._cache[key] = build()
-        return self._cache[key]
-
-    @property
+    @cached_property
     def structure(self):
-        return self._get("structure", self.m.structure)
+        return self.m.structure()
 
-    @property
+    @cached_property
     def system(self):
-        def build():
-            S = self.m.master_density()
-            Q = symplectic.hamiltonian_field(S, self.structure)
-            return symplectic.GaugeSystem(Q, self.structure, S)
-        return self._get("system", build)
+        S = self.m.master_density()
+        Q = symplectic.hamiltonian_field(S, self.structure)
+        return symplectic.GaugeSystem(Q, self.structure, S)
 
-    @property
-    def master(self):
-        return self._get("master", lambda: symplectic.check_master(
-            self.m.master_density(), self.structure))
-
-    @property
+    @cached_property
     def chain(self):
-        def build():
-            chain = [self.system]
-            for _ in range(self.steps):
-                if chain[-1].structure.omega.is_zero():
-                    break
-                chain.append(symplectic.descend(chain[-1]))
-            return chain
-        return self._get("chain", build)
+        return symplectic.descent_chain(self.system, self.steps)
 
-    @property
+    @cached_property
     def current(self):
-        return self._get("current",
-                         lambda: symplectic.brst_current(self.system))
+        return symplectic.brst_current(self.system)
 
     @property
     def slicing(self):
@@ -107,32 +90,29 @@ class _Run:
                 "model declares no foliation")
         return F
 
-    @property
+    @cached_property
     def reduced_structure(self):
-        def build():
-            chain = self.chain
-            if len(chain) < 2:
-                raise symplectic.DescentError(
-                    "reduction needs at least one descent step")
-            omega1 = chain[1].structure.omega
-            w1red = foliation.reduce(omega1, self.slicing)
-            return symplectic.PresympStructure(
-                w1red, spectrum=self.slicing.spatial)
-        return self._get("reduced_structure", build)
+        chain = self.chain
+        if len(chain) < 2:
+            raise symplectic.DescentError(
+                "reduction needs at least one descent step")
+        w1red = foliation.reduce(chain[1].structure.omega, self.slicing)
+        return symplectic.PresympStructure(
+            w1red, spectrum=self.slicing.spatial)
 
-    @property
+    @cached_property
     def charge(self):
-        return self._get("charge", lambda: foliation.charge_density(
-            self.current, self.slicing, self.reduced_structure))
+        return foliation.charge_density(
+            self.current, self.slicing, self.reduced_structure)
 
-    @property
+    @cached_property
     def homogenizer(self):
-        return self._get("homogenizer", lambda: grading.find_homogenizer(
-            self.reduced_structure.omega, self.slicing.spatial))
+        return grading.find_homogenizer(
+            self.reduced_structure.omega, self.slicing.spatial)
 
 
 def _stage_master(run: _Run) -> tuple[dict, bool]:
-    mc = run.master
+    mc = run.system.master
     out: dict = {"ok": mc.ok, "brst_field": field_json(run.system.Q)}
     if mc.ok:
         out["sigma"] = form_json(mc.sigma)
@@ -238,18 +218,18 @@ _STAGE_FUNCS = {
 }
 
 
-def default_stages(m: Model) -> tuple[str, ...]:
-    """The stages that apply to a model.
+def default_stages(run: _Run) -> tuple[str, ...]:
+    """The stages that apply to a run's model.
 
     The foliated stages need a declared slicing; homogenization applies
     when the reduced structure is momentum-inhomogeneous with every block
-    at positive degree, so the momentum Euler flow can act on it.
+    at positive degree, so the momentum Euler flow can act on it.  The
+    reduced structure is the run's own, so the stages reuse it.
     """
     stages = ["master", "descend", "current"]
-    if m.foliation is None:
+    if run.m.foliation is None:
         return tuple(stages)
     stages += ["reduce", "brackets"]
-    run = _Run(m, steps=1)
     try:
         parts = grading.degree_split(run.reduced_structure.omega,
                                      grading.KIND_MOMENTUM)
@@ -263,13 +243,13 @@ def default_stages(m: Model) -> tuple[str, ...]:
 def run_pipeline(m: Model, stages: Optional[Sequence[str]] = None,
                  *, steps: int = 2) -> dict:
     """Execute the selected stages and collect a deterministic report."""
+    run = _Run(m, steps)
     if stages is None:
-        stages = default_stages(m)
+        stages = default_stages(run)
     bad = [s for s in stages if s not in STAGES]
     if bad:
         raise ValueError(f"unknown stages {bad}")
     selected = [s for s in STAGES if s in stages]
-    run = _Run(m, steps)
     report: dict = {"model": m.name, "dim": m.spectrum.dim,
                     "stages": {}, "ok": True}
     for name in selected:

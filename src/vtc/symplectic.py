@@ -11,6 +11,7 @@ computed by the form engine itself rather than hard-coded.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -58,16 +59,6 @@ class PresympStructure:
         if self.theta is not None and forms.delta(self.theta) != self.omega:
             raise ValueError("theta is not a potential: delta(theta) != omega")
 
-    @property
-    def dim(self) -> int:
-        return self.omega.dim
-
-    def parity(self) -> Optional[int]:
-        return self.omega.parity()
-
-    def ghost(self) -> Optional[int]:
-        return self.omega.ghost()
-
 
 def _pair_weight(spectrum: Spectrum, f: kernel.FieldSpec, comp: tuple[int, ...]) -> Fraction:
     w = Fraction(1)
@@ -87,18 +78,14 @@ _KIND_RULES = {
 }
 
 
-def _dressed(spectrum: Spectrum, f: kernel.FieldSpec,
-             comp: tuple[int, ...]) -> tuple[LocalForm, int]:
-    """The field component as a form, wedged with its declared dressing."""
-    dim = spectrum.dim
-    sf = forms.scalar_form(dim, kernel.jet(spectrum, f.name, comp))
+def _dressing_degree(f: kernel.FieldSpec) -> int:
+    """Horizontal degree of a field's declared dressing, 0 when undressed."""
     if f.form_factor is None:
-        return sf, 0
+        return 0
     degs = {len(mi) for _, mi in f.form_factor}
     if len(degs) != 1:
         raise SpectrumError(f"dressing of {f.name} mixes horizontal degrees")
-    fac = forms.constant_horizontal(dim, f.form_factor)
-    return forms.wedge(sf, fac), degs.pop()
+    return degs.pop()
 
 
 def canonical_structure(spectrum: Spectrum, kind: str) -> PresympStructure:
@@ -135,19 +122,20 @@ def canonical_structure(spectrum: Spectrum, kind: str) -> PresympStructure:
         if conj.ghost != want_ghost:
             raise SpectrumError(
                 f"conjugate {conj.name} has ghost {conj.ghost}, expected {want_ghost}")
+        k = _dressing_degree(conj) + _dressing_degree(base)
+        if k not in (0, dim):
+            raise SpectrumError(
+                f"dressings of pair {conj.name}/{base.name} fill horizontal "
+                f"degree {k}, expected 0 or {dim}")
         for comp in base.components():
             w = _pair_weight(spectrum, base, comp)
-            dbar, kbar = _dressed(spectrum, conj, comp)
-            dfld, kfld = _dressed(spectrum, base, comp)
+            dbar = forms.dressed(spectrum, conj.name, comp)
+            dfld = forms.dressed(spectrum, base.name, comp)
             om_pair = forms.wedge(forms.delta(dbar), forms.delta(dfld)).scale(w)
             th_pair = forms.wedge(dbar, forms.delta(dfld)).scale(w)
-            if kbar + kfld == 0:
+            if k == 0:
                 om_pair = forms.wedge(om_pair, vol)
                 th_pair = forms.wedge(th_pair, vol)
-            elif kbar + kfld != dim:
-                raise SpectrumError(
-                    f"dressings of pair {conj.name}/{base.name} fill horizontal "
-                    f"degree {kbar + kfld}, expected 0 or {dim}")
             if forms.delta(th_pair) == -om_pair:
                 th_pair = -th_pair
             omega = omega + om_pair
@@ -295,9 +283,11 @@ def _constant_of(s: GradedScalar) -> Optional[Fraction]:
 
 
 def bracket(A: LocalForm, B: LocalForm, structure: PresympStructure) -> LocalForm:
-    """Bracket of Hamiltonian forms: (-1)^{parity X_A} i_{X_A} i_{X_B} omega."""
+    """Bracket of Hamiltonian forms: (-1)^{parity X_A} i_{X_A} i_{X_B} omega.
+
+    A self-bracket (``B is A``) computes the Hamiltonian field once."""
     XA = hamiltonian_field(A, structure)
-    XB = hamiltonian_field(B, structure)
+    XB = XA if B is A else hamiltonian_field(B, structure)
     out = forms.contract(XA, forms.contract(XB, structure.omega))
     if XA.parity:
         out = -out
@@ -309,11 +299,29 @@ def bracket(A: LocalForm, B: LocalForm, structure: PresympStructure) -> LocalFor
 # ---------------------------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class GaugeSystem:
+    """A gauge system (Q, omega), with a Hamiltonian H of Q when known.
+
+    ``master`` (check_master of H) and ``descendant`` (descend of the
+    system) are computed once, on first use, and kept; the system is frozen
+    so they cannot go stale.  The master check's sigma, with d(sigma) =
+    -1/2 {H,H}, is both the BRST current and the descendant's Hamiltonian.
+    """
+
     Q: EvoField
     structure: PresympStructure
     H: Optional[LocalForm] = None
+
+    @cached_property
+    def master(self) -> "MasterCheck":
+        if self.H is None:
+            raise ValueError("system carries no Hamiltonian")
+        return check_master(self.H, self.structure)
+
+    @cached_property
+    def descendant(self) -> "GaugeSystem":
+        return descend(self)
 
     def validate(self) -> None:
         if not forms.commutator(self.Q, self.Q).is_zero():
@@ -358,7 +366,8 @@ def descend(sys: GaugeSystem) -> GaugeSystem:
     boundary part of delta(H)'s source decomposition, negated, is a
     presymplectic potential for the descendant.  Otherwise the descendant is
     the horizontal homotopy of lie(Q, omega).  The next Hamiltonian is the
-    divergence primitive of -1/2 {H,H} when the bracket is available.
+    sigma of ``sys.master`` (the divergence primitive of -1/2 {H,H}) when
+    the bracket is available, so the master check is not repeated.
     """
     Q = sys.Q
     om = sys.structure.omega
@@ -380,35 +389,37 @@ def descend(sys: GaugeSystem) -> GaugeSystem:
     H1: Optional[LocalForm] = None
     if sys.H is not None:
         try:
-            mc = check_master(sys.H, sys.structure)
+            H1 = sys.master.sigma
         except (NoHamiltonianFieldError, GradingError):
-            mc = None
-        if mc is not None and mc.ok:
-            H1 = mc.sigma
+            pass
     structure1 = PresympStructure(omega1, theta1, None, sys.structure.spectrum)
     return GaugeSystem(Q, structure1, H1)
 
 
 def descent_chain(sys: GaugeSystem, steps: int) -> list[GaugeSystem]:
-    """Iterated descent: [sys, descend(sys), ...], steps entries beyond sys."""
+    """Iterated descent: [sys, sys.descendant, ...], at most steps entries
+    beyond sys, ending at the first zero structure.  Each step reads the
+    cached ``descendant``, so every reader shares the same systems."""
     chain = [sys]
     for _ in range(steps):
-        chain.append(descend(chain[-1]))
+        if chain[-1].structure.omega.is_zero():
+            break
+        chain.append(chain[-1].descendant)
     return chain
 
 
 def brst_current(sys: GaugeSystem) -> LocalForm:
     """Conserved current density J with d(J) = -1/2 {H,H} and delta(J)
-    matching i_Q omega_1 modulo d."""
-    if sys.H is None:
-        raise ValueError("system carries no Hamiltonian to build a current from")
-    mc = check_master(sys.H, sys.structure)
+    matching i_Q omega_1 modulo d.
+
+    J is the sigma of ``sys.master`` and omega_1 the structure of
+    ``sys.descendant``; neither is computed again here."""
+    mc = sys.master
     if not mc.ok:
         raise variational.NotDivergenceError(mc.residual or {})
     J = mc.sigma
-    down = descend(sys)
     lhs = forms.delta(J)
-    rhs = forms.contract(sys.Q, down.structure.omega)
+    rhs = forms.contract(sys.Q, sys.descendant.structure.omega)
     if not variational.equiv_mod_d(lhs, rhs):
         raise DescentError("current fails the descendant contraction cross-check")
     return J

@@ -118,13 +118,13 @@ def chiral_current_blocks(sp):
 
     quad = LocalForm.zero(2)
     for (i, j, kk), e in sorted(EPS.items()):
-        quad = quad + forms.wedge(model.dressed(sp, "phi", (i,)),
+        quad = quad + forms.wedge(forms.dressed(sp, "phi", (i,)),
                                   etab2(j, kk)).scale(e)
     for i in range(3):
         quad = quad + forms.wedge(etab(i), forms.d(etab(i))).scale(K)
     cub = LocalForm.zero(2)
     for (i, j, kk), e in sorted(EPS.items()):
-        cub = cub + forms.wedge(model.dressed(sp, "phib", (i,)),
+        cub = cub + forms.wedge(forms.dressed(sp, "phib", (i,)),
                                 etab2(j, kk)).scale(e * K)
     return quad, cub
 

@@ -207,6 +207,35 @@ def test_unknown_stage_is_rejected(built):
         report.run_pipeline(m, stages=("master", "polish"))
 
 
+def test_report_checks_master_and_descends_twice(monkeypatch):
+    calls = {"check_master": 0, "descend": 0}
+
+    def counted(name):
+        original = getattr(symplectic, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+        monkeypatch.setattr(symplectic, name, wrapper)
+
+    counted("check_master")
+    counted("descend")
+    report.run_pipeline(builtin_models.maxwell())
+    assert calls == {"check_master": 2, "descend": 2}
+
+
+def test_reduction_without_descent_steps_is_an_error():
+    rep = report.run_pipeline(builtin_models.maxwell(), steps=0)
+    assert rep["stages"]["reduce"] == {
+        "error": "DescentError: reduction needs at least one descent step"}
+    assert rep["ok"] is False
+
+
+def test_reduce_alone_matches_the_full_report(maxwell_report):
+    rep = report.run_pipeline(builtin_models.maxwell(), ("reduce",))
+    assert rep["stages"] == {"reduce": maxwell_report["stages"]["reduce"]}
+
+
 def test_json_reports_are_valid_json(chiral_report):
     parsed = json.loads(report.emit(chiral_report, "json").decode())
     assert parsed["model"] == "chiral"
@@ -240,6 +269,16 @@ def test_cli_usage_errors_exit_2(capsys):
     assert cli.main(["descend", "no-such-model"]) == 2
     assert cli.main(["bracket", "chiral", "--a", "oops", "--b", "1"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("cap, message", [
+    ("abc", "VTC_JET_ORDER_CAP must be an integer, got 'abc'"),
+    ("0", "VTC_JET_ORDER_CAP must be positive"),
+])
+def test_cli_invalid_jet_order_cap_exits_2(monkeypatch, capsys, cap, message):
+    monkeypatch.setenv("VTC_JET_ORDER_CAP", cap)
+    assert cli.main(["check-master", "maxwell"]) == 2
+    assert capsys.readouterr().err == f"vtc: {message}\n"
 
 
 def test_cli_component_out_of_range_in_expression_exits_2(capsys):

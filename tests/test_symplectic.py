@@ -120,6 +120,17 @@ def test_canonical_structure_rejects_wrong_gradings():
                                        symplectic.KIND_EVEN_COTANGENT)
 
 
+def test_canonical_structure_rejects_mixed_dressing():
+    spec = Spectrum(2, [
+        FieldSpec("u", EVEN, 0, ROLE_FIELD, (),
+                  form_factor=((Fr(1), (0,)), (Fr(1), (0, 1)))),
+        FieldSpec("us", ODD, -1, ROLE_ANTIFIELD, (), conjugate="u"),
+    ])
+    with pytest.raises(symplectic.SpectrumError,
+                       match="^dressing of u mixes horizontal degrees$"):
+        symplectic.canonical_structure(spec, symplectic.KIND_ODD_BV)
+
+
 def test_presymp_structure_rejects_bad_theta():
     st = symplectic.canonical_structure(small_bv_spectrum(), symplectic.KIND_ODD_BV)
     with pytest.raises(ValueError):
@@ -317,6 +328,22 @@ def test_descent_chain_helper(maxwell, chain):
     assert len(steps) == 3
     assert steps[1].structure.omega == chain[0].structure.omega
     assert steps[2].structure.omega == chain[1].structure.omega
+
+
+def test_descent_chain_stops_at_a_zero_structure():
+    st = symplectic.canonical_structure(small_bv_spectrum(), symplectic.KIND_ODD_BV)
+    sys0 = symplectic.GaugeSystem(forms.EvoField(st.spectrum, {}), st)
+    steps = symplectic.descent_chain(sys0, 3)
+    assert len(steps) == 2
+    assert steps[1].structure.omega.is_zero()
+
+
+def test_gauge_system_keeps_its_master_check_and_descendant(maxwell):
+    sys0 = maxwell["sys0"]
+    assert sys0.descendant is sys0.descendant
+    assert sys0.master is sys0.master
+    assert symplectic.descent_chain(sys0, 1)[1] is sys0.descendant
+    assert sys0.descendant.H == sys0.master.sigma
 
 
 def test_brst_current_cross_checks(maxwell):
