@@ -28,18 +28,25 @@ prolonged component X^a_I.  The vertical Lie derivative is
 
     lie(X, w) = contract(X, delta(w)) + (-1)^{parity(X)} delta(contract(X, w)).
 
-d, delta and contract write each image term straight into its canonical key
-(dx directions ascending, contacts sorted) and sign it once.  For a term
-s ^ w, let P(w) be its number of dx plus the parities of its contacts, and
-cp(g) the parity of the contact d(g).  Then:
+wedge, d, delta and contract write each image term straight into its
+canonical key (dx directions ascending, contacts sorted) and sign it once.
+For a term s ^ w, let P(w) be its number of dx plus the parities of its
+contacts, C(w) the parity of its contacts alone, and cp(g) the parity of the
+contact d(g).  Then:
 
+* wedge of s ^ w and t ^ v: s * t, where the odd part of t changes sign when
+  P(w) is odd; then each dx^i of v goes to its sorted place, times
+  (-1)^{#(dx^j in the key so far with j > i) + C(w)}; then each contact d(g)
+  of v goes after the contacts <= d(g), times (-1)^{cp(g) * c} with c the
+  parity of the contacts above it; zero when a dx repeats or an odd contact
+  repeats.
 * d, coefficient part: (-1)^{P(w)} total_j(s) with dx^j inserted into w,
   times (-1)^{#(dx^i in w with i < j)}; zero when dx^j is already there.
 * d, contact part: s with one contact d(phi_I) replaced by d(phi_{Ij}) and
-  dx^j inserted, times (-1)^{C(w) + #(dx^i in w with i > j)}, where C(w) is
-  the parity of all contacts of w, times (-1)^{cp(phi) * c}, where c is the
-  parity of the contacts d(phi_{Ij}) passes on its way to its sorted place;
-  zero when dx^j is already there, or d(phi_{Ij}) is odd and already there.
+  dx^j inserted, times (-1)^{C(w) + #(dx^i in w with i > j)}, times
+  (-1)^{cp(phi) * c}, where c is the parity of the contacts d(phi_{Ij})
+  passes on its way to its sorted place; zero when dx^j is already there,
+  or d(phi_{Ij}) is odd and already there.
 * delta: (-1)^{P(w)} right_partial_g(s) with d(g) inserted into w, times
   (-1)^{cp(g) * (#dx + parity of the contacts before d(g))}; zero when d(g)
   is odd and already there.
@@ -55,9 +62,9 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Iterable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
-from . import kernel
+from . import kernel, printing
 from .kernel import Gen, GradedScalar, Spectrum
 
 # A form term key: (ascending tuple of dx directions, sorted tuple of contact
@@ -101,12 +108,6 @@ class LocalForm:
     def zero(cls, dim: int) -> "LocalForm":
         return cls(dim)
 
-    @classmethod
-    def from_scalar(cls, dim: int, s: Union[GradedScalar, int, Fraction]) -> "LocalForm":
-        if not isinstance(s, GradedScalar):
-            s = GradedScalar.constant(s)
-        return cls(dim, {_EMPTY: s})
-
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -124,7 +125,6 @@ class LocalForm:
         return hash((self.dim, tuple(sorted((k, hash(s)) for k, s in self.terms.items()))))
 
     def __repr__(self) -> str:
-        from . import printing
         return printing.form_str(self)
 
     def __add__(self, other: "LocalForm") -> "LocalForm":
@@ -153,7 +153,7 @@ class LocalForm:
     def scale(self, c: Union[int, Fraction, GradedScalar]) -> "LocalForm":
         """Left multiplication by a constant or an even x-free scalar."""
         if isinstance(c, GradedScalar):
-            return wedge(LocalForm.from_scalar(self.dim, c), self)
+            return wedge(scalar_form(self.dim, c), self)
         out = {k: s * Fraction(c) for k, s in self.terms.items()}
         return LocalForm(self.dim, out)
 
@@ -256,65 +256,6 @@ class LocalForm:
         return self.terms.get(key, kernel.ZERO)
 
 
-Factor = tuple  # ("s", GradedScalar) | ("dx", int) | ("c", Gen)
-
-
-def _append_factor(dim: int, key: Key,
-                   s: GradedScalar, factor: Factor,
-                   sink: list) -> None:
-    """Right-multiply the single term (key, s) by one factor, accumulating
-    the resulting terms into ``sink`` as (key, scalar) pairs."""
-    dxs, contacts = key
-    kind = factor[0]
-    if kind == "s":
-        f = factor[1]
-        if not f:
-            return
-        crossed = len(dxs) + sum(_contact_parity(g) for g in contacts)
-        sink.append((key, s * (_odd_part_negated(f) if crossed % 2 else f)))
-    elif kind == "dx":
-        i = factor[1]
-        if not 0 <= i < dim:
-            raise ValueError(f"dx index {i} out of range for dimension {dim}")
-        if i in dxs:
-            return
-        pos = sum(1 for p in dxs if p < i)
-        crossed = (len(dxs) - pos) + sum(_contact_parity(g) for g in contacts)
-        new_dxs = dxs[:pos] + (i,) + dxs[pos:]
-        sink.append(((new_dxs, contacts), -s if crossed % 2 else s))
-    elif kind == "c":
-        g = factor[1]
-        p = _contact_parity(g)
-        if p and g in contacts:
-            return
-        pos = len(contacts)
-        while pos > 0 and contacts[pos - 1] > g:
-            pos -= 1
-        crossed = sum(_contact_parity(h) for h in contacts[pos:])
-        new_contacts = contacts[:pos] + (g,) + contacts[pos:]
-        sink.append(((dxs, new_contacts), -s if (p and crossed % 2) else s))
-    else:
-        raise ValueError(f"unknown factor kind {kind!r}")
-
-
-def _accumulate(out: dict[Key, GradedScalar], dim: int,
-                factors: Sequence[Factor], key: Key, s: GradedScalar) -> None:
-    """Canonicalize the term (key, s) right-multiplied by ``factors`` into
-    ``out``."""
-    current = [(key, s)]
-    for factor in factors:
-        nxt: list = []
-        for k, t in current:
-            if t:
-                _append_factor(dim, k, t, factor, nxt)
-        current = nxt
-        if not current:
-            return
-    for k, t in current:
-        if t:
-            _add_term(out, k, t)
-
-
 def _add_term(out: dict[Key, GradedScalar], key: Key, s: GradedScalar) -> None:
     t = out.get(key)
     t = s if t is None else t + s
@@ -324,22 +265,45 @@ def _add_term(out: dict[Key, GradedScalar], key: Key, s: GradedScalar) -> None:
         out.pop(key, None)
 
 
-def _term_factors(key: Key, s: GradedScalar) -> list[Factor]:
-    dxs, contacts = key
-    fs: list[Factor] = [("s", s)]
-    fs += [("dx", i) for i in dxs]
-    fs += [("c", g) for g in contacts]
-    return fs
+def _wedge_key(a: Key, cpar: int, b: Key) -> Optional[tuple[Key, int]]:
+    """The canonical key of the factors of a followed by those of b, inserted
+    one at a time, and the parity of the reordering; None when a dx or an
+    odd contact repeats.  ``cpar`` is the parity of a's contacts."""
+    (dxs, contacts), (dxb, cb) = a, b
+    odd = 0
+    # dx^i moves left past a's contacts and the dx's above it
+    for i in dxb:
+        k = bisect_left(dxs, i)
+        if k < len(dxs) and dxs[k] == i:
+            return None
+        odd += len(dxs) - k + cpar
+        dxs = dxs[:k] + (i,) + dxs[k:]
+    # d(g) moves left past the contacts above it
+    for g in cb:
+        k = bisect_right(contacts, g)
+        if _contact_parity(g):
+            if k and contacts[k - 1] == g:
+                return None
+            odd += sum(_contact_parity(h) for h in contacts[k:])
+        contacts = contacts[:k] + (g,) + contacts[k:]
+    return (dxs, contacts), odd % 2
 
 
 def wedge(a: LocalForm, b: LocalForm) -> LocalForm:
     if a.dim != b.dim:
         raise ValueError("wedge of forms over different base dimensions")
+    a_terms = [(ka, sum(_contact_parity(g) for g in ka[1]) % 2, sa)
+               for ka, sa in a.terms.items()]
     out: dict[Key, GradedScalar] = {}
     for kb, sb in b.terms.items():
-        factors = _term_factors(kb, sb)
-        for ka, sa in a.terms.items():
-            _accumulate(out, a.dim, factors, ka, sa)
+        flipped = _odd_part_negated(sb)
+        for ka, cpar, sa in a_terms:
+            # b's scalar moves left past a's dx's and contacts
+            s = sa * (flipped if (len(ka[0]) + cpar) % 2 else sb)
+            placed = _wedge_key(ka, cpar, kb) if s else None
+            if placed is not None:
+                key, odd = placed
+                _add_term(out, key, -s if odd else s)
     return LocalForm(a.dim, out)
 
 
@@ -356,7 +320,9 @@ def wedge_all(forms: Sequence[LocalForm]) -> LocalForm:
 
 
 def scalar_form(dim: int, s: Union[GradedScalar, int, Fraction]) -> LocalForm:
-    return LocalForm.from_scalar(dim, s)
+    if not isinstance(s, GradedScalar):
+        s = GradedScalar.constant(s)
+    return LocalForm(dim, {_EMPTY: s})
 
 
 def dx(dim: int, i: int) -> LocalForm:
@@ -543,7 +509,6 @@ class EvoField:
         return all(not v for v in self._components.values())
 
     def __repr__(self) -> str:
-        from . import printing
         bits = [f"d/d{printing.gen_str(g)} . ({printing.scalar_str(v)})"
                 for g, v in sorted(self._components.items())]
         label = self.name or "EvoField"

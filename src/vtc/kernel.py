@@ -150,6 +150,11 @@ class Spectrum:
             if f.conjugate is not None and f.conjugate not in self.by_name:
                 raise ValueError(
                     f"field {f.name} declares unknown conjugate {f.conjugate}")
+            for kind, n in zip(f.slot_kinds or (), f.shape):
+                if kind == "internal" and len(self.algebra_form or ()) != n:
+                    raise ValueError(
+                        f"field {f.name} has an internal slot of range {n}, "
+                        f"so the algebra form needs {n} entries")
 
     def _key(self):
         return (self.dim, self.fields, self.metric, self.parameters,
@@ -572,7 +577,7 @@ class GradedScalar:
         return {g for m in self.terms for g, _ in m if is_jet(g)}
 
     def max_jet_order(self) -> int:
-        orders = [len(g[3]) for m in self.terms for g, _ in m if is_jet(g)]
+        orders = [len(jet_mi(g)) for m in self.terms for g, _ in m if is_jet(g)]
         return max(orders, default=0)
 
     def substitute(self, table: Mapping[Gen, "GradedScalar"]) -> "GradedScalar":

@@ -121,13 +121,6 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-def _num(q: Fraction) -> str:
-    q = Fraction(q)
-    if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
-
-
 def _idx(t: Sequence[int]) -> str:
     return " ".join(str(i) for i in t)
 
@@ -160,11 +153,11 @@ def scalar_text(s: GradedScalar) -> str:
         for g, p in mono:
             factors.extend([gen_text(g)] * p)
         if not factors:
-            body = _num(abs(coeff))
+            body = str(abs(coeff))
         else:
             body = "*".join(factors)
             if abs(coeff) != 1:
-                body = f"{_num(abs(coeff))}*{body}"
+                body = f"{abs(coeff)}*{body}"
         parts.append(("-" if coeff < 0 else "+", body))
     sign, body = parts[0]
     out = ("-" if sign == "-" else "") + body
@@ -218,7 +211,7 @@ def print_model(m: Model) -> str:
     """Render a model in the surface syntax accepted by the parser."""
     lines = [f"model {m.name}", f"dim {m.spectrum.dim}"]
     if m.spectrum.metric is not None:
-        lines.append("metric " + " ".join(_num(q) for q in m.spectrum.metric))
+        lines.append("metric " + " ".join(str(q) for q in m.spectrum.metric))
     for p in m.spectrum.parameters:
         lines.append(f"parameter {p}")
     for f in m.spectrum.fields:
@@ -229,7 +222,7 @@ def print_model(m: Model) -> str:
             attrs.append(f"constants {m.algebra_constants}")
         if m.spectrum.algebra_form is not None:
             attrs.append("form " +
-                         " ".join(_num(q) for q in m.spectrum.algebra_form))
+                         " ".join(str(q) for q in m.spectrum.algebra_form))
         lines.append(f"algebra {{ {', '.join(attrs)} }}")
     lines.append(f"structure {m.structure_kind}")
     for nm, a in m.densities.items():

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from . import foliation, forms, kernel, model
+from . import foliation, forms, kernel, model, symplectic
 from .forms import LocalForm
 from .kernel import FieldSpec, GradedScalar, Spectrum
 
@@ -147,13 +147,18 @@ class _Parser:
             self.fail("expected an integer", t)
         return int(t.text)
 
+    def fraction(self, t: Token) -> Fraction:
+        """The rational literal of a number token, with nonzero denominator."""
+        if re.fullmatch(r"\d+/0+", t.text):
+            self.fail(f"zero denominator in {t.text!r}", t)
+        return Fraction(t.text)
+
     def number(self) -> Fraction:
         neg = False
         if self.at("op", "-"):
             self.next()
             neg = True
-        t = self.expect("number")
-        q = Fraction(t.text)
+        q = self.fraction(self.expect("number"))
         return -q if neg else q
 
     def name(self) -> str:
@@ -211,7 +216,7 @@ class _Parser:
             self.expect("op", ")")
             return a
         if self.at("number"):
-            return forms.scalar_form(dim, Fraction(self.next().text))
+            return forms.scalar_form(dim, self.fraction(self.next()))
         t = self.peek()
         if t.kind != "name":
             self.fail(f"expected an expression, got {t.text.strip() or t.kind!r}")
@@ -453,7 +458,11 @@ class _Parser:
             self.fail(str(e))
 
         self.expect("name", "structure")
+        t = self.peek()
         structure_kind = self.word_to_eol()
+        if structure_kind not in symplectic.KIND_RULES:
+            self.fail(f"unknown structure kind {structure_kind!r}; expected "
+                      f"one of {', '.join(sorted(symplectic.KIND_RULES))}", t)
         self.end_line()
 
         densities: dict[str, LocalForm] = {}

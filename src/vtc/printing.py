@@ -55,10 +55,6 @@ def mono_str(m: kernel.Monomial) -> str:
     return "*".join(parts)
 
 
-def _coef_str(c: Fraction) -> str:
-    return str(c)
-
-
 def scalar_str(s: "kernel.GradedScalar") -> str:
     if not s.terms:
         return "0"
@@ -66,13 +62,13 @@ def scalar_str(s: "kernel.GradedScalar") -> str:
     chunks = []
     for m, c in items:
         if not m:
-            body = _coef_str(c)
+            body = str(c)
         elif c == 1:
             body = mono_str(m)
         elif c == -1:
             body = "-" + mono_str(m)
         else:
-            body = f"{_coef_str(c)}*{mono_str(m)}"
+            body = f"{c}*{mono_str(m)}"
         chunks.append(body)
     out = chunks[0]
     for body in chunks[1:]:

@@ -40,7 +40,7 @@ def form_json(a: LocalForm) -> dict:
             factors = []
             for g, p in mono:
                 factors.extend([model.gen_text(g)] * p)
-            scal.append({"monomial": factors, "coefficient": model._num(c)})
+            scal.append({"monomial": factors, "coefficient": str(c)})
         terms.append({"dx": list(dxs),
                       "contacts": [model.gen_text(g) for g in contacts],
                       "scalar": scal})

@@ -15,7 +15,7 @@ from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
-from . import forms, kernel, variational
+from . import forms, kernel, printing, variational
 from .forms import EvoField, LocalForm
 from .kernel import Gen, GradedScalar, Spectrum
 
@@ -31,9 +31,10 @@ class SpectrumError(Exception):
 class NoHamiltonianFieldError(Exception):
     """The structure cannot be inverted along some field direction."""
 
-    def __init__(self, direction: str, reason: str):
-        self.direction = direction
-        super().__init__(f"no Hamiltonian field: {reason} along {direction}")
+    def __init__(self, direction: Gen, reason: str):
+        self.direction = printing.gen_str(direction)
+        super().__init__(
+            f"no Hamiltonian field: {reason} along {self.direction}")
 
 
 class GradingError(Exception):
@@ -71,7 +72,9 @@ def _pair_weight(spectrum: Spectrum, f: kernel.FieldSpec, comp: tuple[int, ...])
     return w
 
 
-_KIND_RULES = {
+# The structure kinds canonical_structure accepts, with their conjugate
+# gradings.
+KIND_RULES = {
     KIND_ODD_BV: dict(parity_flip=True, ghost=lambda g: -g - 1),
     KIND_EVEN_COTANGENT: dict(parity_flip=False, ghost=lambda g: -g),
     KIND_ODD_PHASE: dict(parity_flip=True, ghost=lambda g: -g + 1),
@@ -96,9 +99,9 @@ def canonical_structure(spectrum: Spectrum, kind: str) -> PresympStructure:
     validated against the requested kind, and declared dressings are
     wedged in; dressed pairs must already fill the horizontal degree.
     """
-    if kind not in _KIND_RULES:
-        raise ValueError(f"unknown structure kind {kind!r}")
-    rules = _KIND_RULES[kind]
+    if kind not in KIND_RULES:
+        raise SpectrumError(f"unknown structure kind {kind!r}")
+    rules = KIND_RULES[kind]
     pairs = spectrum.conjugate_pairs()
     if not pairs:
         raise SpectrumError("spectrum declares no conjugate pairs")
@@ -155,14 +158,9 @@ def _structure_directions(om: LocalForm) -> list[Gen]:
         for g in contacts:
             if kernel.jet_mi(g):
                 raise NoHamiltonianFieldError(
-                    _label(g), "structure has differentiated contact directions")
+                    g, "structure has differentiated contact directions")
             gens.add(g)
     return sorted(gens)
-
-
-def _label(g: Gen) -> str:
-    from . import printing
-    return printing.gen_str(g)
 
 
 def _probe_rows(spectrum: Spectrum, om: LocalForm, h: Gen,
@@ -181,8 +179,7 @@ def _probe_rows(spectrum: Spectrum, om: LocalForm, h: Gen,
     dec_rows: dict[Gen, GradedScalar] = {}
     for (dxs, contacts), s in contracted.terms.items():
         if dxs != vol_key or len(contacts) != 1 or kernel.jet_mi(contacts[0]):
-            raise NoHamiltonianFieldError(
-                _label(h), "contraction is not a source form")
+            raise NoHamiltonianFieldError(h, "contraction is not a source form")
         g = contacts[0]
         coeff = s.left_partial(aux)
         sign = variational._contact_vol_sign(om.dim, g)
@@ -219,7 +216,7 @@ def hamiltonian_field(O: LocalForm, structure: PresympStructure) -> EvoField:
     targets = variational.source_decompose(forms.delta(O)).components
     for g in targets:
         if g not in rows:
-            raise NoHamiltonianFieldError(_label(g), "structure is degenerate")
+            raise NoHamiltonianFieldError(g, "structure is degenerate")
     unknowns: dict[Gen, Optional[GradedScalar]] = {h: None for h in directions}
     residue = {g: targets.get(g, kernel.ZERO) for g in rows}
     pending = dict(rows)
@@ -256,7 +253,7 @@ def hamiltonian_field(O: LocalForm, structure: PresympStructure) -> EvoField:
                 break
         if chosen is None:
             g = sorted(pending)[0]
-            raise NoHamiltonianFieldError(_label(g), "no invertible pairing row")
+            raise NoHamiltonianFieldError(g, "no invertible pairing row")
         g, h, open_cols = chosen
         for h2 in open_cols:
             if h2 != h:
@@ -271,7 +268,7 @@ def hamiltonian_field(O: LocalForm, structure: PresympStructure) -> EvoField:
             total = total + unknowns[h] * c
         if total != residue[g]:
             raise NoHamiltonianFieldError(
-                _label(g), "source component not in the structure's image")
+                g, "source component not in the structure's image")
     comps = {h: v for h, v in unknowns.items() if v}
     return EvoField(spectrum, comps, parity=xpar)
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
-from . import forms, kernel, linsolve
+from . import forms, kernel, linsolve, printing
 from .forms import LocalForm
 from .kernel import Gen, GradedScalar
 
@@ -36,7 +36,7 @@ class NotDivergenceError(Exception):
 
     def __init__(self, residual: dict[Gen, GradedScalar]):
         self.residual = residual
-        names = ", ".join(sorted(_gen_label(g) for g in residual))
+        names = ", ".join(sorted(printing.gen_str(g) for g in residual))
         super().__init__(f"not a total divergence: nonzero variation along {names}")
 
 
@@ -46,11 +46,6 @@ class ObstructionError(Exception):
 
 class NoPrimitiveError(Exception):
     """Bounded inversion of d found no primitive."""
-
-
-def _gen_label(g: Gen) -> str:
-    from . import printing
-    return printing.gen_str(g)
 
 
 # ---------------------------------------------------------------------------
@@ -98,17 +93,16 @@ def _contact_vol_sign(dim: int, g: Gen) -> int:
 
 def source_form(dim: int, components: dict[Gen, GradedScalar]) -> LocalForm:
     """Assemble sum of E_a ^ d(phi^a) ^ vol from coefficient scalars."""
-    total = LocalForm.zero(dim)
-    vol = forms.volume(dim)
+    vol = tuple(range(dim))
+    terms: dict[forms.Key, GradedScalar] = {}
     for g in sorted(components):
         E = components[g]
         if not E:
             continue
         if kernel.jet_mi(g):
             raise ValueError("source components must be keyed by underived variables")
-        total = total + forms.wedge_all([forms.scalar_form(dim, E),
-                                         forms.contact(dim, g), vol])
-    return total
+        terms[(vol, (g,))] = E * _contact_vol_sign(dim, g)
+    return LocalForm(dim, terms)
 
 
 @dataclass
@@ -147,17 +141,12 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
                 best, target = k, (dxs, contacts)
         if best == 0:
             break
-        dxs, contacts = target
-        g = contacts[0]
-        mi = kernel.jet_mi(g)
-        j = mi[-1]
-        lowered = g[:4] + (kernel.mi_remove(mi, j),) + g[5:]
+        g = target[1][0]
+        j = kernel.jet_mi(g)[-1]
+        # s ^ d^{n-1}x_j ^ d(phi_{I-j}), up to a sign the check below fixes
         s = rem.terms[target]
-        cand = forms.wedge_all([
-            forms.scalar_form(n, s),
-            forms.interior_coordinate(forms.volume(n), j),
-            forms.contact(n, lowered),
-        ])
+        cand = LocalForm(n, {(tuple(i for i in vol_key if i != j),
+                              (_lower_contact(g, j),)): s})
         dc = forms.d(cand)
         high = dc.terms.get(target, kernel.ZERO)
         if high == s:

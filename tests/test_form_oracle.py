@@ -1,5 +1,5 @@
 """An independent oracle for d, delta and contract, and property tests of the
-complex identities.
+complex identities and of the wedge product.
 
 The oracle applies each derivation D of parity e literally by the
 right-derivation rule of the ``forms`` docstring: a term is the wedge of its
@@ -9,8 +9,11 @@ single factors s ^ dx^{i1} ^ ... ^ d(phi_1) ^ ..., and
                          f_1 ^ ... ^ D(f_k) ^ ... ^ f_n,
 
 with D(f_k) given on single factors.  Every product is taken with
-``forms.wedge``, so the signs come from the generic factor-by-factor
+``forms.wedge``, which inserts the factors of its right operand one at a
+time, so the signs come from that generic factor-by-factor
 canonicalisation, not from the sign rules the engine's derivations use.
+Wedge itself is checked against the chain of its one-factor steps, and for
+associativity and graded commutativity.
 """
 
 import random
@@ -203,6 +206,22 @@ def test_contract_matches_the_right_derivation_oracle():
             assert F.contract(X, w) == oracle_contract(X, w)
 
 
+def by_single_factors(u, v):
+    """u ^ v as the sum over term pairs of the chain of one-factor wedges."""
+    out = F.LocalForm.zero(DIM)
+    for ku, su in u.terms.items():
+        for kv, sv in v.terms.items():
+            fs = single_factors(ku, su) + single_factors(kv, sv)
+            out = out + F.wedge_all([f for f, _ in fs])
+    return out
+
+
+def test_wedge_matches_the_chain_of_single_factors():
+    forms = sample_forms(34, 30)
+    for u, v in zip(forms, forms[1:] + forms[:1]):
+        assert F.wedge(u, v) == by_single_factors(u, v)
+
+
 # -- property tests of the complex identities ---------------------------------
 
 
@@ -238,3 +257,45 @@ def test_delta_squares_to_zero(w):
 @given(local_forms())
 def test_d_and_delta_anticommute(w):
     assert (F.d(F.delta(w)) + F.delta(F.d(w))).is_zero()
+
+
+# -- property tests of the wedge product --------------------------------------
+
+
+def parity_parts(w):
+    """w split by total parity, scalars of mixed parity split too."""
+    parts = {0: {}, 1: {}}
+    for key, s in w.terms.items():
+        dxs, contacts = key
+        base = len(dxs) + sum((K.gen_parity(g) + 1) % 2 for g in contacts)
+        for p, part in s.grade_split("parity").items():
+            parts[(p + base) % 2][key] = part
+    return {p: F.LocalForm(DIM, t) for p, t in parts.items()}
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_forms(), local_forms(), local_forms())
+def test_wedge_is_associative(u, v, w):
+    assert F.wedge(F.wedge(u, v), w) == F.wedge(u, F.wedge(v, w))
+
+
+def graded_swap(u, v):
+    """v ^ u, each pair of parity parts signed by the Koszul rule."""
+    out = F.LocalForm.zero(DIM)
+    for p, up in parity_parts(u).items():
+        for q, vq in parity_parts(v).items():
+            t = F.wedge(vq, up)
+            out = out - t if p * q else out + t
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(local_forms(), local_forms())
+def test_wedge_is_graded_commutative(u, v):
+    assert F.wedge(u, v) == graded_swap(u, v)
+
+
+def test_wedge_is_graded_commutative_on_samples():
+    forms = sample_forms(35, 30)
+    for u, v in zip(forms, forms[2:] + forms[:2]):
+        assert F.wedge(u, v) == graded_swap(u, v)

@@ -309,6 +309,41 @@ def test_cli_component_out_of_range_in_model_file_exits_2(tmp_path, capsys):
     assert err.startswith("vtc: line 5, column 13: component (5,) out of range")
 
 
+def _chiral_with(old, new):
+    text = builtin_models.model_text("chiral")
+    assert old in text
+    return text.replace(old, new)
+
+
+@pytest.mark.parametrize("text, expression, message", [
+    (_chiral_with("structure even-cotangent", "structure odd-BVX"), None,
+     "line 10, column 11: unknown structure kind 'odd-BVX'; expected one of "
+     "even-cotangent, odd-BV, odd-phase"),
+    (_chiral_with("constants su2, form 1 1 1", "constants su2"), None,
+     "line 10, column 1: field phi has an internal slot of range 3, so the "
+     "algebra form needs 3 entries"),
+    (_chiral_with("form 1 1 1", "form 1 1"), None,
+     "line 10, column 1: field phi has an internal slot of range 3, so the "
+     "algebra form needs 3 entries"),
+    (_chiral_with("form 1 1 1", "form 1 1/0 1"), None,
+     "line 9, column 33: zero denominator in '1/0'"),
+    (None, "1/0 ^ vol", "line 1, column 1: zero denominator in '1/0'"),
+], ids=["structure-kind", "no-algebra-form", "algebra-form-length",
+        "zero-denominator-in-file", "zero-denominator-in-expression"])
+def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
+                                     message):
+    if text is None:
+        argv = ["bracket", "chiral", "--a", expression, "--b", "k ^ vol"]
+    else:
+        path = tmp_path / "bad.vtc"
+        path.write_text(text)
+        argv = ["check-master", str(path)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"vtc: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_math_violations_exit_1(tmp_path, capsys):
     assert cli.main(["homogenize", "maxwell"]) == 1
     text = ("model wrong\ndim 1\n"

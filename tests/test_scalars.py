@@ -10,6 +10,7 @@ from fractions import Fraction
 
 import pytest
 
+from vtc import forms as F
 from vtc import kernel as K
 
 
@@ -151,6 +152,17 @@ def test_jet_order_cap(monkeypatch):
         f.total_derivative(1)
     monkeypatch.delenv("VTC_JET_ORDER_CAP")
     f.total_derivative(1)  # fine under the default cap
+
+
+def test_max_jet_order_counts_derivatives_not_component_labels():
+    # A[1]_002 has one component label and three derivatives, C_00 none and two
+    a, c = J("A", (1,), (0, 0, 2)), J("C", (), (0, 0))
+    assert a.max_jet_order() == 3
+    assert c.max_jet_order() == 2
+    assert (a * c + J("A", (3,))).max_jet_order() == 3
+    assert F.scalar_form(4, a).max_jet_order() == 3
+    assert F.scalar_form(4, c).max_jet_order() == 2
+    assert F.contact(4, G("C", (), (0, 0))).max_jet_order() == 2
 
 
 # -- grading ----------------------------------------------------------------

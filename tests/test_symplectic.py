@@ -120,6 +120,12 @@ def test_canonical_structure_rejects_wrong_gradings():
                                        symplectic.KIND_EVEN_COTANGENT)
 
 
+def test_canonical_structure_rejects_unknown_kind():
+    with pytest.raises(symplectic.SpectrumError,
+                       match="^unknown structure kind 'odd-BVX'$"):
+        symplectic.canonical_structure(small_bv_spectrum(), "odd-BVX")
+
+
 def test_canonical_structure_rejects_mixed_dressing():
     spec = Spectrum(2, [
         FieldSpec("u", EVEN, 0, ROLE_FIELD, (),
