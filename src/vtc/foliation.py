@@ -11,7 +11,6 @@ machinery as upstairs, one horizontal degree down.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import forms, kernel, printing, symplectic, variational
@@ -122,22 +121,6 @@ def _gen_image(F: FoliationContext, g: Gen,
     return image.total_derivative_mi(mapped_space)
 
 
-def _reduce_scalar(F: FoliationContext, s: GradedScalar,
-                   offenders: set[str]) -> GradedScalar:
-    total = kernel.ZERO
-    for mono, c in s.terms.items():
-        acc = kernel.GradedScalar.constant(c)
-        for g, e in mono:
-            image = _gen_image(F, g, offenders)
-            if image is None:
-                acc = kernel.ZERO
-                break
-            for _ in range(e):
-                acc = acc * image
-        total = total + acc
-    return total
-
-
 def reduce(a: LocalForm, F: FoliationContext) -> LocalForm:
     """Project a form to the leaves and rewrite it in phase variables.
 
@@ -147,24 +130,24 @@ def reduce(a: LocalForm, F: FoliationContext) -> LocalForm:
     the map is an algebra morphism commuting with the differentials.
     Unmapped variables raise IncompletePhaseMapError listing all offenders.
     """
+    kept = {key: s for key, s in a.terms.items()
+            if not any(j in F.time_directions for j in key[0])}
+    gens: set[Gen] = set()
+    for (dxs, contacts), s in kept.items():
+        gens.update(contacts)
+        gens.update(g for mono in s.terms for g, _ in mono)
     offenders: set[str] = set()
-    out = LocalForm.zero(F.spatial.dim)
-    for (dxs, contacts), s in a.terms.items():
-        if any(j in F.time_directions for j in dxs):
-            continue
-        factors = [forms.scalar_form(F.spatial.dim,
-                                     _reduce_scalar(F, s, offenders))]
-        for j in dxs:
-            factors.append(forms.dx(F.spatial.dim, F.spatial_index(j)))
-        for g in contacts:
-            image = _gen_image(F, g, offenders)
-            if image is None:
-                image = kernel.ZERO
-            factors.append(forms.delta(
-                forms.scalar_form(F.spatial.dim, image)))
-        out = out + forms.wedge_all(factors)
+    table = {g: _gen_image(F, g, offenders) for g in gens}
     if offenders:
         raise IncompletePhaseMapError(sorted(offenders))
+    n = F.spatial.dim
+    out = LocalForm.zero(n)
+    for (dxs, contacts), s in kept.items():
+        factors = [forms.scalar_form(n, s.substitute(table))]
+        factors += [forms.dx(n, F.spatial_index(j)) for j in dxs]
+        factors += [forms.delta(forms.scalar_form(n, table[g]))
+                    for g in contacts]
+        out = out + forms.wedge_all(factors)
     return out
 
 

@@ -30,6 +30,16 @@ class JetOrderCapExceeded(Exception):
     """Raised when an operation would need jet variables beyond the cap."""
 
 
+class DeclarationError(ValueError):
+    """A field declaration the spectrum rejects: ``field`` names it, and
+    ``algebra`` is set when the algebra form is what the field lacks."""
+
+    def __init__(self, message: str, field: str, algebra: bool = False):
+        super().__init__(message)
+        self.field = field
+        self.algebra = algebra
+
+
 def jet_order_cap() -> int:
     """Maximal multi-index length allowed, configurable via environment."""
     raw = os.environ.get("VTC_JET_ORDER_CAP")
@@ -148,13 +158,15 @@ class Spectrum:
                              else tuple(Fraction(a) for a in algebra_form))
         for f in self.fields:
             if f.conjugate is not None and f.conjugate not in self.by_name:
-                raise ValueError(
-                    f"field {f.name} declares unknown conjugate {f.conjugate}")
+                raise DeclarationError(
+                    f"field {f.name} declares unknown conjugate {f.conjugate}",
+                    f.name)
             for kind, n in zip(f.slot_kinds or (), f.shape):
                 if kind == "internal" and len(self.algebra_form or ()) != n:
-                    raise ValueError(
+                    raise DeclarationError(
                         f"field {f.name} has an internal slot of range {n}, "
-                        f"so the algebra form needs {n} entries")
+                        f"so the algebra form needs {n} entries", f.name,
+                        algebra=True)
 
     def _key(self):
         return (self.dim, self.fields, self.metric, self.parameters,

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from . import forms, kernel, symplectic
+from . import forms, kernel, printing, symplectic
 from .foliation import FoliationContext
 from .forms import LocalForm
 from .kernel import FieldSpec, Gen, GradedScalar, Spectrum
@@ -143,34 +143,15 @@ def gen_text(g: Gen) -> str:
     raise ModelError(f"generator {g!r} has no surface syntax")
 
 
+def mono_factors(mono: kernel.Monomial) -> list[str]:
+    """A monomial's factors in surface syntax, each power written out."""
+    return [gen_text(g) for g, p in mono for _ in range(p)]
+
+
 def scalar_text(s: GradedScalar) -> str:
     """A graded scalar in surface syntax."""
-    if s.is_zero():
-        return "0"
-    parts = []
-    for mono, coeff in sorted(s.terms.items()):
-        factors = []
-        for g, p in mono:
-            factors.extend([gen_text(g)] * p)
-        if not factors:
-            body = str(abs(coeff))
-        else:
-            body = "*".join(factors)
-            if abs(coeff) != 1:
-                body = f"{abs(coeff)}*{body}"
-        parts.append(("-" if coeff < 0 else "+", body))
-    sign, body = parts[0]
-    out = ("-" if sign == "-" else "") + body
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
-
-
-def _coeff_text(s: GradedScalar) -> tuple[str, bool]:
-    """Scalar text plus whether it needs parentheses as a product factor."""
-    text = scalar_text(s)
-    plain = len(s.terms) == 1 and not text.startswith("-")
-    return text, not plain
+    return printing.signed_sum(sorted(s.terms.items()),
+                               lambda m: "*".join(mono_factors(m)))
 
 
 def form_text(a: LocalForm) -> str:
@@ -179,17 +160,14 @@ def form_text(a: LocalForm) -> str:
         return "0"
     parts = []
     for (dxs, contacts), coeff in sorted(a.terms.items()):
+        text = scalar_text(coeff)
+        if len(coeff.terms) != 1 or text.startswith("-"):
+            text = f"({text})"  # a sum or a negative coefficient, as a factor
         factors = [f"dx[{j}]" for j in dxs]
         factors += [f"del({gen_text(g)})" for g in contacts]
-        text, wrap = _coeff_text(coeff)
-        if not factors:
-            body = f"({text})" if wrap else text
-        elif text == "1":
-            body = " ^ ".join(factors)
-        else:
-            head = f"({text})" if wrap else text
-            body = " ^ ".join([head] + factors)
-        parts.append(body)
+        if text != "1" or not factors:
+            factors.insert(0, text)
+        parts.append(" ^ ".join(factors))
     return " + ".join(parts)
 
 

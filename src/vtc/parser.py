@@ -434,15 +434,18 @@ class _Parser:
             self.end_line()
 
         fields = []
+        field_toks: dict[str, Token] = {}
         while self.at("name", "field"):
-            self.next()
+            t = self.next()
             fields.append(self.field_spec(dim))
+            field_toks.setdefault(fields[-1].name, t)
             self.end_line()
 
         algebra_constants = None
         algebra_form = None
+        algebra_tok = None
         if self.at("name", "algebra"):
-            self.next()
+            algebra_tok = self.next()
             attrs = self.attr_block(_ALGEBRA_ATTRS)
             if "constants" in attrs:
                 algebra_constants = self._sub(attrs["constants"]).name()
@@ -454,6 +457,8 @@ class _Parser:
             spectrum = Spectrum(dim, fields, metric=metric,
                                 parameters=tuple(parameters),
                                 algebra_form=algebra_form)
+        except kernel.DeclarationError as e:
+            self.fail(str(e), (e.algebra and algebra_tok) or field_toks[e.field])
         except ValueError as e:
             self.fail(str(e))
 

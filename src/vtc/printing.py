@@ -15,8 +15,7 @@ to identical strings.
 
 from __future__ import annotations
 
-from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Iterable, Sequence
 
 from . import kernel
 
@@ -55,28 +54,29 @@ def mono_str(m: kernel.Monomial) -> str:
     return "*".join(parts)
 
 
+def signed_sum(terms: Iterable[tuple], spell: Callable) -> str:
+    """Join ordered (monomial, coefficient) pairs into a signed sum.
+
+    A unit coefficient is left out and an empty monomial prints as its
+    coefficient; the first term carries its own minus sign, and every later
+    negative term is joined with " - "."""
+    out = ""
+    for m, c in terms:
+        a = abs(c)
+        body = str(a) if not m else spell(m) if a == 1 else f"{a}*{spell(m)}"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = "-" + body if c < 0 else body
+    return out or "0"
+
+
+def _ordered(s: "kernel.GradedScalar") -> list:
+    return sorted(s.terms.items(), key=lambda t: kernel.mono_sort_key(t[0]))
+
+
 def scalar_str(s: "kernel.GradedScalar") -> str:
-    if not s.terms:
-        return "0"
-    items = sorted(s.terms.items(), key=lambda t: kernel.mono_sort_key(t[0]))
-    chunks = []
-    for m, c in items:
-        if not m:
-            body = str(c)
-        elif c == 1:
-            body = mono_str(m)
-        elif c == -1:
-            body = "-" + mono_str(m)
-        else:
-            body = f"{c}*{mono_str(m)}"
-        chunks.append(body)
-    out = chunks[0]
-    for body in chunks[1:]:
-        if body.startswith("-"):
-            out += " - " + body[1:]
-        else:
-            out += " + " + body
-    return out
+    return signed_sum(_ordered(s), mono_str)
 
 
 def key_str(dxs: Sequence[int], contacts: Sequence[kernel.Gen]) -> str:
@@ -87,28 +87,17 @@ def key_str(dxs: Sequence[int], contacts: Sequence[kernel.Gen]) -> str:
 
 def form_str(form) -> str:
     """Render a LocalForm (anything with a .terms mapping keyed by
-    (dxs, contacts) with GradedScalar values)."""
-    if not form.terms:
-        return "0"
+    (dxs, contacts) with GradedScalar values).  A one-term coefficient
+    joins its key as a signed product; a longer one is parenthesized."""
     chunks = []
     for (dxs, contacts) in sorted(form.terms):
         s = form.terms[(dxs, contacts)]
         ks = key_str(dxs, contacts)
         if not ks:
-            chunks.append(scalar_str(s))
-            continue
-        if s.terms == {kernel.ONE_MONO: Fraction(1)}:
-            chunks.append(ks)
-        elif s.terms == {kernel.ONE_MONO: Fraction(-1)}:
-            chunks.append("-" + ks)
+            chunks += [(mono_str(m) if m else "", c) for m, c in _ordered(s)]
         elif len(s.terms) == 1:
-            chunks.append(f"{scalar_str(s)}*{ks}")
+            ((m, c),) = s.terms.items()
+            chunks.append((f"{mono_str(m)}*{ks}" if m else ks, c))
         else:
-            chunks.append(f"({scalar_str(s)})*{ks}")
-    out = chunks[0]
-    for body in chunks[1:]:
-        if body.startswith("-"):
-            out += " - " + body[1:]
-        else:
-            out += " + " + body
-    return out
+            chunks.append((f"({scalar_str(s)})*{ks}", 1))
+    return signed_sum(chunks, str)

@@ -24,6 +24,7 @@ _ENGINE_ERRORS = (
     kernel.JetOrderCapExceeded, model.ModelError,
     symplectic.SpectrumError, symplectic.NoHamiltonianFieldError,
     symplectic.GradingError, symplectic.DescentError,
+    symplectic.StructureError,
     variational.DegreeError, variational.NotDivergenceError,
     variational.ObstructionError, variational.NoPrimitiveError,
     foliation.FoliationError, grading.TruncationError,
@@ -35,12 +36,8 @@ def form_json(a: LocalForm) -> dict:
     """Canonical text plus a machine-readable sorted term list."""
     terms = []
     for (dxs, contacts), s in sorted(a.terms.items()):
-        scal = []
-        for mono, c in sorted(s.terms.items()):
-            factors = []
-            for g, p in mono:
-                factors.extend([model.gen_text(g)] * p)
-            scal.append({"monomial": factors, "coefficient": str(c)})
+        scal = [{"monomial": model.mono_factors(mono), "coefficient": str(c)}
+                for mono, c in sorted(s.terms.items())]
         terms.append({"dx": list(dxs),
                       "contacts": [model.gen_text(g) for g in contacts],
                       "scalar": scal})

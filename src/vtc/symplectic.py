@@ -45,9 +45,19 @@ class DescentError(Exception):
     pass
 
 
-@dataclass
+class StructureError(ValueError):
+    """A presymplectic structure is malformed, or cannot serve a form."""
+
+
+@dataclass(frozen=True)
 class PresympStructure:
-    """A delta-closed (2,m)-form, with its potential when known."""
+    """A delta-closed (2,m)-form, with its potential when known.
+
+    Frozen, so what depends on the structure alone is kept on it once
+    computed: its pairing rows by field parity (``pairing_rows``) and the
+    Hamiltonian field of each form (``hamiltonian_fields``).  Neither memo
+    is a dataclass field, so both stay out of equality, hashing and repr.
+    """
 
     omega: LocalForm
     theta: Optional[LocalForm] = None
@@ -56,9 +66,17 @@ class PresympStructure:
 
     def __post_init__(self) -> None:
         if not forms.delta(self.omega).is_zero():
-            raise ValueError("presymplectic representative must be delta-closed")
+            raise StructureError("presymplectic representative must be delta-closed")
         if self.theta is not None and forms.delta(self.theta) != self.omega:
-            raise ValueError("theta is not a potential: delta(theta) != omega")
+            raise StructureError("theta is not a potential: delta(theta) != omega")
+
+    @cached_property
+    def pairing_rows(self) -> dict[int, tuple[list[Gen], dict]]:
+        return {}
+
+    @cached_property
+    def hamiltonian_fields(self) -> dict[LocalForm, EvoField]:
+        return {}
 
 
 def _pair_weight(spectrum: Spectrum, f: kernel.FieldSpec, comp: tuple[int, ...]) -> Fraction:
@@ -151,18 +169,6 @@ def canonical_structure(spectrum: Spectrum, kind: str) -> PresympStructure:
 # ---------------------------------------------------------------------------
 
 
-def _structure_directions(om: LocalForm) -> list[Gen]:
-    """Underived contact directions of a canonical-shaped structure."""
-    gens: set[Gen] = set()
-    for (dxs, contacts) in om.terms:
-        for g in contacts:
-            if kernel.jet_mi(g):
-                raise NoHamiltonianFieldError(
-                    g, "structure has differentiated contact directions")
-            gens.add(g)
-    return sorted(gens)
-
-
 def _probe_rows(spectrum: Spectrum, om: LocalForm, h: Gen,
                 probe_parity: int) -> dict[Gen, GradedScalar]:
     """Rows contributed by direction h: contract omega with a probe field
@@ -176,30 +182,63 @@ def _probe_rows(spectrum: Spectrum, om: LocalForm, h: Gen,
     X = EvoField(spectrum, {h: GradedScalar.generator(aux)}, name="probe")
     contracted = forms.contract(X, om)
     vol_key = tuple(range(om.dim))
-    dec_rows: dict[Gen, GradedScalar] = {}
+    rows: dict[Gen, GradedScalar] = {}
     for (dxs, contacts), s in contracted.terms.items():
         if dxs != vol_key or len(contacts) != 1 or kernel.jet_mi(contacts[0]):
             raise NoHamiltonianFieldError(h, "contraction is not a source form")
+        # one term per g, linear in the probe: its coefficient is nonzero
         g = contacts[0]
-        coeff = s.left_partial(aux)
-        sign = variational._contact_vol_sign(om.dim, g)
-        dec_rows[g] = dec_rows.get(g, kernel.ZERO) + coeff * sign
-    return {g: v for g, v in dec_rows.items() if v}
+        rows[g] = s.left_partial(aux) * variational._contact_vol_sign(om.dim, g)
+    return rows
+
+
+def _pairing(structure: PresympStructure, xpar: int,
+             ) -> tuple[list[Gen], dict[Gen, dict[Gen, GradedScalar]]]:
+    """The structure's underived contact directions h, and its pairing rows
+    for a field X of parity xpar: the source component of i_X omega along g
+    is the sum over h of (component of X along h) * rows[g][h].  Both are
+    kept in the structure's ``pairing_rows``."""
+    memo = structure.pairing_rows
+    if xpar not in memo:
+        om = structure.omega
+        directions = sorted({h for _, contacts in om.terms for h in contacts})
+        for h in directions:
+            if kernel.jet_mi(h):
+                raise NoHamiltonianFieldError(
+                    h, "structure has differentiated contact directions")
+        rows: dict[Gen, dict[Gen, GradedScalar]] = {}
+        for h in directions:
+            probe_parity = (xpar + kernel.gen_parity(h)) % 2
+            for g, c in _probe_rows(structure.spectrum, om, h,
+                                    probe_parity).items():
+                rows.setdefault(g, {})[h] = c
+        memo[xpar] = directions, rows
+    return memo[xpar]
 
 
 def hamiltonian_field(O: LocalForm, structure: PresympStructure) -> EvoField:
     """Solve i_X omega = delta(O) modulo d for an evolutionary X.
 
-    The source components of delta(O) are matched row by row against probe
-    contractions of the structure; directions the structure cannot pair are
-    reported as obstructions.
+    The field depends on the form and the structure alone, so each solved
+    field is kept in the structure's ``hamiltonian_fields`` and equal forms
+    share one field; a failed solve is not kept, and raises again.
     """
+    X = structure.hamiltonian_fields.get(O)
+    if X is None:
+        X = structure.hamiltonian_fields[O] = _solve_field(O, structure)
+    return X
+
+
+def _solve_field(O: LocalForm, structure: PresympStructure) -> EvoField:
+    """The source components of delta(O) are matched row by row against the
+    structure's pairing rows; directions the structure cannot pair are
+    reported as obstructions."""
     om = structure.omega
     spectrum = structure.spectrum
     if spectrum is None:
-        raise ValueError("structure carries no spectrum")
+        raise StructureError("structure carries no spectrum")
     if O.dim != om.dim:
-        raise ValueError("form and structure live over different bases")
+        raise StructureError("form and structure live over different bases")
     if O.is_zero():
         return EvoField(spectrum, {}, parity=kernel.EVEN)
     opar = O.parity()
@@ -207,12 +246,7 @@ def hamiltonian_field(O: LocalForm, structure: PresympStructure) -> EvoField:
     if opar is None or ompar is None:
         raise GradingError("Hamiltonian form and structure must have definite parity")
     xpar = (opar + ompar) % 2
-    directions = _structure_directions(om)
-    rows: dict[Gen, dict[Gen, GradedScalar]] = {}
-    for h in directions:
-        probe_parity = (xpar + kernel.gen_parity(h)) % 2
-        for g, c in _probe_rows(spectrum, om, h, probe_parity).items():
-            rows.setdefault(g, {})[h] = c
+    directions, rows = _pairing(structure, xpar)
     targets = variational.source_decompose(forms.delta(O)).components
     for g in targets:
         if g not in rows:
@@ -280,11 +314,9 @@ def _constant_of(s: GradedScalar) -> Optional[Fraction]:
 
 
 def bracket(A: LocalForm, B: LocalForm, structure: PresympStructure) -> LocalForm:
-    """Bracket of Hamiltonian forms: (-1)^{parity X_A} i_{X_A} i_{X_B} omega.
-
-    A self-bracket (``B is A``) computes the Hamiltonian field once."""
+    """Bracket of Hamiltonian forms: (-1)^{parity X_A} i_{X_A} i_{X_B} omega."""
     XA = hamiltonian_field(A, structure)
-    XB = XA if B is A else hamiltonian_field(B, structure)
+    XB = hamiltonian_field(B, structure)
     out = forms.contract(XA, forms.contract(XB, structure.omega))
     if XA.parity:
         out = -out

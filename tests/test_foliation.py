@@ -136,6 +136,16 @@ def test_uncovered_time_derivative_is_reported(maxwell):
     assert any(s.startswith("Cs") for s in err.value.offenders)
 
 
+def test_reduce_lists_every_offender_of_a_monomial(maxwell):
+    sp = maxwell["m"].spectrum
+    s = (kernel.GradedScalar.generator(kernel.coord_gen(0))
+         * kernel.jet(sp, "A", (1,), (0, 0)))
+    a = forms.wedge(forms.scalar_form(4, s), forms.dx(4, 1))
+    with pytest.raises(foliation.IncompletePhaseMapError) as err:
+        foliation.reduce(a, maxwell["F"])
+    assert err.value.offenders == ["A[1]_00", "x0"]
+
+
 def test_terms_with_time_differentials_drop(maxwell):
     sp = maxwell["m"].spectrum
     a = forms.wedge_all([

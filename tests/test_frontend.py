@@ -152,6 +152,22 @@ def test_reports_match_pinned_digests(maxwell_report, chiral_report):
         assert hashlib.sha256(emitted).hexdigest() == digest, (name, fmt)
 
 
+@pytest.mark.parametrize("name, solves", [("maxwell", 4), ("chiral", 10)])
+def test_report_solves_each_hamiltonian_field_once(monkeypatch, name, solves):
+    # one solve per distinct (form, structure): repeats read the structure's
+    # memo, including the master check's bracket of the master density
+    solved = []
+    solve = symplectic._solve_field
+
+    def counting(O, st):
+        solved.append((O, st))
+        return solve(O, st)
+
+    monkeypatch.setattr(symplectic, "_solve_field", counting)
+    report.run_pipeline(builtin_models.builtin(name))
+    assert len(solved) == len(set(solved)) == solves
+
+
 def test_maxwell_first_descendant_is_the_radiative_structure(maxwell_report):
     m = builtin_models.maxwell()
     sp = m.spectrum
@@ -320,15 +336,21 @@ def _chiral_with(old, new):
      "line 10, column 11: unknown structure kind 'odd-BVX'; expected one of "
      "even-cotangent, odd-BV, odd-phase"),
     (_chiral_with("constants su2, form 1 1 1", "constants su2"), None,
-     "line 10, column 1: field phi has an internal slot of range 3, so the "
+     "line 9, column 1: field phi has an internal slot of range 3, so the "
+     "algebra form needs 3 entries"),
+    (_chiral_with("algebra { constants su2, form 1 1 1 }\n", ""), None,
+     "line 5, column 1: field phi has an internal slot of range 3, so the "
      "algebra form needs 3 entries"),
     (_chiral_with("form 1 1 1", "form 1 1"), None,
-     "line 10, column 1: field phi has an internal slot of range 3, so the "
+     "line 9, column 1: field phi has an internal slot of range 3, so the "
      "algebra form needs 3 entries"),
+    (_chiral_with("conjugate eta,", "conjugate zeta,"), None,
+     "line 8, column 1: field etab declares unknown conjugate zeta"),
     (_chiral_with("form 1 1 1", "form 1 1/0 1"), None,
      "line 9, column 33: zero denominator in '1/0'"),
     (None, "1/0 ^ vol", "line 1, column 1: zero denominator in '1/0'"),
-], ids=["structure-kind", "no-algebra-form", "algebra-form-length",
+], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
+        "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):

@@ -7,6 +7,7 @@ equation, and two descent steps land on the expected lower-degree
 structures with all exactness properties holding on the nose.
 """
 
+import dataclasses
 import itertools
 import random
 from fractions import Fraction as Fr
@@ -369,14 +370,80 @@ def test_hamiltonian_field_of_zero_is_zero(maxwell):
 
 
 def test_hamiltonian_field_is_the_same_on_every_call(maxwell):
-    # the probe fields use one reserved auxiliary name: no state carries
-    # over from one call to the next
+    # a second call returns the kept field; a fresh structure, with empty
+    # memos, solves to the same field
     first = symplectic.hamiltonian_field(maxwell["S"], maxwell["st"])
     second = symplectic.hamiltonian_field(maxwell["S"], maxwell["st"])
+    fresh = symplectic.hamiltonian_field(
+        maxwell["S"], symplectic.canonical_structure(
+            maxwell["spec"], symplectic.KIND_ODD_BV))
     assert first.base_components() == second.base_components() \
-        == maxwell["Q"].base_components()
-    assert (first.parity, first.ghost) == (second.parity, second.ghost)
-    assert repr(first) == repr(second)
+        == fresh.base_components() == maxwell["Q"].base_components()
+    assert (first.parity, first.ghost) == (fresh.parity, fresh.ghost)
+    assert repr(first) == repr(second) == repr(fresh)
+
+
+def test_presymp_structure_is_frozen_and_memos_are_not_fields(maxwell):
+    st = maxwell["st"]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        st.omega = LocalForm.zero(4)
+    assert [f.name for f in dataclasses.fields(st)] == [
+        "omega", "theta", "kind", "spectrum"]
+    symplectic.hamiltonian_field(maxwell["S"], st)
+    assert st.pairing_rows and st.hamiltonian_fields
+    # the memos stay out of equality, hashing and repr
+    twin = symplectic.PresympStructure(st.omega, st.theta, st.kind, st.spectrum)
+    assert twin == st and hash(twin) == hash(st) and repr(twin) == repr(st)
+
+
+def test_new_structure_starts_with_empty_memos(maxwell):
+    st = symplectic.canonical_structure(maxwell["spec"], symplectic.KIND_ODD_BV)
+    assert st.pairing_rows == {} and st.hamiltonian_fields == {}
+    symplectic.bracket(maxwell["S"], maxwell["S"], st)
+    # one solve for both sides of the self-bracket, one parity of rows
+    assert list(st.hamiltonian_fields) == [maxwell["S"]]
+    assert list(st.pairing_rows) == [maxwell["Q"].parity]
+
+
+def test_equal_forms_share_one_hamiltonian_field(maxwell):
+    st = symplectic.canonical_structure(maxwell["spec"], symplectic.KIND_ODD_BV)
+    S = maxwell["S"]
+    twin = LocalForm(S.dim, dict(S.terms))
+    assert twin is not S and twin == S
+    assert symplectic.hamiltonian_field(twin, st) is \
+        symplectic.hamiltonian_field(S, st)
+    assert len(st.hamiltonian_fields) == 1
+
+
+def test_failed_hamiltonian_field_is_not_kept():
+    spec = small_bv_spectrum()
+    vol = forms.volume(1)
+    omega = forms.wedge_all([
+        forms.contact(1, kernel.jet_gen(spec, "us")),
+        forms.contact(1, kernel.jet_gen(spec, "u")), vol])
+    st = symplectic.PresympStructure(omega, spectrum=spec)
+    O = forms.wedge(forms.scalar_form(
+        1, kernel.jet(spec, "c") * kernel.jet(spec, "cs")), vol)
+    for _ in range(2):
+        with pytest.raises(symplectic.NoHamiltonianFieldError):
+            symplectic.hamiltonian_field(O, st)
+    assert st.hamiltonian_fields == {}
+
+
+def test_structure_errors_are_typed(maxwell):
+    st = maxwell["st"]
+    not_closed = forms.wedge(
+        forms.scalar_form(4, kernel.jet(maxwell["spec"], "C")),
+        forms.delta(st.theta))
+    assert not forms.delta(not_closed).is_zero()
+    with pytest.raises(symplectic.StructureError,
+                       match="must be delta-closed"):
+        symplectic.PresympStructure(not_closed)
+    with pytest.raises(symplectic.StructureError, match="no spectrum"):
+        symplectic.hamiltonian_field(
+            maxwell["S"], symplectic.PresympStructure(st.omega))
+    with pytest.raises(symplectic.StructureError, match="different bases"):
+        symplectic.hamiltonian_field(forms.volume(3), st)
 
 
 def test_hamiltonian_field_reports_degenerate_direction():
