@@ -62,8 +62,11 @@ class FoliationContext:
             raise FoliationError(
                 "spatial dimension must drop by the number of time directions")
         for name, target in self.field_map.items():
-            f = self.spacetime.field(name)
-            g = self.spatial.field(target)
+            try:
+                f = self.spacetime.field(name)
+                g = self.spatial.field(target)
+            except KeyError as e:
+                raise FoliationError(e.args[0]) from None
             if (f.parity, f.ghost, f.shape) != (g.parity, g.ghost, g.shape):
                 raise FoliationError(
                     f"phase twin {target!r} of {name!r} changes the grading")

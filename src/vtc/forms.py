@@ -154,7 +154,7 @@ class LocalForm:
         """Left multiplication by a constant or an even x-free scalar."""
         if isinstance(c, GradedScalar):
             return wedge(scalar_form(self.dim, c), self)
-        out = {k: s * Fraction(c) for k, s in self.terms.items()}
+        out = {k: s * c for k, s in self.terms.items()}
         return LocalForm(self.dim, out)
 
     def __mul__(self, c):
@@ -355,7 +355,7 @@ def constant_horizontal(dim: int,
     """Constant-coefficient horizontal form given as ((coeff, indices), ...)."""
     out = LocalForm.zero(dim)
     for co, mi in terms:
-        piece = scalar_form(dim, Fraction(co))
+        piece = scalar_form(dim, co)
         for j in mi:
             piece = wedge(piece, dx(dim, j))
         out = out + piece
@@ -516,7 +516,7 @@ class EvoField:
 
 
 def scale_field(X: EvoField, c: Union[int, Fraction]) -> EvoField:
-    comps = {g: v * Fraction(c) for g, v in X.base_components().items()}
+    comps = {g: v * c for g, v in X.base_components().items()}
     return EvoField(X.spectrum, comps, parity=X.parity, ghost=X.ghost, name=X.name)
 
 

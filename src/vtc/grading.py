@@ -237,7 +237,7 @@ def _stage_basis(spectrum: Spectrum, kind: str, raise_by: int,
 
 def _basis_field(spectrum: Spectrum, direction: Gen,
                  mono: kernel.Monomial) -> EvoField:
-    return EvoField(spectrum, {direction: GradedScalar({mono: Fraction(1)})},
+    return EvoField(spectrum, {direction: GradedScalar({mono: 1})},
                     parity=kernel.EVEN, ghost=0)
 
 
@@ -323,12 +323,12 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
     add_images(kept)
     rhs: dict[tuple, Fraction] = {}
     for key, c in variational.form_mono_items(residual):
-        rhs[key] = rhs.get(key, Fraction(0)) + c
+        rhs[key] = rhs.get(key, 0) + c
         rows.setdefault(key, {})
 
     def solve() -> Optional[dict]:
         return linsolve.solve_linear(
-            [(rows[key], -rhs.get(key, Fraction(0))) for key in sorted(rows)])
+            [(rows[key], -rhs.get(key, 0)) for key in sorted(rows)])
 
     sol = solve()
     if sol is None:

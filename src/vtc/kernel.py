@@ -358,10 +358,11 @@ Coefficient = Union[int, Fraction]
 
 
 class GradedScalar:
-    """Exact polynomial in graded generators: a map monomial -> Fraction.
+    """Exact polynomial in graded generators: a map monomial -> rational.
 
-    Immutable in use (no mutating public API); arithmetic returns fresh
-    instances and drops zero coefficients eagerly.
+    Coefficients are ``int`` or ``Fraction``; integer arithmetic stays in
+    ``int``.  Immutable in use (no mutating public API); arithmetic returns
+    fresh instances and drops zero coefficients eagerly.
     """
 
     __slots__ = ("terms",)
@@ -370,7 +371,8 @@ class GradedScalar:
         data: dict[Monomial, Fraction] = {}
         if terms:
             for m, c in terms.items():
-                c = Fraction(c)
+                if type(c) is not int and type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     data[m] = c
         self.terms = data
@@ -379,18 +381,18 @@ class GradedScalar:
 
     @classmethod
     def _wrap(cls, terms: dict[Monomial, Fraction]) -> "GradedScalar":
-        """A scalar on ``terms`` as given: Fraction coefficients, none zero."""
+        """A scalar on ``terms`` as given: exact coefficients, none zero."""
         res = cls.__new__(cls)
         res.terms = terms
         return res
 
     @classmethod
     def constant(cls, c: Coefficient) -> "GradedScalar":
-        return cls({ONE_MONO: Fraction(c)})
+        return cls({ONE_MONO: c})
 
     @classmethod
     def generator(cls, g: Gen) -> "GradedScalar":
-        return cls({((g, 1),): Fraction(1)})
+        return cls({((g, 1),): 1})
 
     # -- basics -----------------------------------------------------------
 
@@ -440,13 +442,14 @@ class GradedScalar:
         return _coerce(other) + (-self)
 
     def __mul__(self, other: Union["GradedScalar", Coefficient]) -> "GradedScalar":
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, GradedScalar):
             # scalars are never mutated, so a sign needs no new coefficients
             if other == 1:
                 return self
             if other == -1:
                 return -self
-            other = Fraction(other)
+            if type(other) is not int and type(other) is not Fraction:
+                other = Fraction(other)
             return GradedScalar._wrap(
                 {m: c * other for m, c in self.terms.items()} if other else {})
         out: dict[Monomial, Fraction] = {}

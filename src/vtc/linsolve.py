@@ -70,10 +70,10 @@ def solve_linear(equations: Iterable[tuple[Row, Fraction]]) -> Optional[dict[Has
         pcol = min(row)
         lead = row.pop(pcol)
         if lead != 1:
-            row = {c: v / lead for c, v in row.items()}
-            rhs = rhs / lead
+            row = {c: Fraction(v, lead) for c, v in row.items()}
+            rhs = Fraction(rhs, lead)
         pivots[pcol] = (row, rhs)
-    solution = {col: Fraction(0) for col in columns}
+    solution = {col: 0 for col in columns}
     for pcol in sorted(pivots, reverse=True):
         rest, value = pivots[pcol]
         for c, v in rest.items():

@@ -519,6 +519,8 @@ class _Parser:
             self.next()
             t = self.peek()
             src = self.name()
+            if src not in spectrum.by_name:
+                self.fail(f"unknown field {src!r}", t)
             self.expect("arrow")
             dst = self.name()
             if src in field_map:

@@ -82,8 +82,11 @@ class PresympStructure:
 def _pair_weight(spectrum: Spectrum, f: kernel.FieldSpec, comp: tuple[int, ...]) -> Fraction:
     w = Fraction(1)
     kinds = getattr(f, "slot_kinds", None) or ("base",) * len(f.shape)
-    for kind_slot, c in zip(kinds, comp):
+    for kind_slot, n, c in zip(kinds, f.shape, comp):
         if kind_slot == "base":
+            if n > spectrum.dim:
+                raise SpectrumError(f"field {f.name} has a base slot of range "
+                                    f"{n} in dimension {spectrum.dim}")
             w *= spectrum.metric[c]
         else:
             w *= spectrum.algebra_form[c]
@@ -272,7 +275,7 @@ def _solve_field(O: LocalForm, structure: PresympStructure) -> EvoField:
             for h2, c2 in pending[g].items():
                 if h2 != h:
                     rest = rest - unknowns[h2] * c2
-            unknowns[h] = rest * (1 / const)
+            unknowns[h] = rest * Fraction(1, const)
             del pending[g]
             progress = True
         if progress:

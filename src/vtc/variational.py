@@ -179,7 +179,7 @@ def form_mono_items(form: LocalForm) -> Iterator[tuple[MonoKey, Fraction]]:
             yield (dxs, contacts, mono), c
 
 
-def _single(dim: int, key: MonoKey, coeff: Fraction = Fraction(1)) -> LocalForm:
+def _single(dim: int, key: MonoKey, coeff: Fraction = 1) -> LocalForm:
     dxs, contacts, mono = key
     return LocalForm(dim, {(dxs, contacts): GradedScalar({mono: coeff})})
 
@@ -296,7 +296,7 @@ def _solve_d_block(dim: int, rhs: dict[MonoKey, Fraction], x_cap: int,
     for cand, image in saturate_d(dim, rhs, x_cap).items():
         for row, c in image.items():
             by_row.setdefault(row, {})[cand] = c
-    equations = [(by_row[row], rhs.get(row, Fraction(0)))
+    equations = [(by_row[row], rhs.get(row, 0))
                  for row in sorted(by_row)]
     return linsolve.solve_linear(equations)
 

@@ -33,7 +33,7 @@ ETA = [Fr(1), Fr(-1), Fr(-1), Fr(-1)]
 
 @pytest.fixture(scope="module")
 def mx():
-    m = builtin_models.maxwell()
+    m = builtin_models.builtin("maxwell")
     sp = m.spectrum
     st = m.structure()
     S = m.master_density()
@@ -53,7 +53,7 @@ def mx():
 
 @pytest.fixture(scope="module")
 def cb():
-    m = builtin_models.chiral()
+    m = builtin_models.builtin("chiral")
     sp = m.spectrum
     st = m.structure()
     O = m.master_density()

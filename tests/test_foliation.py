@@ -17,7 +17,7 @@ from vtc.kernel import EVEN, FieldSpec, ODD, ROLE_FIELD, Spectrum
 
 @pytest.fixture(scope="module")
 def maxwell():
-    m = builtin_models.maxwell()
+    m = builtin_models.builtin("maxwell")
     st = m.structure()
     S = m.master_density()
     Q = symplectic.hamiltonian_field(S, st)
@@ -85,6 +85,12 @@ def test_phase_twin_must_keep_grading():
         foliation.FoliationContext(sp, spl, (0,), {"u": "u"})
 
 
+@pytest.mark.parametrize("field_map", [{"D": "u"}, {"u": "w"}])
+def test_map_must_name_declared_fields(field_map):
+    with pytest.raises(foliation.FoliationError, match="unknown field"):
+        foliation.FoliationContext(plane(), line(), (0,), field_map)
+
+
 def test_rule_keys_must_be_jets():
     with pytest.raises(foliation.FoliationError, match="jet variables"):
         foliation.FoliationContext(plane(), line(), (0,), {"u": "u"},
@@ -113,7 +119,7 @@ def test_rule_image_parity_is_checked():
 
 
 def test_unmapped_variables_are_reported():
-    m = builtin_models.chiral()
+    m = builtin_models.builtin("chiral")
     sp = m.spectrum
     a = forms.wedge(forms.scalar_form(2, kernel.jet(sp, "eta", (0,))),
                     forms.dx(2, 1))
@@ -264,7 +270,7 @@ def test_constraint_generates_the_evolution(maxwell, gauss):
 
 
 def test_chiral_structure_reduces_to_printed_form():
-    m = builtin_models.chiral()
+    m = builtin_models.builtin("chiral")
     st = m.structure()
     O = m.master_density()
     sys0 = symplectic.GaugeSystem(symplectic.hamiltonian_field(O, st), st, O)

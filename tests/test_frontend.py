@@ -1,8 +1,8 @@
 """Model files, the expression grammar, the pipeline report, and the CLI.
 
-The built-in models double as golden data: their text renderings parse
-back to equal models, and the Maxwell report's first descendant matches
-the radiative structure written out longhand.
+The built-in models double as golden data: their canonical renderings are
+pinned by digest and parse back to equal models, and the Maxwell report's
+first descendant matches the radiative structure written out longhand.
 """
 
 import hashlib
@@ -23,12 +23,12 @@ def built(request):
 
 @pytest.fixture(scope="module")
 def maxwell_report():
-    return report.run_pipeline(builtin_models.maxwell())
+    return report.run_pipeline(builtin_models.builtin("maxwell"))
 
 
 @pytest.fixture(scope="module")
 def chiral_report():
-    return report.run_pipeline(builtin_models.chiral())
+    return report.run_pipeline(builtin_models.builtin("chiral"))
 
 
 # -- parsing ----------------------------------------------------------------
@@ -42,9 +42,20 @@ def test_print_parse_round_trip(built):
     assert model.print_model(again) == text
 
 
-def test_shipped_files_match_builtins(built):
+# sha256 of the canonical rendering of each built-in: the shipped files are
+# handwritten, so this pins the models they define, term by term.
+_MODEL_SHA256 = {
+    "maxwell":
+        "8295bfb4fe75ba0adec4cd203122d9726d9aa12a253c74a8bb1693d52b6944e5",
+    "chiral":
+        "3e5a6f564f3de9674989a94944ac79464fa01a57ab0025a0b47f5d8fa9bede04",
+}
+
+
+def test_builtin_models_match_pinned_renderings(built):
     name, m = built
-    assert parser.parse_model(builtin_models.model_text(name)) == m
+    text = model.print_model(m)
+    assert hashlib.sha256(text.encode()).hexdigest() == _MODEL_SHA256[name]
 
 
 def test_expressions_round_trip(built):
@@ -58,7 +69,7 @@ def test_expressions_round_trip(built):
 
 
 def test_expression_grammar_atoms():
-    sp = builtin_models.chiral().spectrum
+    sp = builtin_models.builtin("chiral").spectrum
     a = parser.parse_expression("3/4 * k * phi[0],[1 1] ^ dx[0]", sp)
     want = forms.wedge(forms.scalar_form(2, Fr(3, 4) * kernel.parameter("k") *
                                          kernel.jet(sp, "phi", (0,), (1, 1))),
@@ -91,7 +102,7 @@ def test_parse_errors_carry_positions():
 
 
 def test_unknown_names_and_attributes_are_rejected():
-    sp = builtin_models.chiral().spectrum
+    sp = builtin_models.builtin("chiral").spectrum
     with pytest.raises(parser.ParseError, match="unknown name"):
         parser.parse_expression("zeta[0]", sp)
     with pytest.raises(parser.ParseError, match="component"):
@@ -169,7 +180,7 @@ def test_report_solves_each_hamiltonian_field_once(monkeypatch, name, solves):
 
 
 def test_maxwell_first_descendant_is_the_radiative_structure(maxwell_report):
-    m = builtin_models.maxwell()
+    m = builtin_models.builtin("maxwell")
     sp = m.spectrum
     eta = sp.metric
     vol = forms.volume(4)
@@ -236,19 +247,19 @@ def test_report_checks_master_and_descends_twice(monkeypatch):
 
     counted("check_master")
     counted("descend")
-    report.run_pipeline(builtin_models.maxwell())
+    report.run_pipeline(builtin_models.builtin("maxwell"))
     assert calls == {"check_master": 2, "descend": 2}
 
 
 def test_reduction_without_descent_steps_is_an_error():
-    rep = report.run_pipeline(builtin_models.maxwell(), steps=0)
+    rep = report.run_pipeline(builtin_models.builtin("maxwell"), steps=0)
     assert rep["stages"]["reduce"] == {
         "error": "DescentError: reduction needs at least one descent step"}
     assert rep["ok"] is False
 
 
 def test_reduce_alone_matches_the_full_report(maxwell_report):
-    rep = report.run_pipeline(builtin_models.maxwell(), ("reduce",))
+    rep = report.run_pipeline(builtin_models.builtin("maxwell"), ("reduce",))
     assert rep["stages"] == {"reduce": maxwell_report["stages"]["reduce"]}
 
 
@@ -349,9 +360,12 @@ def _chiral_with(old, new):
     (_chiral_with("form 1 1 1", "form 1 1/0 1"), None,
      "line 9, column 33: zero denominator in '1/0'"),
     (None, "1/0 ^ vol", "line 1, column 1: zero denominator in '1/0'"),
+    (_chiral_with("  map etab -> etab\n", "  map etab -> etab\n  map D -> C\n"),
+     None, "line 18, column 7: unknown field 'D'"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
-        "zero-denominator-in-file", "zero-denominator-in-expression"])
+        "zero-denominator-in-file", "zero-denominator-in-expression",
+        "map-of-undeclared-field"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:
@@ -364,6 +378,23 @@ def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
     captured = capsys.readouterr()
     assert captured.err == f"vtc: {message}\n"
     assert captured.out == ""
+
+
+def test_base_slot_past_the_metric_is_a_stage_error(tmp_path, capsys):
+    # a base slot of range 3 runs past the 2-entry metric.  The spectrum
+    # accepts it (maxwell's leaf has A of shape 4 in dimension 3); only the
+    # canonical pairing, which contracts it with the metric, rejects it
+    text = _chiral_with("slots internal, factor dx[0] + dx[1]",
+                        "slots base, factor dx[0] + dx[1]")
+    message = "SpectrumError: field phi has a base slot of range 3 in dimension 2"
+    rep = report.run_pipeline(parser.parse_model(text), ("master",))
+    assert rep["stages"] == {"master": {"error": message}}
+    path = tmp_path / "bad.vtc"
+    path.write_text(text)
+    assert cli.main(["check-master", str(path)]) == 1
+    captured = capsys.readouterr()
+    assert f"error: {message}" in captured.out
+    assert captured.err == ""
 
 
 def test_cli_math_violations_exit_1(tmp_path, capsys):

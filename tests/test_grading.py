@@ -19,7 +19,7 @@ from vtc.kernel import FieldSpec, Spectrum
 
 @pytest.fixture(scope="module")
 def chiral():
-    m = builtin_models.chiral()
+    m = builtin_models.builtin("chiral")
     st = m.structure()
     O = m.master_density()
     Q = symplectic.hamiltonian_field(O, st)

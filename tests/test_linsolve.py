@@ -156,6 +156,14 @@ def test_column_that_cancels_and_reappears():
     assert got == {"x0": Fr(-1), "x1": Fr(4), "x2": Fr(2), "x3": Fr(1), "x4": Fr(0)}
 
 
+def test_integer_systems_divide_exactly():
+    got = linsolve.solve_linear([({"a": 2}, 1)])
+    assert got == {"a": Fr(1, 2)}
+    assert type(got["a"]) is Fr
+    got = linsolve.solve_linear([({"a": 3, "b": 1}, 2), ({"b": 2}, 4)])
+    assert got == {"a": 0, "b": 2}
+
+
 def test_row_order_does_not_change_the_solution():
     # the reduced row-echelon form does not depend on the row order, so
     # callers may sort their rows by any key

@@ -86,6 +86,18 @@ def test_scalar_coefficients_exact():
     assert (s - s).is_zero()
 
 
+def test_coefficients_stay_integers_until_a_division():
+    x = J("A", (0,))
+    assert type(K.GradedScalar.constant(3).terms[()]) is int
+    assert all(type(c) is int for c in (2 * x * x - x * 3).terms.values())
+    assert all(type(c) is Fraction for c in (x * Fraction(1, 2) * 2).terms.values())
+    # floats and bools are still taken as exact rationals
+    assert x * 0.5 == Fraction(1, 2) * x
+    for c, q in ((0.5, Fraction(1, 2)), (True, Fraction(1))):
+        s = K.GradedScalar({(): c})
+        assert s == q and type(s.terms[()]) is Fraction
+
+
 # -- frozen partial derivatives ---------------------------------------------
 
 
