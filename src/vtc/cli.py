@@ -12,11 +12,16 @@ import os
 import sys
 from typing import Optional, Sequence
 
-from . import builtin_models, kernel, parser, report, symplectic
-from .model import Model, form_text
+from . import builtin_models, kernel, parser, printing, report, symplectic
+from .forms import LocalForm
+from .model import Model
 
 USAGE_ERROR = 2
 MATH_ERROR = 1
+
+
+class UsageError(Exception):
+    """A command-line argument the command cannot take."""
 
 
 def _load_model(ref: str) -> Model:
@@ -26,8 +31,7 @@ def _load_model(ref: str) -> Model:
         return parser.parse_model(text)
     if ref in builtin_models.BUILTINS:
         return builtin_models.builtin(ref)
-    raise parser.ParseError(
-        f"no such file or built-in model: {ref!r}", 0, 0)
+    raise UsageError(f"no such file or built-in model: {ref!r}")
 
 
 def _run_and_print(m: Model, stages: Sequence[str], steps: int = 2) -> int:
@@ -53,20 +57,30 @@ def _cmd_homogenize(args) -> int:
     return _run_and_print(_load_model(args.model), ("homogenize",))
 
 
+def _density(option: str, text: str, spectrum: kernel.Spectrum) -> LocalForm:
+    """Parse a bracket argument, which must be a density of one parity."""
+    a = parser.parse_expression(text, spectrum)
+    if not a.is_density():
+        raise UsageError(f"{option}: {text!r} is not a density (vertical "
+                         f"degree 0, horizontal degree {spectrum.dim})")
+    if not a.is_zero() and a.parity() is None:
+        raise UsageError(f"{option}: {text!r} has no definite parity")
+    return a
+
+
 def _cmd_bracket(args) -> int:
     m = _load_model(args.model)
+    if args.foliated and m.foliation is None:
+        raise UsageError("model declares no foliation")
+    spectrum = m.foliation.spatial if args.foliated else m.spectrum
+    a = _density("--a", args.a, spectrum)
+    b = _density("--b", args.b, spectrum)
     if args.foliated:
-        if m.foliation is None:
-            raise parser.ParseError("model declares no foliation", 0, 0)
         st = report._Run(m, steps=1).reduced_structure
-        spectrum = m.foliation.spatial
     else:
         st = m.structure()
-        spectrum = m.spectrum
-    a = parser.parse_expression(args.a, spectrum)
-    b = parser.parse_expression(args.b, spectrum)
     out = symplectic.bracket(a, b, st)
-    sys.stdout.write(form_text(out) + "\n")
+    sys.stdout.write(printing.form_text(out) + "\n")
     return 0
 
 
@@ -126,10 +140,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return USAGE_ERROR
     try:
         return args.func(args)
-    except parser.ParseError as e:
-        sys.stderr.write(f"vtc: {e}\n")
-        return USAGE_ERROR
-    except OSError as e:
+    except (parser.ParseError, UsageError, OSError) as e:
         sys.stderr.write(f"vtc: {e}\n")
         return USAGE_ERROR
     except report._ENGINE_ERRORS as e:

@@ -77,11 +77,11 @@ class FoliationContext:
             if not mi or any(j not in seen for j in mi):
                 raise FoliationError(
                     "jet rules cover time-derivative variables only; got "
-                    + printing.gen_str(g))
+                    + printing.gen_text(g))
             ip = image.grade_of("parity")
             if ip is not None and ip != kernel.gen_parity(g):
                 raise FoliationError(
-                    f"image of {printing.gen_str(g)} has the wrong parity")
+                    f"image of {printing.gen_text(g)} has the wrong parity")
 
     # -- spatial renumbering ---------------------------------------------
 
@@ -104,7 +104,7 @@ def _gen_image(F: FoliationContext, g: Gen,
     if g[0] == 1:  # base coordinate
         j = g[1]
         if j in F.time_directions:
-            offenders.add(printing.gen_str(g))
+            offenders.add(printing.gen_text(g))
             return None
         return GradedScalar.generator(kernel.coord_gen(F.spatial_index(j)))
     name, comp, mi = kernel.jet_name(g), kernel.jet_comp(g), kernel.jet_mi(g)
@@ -113,13 +113,13 @@ def _gen_image(F: FoliationContext, g: Gen,
     if not time_mi:
         target = F.field_map.get(name)
         if target is None:
-            offenders.add(printing.gen_str(g))
+            offenders.add(printing.gen_text(g))
             return None
         return kernel.jet(F.spatial, target, comp, mapped_space)
     primitive = kernel.jet_gen(F.spacetime, name, comp, time_mi)
     image = F.jet_rules.get(primitive)
     if image is None:
-        offenders.add(printing.gen_str(g))
+        offenders.add(printing.gen_text(g))
         return None
     return image.total_derivative_mi(mapped_space)
 

@@ -125,7 +125,7 @@ class LocalForm:
         return hash((self.dim, tuple(sorted((k, hash(s)) for k, s in self.terms.items()))))
 
     def __repr__(self) -> str:
-        return printing.form_str(self)
+        return printing.form_text(self)
 
     def __add__(self, other: "LocalForm") -> "LocalForm":
         out = dict(self.terms)
@@ -174,6 +174,10 @@ class LocalForm:
         degs = {len(k[1]) for k in self.terms}
         return degs.pop() if len(degs) == 1 else None
 
+    def is_density(self) -> bool:
+        """Zero, or a top horizontal form: bidegree (0, dim)."""
+        return self.is_zero() or self.bidegree() == (0, self.dim)
+
     def bidegree(self) -> Optional[tuple[int, int]]:
         """(vertical, horizontal) degree when homogeneous."""
         h, v = self.hdeg(), self.vdeg()
@@ -206,7 +210,7 @@ class LocalForm:
 
     def weight(self, grading: str) -> Optional[int]:
         """Uniform momentum or polyvector weight, contacts included."""
-        role = {"momentum": kernel.ROLE_SOURCE, "polyvector": kernel.ROLE_ANTIFIELD}[grading]
+        role = kernel.GRADING_ROLES[grading]
         vals = set()
         for (dxs, contacts), s in self.terms.items():
             split = s.grade_split(grading)
@@ -220,7 +224,7 @@ class LocalForm:
 
     def weight_split(self, grading: str) -> dict[int, "LocalForm"]:
         """Decompose into homogeneous momentum or polyvector weight."""
-        role = {"momentum": kernel.ROLE_SOURCE, "polyvector": kernel.ROLE_ANTIFIELD}[grading]
+        role = kernel.GRADING_ROLES[grading]
         out: dict[int, dict[Key, GradedScalar]] = {}
         for (dxs, contacts), s in self.terms.items():
             cdeg = sum(1 for g in contacts if kernel.gen_role(g) == role)
@@ -509,7 +513,7 @@ class EvoField:
         return all(not v for v in self._components.values())
 
     def __repr__(self) -> str:
-        bits = [f"d/d{printing.gen_str(g)} . ({printing.scalar_str(v)})"
+        bits = [f"{printing.gen_text(g)}: {printing.scalar_text(v)}"
                 for g, v in sorted(self._components.items())]
         label = self.name or "EvoField"
         return f"{label}[" + "; ".join(bits) + "]" if bits else f"{label}[0]"

@@ -36,11 +36,6 @@ from .kernel import Gen, GradedScalar, Spectrum
 KIND_MOMENTUM = "momentum"
 KIND_POLYVECTOR = "polyvector"
 
-_KIND_ROLES = {
-    KIND_MOMENTUM: kernel.ROLE_SOURCE,
-    KIND_POLYVECTOR: kernel.ROLE_ANTIFIELD,
-}
-
 
 class TruncationError(Exception):
     """An exponential series failed to stabilize within its order bound."""
@@ -71,7 +66,7 @@ def degree_split(a: LocalForm, kind: str) -> list[tuple[int, LocalForm]]:
     coefficients and contact factors alike.  Returns (degree, component)
     pairs in increasing degree; their sum is the input.
     """
-    if kind not in _KIND_ROLES:
+    if kind not in kernel.GRADING_ROLES:
         raise ValueError(f"unknown grading kind {kind!r}")
     return sorted(a.weight_split(kind).items())
 
@@ -81,7 +76,7 @@ def counting_field(spectrum: Spectrum, kind: str) -> EvoField:
 
     Its Lie derivative multiplies each homogeneous component by its degree.
     """
-    role = _KIND_ROLES[kind]
+    role = kernel.GRADING_ROLES[kind]
     comps: dict[Gen, GradedScalar] = {}
     for f in spectrum.fields:
         if f.role != role:
@@ -219,7 +214,7 @@ def _candidate_monomials(pool: Sequence[Gen], poly_degree: int,
 
 def _stage_basis(spectrum: Spectrum, kind: str, raise_by: int,
                  buckets: dict) -> list[tuple[Gen, kernel.Monomial]]:
-    role = _KIND_ROLES[kind]
+    role = kernel.GRADING_ROLES[kind]
     basis: list[tuple[Gen, kernel.Monomial]] = []
     for f in spectrum.fields:
         own = 1 if f.role == role else 0

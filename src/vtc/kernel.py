@@ -25,6 +25,9 @@ ROLE_SOURCE = "source"
 
 _ROLES = (ROLE_FIELD, ROLE_ANTIFIELD, ROLE_SOURCE)
 
+# The role whose variables each counting grading counts.
+GRADING_ROLES = {"momentum": ROLE_SOURCE, "polyvector": ROLE_ANTIFIELD}
+
 
 class JetOrderCapExceeded(Exception):
     """Raised when an operation would need jet variables beyond the cap."""
@@ -414,7 +417,7 @@ class GradedScalar:
 
     def __repr__(self) -> str:
         from . import printing
-        return printing.scalar_str(self)
+        return printing.scalar_text(self)
 
     # -- arithmetic -------------------------------------------------------
 
@@ -599,9 +602,12 @@ class GradedScalar:
         """Replace generators by scalar expressions (a ring homomorphism).
 
         Substituted values must have the parity of the generator they
-        replace; this is checked.
+        replace; this is checked for the values this scalar uses, so a
+        large table costs nothing for the entries it does not reach.
         """
-        for g, v in table.items():
+        used = {g for m in self.terms for g, _ in m}
+        for g in used.intersection(table):
+            v = table[g]
             p = v.grade_of("parity")
             if v and p != gen_parity(g):
                 raise ValueError(
@@ -634,11 +640,9 @@ def _mono_grade(m: Monomial, grading: str) -> int:
         return mono_parity(m)
     if grading == "ghost":
         return mono_ghost(m)
-    if grading == "momentum":
-        return mono_degree(m, ROLE_SOURCE)
-    if grading == "polyvector":
-        return mono_degree(m, ROLE_ANTIFIELD)
-    raise ValueError(f"unknown grading {grading!r}")
+    if grading not in GRADING_ROLES:
+        raise ValueError(f"unknown grading {grading!r}")
+    return mono_degree(m, GRADING_ROLES[grading])
 
 
 ZERO = GradedScalar()

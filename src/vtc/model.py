@@ -14,10 +14,11 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from . import forms, kernel, printing, symplectic
+from . import forms, symplectic
 from .foliation import FoliationContext
 from .forms import LocalForm
-from .kernel import FieldSpec, Gen, GradedScalar, Spectrum
+from .kernel import FieldSpec, Spectrum
+from .printing import form_text, gen_text, index_text, scalar_text
 
 
 class ModelError(Exception):
@@ -91,7 +92,7 @@ class Model:
         for nm, a in self.densities.items():
             if a.dim != n:
                 raise ModelError(f"density {nm!r} lives over the wrong base")
-            if not a.is_zero() and (a.vdeg() != 0 or a.hdeg() != n):
+            if not a.is_density():
                 raise ModelError(f"density {nm!r} is not a top horizontal form")
         if self.foliation is not None:
             if self.foliation.spacetime != self.spectrum:
@@ -116,65 +117,15 @@ class Model:
 
 # ---------------------------------------------------------------------------
 # Canonical text rendering.  The output is accepted by the parser and is
-# stable: declarations appear in a fixed order and expression terms follow
-# the canonical storage order of forms and scalars.
+# stable: declarations appear in a fixed order and expressions print in the
+# canonical term order of ``printing``.
 # ---------------------------------------------------------------------------
-
-
-def _idx(t: Sequence[int]) -> str:
-    return " ".join(str(i) for i in t)
-
-
-def gen_text(g: Gen) -> str:
-    """A single generator in surface syntax."""
-    if g[0] == 0:
-        return g[1]
-    if g[0] == 1:
-        return f"x[{g[1]}]"
-    if g[0] == 2:
-        s = kernel.jet_name(g)
-        comp = kernel.jet_comp(g)
-        mi = kernel.jet_mi(g)
-        if comp:
-            s += f"[{_idx(comp)}]"
-        if mi:
-            s += f",[{_idx(mi)}]"
-        return s
-    raise ModelError(f"generator {g!r} has no surface syntax")
-
-
-def mono_factors(mono: kernel.Monomial) -> list[str]:
-    """A monomial's factors in surface syntax, each power written out."""
-    return [gen_text(g) for g, p in mono for _ in range(p)]
-
-
-def scalar_text(s: GradedScalar) -> str:
-    """A graded scalar in surface syntax."""
-    return printing.signed_sum(sorted(s.terms.items()),
-                               lambda m: "*".join(mono_factors(m)))
-
-
-def form_text(a: LocalForm) -> str:
-    """A local form in surface syntax."""
-    if a.is_zero():
-        return "0"
-    parts = []
-    for (dxs, contacts), coeff in sorted(a.terms.items()):
-        text = scalar_text(coeff)
-        if len(coeff.terms) != 1 or text.startswith("-"):
-            text = f"({text})"  # a sum or a negative coefficient, as a factor
-        factors = [f"dx[{j}]" for j in dxs]
-        factors += [f"del({gen_text(g)})" for g in contacts]
-        if text != "1" or not factors:
-            factors.insert(0, text)
-        parts.append(" ^ ".join(factors))
-    return " + ".join(parts)
 
 
 def _field_attrs(f: FieldSpec, dim: int) -> str:
     attrs = [f"parity {f.parity}", f"ghost {f.ghost}", f"role {f.role}"]
     if f.shape:
-        attrs.append(f"shape {_idx(f.shape)}")
+        attrs.append(f"shape {index_text(f.shape)}")
     if f.conjugate is not None:
         attrs.append(f"conjugate {f.conjugate}")
     if f.slot_kinds is not None:
@@ -209,7 +160,7 @@ def print_model(m: Model) -> str:
     if m.foliation is not None:
         F = m.foliation
         lines.append("foliation {")
-        lines.append("  time " + _idx(F.time_directions))
+        lines.append("  time " + index_text(F.time_directions))
         targets = set()
         for f in m.spectrum.fields:
             if f.name in F.field_map:

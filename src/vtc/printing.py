@@ -1,57 +1,58 @@
-"""Deterministic plain-text rendering of scalars and local forms.
+"""Deterministic plain-text rendering in the model language.
 
-Output grammar, by example:
+Generators, scalars and local forms print in the surface syntax of model
+files, so reprs, error messages and reports all name things the way a
+model is written, and a printed scalar or form parses back to an equal
+one (``parser.parse_expression``).  By example:
 
-    3/2*k*x0*A[1]_0^2      scalar term: coefficient, parameters, coordinates,
-                           jet variables (field[component]_derivatives)
-    dx0^dx2                horizontal generators
-    d(A[1]_0)              contact generator (vertical differential of a jet
-                           variable)
-    (C*A[0])*dx1^d(A[0])   form term: scalar block, then form generators
+    3/2*k*x[0]*A[1],[0]*A[1],[0]   scalar term: coefficient, then factors,
+                                   each power written out; a jet variable
+                                   is field[components],[derivatives]
+    dx[0] ^ dx[2]                  horizontal generators
+    del(A[1],[0])                  contact generator (vertical differential
+                                   of a jet variable)
+    (A[0] + A[1]) ^ dx[1] ^ del(A[0])   form term: scalar coefficient,
+                                   then form generators
 
-Terms are emitted in a fixed canonical order, so equal objects always render
-to identical strings.
+Auxiliary generators, which no model file declares, print by name.  Terms
+are emitted in a fixed canonical order, so equal objects always render to
+identical strings.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
 from . import kernel
 
+if TYPE_CHECKING:
+    from .forms import LocalForm
 
-def gen_str(g: kernel.Gen) -> str:
-    rank = g[0]
-    if rank == 0:
+
+def index_text(t: Sequence[int]) -> str:
+    """Indices separated by spaces, as in ``A[0 1]`` or ``time 0``."""
+    return " ".join(str(i) for i in t)
+
+
+def gen_text(g: kernel.Gen) -> str:
+    """A single generator in surface syntax."""
+    if g[0] == 1:
+        return f"x[{g[1]}]"
+    if g[0] != 2:  # a parameter or an auxiliary, by name
         return g[1]
-    if rank == 1:
-        return f"x{g[1]}"
-    if rank == 2:
-        name = kernel.jet_name(g)
-        comp = kernel.jet_comp(g)
-        mi = kernel.jet_mi(g)
-        s = name
-        if comp:
-            s += "[" + ",".join(str(c) for c in comp) + "]"
-        if mi:
-            if all(i < 10 for i in mi):
-                s += "_" + "".join(str(i) for i in mi)
-            else:
-                s += "_" + ",".join(str(i) for i in mi)
-        return s
-    if rank == 3:
-        return g[1]
-    raise ValueError(f"unknown generator {g!r}")
+    s = kernel.jet_name(g)
+    comp = kernel.jet_comp(g)
+    mi = kernel.jet_mi(g)
+    if comp:
+        s += f"[{index_text(comp)}]"
+    if mi:
+        s += f",[{index_text(mi)}]"
+    return s
 
 
-def mono_str(m: kernel.Monomial) -> str:
-    if not m:
-        return "1"
-    parts = []
-    for g, e in m:
-        s = gen_str(g)
-        parts.append(s if e == 1 else f"{s}^{e}")
-    return "*".join(parts)
+def mono_factors(mono: kernel.Monomial) -> list[str]:
+    """A monomial's factors in surface syntax, each power written out."""
+    return [gen_text(g) for g, p in mono for _ in range(p)]
 
 
 def signed_sum(terms: Iterable[tuple], spell: Callable) -> str:
@@ -71,33 +72,24 @@ def signed_sum(terms: Iterable[tuple], spell: Callable) -> str:
     return out or "0"
 
 
-def _ordered(s: "kernel.GradedScalar") -> list:
-    return sorted(s.terms.items(), key=lambda t: kernel.mono_sort_key(t[0]))
+def scalar_text(s: kernel.GradedScalar) -> str:
+    """A graded scalar in surface syntax."""
+    return signed_sum(sorted(s.terms.items()),
+                      lambda m: "*".join(mono_factors(m)))
 
 
-def scalar_str(s: "kernel.GradedScalar") -> str:
-    return signed_sum(_ordered(s), mono_str)
-
-
-def key_str(dxs: Sequence[int], contacts: Sequence[kernel.Gen]) -> str:
-    parts = [f"dx{i}" for i in dxs]
-    parts += [f"d({gen_str(g)})" for g in contacts]
-    return "^".join(parts)
-
-
-def form_str(form) -> str:
-    """Render a LocalForm (anything with a .terms mapping keyed by
-    (dxs, contacts) with GradedScalar values).  A one-term coefficient
-    joins its key as a signed product; a longer one is parenthesized."""
-    chunks = []
-    for (dxs, contacts) in sorted(form.terms):
-        s = form.terms[(dxs, contacts)]
-        ks = key_str(dxs, contacts)
-        if not ks:
-            chunks += [(mono_str(m) if m else "", c) for m, c in _ordered(s)]
-        elif len(s.terms) == 1:
-            ((m, c),) = s.terms.items()
-            chunks.append((f"{mono_str(m)}*{ks}" if m else ks, c))
-        else:
-            chunks.append((f"({scalar_str(s)})*{ks}", 1))
-    return signed_sum(chunks, str)
+def form_text(a: LocalForm) -> str:
+    """A local form in surface syntax."""
+    if a.is_zero():
+        return "0"
+    parts = []
+    for (dxs, contacts), coeff in sorted(a.terms.items()):
+        text = scalar_text(coeff)
+        if len(coeff.terms) != 1 or text.startswith("-"):
+            text = f"({text})"  # a sum or a negative coefficient, as a factor
+        factors = [f"dx[{j}]" for j in dxs]
+        factors += [f"del({gen_text(g)})" for g in contacts]
+        if text != "1" or not factors:
+            factors.insert(0, text)
+        parts.append(" ^ ".join(factors))
+    return " + ".join(parts)

@@ -14,7 +14,8 @@ import json
 from functools import cached_property
 from typing import Mapping, Optional, Sequence
 
-from . import foliation, forms, grading, kernel, model, symplectic, variational
+from . import (foliation, forms, grading, kernel, model, printing, symplectic,
+               variational)
 from .forms import LocalForm
 from .model import Model
 
@@ -36,17 +37,17 @@ def form_json(a: LocalForm) -> dict:
     """Canonical text plus a machine-readable sorted term list."""
     terms = []
     for (dxs, contacts), s in sorted(a.terms.items()):
-        scal = [{"monomial": model.mono_factors(mono), "coefficient": str(c)}
+        scal = [{"monomial": printing.mono_factors(mono), "coefficient": str(c)}
                 for mono, c in sorted(s.terms.items())]
         terms.append({"dx": list(dxs),
-                      "contacts": [model.gen_text(g) for g in contacts],
+                      "contacts": [printing.gen_text(g) for g in contacts],
                       "scalar": scal})
-    return {"text": model.form_text(a), "terms": terms}
+    return {"text": printing.form_text(a), "terms": terms}
 
 
 def field_json(X: forms.EvoField) -> dict:
     """Components of an evolutionary field, keyed by generator text."""
-    return {model.gen_text(g): model.scalar_text(v)
+    return {printing.gen_text(g): printing.scalar_text(v)
             for g, v in sorted(X.base_components().items())
             if not v.is_zero()}
 
@@ -114,7 +115,7 @@ def _stage_master(run: _Run) -> tuple[dict, bool]:
     if mc.ok:
         out["sigma"] = form_json(mc.sigma)
     else:
-        out["residual"] = {model.gen_text(g): model.scalar_text(v)
+        out["residual"] = {printing.gen_text(g): printing.scalar_text(v)
                            for g, v in sorted((mc.residual or {}).items())}
     return out, mc.ok
 

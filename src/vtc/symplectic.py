@@ -32,7 +32,7 @@ class NoHamiltonianFieldError(Exception):
     """The structure cannot be inverted along some field direction."""
 
     def __init__(self, direction: Gen, reason: str):
-        self.direction = printing.gen_str(direction)
+        self.direction = printing.gen_text(direction)
         super().__init__(
             f"no Hamiltonian field: {reason} along {self.direction}")
 

@@ -36,7 +36,7 @@ class NotDivergenceError(Exception):
 
     def __init__(self, residual: dict[Gen, GradedScalar]):
         self.residual = residual
-        names = ", ".join(sorted(printing.gen_str(g) for g in residual))
+        names = ", ".join(sorted(printing.gen_text(g) for g in residual))
         super().__init__(f"not a total divergence: nonzero variation along {names}")
 
 

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from vtc import forms as F
 from vtc import kernel as K
+from vtc import parser
 
 
 SP = K.Spectrum(4, [
@@ -220,6 +221,29 @@ def test_wedge_matches_the_chain_of_single_factors():
     forms = sample_forms(34, 30)
     for u, v in zip(forms, forms[1:] + forms[:1]):
         assert F.wedge(u, v) == by_single_factors(u, v)
+
+
+# -- the printed syntax is the model language ---------------------------------
+
+
+def test_repr_of_a_form_parses_back_to_it():
+    for w in sample_forms(36, 60):
+        assert parser.parse_expression(repr(w), SP) == w
+
+
+def test_str_of_a_scalar_parses_back_to_it():
+    rnd = random.Random(37)
+    for _ in range(60):
+        s = random_scalar(rnd)
+        assert parser.parse_expression(str(s), SP) == sf(s)
+
+
+def test_repr_of_a_field_names_its_components_in_the_model_language():
+    X = F.EvoField(SP, {G("C"): J("A", (0,)) * J("Cs"),
+                        G("A", (1,)): K.x(0) * J("C", (), (1,)) - J("As", (2,), (1, 3))},
+                   parity=K.ODD)
+    assert repr(X) == "EvoField[A[1]: x[0]*C,[1] - As[2],[1 3]; C: A[0]*Cs]"
+    assert repr(F.EvoField(SP, {}, parity=K.EVEN)) == "EvoField[0]"
 
 
 # -- property tests of the complex identities ---------------------------------

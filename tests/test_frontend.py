@@ -292,6 +292,26 @@ def test_cli_bracket_evaluates_expressions(capsys):
     assert capsys.readouterr().out.strip() == "(-1) ^ dx[0] ^ dx[1] ^ dx[2]"
 
 
+@pytest.mark.parametrize("option, expression, message", [
+    ("--a", "dx[0] + vol",
+     "'dx[0] + vol' is not a density (vertical degree 0, horizontal degree 4)"),
+    ("--a", "A[0]",
+     "'A[0]' is not a density (vertical degree 0, horizontal degree 4)"),
+    ("--b", "del(A[0]) ^ vol", "'del(A[0]) ^ vol' is not a density "
+     "(vertical degree 0, horizontal degree 4)"),
+    ("--b", "A[0] ^ vol + C ^ vol",
+     "'A[0] ^ vol + C ^ vol' has no definite parity"),
+], ids=["mixed-degree", "no-dx", "contact", "mixed-parity"])
+def test_cli_bracket_takes_densities_of_one_parity(capsys, option, expression,
+                                                  message):
+    args = {"--a": "C ^ vol", "--b": "C ^ vol", option: expression}
+    argv = ["bracket", "maxwell", "--a", args["--a"], "--b", args["--b"]]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"vtc: {option}: {message}\n"
+    assert captured.out == ""
+
+
 def test_cli_usage_errors_exit_2(capsys):
     assert cli.main(["descend", "no-such-model"]) == 2
     assert cli.main(["bracket", "chiral", "--a", "oops", "--b", "1"]) == 2

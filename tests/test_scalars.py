@@ -42,7 +42,7 @@ def test_monomials_canonicalize():
     a = J("A", (1,)) * J("C") * K.x(0)
     b = K.x(0) * J("C") * J("A", (1,))
     assert a == b
-    assert str(a) == "x0*A[1]*C"
+    assert str(a) == "x[0]*A[1]*C"
 
 
 def test_multi_index_sorted():
@@ -216,6 +216,11 @@ def test_substitute_is_homomorphism():
 def test_substitute_parity_checked():
     with pytest.raises(ValueError):
         J("C").substitute({G("C"): J("A", (0,))})
+
+
+def test_substitute_checks_only_the_values_it_uses():
+    table = {G("C"): J("A", (0,)), G("A", (1,)): K.x(0)}
+    assert J("A", (1,)).substitute(table) == K.x(0)
 
 
 # -- randomized structure checks --------------------------------------------
