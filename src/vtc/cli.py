@@ -1,9 +1,11 @@
 """Command-line pipeline driver.
 
 Models are addressed by file path or by built-in name.  Exit codes: 0 when
-every check passes, 1 on a mathematical violation or engine failure, 2 on
-usage or parse errors.  The environment variable VTC_JET_ORDER_CAP bounds
-the jet order of every symbolic operation.
+every check passes; 1 when a check fails or an engine error
+(``kernel.EngineError``) is raised, which prints ``vtc: <Type>: <message>``;
+2 on usage or parse errors (``UsageError``, ``parser.ParseError``).  The
+environment variable VTC_JET_ORDER_CAP bounds the jet order of every
+symbolic operation.
 """
 from __future__ import annotations
 
@@ -34,27 +36,18 @@ def _load_model(ref: str) -> Model:
     raise UsageError(f"no such file or built-in model: {ref!r}")
 
 
-def _run_and_print(m: Model, stages: Sequence[str], steps: int = 2) -> int:
-    rep = report.run_pipeline(m, stages, steps=steps)
-    sys.stdout.write(report.emit(rep, "text").decode())
+def _cmd_stages(args) -> int:
+    """Run the subcommand's stages and emit the report: 0 when every check
+    passes, 1 when one fails or a stage raises an engine error."""
+    rep = report.run_pipeline(_load_model(args.model), args.stages,
+                              steps=args.steps)
+    payload = report.emit(rep, args.format)
+    if args.out:
+        with open(args.out, "wb") as fh:
+            fh.write(payload)
+    else:
+        sys.stdout.write(payload.decode())
     return 0 if rep["ok"] else MATH_ERROR
-
-
-def _cmd_check_master(args) -> int:
-    return _run_and_print(_load_model(args.model), ("master",))
-
-
-def _cmd_descend(args) -> int:
-    return _run_and_print(_load_model(args.model), ("descend",),
-                          steps=args.steps)
-
-
-def _cmd_current(args) -> int:
-    return _run_and_print(_load_model(args.model), ("current",))
-
-
-def _cmd_homogenize(args) -> int:
-    return _run_and_print(_load_model(args.model), ("homogenize",))
 
 
 def _density(option: str, text: str, spectrum: kernel.Spectrum) -> LocalForm:
@@ -84,48 +77,36 @@ def _cmd_bracket(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    m = _load_model(args.model)
-    rep = report.run_pipeline(m, steps=args.steps)
-    payload = report.emit(rep, args.format)
-    if args.out:
-        with open(args.out, "wb") as fh:
-            fh.write(payload)
-    else:
-        sys.stdout.write(payload.decode())
-    return 0 if rep["ok"] else MATH_ERROR
-
-
 def build_argparser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="vtc",
         description="Variational calculus for local gauge systems.")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    def add(name, help, stages=None, steps=2, format="text",
+            func=_cmd_stages):
+        p = sub.add_parser(name, help=help)
         p.add_argument("model", help="model file or built-in name")
-        p.set_defaults(func=func)
+        p.set_defaults(func=func, stages=stages, steps=steps, format=format,
+                       out=None)
         return p
 
-    add("check-master", _cmd_check_master,
-        help="verify the classical master equation")
-    p = add("descend", _cmd_descend,
-            help="descend the presymplectic structure")
-    p.add_argument("--steps", type=int, default=1,
+    add("check-master", "verify the classical master equation", ("master",))
+    p = add("descend", "descend the presymplectic structure", ("descend",),
+            steps=1)
+    p.add_argument("--steps", type=int,
                    help="number of descent steps (default 1)")
-    add("current", _cmd_current, help="compute the conserved current")
-    p = add("bracket", _cmd_bracket, help="bracket of two densities")
+    add("current", "compute the conserved current", ("current",))
+    p = add("bracket", "bracket of two densities", func=_cmd_bracket)
     p.add_argument("--a", required=True, help="first expression")
     p.add_argument("--b", required=True, help="second expression")
     p.add_argument("--foliated", action="store_true",
                    help="evaluate on the leaves of the declared slicing")
-    add("homogenize", _cmd_homogenize,
-        help="homogenize the reduced structure")
-    p = add("report", _cmd_report, help="run the full pipeline")
-    p.add_argument("--format", choices=("json", "text"), default="json")
+    add("homogenize", "homogenize the reduced structure", ("homogenize",))
+    p = add("report", "run the full pipeline", format="json")
+    p.add_argument("--format", choices=("json", "text"))
     p.add_argument("--out", help="write the report to a file")
-    p.add_argument("--steps", type=int, default=2,
+    p.add_argument("--steps", type=int,
                    help="descent steps in the report (default 2)")
     return ap
 
@@ -143,7 +124,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except (parser.ParseError, UsageError, OSError) as e:
         sys.stderr.write(f"vtc: {e}\n")
         return USAGE_ERROR
-    except report._ENGINE_ERRORS as e:
+    except kernel.EngineError as e:
         sys.stderr.write(f"vtc: {type(e).__name__}: {e}\n")
         return MATH_ERROR
 

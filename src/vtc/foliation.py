@@ -18,7 +18,7 @@ from .forms import LocalForm
 from .kernel import Gen, GradedScalar, Spectrum
 
 
-class FoliationError(Exception):
+class FoliationError(kernel.EngineError):
     pass
 
 

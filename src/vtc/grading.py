@@ -37,11 +37,11 @@ KIND_MOMENTUM = "momentum"
 KIND_POLYVECTOR = "polyvector"
 
 
-class TruncationError(Exception):
+class TruncationError(kernel.EngineError):
     """An exponential series failed to stabilize within its order bound."""
 
 
-class NoHomogenizerError(Exception):
+class NoHomogenizerError(kernel.EngineError):
     """The bounded homogenizer search came up empty.
 
     This reports failure of the search within the configured jet-order and
@@ -49,7 +49,7 @@ class NoHomogenizerError(Exception):
     """
 
 
-class ArityError(Exception):
+class ArityError(kernel.EngineError):
     """Multibracket arguments do not match the generator's degree."""
 
 

@@ -29,7 +29,13 @@ _ROLES = (ROLE_FIELD, ROLE_ANTIFIELD, ROLE_SOURCE)
 GRADING_ROLES = {"momentum": ROLE_SOURCE, "polyvector": ROLE_ANTIFIELD}
 
 
-class JetOrderCapExceeded(Exception):
+class EngineError(Exception):
+    """Root of the engine's typed failures.  A report records one under the
+    stage that raised it; ``vtc`` exits 1 and prints ``vtc: <Type>: <message>``.
+    Parse and usage errors (exit 2) are not engine errors."""
+
+
+class JetOrderCapExceeded(EngineError):
     """Raised when an operation would need jet variables beyond the cap."""
 
 

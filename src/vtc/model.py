@@ -14,14 +14,14 @@ from dataclasses import dataclass, field as dc_field
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
-from . import forms, symplectic
+from . import forms, kernel, symplectic
 from .foliation import FoliationContext
 from .forms import LocalForm
 from .kernel import FieldSpec, Spectrum
 from .printing import form_text, gen_text, index_text, scalar_text
 
 
-class ModelError(Exception):
+class ModelError(kernel.EngineError):
     """A model fails a structural sanity check."""
 
 

@@ -23,11 +23,12 @@ densities with their master, and an optional foliation block::
 
 Expressions use ``+ - * ^`` with ``*`` and ``^`` both denoting the graded
 product, ``dx[j]``, ``x[j]``, ``vol``, ``del(...)``, ``d(...)``,
-``ib(j, ...)`` for contraction with the j-th coordinate field, rational
-literals like ``3/4``, parameters by name, and jet variables written
-``A[0],[1 2]`` (component labels, then derivative indices).  Those atom
-names are reserved; ``#`` starts a comment.  The canonical rendering
-produced by ``model.print_model`` parses back to an equal model.
+``ib(j, ...)`` for contraction of a horizontal form with the j-th
+coordinate field, rational literals like ``3/4``, parameters by name, and
+jet variables written ``A[0],[1 2]`` (component labels, then derivative
+indices).  Those atom names are reserved; ``#`` starts a comment.  The
+canonical rendering produced by ``model.print_model`` parses back to an
+equal model.
 """
 from __future__ import annotations
 
@@ -241,7 +242,10 @@ class _Parser:
             if not 0 <= j < dim:
                 self.fail(f"direction {j} out of range for dimension {dim}", t)
             self.expect("op", ",")
+            arg = self.peek()
             a = self.expression(spectrum)
+            if not a.is_zero() and a.vdeg() != 0:
+                self.fail("ib(j, ...) takes a horizontal form", arg)
             self.expect("op", ")")
             return forms.interior_coordinate(a, j)
         if word in spectrum.parameters:

@@ -3,8 +3,9 @@
 ``run_pipeline`` drives a model through the standard stages in order:
 master check, descent of the presymplectic structure, conserved current,
 reduction to the leaves, phase-space bracket verdicts, and homogenization
-of the reduced structure.  Stage selection is honored; the first stage
-error aborts the run and is recorded under the stage that raised it.
+of the reduced structure.  Stage selection is honored; the first engine
+error (``kernel.EngineError``) aborts the run and is recorded under the
+stage that raised it.
 Every expression enters the report both as canonical text and as a sorted
 term list, so identical inputs yield byte-identical serializations.
 """
@@ -18,19 +19,6 @@ from . import (foliation, forms, grading, kernel, model, printing, symplectic,
                variational)
 from .forms import LocalForm
 from .model import Model
-
-STAGES = ("master", "descend", "current", "reduce", "brackets", "homogenize")
-
-_ENGINE_ERRORS = (
-    kernel.JetOrderCapExceeded, model.ModelError,
-    symplectic.SpectrumError, symplectic.NoHamiltonianFieldError,
-    symplectic.GradingError, symplectic.DescentError,
-    symplectic.StructureError,
-    variational.DegreeError, variational.NotDivergenceError,
-    variational.ObstructionError, variational.NoPrimitiveError,
-    foliation.FoliationError, grading.TruncationError,
-    grading.NoHomogenizerError, grading.ArityError,
-)
 
 
 def form_json(a: LocalForm) -> dict:
@@ -215,6 +203,8 @@ _STAGE_FUNCS = {
     "homogenize": _stage_homogenize,
 }
 
+STAGES = tuple(_STAGE_FUNCS)
+
 
 def default_stages(run: _Run) -> tuple[str, ...]:
     """The stages that apply to a run's model.
@@ -231,7 +221,7 @@ def default_stages(run: _Run) -> tuple[str, ...]:
     try:
         parts = grading.degree_split(run.reduced_structure.omega,
                                      grading.KIND_MOMENTUM)
-    except _ENGINE_ERRORS:
+    except kernel.EngineError:
         return tuple(stages)
     if len(parts) > 1 and parts[0][0] >= 1:
         stages.append("homogenize")
@@ -253,7 +243,7 @@ def run_pipeline(m: Model, stages: Optional[Sequence[str]] = None,
     for name in selected:
         try:
             section, ok = _STAGE_FUNCS[name](run)
-        except _ENGINE_ERRORS as e:
+        except kernel.EngineError as e:
             report["stages"][name] = {"error": f"{type(e).__name__}: {e}"}
             report["ok"] = False
             break

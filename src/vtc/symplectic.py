@@ -24,11 +24,11 @@ KIND_ODD_BV = "odd-BV"
 KIND_ODD_PHASE = "odd-phase"
 
 
-class SpectrumError(Exception):
+class SpectrumError(kernel.EngineError):
     """Field spectrum does not match the requested canonical structure."""
 
 
-class NoHamiltonianFieldError(Exception):
+class NoHamiltonianFieldError(kernel.EngineError):
     """The structure cannot be inverted along some field direction."""
 
     def __init__(self, direction: Gen, reason: str):
@@ -37,15 +37,15 @@ class NoHamiltonianFieldError(Exception):
             f"no Hamiltonian field: {reason} along {self.direction}")
 
 
-class GradingError(Exception):
+class GradingError(kernel.EngineError):
     pass
 
 
-class DescentError(Exception):
+class DescentError(kernel.EngineError):
     pass
 
 
-class StructureError(ValueError):
+class StructureError(kernel.EngineError, ValueError):
     """A presymplectic structure is malformed, or cannot serve a form."""
 
 

@@ -27,11 +27,11 @@ from .forms import LocalForm
 from .kernel import Gen, GradedScalar
 
 
-class DegreeError(Exception):
+class DegreeError(kernel.EngineError):
     """Input form has the wrong (or inhomogeneous) bidegree."""
 
 
-class NotDivergenceError(Exception):
+class NotDivergenceError(kernel.EngineError):
     """A (0,n)-form with nonvanishing Euler-Lagrange derivatives."""
 
     def __init__(self, residual: dict[Gen, GradedScalar]):
@@ -40,11 +40,11 @@ class NotDivergenceError(Exception):
         super().__init__(f"not a total divergence: nonzero variation along {names}")
 
 
-class ObstructionError(Exception):
+class ObstructionError(kernel.EngineError):
     """A candidate divergence with a field-independent part."""
 
 
-class NoPrimitiveError(Exception):
+class NoPrimitiveError(kernel.EngineError):
     """Bounded inversion of d found no primitive."""
 
 
@@ -241,15 +241,15 @@ def block_key(key: MonoKey) -> tuple:
     dxs, contacts, mono = key
     counts: dict = {}
     for g in contacts:
-        k = (g[1], g[3])
+        k = kernel.jet_base(g)
         counts[k] = counts.get(k, 0) + 1
     for g, e in mono:
         if kernel.is_jet(g):
-            k = (g[1], g[3])
+            k = kernel.jet_base(g)
             counts[k] = counts.get(k, 0) + e
         elif g[0] in (0, 3):
             counts[g] = counts.get(g, 0) + e
-    return tuple(sorted(counts.items(), key=repr))
+    return tuple(sorted(counts.items()))
 
 
 def max_x_degree(keys: Iterable[MonoKey]) -> int:
@@ -317,7 +317,7 @@ def _solve_d(rho: LocalForm) -> LocalForm:
     for key, c in form_mono_items(rho):
         blocks.setdefault(block_key(key), {})[key] = c
     sigma = LocalForm.zero(dim)
-    for label in sorted(blocks, key=repr):
+    for label in sorted(blocks):
         rhs = blocks[label]
         x_base = max_x_degree(rhs)
         solution = _solve_d_block(dim, rhs, x_base)

@@ -6,11 +6,14 @@ first descendant matches the radiative structure written out longhand.
 """
 
 import hashlib
+import importlib
 import json
+import pkgutil
 from fractions import Fraction as Fr
 
 import pytest
 
+import vtc
 from vtc import (builtin_models, cli, forms, kernel, model, parser, report,
                  symplectic)
 from vtc.forms import LocalForm
@@ -382,10 +385,15 @@ def _chiral_with(old, new):
     (None, "1/0 ^ vol", "line 1, column 1: zero denominator in '1/0'"),
     (_chiral_with("  map etab -> etab\n", "  map etab -> etab\n  map D -> C\n"),
      None, "line 18, column 7: unknown field 'D'"),
+    (_chiral_with("density O = ", "density O = ib(1, del(phi[0])) + "), None,
+     "line 11, column 19: ib(j, ...) takes a horizontal form"),
+    (None, "ib(1, del(phi[0]))",
+     "line 1, column 7: ib(j, ...) takes a horizontal form"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
-        "map-of-undeclared-field"])
+        "map-of-undeclared-field", "ib-of-a-contact-in-file",
+        "ib-of-a-contact-in-expression"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:
@@ -415,6 +423,47 @@ def test_base_slot_past_the_metric_is_a_stage_error(tmp_path, capsys):
     captured = capsys.readouterr()
     assert f"error: {message}" in captured.out
     assert captured.err == ""
+
+
+def test_every_vtc_exception_but_parse_and_usage_errors_is_an_engine_error():
+    outside = {parser.ParseError, cli.UsageError, kernel.DeclarationError}
+    found = set()
+    for info in pkgutil.iter_modules(vtc.__path__):
+        mod = importlib.import_module(f"vtc.{info.name}")
+        found |= {obj for obj in vars(mod).values()
+                  if isinstance(obj, type) and issubclass(obj, BaseException)
+                  and obj.__module__ == mod.__name__}
+    assert outside | {kernel.EngineError, model.ModelError} <= found
+    for cls in found - outside:
+        assert issubclass(cls, kernel.EngineError), cls
+    for cls in outside:
+        assert not issubclass(cls, kernel.EngineError), cls
+
+
+def _raise_fresh(*args):
+    class FreshError(kernel.EngineError):
+        """An engine error no module of vtc knows by name."""
+
+    raise FreshError("it broke")
+
+
+def test_a_stage_records_any_engine_error(monkeypatch):
+    monkeypatch.setitem(report._STAGE_FUNCS, "descend", _raise_fresh)
+    rep = report.run_pipeline(builtin_models.builtin("chiral"),
+                              ("master", "descend", "current"))
+    assert rep["ok"] is False
+    assert rep["stages"]["master"]["ok"] is True
+    assert rep["stages"]["descend"] == {"error": "FreshError: it broke"}
+    assert "current" not in rep["stages"]
+
+
+def test_cli_exits_1_on_any_engine_error(monkeypatch, capsys):
+    monkeypatch.setattr(symplectic, "bracket", _raise_fresh)
+    assert cli.main(["bracket", "maxwell", "--a", "C ^ vol",
+                     "--b", "C ^ vol"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "vtc: FreshError: it broke\n"
+    assert captured.out == ""
 
 
 def test_cli_math_violations_exit_1(tmp_path, capsys):

@@ -41,7 +41,7 @@ VOCABULARY = (
 EXPRESSIONS = {
     "maxwell": ("C ^ vol", "As[0] ^ vol", "A[1],[0] * As[1] ^ vol"),
     "chiral": ("etab[0] ^ d(phi[0] ^ (dx[0] + dx[1]))",
-               "k*etab[1] ^ phib[2] ^ (dx[0] - dx[1])", "etab[2] ^ vol"),
+               "k*etab[1]*phib[2] ^ vol", "etab[2] ^ vol"),
 }
 
 
