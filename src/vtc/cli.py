@@ -39,6 +39,8 @@ def _load_model(ref: str) -> Model:
 def _cmd_stages(args) -> int:
     """Run the subcommand's stages and emit the report: 0 when every check
     passes, 1 when one fails or a stage raises an engine error."""
+    if args.steps < 0:
+        raise UsageError(f"--steps must be 0 or more, got {args.steps}")
     rep = report.run_pipeline(_load_model(args.model), args.stages,
                               steps=args.steps)
     payload = report.emit(rep, args.format)

@@ -438,7 +438,10 @@ class EvoField:
 
     ``components`` maps underived jet generators to their component scalars;
     missing entries are zero.  Parity and ghost number are inferred from the
-    nonzero components and checked for consistency.
+    nonzero components and checked for consistency.  Two fields are equal
+    when their spectrum, parity, ghost number and nonzero components are;
+    the display ``name`` and the prolonged components computed so far do
+    not count.
     """
 
     def __init__(self, spectrum: Spectrum,
@@ -511,6 +514,18 @@ class EvoField:
 
     def is_zero(self) -> bool:
         return all(not v for v in self._components.values())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, EvoField):
+            return NotImplemented
+        return (self.spectrum == other.spectrum and self.parity == other.parity
+                and self.ghost == other.ghost
+                and self._components == other._components)
+
+    def __hash__(self) -> int:
+        return hash((self.spectrum, self.parity, self.ghost,
+                     tuple(sorted((g, hash(v))
+                                  for g, v in self._components.items()))))
 
     def __repr__(self) -> str:
         bits = [f"{printing.gen_text(g)}: {printing.scalar_text(v)}"

@@ -9,17 +9,29 @@ turns a degree-n generator into an n-ary bracket on degree-0 densities.
 
 Each stage of the homogenizer search solves one linear system: its columns
 are candidate fields X_i = m_i * d/d(phi_i), its rows the form monomials of
-their Lie images L_{X_i}(leading) and of the residual.  Only the candidates
-that can be linked to the residual are imaged.  A row's block label
-(``variational.block_key``) counts its factors per field component, and
-the labels an image can reach are known before it is computed: contract
-trades one phi_i contact for a total derivative of m_i, and neither total
-derivatives nor delta change the counts.  Closing the residual's labels
-under these predictions picks whole connected components of the system;
-the rest is homogeneous, so its coefficients in the reduced row-echelon
-solution are 0 and it cannot make the system inconsistent.  The retry
-modulo d, taken only when the first solve is inconsistent, runs on the
-full row set, as its bounds depend on every row.
+their Lie images L_{X_i}(leading) and of the residual.  A row's block label
+(``variational.block_key``) counts its factors per field component and
+parameter.  It is additive, and the labels an image can reach are known
+before it is computed: contract trades one phi_i contact for a total
+derivative of m_i, and neither total derivatives nor delta change the
+counts, so every row of L_{X_i}(leading) is labelled rho + label(m_i), rho
+the label of a row of L or delta L with one phi_i contact taken out.
+
+The search runs this backwards, as Goktas and Hereman build conserved
+densities from the scaling weights that can occur (J. Symbolic Comput. 24,
+1997): for each label t the residual reaches, it fills the labels t - rho
+with the ansatz pool's jet variables and parameters, and takes in every
+label the new candidates reach, until nothing new appears.  Only the
+candidates that can be linked to the residual are built.  They make whole
+connected components of the system over the full basis; the rest is
+homogeneous, so its coefficients in the reduced row-echelon solution are 0
+and it cannot make the system inconsistent.  That solution pins free
+columns to 0, so it depends on the column order, and the candidates keep
+the order of the full basis: by direction, then by the first monomial of
+their (parity, ghost, source, antifield) bucket in combination order, then
+by number of factors and the factors themselves.  The retry modulo d, taken
+only when the first solve is inconsistent, enumerates the whole pool and
+runs on the full row set, as its bounds depend on every row.
 """
 
 from __future__ import annotations
@@ -27,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 from . import forms, kernel, linsolve, symplectic, variational
 from .forms import EvoField, LocalForm
@@ -173,61 +185,8 @@ def pullback(h: HomotopyDiffeo, a: LocalForm) -> LocalForm:
 # Homogenizer search
 # ---------------------------------------------------------------------------
 
-
-def _ansatz_pool(spectrum: Spectrum, jet_order: int) -> list[Gen]:
-    pool: list[Gen] = [kernel.param_gen(p) for p in spectrum.parameters]
-    for f in spectrum.fields:
-        for comp in f.components():
-            for r in range(jet_order + 1):
-                for mi in itertools.combinations_with_replacement(
-                        range(spectrum.dim), r):
-                    pool.append(kernel.jet_gen(spectrum, f.name, comp, mi))
-    return sorted(pool)
-
-
-def _candidate_monomials(pool: Sequence[Gen], poly_degree: int,
-                         ) -> dict[tuple[int, int, int, int], list[kernel.Monomial]]:
-    """Monomials over the pool bucketed by parity, ghost and counted degrees."""
-    info = [(g, kernel.gen_parity(g), kernel.gen_ghost(g)) for g in pool]
-    buckets: dict[tuple[int, int, int, int], list[kernel.Monomial]] = {}
-    for r in range(1, poly_degree + 1):
-        for combo in itertools.combinations_with_replacement(info, r):
-            mono: list[tuple[Gen, int]] = []
-            ok = True
-            for g, p, _ in combo:
-                if mono and mono[-1][0] == g:
-                    if p:
-                        ok = False
-                        break
-                    mono[-1] = (g, mono[-1][1] + 1)
-                else:
-                    mono.append((g, 1))
-            if not ok:
-                continue
-            par = sum(p for _, p, _ in combo) % 2
-            gh = sum(h for _, _, h in combo)
-            srcdeg = kernel.mono_degree(tuple(mono), kernel.ROLE_SOURCE)
-            afdeg = kernel.mono_degree(tuple(mono), kernel.ROLE_ANTIFIELD)
-            buckets.setdefault((par, gh, srcdeg, afdeg), []).append(tuple(mono))
-    return buckets
-
-
-def _stage_basis(spectrum: Spectrum, kind: str, raise_by: int,
-                 buckets: dict) -> list[tuple[Gen, kernel.Monomial]]:
-    role = kernel.GRADING_ROLES[kind]
-    basis: list[tuple[Gen, kernel.Monomial]] = []
-    for f in spectrum.fields:
-        own = 1 if f.role == role else 0
-        for comp in f.components():
-            direction = kernel.jet_gen(spectrum, f.name, comp, ())
-            for (par, gh, srcdeg, afdeg), monos in buckets.items():
-                if par != f.parity or gh != f.ghost:
-                    continue
-                counted = srcdeg if kind == KIND_MOMENTUM else afdeg
-                if counted != raise_by + own:
-                    continue
-                basis.extend((direction, m) for m in monos)
-    return basis
+Label = tuple  # a block label, as ``variational.block_key`` builds it
+Candidate = tuple[Gen, kernel.Monomial]  # m * d/d(direction)
 
 
 def _basis_field(spectrum: Spectrum, direction: Gen,
@@ -236,85 +195,283 @@ def _basis_field(spectrum: Spectrum, direction: Gen,
                     parity=kernel.EVEN, ghost=0)
 
 
-def _predicted_labels(leading: LocalForm,
-                      basis: Sequence[tuple[Gen, kernel.Monomial]],
-                      ) -> list[frozenset]:
-    """For each candidate m * d/d(phi), the block labels its image can reach.
+def _mono_label(mono: kernel.Monomial) -> Label:
+    return variational.block_key(((), (), mono))
+
+
+def _label_add(a: Label, b: Label) -> Label:
+    counts = dict(a)
+    for part, n in b:
+        counts[part] = counts.get(part, 0) + n
+    return tuple(sorted(counts.items()))
+
+
+def _label_sub(a: Label, b: Label) -> Optional[Label]:
+    """a - b, or None when b does not fit in a."""
+    counts = dict(a)
+    for part, n in b:
+        left = counts.get(part, 0) - n
+        if left < 0:
+            return None
+        if left:
+            counts[part] = left
+        else:
+            del counts[part]
+    return tuple(counts.items())
+
+
+def _reduced_labels(leading: LocalForm) -> dict[Gen, set[Label]]:
+    """The labels of the rows of L and delta L with one contact taken out,
+    by the contact's underived generator.
 
     lie(X, L) = contract(X, delta L) +- delta(contract(X, L)), and contract
     trades one contact with base phi for a total derivative of m, which
-    keeps m's label, as delta does.  So each image row is labelled
-    label(r) - (one phi factor) + label(m) for some row r of L or delta L
-    holding a contact with base phi.
+    keeps m's label, as delta does.  So every image row of m * d/d(phi) is
+    labelled rho + label(m) for some rho in the set of phi.
     """
-    # rows of L and delta L with one contact taken out, by the contact's base
-    # and then by label
-    reduced: dict[Gen, dict[tuple, variational.MonoKey]] = {}
+    reduced: dict[Gen, set[Label]] = {}
     for form in (leading, forms.delta(leading)):
         for (dxs, contacts, mono), _ in variational.form_mono_items(form):
             for idx, g in enumerate(contacts):
                 rest = (dxs, contacts[:idx] + contacts[idx + 1:], mono)
-                reduced.setdefault(kernel.jet_base(g), {}).setdefault(
-                    variational.block_key(rest), rest)
-    return [frozenset(variational.block_key((dxs, contacts, rest_mono + mono))
-                      for dxs, contacts, rest_mono
-                      in reduced.get(direction, {}).values())
-            for direction, mono in basis]
+                reduced.setdefault(kernel.jet_base(g), set()).add(
+                    variational.block_key(rest))
+    return reduced
+
+
+class _Listed:
+    """An explicit candidate list as a source of candidates; the ids are
+    the list's indices."""
+
+    def __init__(self, basis: Sequence[Candidate]):
+        self.basis = basis
+        self._by_label: dict[tuple[Gen, Label], list[int]] = {}
+        for i, (direction, mono) in enumerate(basis):
+            self._by_label.setdefault(
+                (direction, _mono_label(mono)), []).append(i)
+
+    def fill(self, direction: Gen, label: Label) -> Sequence[int]:
+        return self._by_label.get((direction, label), ())
+
+    def every(self) -> Sequence[int]:
+        return range(len(self.basis))
+
+    def candidate(self, i: int) -> Candidate:
+        return self.basis[i]
+
+
+class _Pool:
+    """The ansatz pool of one stage as a source of candidates.
+
+    A candidate m * d/d(phi) has m a product of 1 to ``poly_degree``
+    factors: jet variables of order <= ``jet_order`` of the spectrum's field
+    components (no odd one repeated) and parameters.  m has the parity and
+    ghost number of phi, and its counted degree exceeds phi's own by
+    ``raise_by``.  All of these depend on label(m) alone, so the pool is
+    filled label by label and never enumerated for the first solve.
+
+    The ids are order keys that sort like the full basis of combination
+    order: (direction, least member of the candidate's (parity, ghost,
+    source, antifield) bucket, number of factors, factors expanded by
+    exponent).  Combination order walks monomials by number of factors,
+    then by factors, and meets each bucket first at its least member.
+    """
+
+    def __init__(self, spectrum: Spectrum, kind: str, raise_by: int,
+                 jet_order: int, poly_degree: int):
+        self.role = kernel.GRADING_ROLES[kind]
+        self.raise_by = raise_by
+        self.poly_degree = poly_degree
+        # the pool's generators by label part: a parameter, or the underived
+        # generator of a field component
+        self.variants: dict[Gen, list[Gen]] = {
+            kernel.param_gen(p): [kernel.param_gen(p)]
+            for p in spectrum.parameters}
+        for f in spectrum.fields:
+            for comp in f.components():
+                self.variants[kernel.jet_gen(spectrum, f.name, comp, ())] = [
+                    kernel.jet_gen(spectrum, f.name, comp, mi)
+                    for r in range(jet_order + 1)
+                    for mi in itertools.combinations_with_replacement(
+                        range(spectrum.dim), r)]
+        self.directions = [g for g in self.variants if kernel.is_jet(g)]
+        self.pool = sorted(itertools.chain.from_iterable(self.variants.values()))
+        # tails[i]: the degrees of every monomial over pool[i:]
+        self.tails = [{(0, 0, 0, 0, 0)}]
+        for g in reversed(self.pool):
+            step = _degrees(((g, 1),))
+            grown = set(self.tails[-1])
+            new = grown
+            while new:
+                new = {_add_degrees(v, step) for v in new if v[0] < poly_degree}
+                grown |= new
+                if kernel.gen_parity(g):
+                    break
+            self.tails.append(grown)
+        self.tails.reverse()
+        self._found: dict[tuple, Candidate] = {}
+        self._least: dict[tuple, tuple] = {}
+
+    def fill(self, direction: Gen, label: Label) -> list[tuple]:
+        """The ids of the candidates in ``direction`` with m of ``label``."""
+        if (direction not in self.directions
+                or any(part not in self.variants for part, _ in label)):
+            return []
+        degrees = _degrees(label)
+        if not 1 <= degrees[0] <= self.poly_degree or not self._fits(
+                direction, degrees):
+            return []
+        choices = [(itertools.combinations if kernel.gen_parity(part)
+                    else itertools.combinations_with_replacement)(
+                        self.variants[part], n) for part, n in label]
+        ids = []
+        for combo in itertools.product(*choices):
+            factors = sorted(itertools.chain.from_iterable(combo))
+            mono = tuple((g, len(list(run)))
+                         for g, run in itertools.groupby(factors))
+            key = self.key(direction, mono)
+            self._found[key] = (direction, mono)
+            ids.append(key)
+        return ids
+
+    def every(self) -> list[tuple]:
+        """Every candidate's id, in order: the pool filled at every label."""
+        parts = sorted(self.variants)
+        ids = []
+        for direction in self.directions:
+            for size in range(1, self.poly_degree + 1):
+                for combo in itertools.combinations_with_replacement(parts, size):
+                    label = tuple((part, len(list(run)))
+                                  for part, run in itertools.groupby(combo))
+                    ids.extend(self.fill(direction, label))
+        return sorted(ids)
+
+    def candidate(self, key: tuple) -> Candidate:
+        return self._found[key]
+
+    def key(self, direction: Gen, mono: kernel.Monomial) -> tuple:
+        """The order key of a candidate of the pool, listed or not."""
+        factors = tuple(g for g, e in mono for _ in range(e))
+        least = self._least_member(_degrees(_mono_label(mono))[1:])
+        return (direction, least, len(factors), factors)
+
+    def __bool__(self) -> bool:
+        """Whether the pool holds a candidate at all."""
+        return any(degrees[0] and self._fits(direction, degrees)
+                   for degrees in self.tails[0]
+                   for direction in self.directions)
+
+    def _fits(self, direction: Gen, degrees: tuple) -> bool:
+        _, par, gh, src, af = degrees
+        counted = src if self.role == kernel.ROLE_SOURCE else af
+        own = 1 if kernel.gen_role(direction) == self.role else 0
+        return (par == kernel.gen_parity(direction)
+                and gh == kernel.gen_ghost(direction)
+                and counted == self.raise_by + own)
+
+    def _least_member(self, bucket: tuple) -> tuple:
+        """(size, factors) of the bucket's first monomial in combination
+        order, picked factor by factor: each is the least generator after
+        which the rest of the bucket can still be made."""
+        least = self._least.get(bucket)
+        if least is not None:
+            return least
+        size = next(n for n in range(1, self.poly_degree + 1)
+                    if (n,) + bucket in self.tails[0])
+        need = (size,) + bucket
+        factors: list[Gen] = []
+        start = 0
+        while need[0]:
+            for i in range(start, len(self.pool)):
+                g = self.pool[i]
+                rest = _add_degrees(need, _degrees(((g, 1),)), -1)
+                after = i + 1 if kernel.gen_parity(g) else i
+                if rest in self.tails[after]:
+                    factors.append(g)
+                    need, start = rest, after
+                    break
+        least = self._least[bucket] = (size, tuple(factors))
+        return least
+
+
+def _degrees(label: Label) -> tuple[int, int, int, int, int]:
+    """(size, parity, ghost, source, antifield) degrees of the monomials of
+    a label, which reads as a monomial in underived generators."""
+    return (sum(n for _, n in label), kernel.mono_parity(label),
+            kernel.mono_ghost(label),
+            kernel.mono_degree(label, kernel.ROLE_SOURCE),
+            kernel.mono_degree(label, kernel.ROLE_ANTIFIELD))
+
+
+def _add_degrees(a: tuple, b: tuple, sign: int = 1) -> tuple:
+    return (a[0] + sign * b[0], (a[1] + b[1]) % 2, a[2] + sign * b[2],
+            a[3] + sign * b[3], a[4] + sign * b[4])
 
 
 def _candidates_in_reach(leading: LocalForm, residual: LocalForm,
-                         basis: Sequence[tuple[Gen, kernel.Monomial]],
-                         ) -> list[int]:
-    """Indices of the candidates whose images can be linked to the residual.
+                         source) -> list:
+    """Ids of the candidates whose images can be linked to the residual,
+    in order.
 
-    Starting from the residual's labels, take in every candidate whose
-    predicted labels meet them, together with all its labels, until nothing
-    changes.
+    Starting from the residual's labels t, ask the source for the candidates
+    m * d/d(phi) with label(m) = t - rho, rho a reduced label of phi
+    (``_reduced_labels``).  Each one found brings in all its labels
+    rho' + label(m), until nothing new appears.
     """
-    groups: dict[frozenset, list[int]] = {}
-    for i, labels in enumerate(_predicted_labels(leading, basis)):
-        if labels:
-            groups.setdefault(labels, []).append(i)
+    reduced = _reduced_labels(leading)
     reach = {variational.block_key(key)
              for key, _ in variational.form_mono_items(residual)}
-    kept: list[int] = []
-    grown = True
-    while grown:
-        grown = False
-        for labels in list(groups):
-            if not reach.isdisjoint(labels):
-                kept.extend(groups.pop(labels))
-                reach |= labels
-                grown = True
+    todo = list(reach)
+    asked: set[tuple[Gen, Label]] = set()
+    kept = []
+    while todo:
+        target = todo.pop()
+        for direction, rhos in reduced.items():
+            for rho in rhos:
+                label = _label_sub(target, rho)
+                if label is None or (direction, label) in asked:
+                    continue
+                asked.add((direction, label))
+                found = source.fill(direction, label)
+                if not found:
+                    continue
+                kept.extend(found)
+                for other in rhos:
+                    t = _label_add(other, label)
+                    if t not in reach:
+                        reach.add(t)
+                        todo.append(t)
     return sorted(kept)
 
 
 def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
-                 basis: Sequence[tuple[Gen, kernel.Monomial]],
-                 ) -> Optional[dict[int, Fraction]]:
+                 basis: Union[Sequence[Candidate], _Pool]) -> Optional[dict]:
     """Coefficients c with sum_i c_i L_{X_i}(leading) + residual = 0 mod d.
 
-    Only the candidates in reach of the residual (``_candidates_in_reach``)
-    pay for a Lie image.  Their rows, with the residual's, are whole
-    connected components of the system over all candidates: every other
-    candidate's image lies in labels outside the closure.  What is left out
-    is a homogeneous system, on which the reduced row-echelon solution of
-    ``solve_linear`` (free columns 0) is 0, and a homogeneous system is
-    always consistent.  So the solution and the verdict of the first solve
-    are those of the full system.  The retry modulo d needs all rows,
-    because its coordinate-degree bound and its saturation depend on them,
-    so it first adds the images left out.
+    ``basis`` is an explicit candidate list, whose ids are its indices, or
+    a ``_Pool``.  Only the candidates in reach of the residual
+    (``_candidates_in_reach``) pay for a Lie image.  Their rows, with the
+    residual's, are whole connected components of the system over all
+    candidates: every other candidate's image lies in labels outside the
+    closure.  What is left out is a homogeneous system, on which the
+    reduced row-echelon solution of ``solve_linear`` (free columns 0) is 0,
+    and a homogeneous system is always consistent.  The ids sort in basis
+    order, so the columns do too, and the solution and the verdict of the
+    first solve are those of the full system.  The retry modulo d needs
+    all rows, because its coordinate-degree bound and its saturation depend
+    on them, so it first adds the images of every other candidate.
     """
+    source = _Listed(basis) if isinstance(basis, Sequence) else basis
     rows: dict[tuple, dict] = {}
 
-    def add_images(indices: Sequence[int]) -> None:
-        for i in indices:
-            direction, mono = basis[i]
+    def add_images(ids) -> None:
+        for i in ids:
+            direction, mono = source.candidate(i)
             image = forms.lie(_basis_field(spectrum, direction, mono), leading)
             for key, c in variational.form_mono_items(image):
                 rows.setdefault(key, {})[("c", i)] = c
 
-    kept = _candidates_in_reach(leading, residual, basis)
+    kept = _candidates_in_reach(leading, residual, source)
     add_images(kept)
     rhs: dict[tuple, Fraction] = {}
     for key, c in variational.form_mono_items(residual):
@@ -330,7 +487,7 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
         # Retry modulo exact horizontal differentials: saturate the row set
         # with d-images of candidate primitives of the rows already present.
         kept_set = set(kept)
-        add_images([i for i in range(len(basis)) if i not in kept_set])
+        add_images([i for i in source.every() if i not in kept_set])
         x_cap = variational.max_x_degree(rows) + 1
         d_cands = variational.saturate_d(spectrum.dim, rows, x_cap)
         for cand, image in d_cands.items():
@@ -353,7 +510,10 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
     fields (components polynomial in jet variables up to ``jet_order``
     derivatives and ``poly_degree`` factors, parameters included), with the
     coefficients determined by a linear solve modulo exact horizontal
-    differentials.  The returned flow carries a certificate recording the
+    differentials.  Each stage builds only the candidates whose images can
+    be linked to its residual, label by label (see the module notes), in
+    the order of the full basis, so the answer is the one over every
+    candidate.  The returned flow carries a certificate recording the
     verified identity; failure to find a generator within the bounds raises
     NoHomogenizerError, which does not assert that none exists.
     """
@@ -366,7 +526,6 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
     if leading.is_zero():
         raise NoHomogenizerError("leading degree component vanishes")
     X_total = EvoField(spectrum, {}, parity=kernel.EVEN, ghost=0)
-    buckets = None
     for _stage in range(truncation_order):
         h = HomotopyDiffeo(X_total, truncation_order)
         current = pullback(h, omega1)
@@ -378,19 +537,16 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
                     "flow stabilized on an inequivalent leading part")
             return HomotopyDiffeo(X_total, truncation_order, cert)
         gap, residual = tail[0]
-        if buckets is None:
-            buckets = _candidate_monomials(
-                _ansatz_pool(spectrum, jet_order), poly_degree)
-        basis = _stage_basis(spectrum, kind, gap - k0, buckets)
-        sol = _stage_solve(spectrum, leading, residual, basis) if basis else None
+        pool = _Pool(spectrum, kind, gap - k0, jet_order, poly_degree)
+        sol = _stage_solve(spectrum, leading, residual, pool) if pool else None
         if sol is None:
             raise NoHomogenizerError(
                 f"no generator of degree {gap - k0} within jet order "
                 f"{jet_order} and polynomial degree {poly_degree} removes "
                 f"the degree-{gap} component")
         comps: dict[Gen, GradedScalar] = {}
-        for i, c in sorted(sol.items()):
-            direction, mono = basis[i]
+        for key, c in sorted(sol.items()):
+            direction, mono = pool.candidate(key)
             comps.setdefault(direction, kernel.ZERO)
             comps[direction] = comps[direction] + GradedScalar({mono: c})
         X_total = forms.add_fields(

@@ -76,6 +76,12 @@ class PresympStructure:
 
     @cached_property
     def hamiltonian_fields(self) -> dict[LocalForm, EvoField]:
+        """The solved Hamiltonian field of each form, by form.
+
+        The memo has no bound and lives as long as the structure: a caller
+        that keeps one structure keeps every field solved against it, and
+        drops them all with it.
+        """
         return {}
 
 

@@ -302,6 +302,30 @@ def test_nilpotent_field_squares_to_zero_action():
     assert Z.is_zero()
 
 
+def test_fields_are_equal_by_value():
+    Q = brs_field()
+    half = F.scale_field(Q, Fraction(1, 2))
+    rebuilt = F.add_fields(half, F.scale_field(half, 1))
+    named = F.EvoField(SP, {**Q.base_components(), G("C"): K.ZERO},
+                       parity=K.ODD, name="Q")
+    named.component(G("A", (1,), (0, 3)))  # the prolongation memo does not count
+    for other in (rebuilt, named):
+        assert other is not Q
+        assert other == Q and hash(other) == hash(Q)
+    assert len({Q, rebuilt, named}) == 1
+
+
+def test_fields_that_differ_are_unequal():
+    Q = brs_field()
+    other_spectrum = K.Spectrum(DIM, SP.fields, parameters=())
+    assert Q != translation_field()
+    assert Q != F.scale_field(Q, 2)
+    assert Q != F.EvoField(other_spectrum, Q.base_components(), parity=K.ODD)
+    assert F.EvoField(SP, {}, parity=K.ODD) != F.EvoField(SP, {}, parity=K.EVEN)
+    assert F.EvoField(SP, {}, ghost=0) != F.EvoField(SP, {})
+    assert Q != Q.base_components()
+
+
 # -- coordinate interior products -------------------------------------------
 
 

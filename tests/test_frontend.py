@@ -321,6 +321,17 @@ def test_cli_usage_errors_exit_2(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [
+    ["descend", "maxwell", "--steps", "-1"],
+    ["report", "chiral", "--steps", "-3"],
+], ids=["descend", "report"])
+def test_cli_negative_steps_exit_2(capsys, argv):
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"vtc: --steps must be 0 or more, got {argv[-1]}\n"
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("cap, message", [
     ("abc", "VTC_JET_ORDER_CAP must be an integer, got 'abc'"),
     ("0", "VTC_JET_ORDER_CAP must be positive"),

@@ -7,6 +7,7 @@ built from the homogenized charge obey the homotopy identities.
 """
 
 import collections
+import itertools
 from fractions import Fraction as Fr
 
 import pytest
@@ -178,6 +179,99 @@ def image_labels(image):
             for key, _ in variational.form_mono_items(image)}
 
 
+def ansatz_pool(spectrum, jet_order):
+    """Every generator a candidate may use, in generator order."""
+    pool = [kernel.param_gen(p) for p in spectrum.parameters]
+    for f in spectrum.fields:
+        for comp in f.components():
+            for r in range(jet_order + 1):
+                for mi in itertools.combinations_with_replacement(
+                        range(spectrum.dim), r):
+                    pool.append(kernel.jet_gen(spectrum, f.name, comp, mi))
+    return sorted(pool)
+
+
+def candidate_monomials(pool, poly_degree):
+    """Every monomial over the pool in combination order, bucketed by
+    parity, ghost and counted degrees in order of first appearance."""
+    info = [(g, kernel.gen_parity(g), kernel.gen_ghost(g)) for g in pool]
+    buckets = {}
+    for r in range(1, poly_degree + 1):
+        for combo in itertools.combinations_with_replacement(info, r):
+            mono = []
+            ok = True
+            for g, p, _ in combo:
+                if mono and mono[-1][0] == g:
+                    if p:
+                        ok = False
+                        break
+                    mono[-1] = (g, mono[-1][1] + 1)
+                else:
+                    mono.append((g, 1))
+            if not ok:
+                continue
+            par = sum(p for _, p, _ in combo) % 2
+            gh = sum(h for _, _, h in combo)
+            srcdeg = kernel.mono_degree(tuple(mono), kernel.ROLE_SOURCE)
+            afdeg = kernel.mono_degree(tuple(mono), kernel.ROLE_ANTIFIELD)
+            buckets.setdefault((par, gh, srcdeg, afdeg), []).append(tuple(mono))
+    return buckets
+
+
+def stage_basis(spectrum, kind, raise_by, buckets):
+    """The full candidate basis of a stage, by direction and then bucket,
+    as the homogenizer enumerated it before it filled labels."""
+    role = kernel.GRADING_ROLES[kind]
+    basis = []
+    for f in spectrum.fields:
+        own = 1 if f.role == role else 0
+        for comp in f.components():
+            direction = kernel.jet_gen(spectrum, f.name, comp, ())
+            for (par, gh, srcdeg, afdeg), monos in buckets.items():
+                if par != f.parity or gh != f.ghost:
+                    continue
+                counted = srcdeg if kind == grading.KIND_MOMENTUM else afdeg
+                if counted != raise_by + own:
+                    continue
+                basis.extend((direction, m) for m in monos)
+    return basis
+
+
+def full_basis(spectrum, kind, raise_by, jet_order, poly_degree):
+    return stage_basis(spectrum, kind, raise_by, candidate_monomials(
+        ansatz_pool(spectrum, jet_order), poly_degree))
+
+
+def predicted_labels(leading, basis):
+    """For each candidate m * d/d(phi), the labels rho + label(m) its image
+    can reach, rho a reduced label of phi."""
+    reduced = grading._reduced_labels(leading)
+    return [frozenset(grading._label_add(rho, grading._mono_label(mono))
+                      for rho in reduced.get(direction, ()))
+            for direction, mono in basis]
+
+
+def in_reach_by_filter(leading, residual, basis):
+    """Indices of the candidates in reach, found by labelling every
+    candidate and growing the residual's labels until no candidate's
+    labels meet them."""
+    groups = {}
+    for i, labels in enumerate(predicted_labels(leading, basis)):
+        if labels:
+            groups.setdefault(labels, []).append(i)
+    reach = image_labels(residual)
+    kept = []
+    grown = True
+    while grown:
+        grown = False
+        for labels in list(groups):
+            if not reach.isdisjoint(labels):
+                kept.extend(groups.pop(labels))
+                reach |= labels
+                grown = True
+    return sorted(kept)
+
+
 def full_stage_solve(spectrum, leading, residual, basis, images):
     """A stage solved over every candidate, with no pruning: (solution,
     whether the first solve was consistent)."""
@@ -214,8 +308,7 @@ def first_stage(reduced):
     spl = reduced["spl"]
     (k0, leading), (gap, residual) = grading.degree_split(
         reduced["w1red"], grading.KIND_MOMENTUM)
-    buckets = grading._candidate_monomials(grading._ansatz_pool(spl, 2), 3)
-    basis = grading._stage_basis(spl, grading.KIND_MOMENTUM, gap - k0, buckets)
+    basis = full_basis(spl, grading.KIND_MOMENTUM, gap - k0, 2, 3)
     images = [forms.lie(grading._basis_field(spl, direction, mono), leading)
               for direction, mono in basis]
     return dict(spl=spl, leading=leading, residual=residual, basis=basis,
@@ -223,8 +316,8 @@ def first_stage(reduced):
 
 
 def test_every_candidate_image_lies_in_its_predicted_labels(first_stage):
-    predicted = grading._predicted_labels(first_stage["leading"],
-                                          first_stage["basis"])
+    predicted = predicted_labels(first_stage["leading"],
+                                 first_stage["basis"])
     images = first_stage["images"]
     assert len(images) == len(predicted) == 5940
     assert sum(1 for im in images if im) == 4455
@@ -235,7 +328,7 @@ def test_every_candidate_image_lies_in_its_predicted_labels(first_stage):
 def test_pruned_stage_solve_equals_the_full_solve(first_stage):
     args = (first_stage["spl"], first_stage["leading"],
             first_stage["residual"], first_stage["basis"])
-    kept = grading._candidates_in_reach(*args[1:])
+    kept = grading._candidates_in_reach(*args[1:3], grading._Listed(args[3]))
     assert 0 < len(kept) < 20
     sol = grading._stage_solve(*args)
     assert (sol, True) == full_stage_solve(*args, first_stage["images"])
@@ -275,11 +368,12 @@ def test_closure_follows_a_candidate_into_a_second_block(two_blocks):
     # u_x d/dw brings in, so it is in reach only on the closure's second pass
     spec, leading, residual, basis, images = (
         two_blocks[k] for k in ("spec", "leading", "residual", "basis", "images"))
-    predicted = grading._predicted_labels(leading, basis)
+    predicted = predicted_labels(leading, basis)
     for image, labels in zip(images, predicted):
         assert image and image_labels(image) <= labels
     assert image_labels(images[1]) == predicted[1] and len(predicted[1]) == 2
-    assert grading._candidates_in_reach(leading, residual, basis) == [0, 1]
+    assert grading._candidates_in_reach(
+        leading, residual, grading._Listed(basis)) == [0, 1]
     sol = grading._stage_solve(spec, leading, residual, basis)
     assert (sol, True) == full_stage_solve(spec, leading, residual, basis, images)
     assert sorted(sol) == [0, 1]
@@ -317,7 +411,94 @@ def test_prediction_reads_the_rows_of_delta_leading():
     basis = [(kernel.jet_gen(spec, "y"), ((kernel.jet_gen(spec, "v"), 1),))]
     image = forms.lie(grading._basis_field(spec, *basis[0]), leading)
     assert image
-    assert image_labels(image) == set(grading._predicted_labels(leading, basis)[0])
+    assert image_labels(image) == set(predicted_labels(leading, basis)[0])
+
+
+# -- generating the candidates label by label -------------------------------
+
+
+SWEEP = [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
+
+
+@pytest.mark.parametrize("jet_order,poly_degree", SWEEP)
+def test_homogenizer_is_the_same_field_at_every_bound(reduced, jet_order,
+                                                       poly_degree):
+    spl = reduced["spl"]
+    K = kernel.parameter("k")
+    h = grading.find_homogenizer(reduced["w1red"], spl, jet_order=jet_order,
+                                 poly_degree=poly_degree)
+    expected = forms.EvoField(spl, {
+        kernel.jet_gen(spl, "phi", (i,)): K * kernel.jet(spl, "phib", (i,))
+        for i in range(3)})
+    assert h.X == expected
+    assert h.X == reduced["h"].X
+
+
+@pytest.mark.parametrize("jet_order,poly_degree", SWEEP)
+def test_generated_candidates_are_the_in_reach_part_of_the_full_basis(
+        first_stage, jet_order, poly_degree):
+    spl, leading, residual = (first_stage[k]
+                              for k in ("spl", "leading", "residual"))
+    basis = full_basis(spl, grading.KIND_MOMENTUM, 1, jet_order, poly_degree)
+    pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, jet_order, poly_degree)
+    generated = grading._candidates_in_reach(leading, residual, pool)
+    in_reach = in_reach_by_filter(leading, residual, basis)
+    assert 0 < len(generated) < 20
+    assert [pool.candidate(key) for key in generated] == \
+        [basis[i] for i in in_reach]
+
+
+def test_every_candidate_of_the_pool_is_the_full_basis(first_stage):
+    spl = first_stage["spl"]
+    pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, 2, 3)
+    assert [pool.candidate(key) for key in pool.every()] == first_stage["basis"]
+
+
+@pytest.mark.parametrize("model,jet_order,poly_degree",
+                         [("chiral", 2, 3), ("maxwell", 1, 3)])
+def test_least_member_of_each_bucket_is_its_first_monomial(model, jet_order,
+                                                           poly_degree):
+    spl = builtin_models.builtin(model).foliation.spatial
+    pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, jet_order, poly_degree)
+    buckets = candidate_monomials(ansatz_pool(spl, jet_order), poly_degree)
+    assert len(buckets) >= 10
+    for bucket, monos in buckets.items():
+        first = tuple(g for g, e in monos[0] for _ in range(e))
+        assert pool._least_member(bucket) == (len(first), first)
+
+
+def test_order_key_sorts_the_maxwell_leaf_basis_as_enumerated():
+    # the leaf's fields of several roles, parities and ghost numbers make
+    # buckets whose first members are far apart in the enumeration
+    spl = builtin_models.builtin("maxwell").foliation.spatial
+    basis = full_basis(spl, grading.KIND_MOMENTUM, 1, 1, 3)
+    assert len(basis) == 50598
+    pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, 1, 3)
+    assert sorted(basis, key=lambda cand: pool.key(*cand)) == basis
+
+    def factors(mono):
+        return tuple(g for g, e in mono for _ in range(e))
+
+    # neither a sort by degree and factors nor by factors alone will do
+    assert sorted(basis, key=lambda cand: (
+        cand[0], len(factors(cand[1])), factors(cand[1]))) != basis
+    assert sorted(basis, key=lambda cand: (cand[0], factors(cand[1]))) != basis
+
+
+def test_retry_over_the_pool_solves_the_full_system(two_blocks):
+    # the pool of u, v, w, z and their first derivatives, one factor each;
+    # an exact form makes the first solve inconsistent, so the retry must
+    # enumerate the whole pool
+    spec, leading, ct = (two_blocks[k] for k in ("spec", "leading", "ct"))
+    residual = two_blocks["residual"] + forms.d(forms.wedge(ct("u"), ct("v")))
+    pool = grading._Pool(spec, grading.KIND_MOMENTUM, 0, 1, 1)
+    basis = full_basis(spec, grading.KIND_MOMENTUM, 0, 1, 1)
+    assert [pool.candidate(key) for key in pool.every()] == basis
+    by_pool = grading._stage_solve(spec, leading, residual, pool)
+    by_list = grading._stage_solve(spec, leading, residual, basis)
+    assert by_list
+    assert {pool.candidate(key): c for key, c in by_pool.items()} == \
+        {basis[i]: c for i, c in by_list.items()}
 
 
 def test_conjugated_euler_field_fixes_structure(reduced):
