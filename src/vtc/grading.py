@@ -26,12 +26,12 @@ candidates that can be linked to the residual are built.  They make whole
 connected components of the system over the full basis; the rest is
 homogeneous, so its coefficients in the reduced row-echelon solution are 0
 and it cannot make the system inconsistent.  That solution pins free
-columns to 0, so it depends on the column order, and the candidates keep
-the order of the full basis: by direction, then by the first monomial of
-their (parity, ghost, source, antifield) bucket in combination order, then
-by number of factors and the factors themselves.  The retry modulo d, taken
-only when the first solve is inconsistent, enumerates the whole pool and
-runs on the full row set, as its bounds depend on every row.
+columns to 0, so it depends on the column order: candidates are ordered by
+direction, then by m in combination order (number of factors, then the
+factors), and of two candidates with dependent images the later one gets 0.
+The retry modulo d, taken only when the first solve is inconsistent,
+enumerates the whole pool and runs on the full row set, as its bounds
+depend on every row.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Union
+from typing import Optional, Sequence
 
 from . import forms, kernel, linsolve, symplectic, variational
 from .forms import EvoField, LocalForm
@@ -195,10 +195,6 @@ def _basis_field(spectrum: Spectrum, direction: Gen,
                     parity=kernel.EVEN, ghost=0)
 
 
-def _mono_label(mono: kernel.Monomial) -> Label:
-    return variational.block_key(((), (), mono))
-
-
 def _label_add(a: Label, b: Label) -> Label:
     counts = dict(a)
     for part, n in b:
@@ -239,27 +235,6 @@ def _reduced_labels(leading: LocalForm) -> dict[Gen, set[Label]]:
     return reduced
 
 
-class _Listed:
-    """An explicit candidate list as a source of candidates; the ids are
-    the list's indices."""
-
-    def __init__(self, basis: Sequence[Candidate]):
-        self.basis = basis
-        self._by_label: dict[tuple[Gen, Label], list[int]] = {}
-        for i, (direction, mono) in enumerate(basis):
-            self._by_label.setdefault(
-                (direction, _mono_label(mono)), []).append(i)
-
-    def fill(self, direction: Gen, label: Label) -> Sequence[int]:
-        return self._by_label.get((direction, label), ())
-
-    def every(self) -> Sequence[int]:
-        return range(len(self.basis))
-
-    def candidate(self, i: int) -> Candidate:
-        return self.basis[i]
-
-
 class _Pool:
     """The ansatz pool of one stage as a source of candidates.
 
@@ -270,11 +245,9 @@ class _Pool:
     ``raise_by``.  All of these depend on label(m) alone, so the pool is
     filled label by label and never enumerated for the first solve.
 
-    The ids are order keys that sort like the full basis of combination
-    order: (direction, least member of the candidate's (parity, ghost,
-    source, antifield) bucket, number of factors, factors expanded by
-    exponent).  Combination order walks monomials by number of factors,
-    then by factors, and meets each bucket first at its least member.
+    A candidate's id is its order key: (direction, number of factors,
+    factors expanded by exponent), which sorts each direction's candidates
+    in combination order.
     """
 
     def __init__(self, spectrum: Spectrum, kind: str, raise_by: int,
@@ -295,22 +268,7 @@ class _Pool:
                     for mi in itertools.combinations_with_replacement(
                         range(spectrum.dim), r)]
         self.directions = [g for g in self.variants if kernel.is_jet(g)]
-        self.pool = sorted(itertools.chain.from_iterable(self.variants.values()))
-        # tails[i]: the degrees of every monomial over pool[i:]
-        self.tails = [{(0, 0, 0, 0, 0)}]
-        for g in reversed(self.pool):
-            step = _degrees(((g, 1),))
-            grown = set(self.tails[-1])
-            new = grown
-            while new:
-                new = {_add_degrees(v, step) for v in new if v[0] < poly_degree}
-                grown |= new
-                if kernel.gen_parity(g):
-                    break
-            self.tails.append(grown)
-        self.tails.reverse()
         self._found: dict[tuple, Candidate] = {}
-        self._least: dict[tuple, tuple] = {}
 
     def fill(self, direction: Gen, label: Label) -> list[tuple]:
         """The ids of the candidates in ``direction`` with m of ``label``."""
@@ -326,11 +284,10 @@ class _Pool:
                         self.variants[part], n) for part, n in label]
         ids = []
         for combo in itertools.product(*choices):
-            factors = sorted(itertools.chain.from_iterable(combo))
-            mono = tuple((g, len(list(run)))
-                         for g, run in itertools.groupby(factors))
-            key = self.key(direction, mono)
-            self._found[key] = (direction, mono)
+            factors = tuple(sorted(itertools.chain.from_iterable(combo)))
+            key = (direction, len(factors), factors)
+            self._found[key] = (direction, tuple(
+                (g, len(list(run))) for g, run in itertools.groupby(factors)))
             ids.append(key)
         return ids
 
@@ -349,18 +306,6 @@ class _Pool:
     def candidate(self, key: tuple) -> Candidate:
         return self._found[key]
 
-    def key(self, direction: Gen, mono: kernel.Monomial) -> tuple:
-        """The order key of a candidate of the pool, listed or not."""
-        factors = tuple(g for g, e in mono for _ in range(e))
-        least = self._least_member(_degrees(_mono_label(mono))[1:])
-        return (direction, least, len(factors), factors)
-
-    def __bool__(self) -> bool:
-        """Whether the pool holds a candidate at all."""
-        return any(degrees[0] and self._fits(direction, degrees)
-                   for degrees in self.tails[0]
-                   for direction in self.directions)
-
     def _fits(self, direction: Gen, degrees: tuple) -> bool:
         _, par, gh, src, af = degrees
         counted = src if self.role == kernel.ROLE_SOURCE else af
@@ -368,30 +313,6 @@ class _Pool:
         return (par == kernel.gen_parity(direction)
                 and gh == kernel.gen_ghost(direction)
                 and counted == self.raise_by + own)
-
-    def _least_member(self, bucket: tuple) -> tuple:
-        """(size, factors) of the bucket's first monomial in combination
-        order, picked factor by factor: each is the least generator after
-        which the rest of the bucket can still be made."""
-        least = self._least.get(bucket)
-        if least is not None:
-            return least
-        size = next(n for n in range(1, self.poly_degree + 1)
-                    if (n,) + bucket in self.tails[0])
-        need = (size,) + bucket
-        factors: list[Gen] = []
-        start = 0
-        while need[0]:
-            for i in range(start, len(self.pool)):
-                g = self.pool[i]
-                rest = _add_degrees(need, _degrees(((g, 1),)), -1)
-                after = i + 1 if kernel.gen_parity(g) else i
-                if rest in self.tails[after]:
-                    factors.append(g)
-                    need, start = rest, after
-                    break
-        least = self._least[bucket] = (size, tuple(factors))
-        return least
 
 
 def _degrees(label: Label) -> tuple[int, int, int, int, int]:
@@ -401,11 +322,6 @@ def _degrees(label: Label) -> tuple[int, int, int, int, int]:
             kernel.mono_ghost(label),
             kernel.mono_degree(label, kernel.ROLE_SOURCE),
             kernel.mono_degree(label, kernel.ROLE_ANTIFIELD))
-
-
-def _add_degrees(a: tuple, b: tuple, sign: int = 1) -> tuple:
-    return (a[0] + sign * b[0], (a[1] + b[1]) % 2, a[2] + sign * b[2],
-            a[3] + sign * b[3], a[4] + sign * b[4])
 
 
 def _candidates_in_reach(leading: LocalForm, residual: LocalForm,
@@ -445,23 +361,22 @@ def _candidates_in_reach(leading: LocalForm, residual: LocalForm,
 
 
 def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
-                 basis: Union[Sequence[Candidate], _Pool]) -> Optional[dict]:
+                 source: _Pool) -> Optional[dict]:
     """Coefficients c with sum_i c_i L_{X_i}(leading) + residual = 0 mod d.
 
-    ``basis`` is an explicit candidate list, whose ids are its indices, or
-    a ``_Pool``.  Only the candidates in reach of the residual
+    The candidates come from ``source`` by id, and the ids sort in column
+    order.  Only the candidates in reach of the residual
     (``_candidates_in_reach``) pay for a Lie image.  Their rows, with the
     residual's, are whole connected components of the system over all
     candidates: every other candidate's image lies in labels outside the
     closure.  What is left out is a homogeneous system, on which the
     reduced row-echelon solution of ``solve_linear`` (free columns 0) is 0,
-    and a homogeneous system is always consistent.  The ids sort in basis
-    order, so the columns do too, and the solution and the verdict of the
-    first solve are those of the full system.  The retry modulo d needs
-    all rows, because its coordinate-degree bound and its saturation depend
-    on them, so it first adds the images of every other candidate.
+    and a homogeneous system is always consistent.  So the solution and the
+    verdict of the first solve are those of the full system in the same
+    column order.  The retry modulo d needs all rows, because its
+    coordinate-degree bound and its saturation depend on them, so it first
+    adds the images of every other candidate.
     """
-    source = _Listed(basis) if isinstance(basis, Sequence) else basis
     rows: dict[tuple, dict] = {}
 
     def add_images(ids) -> None:
@@ -511,10 +426,12 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
     derivatives and ``poly_degree`` factors, parameters included), with the
     coefficients determined by a linear solve modulo exact horizontal
     differentials.  Each stage builds only the candidates whose images can
-    be linked to its residual, label by label (see the module notes), in
-    the order of the full basis, so the answer is the one over every
-    candidate.  The returned flow carries a certificate recording the
-    verified identity; failure to find a generator within the bounds raises
+    be linked to its residual, label by label, and orders them by direction
+    and combination order (see the module notes), so the answer is the one
+    over every candidate in that order.  The search ends at the first stage
+    that sets no candidate, as a further stage would repeat it.  The
+    returned flow carries a certificate recording the verified identity;
+    failure to find a generator within the bounds raises
     NoHomogenizerError, which does not assert that none exists.
     """
     parts = degree_split(omega1, kind)
@@ -527,19 +444,21 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
         raise NoHomogenizerError("leading degree component vanishes")
     X_total = EvoField(spectrum, {}, parity=kernel.EVEN, ghost=0)
     for _stage in range(truncation_order):
-        h = HomotopyDiffeo(X_total, truncation_order)
-        current = pullback(h, omega1)
+        current = pullback(HomotopyDiffeo(X_total, truncation_order), omega1)
         tail = [(k, comp) for k, comp in degree_split(current, kind) if k > k0]
-        if not tail:
-            cert = HomogenizerCertificate(omega1, leading, k0, current)
-            if not variational.equiv_mod_d(current, leading):
-                raise NoHomogenizerError(
-                    "flow stabilized on an inequivalent leading part")
-            return HomotopyDiffeo(X_total, truncation_order, cert)
-        gap, residual = tail[0]
-        pool = _Pool(spectrum, kind, gap - k0, jet_order, poly_degree)
-        sol = _stage_solve(spectrum, leading, residual, pool) if pool else None
-        if sol is None:
+        sol = None
+        if tail:
+            gap, residual = tail[0]
+            pool = _Pool(spectrum, kind, gap - k0, jet_order, poly_degree)
+            sol = _stage_solve(spectrum, leading, residual, pool)
+        if not sol:
+            # the flow is final: no tail is left (the flow raises the degree,
+            # so current is then leading itself), or the stage sets no
+            # candidate and a further stage would repeat it
+            if variational.equiv_mod_d(current, leading):
+                return HomotopyDiffeo(X_total, truncation_order,
+                                      HomogenizerCertificate(
+                                          omega1, leading, k0, current))
             raise NoHomogenizerError(
                 f"no generator of degree {gap - k0} within jet order "
                 f"{jet_order} and polynomial degree {poly_degree} removes "

@@ -13,7 +13,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from vtc import (builtin_models, forms, foliation, grading, kernel, linsolve,
-                 symplectic, variational)
+                 parser, symplectic, variational)
 from vtc.forms import LocalForm
 from vtc.kernel import FieldSpec, Spectrum
 
@@ -171,12 +171,59 @@ def test_unreachable_ansatz_reports_failure(reduced):
         grading.find_homogenizer(bad, spl, jet_order=0, poly_degree=1)
 
 
+def test_exact_tail_ends_the_search_after_one_stage(reduced, monkeypatch):
+    # the tail is a degree-4 horizontal differential: the first stage solves
+    # it with no candidate, and a second stage would only repeat the first
+    spl = reduced["spl"]
+    leading = grading.degree_split(reduced["w1red"], grading.KIND_MOMENTUM)[0][1]
+    exact = parser.parse_expression(
+        "d(phib[2]*phib[2] ^ del(phib[0]) ^ del(phib[1]))", spl)
+    stages = []
+    stage_solve = grading._stage_solve
+
+    def counting(*args):
+        stages.append(args)
+        return stage_solve(*args)
+
+    monkeypatch.setattr(grading, "_stage_solve", counting)
+    h = grading.find_homogenizer(leading + exact, spl)
+    assert len(stages) == 1
+    assert h.X.is_zero()
+    assert h.certificate.leading == leading
+    assert h.certificate.pulled_back == leading + exact
+
+
 # -- pruning the homogenizer's candidates -----------------------------------
 
 
 def image_labels(image):
     return {variational.block_key(key)
             for key, _ in variational.form_mono_items(image)}
+
+
+def mono_label(mono):
+    return variational.block_key(((), (), mono))
+
+
+class Listed:
+    """An explicit candidate list as a source of candidates for
+    ``grading._stage_solve``; the ids are the list's indices."""
+
+    def __init__(self, basis):
+        self.basis = basis
+        self._by_label = {}
+        for i, (direction, mono) in enumerate(basis):
+            self._by_label.setdefault(
+                (direction, mono_label(mono)), []).append(i)
+
+    def fill(self, direction, label):
+        return self._by_label.get((direction, label), ())
+
+    def every(self):
+        return range(len(self.basis))
+
+    def candidate(self, i):
+        return self.basis[i]
 
 
 def ansatz_pool(spectrum, jet_order):
@@ -246,7 +293,7 @@ def predicted_labels(leading, basis):
     """For each candidate m * d/d(phi), the labels rho + label(m) its image
     can reach, rho a reduced label of phi."""
     reduced = grading._reduced_labels(leading)
-    return [frozenset(grading._label_add(rho, grading._mono_label(mono))
+    return [frozenset(grading._label_add(rho, mono_label(mono))
                       for rho in reduced.get(direction, ()))
             for direction, mono in basis]
 
@@ -328,9 +375,9 @@ def test_every_candidate_image_lies_in_its_predicted_labels(first_stage):
 def test_pruned_stage_solve_equals_the_full_solve(first_stage):
     args = (first_stage["spl"], first_stage["leading"],
             first_stage["residual"], first_stage["basis"])
-    kept = grading._candidates_in_reach(*args[1:3], grading._Listed(args[3]))
+    kept = grading._candidates_in_reach(*args[1:3], Listed(args[3]))
     assert 0 < len(kept) < 20
-    sol = grading._stage_solve(*args)
+    sol = grading._stage_solve(*args[:3], Listed(args[3]))
     assert (sol, True) == full_stage_solve(*args, first_stage["images"])
     assert sol and set(sol) <= set(kept)
 
@@ -373,8 +420,8 @@ def test_closure_follows_a_candidate_into_a_second_block(two_blocks):
         assert image and image_labels(image) <= labels
     assert image_labels(images[1]) == predicted[1] and len(predicted[1]) == 2
     assert grading._candidates_in_reach(
-        leading, residual, grading._Listed(basis)) == [0, 1]
-    sol = grading._stage_solve(spec, leading, residual, basis)
+        leading, residual, Listed(basis)) == [0, 1]
+    sol = grading._stage_solve(spec, leading, residual, Listed(basis))
     assert (sol, True) == full_stage_solve(spec, leading, residual, basis, images)
     assert sorted(sol) == [0, 1]
 
@@ -395,7 +442,7 @@ def test_retry_modulo_d_solves_the_full_system(two_blocks, monkeypatch):
         return solve_linear(equations)
 
     monkeypatch.setattr(linsolve, "solve_linear", recording)
-    sol = grading._stage_solve(spec, leading, residual, basis)
+    sol = grading._stage_solve(spec, leading, residual, Listed(basis))
     assert (sol, False) == full_stage_solve(spec, leading, residual, basis, images)
     assert sol
     assert len(systems) == 4 and systems[1] == systems[3]
@@ -454,35 +501,45 @@ def test_every_candidate_of_the_pool_is_the_full_basis(first_stage):
     assert [pool.candidate(key) for key in pool.every()] == first_stage["basis"]
 
 
-@pytest.mark.parametrize("model,jet_order,poly_degree",
-                         [("chiral", 2, 3), ("maxwell", 1, 3)])
-def test_least_member_of_each_bucket_is_its_first_monomial(model, jet_order,
-                                                           poly_degree):
-    spl = builtin_models.builtin(model).foliation.spatial
-    pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, jet_order, poly_degree)
-    buckets = candidate_monomials(ansatz_pool(spl, jet_order), poly_degree)
-    assert len(buckets) >= 10
-    for bucket, monos in buckets.items():
-        first = tuple(g for g, e in monos[0] for _ in range(e))
-        assert pool._least_member(bucket) == (len(first), first)
+def factors(mono):
+    return tuple(g for g, e in mono for _ in range(e))
 
 
-def test_order_key_sorts_the_maxwell_leaf_basis_as_enumerated():
+def test_every_candidate_of_the_maxwell_leaf_pool_in_combination_order():
     # the leaf's fields of several roles, parities and ghost numbers make
-    # buckets whose first members are far apart in the enumeration
+    # many (parity, ghost, source, antifield) buckets per direction; the ids
+    # order them by direction and combination order alone
     spl = builtin_models.builtin("maxwell").foliation.spatial
     basis = full_basis(spl, grading.KIND_MOMENTUM, 1, 1, 3)
     assert len(basis) == 50598
     pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, 1, 3)
-    assert sorted(basis, key=lambda cand: pool.key(*cand)) == basis
+    ids = pool.every()
+    assert ids == sorted(ids)
+    assert [pool.candidate(key) for key in ids] == sorted(
+        basis, key=lambda cand: (cand[0], len(factors(cand[1])),
+                                 factors(cand[1])))
 
-    def factors(mono):
-        return tuple(g for g, e in mono for _ in range(e))
 
-    # neither a sort by degree and factors nor by factors alone will do
-    assert sorted(basis, key=lambda cand: (
-        cand[0], len(factors(cand[1])), factors(cand[1]))) != basis
-    assert sorted(basis, key=lambda cand: (cand[0], factors(cand[1]))) != basis
+def test_the_later_of_two_equal_images_gets_zero():
+    # L = (du + dv) ^ dw ^ dx: m d/du and m d/dv have one image, so the
+    # residual pins only their sum and the later column is free
+    spec = Spectrum(1, [FieldSpec(name, kernel.EVEN, 0) for name in "uvw"])
+
+    def ct(name):
+        return forms.contact(1, kernel.jet_gen(spec, name))
+
+    leading = forms.wedge_all([ct("u") + ct("v"), ct("w"), forms.dx(1, 0)])
+    wx = ((kernel.jet_gen(spec, "w", (), (0,)), 1),)
+    first, later = (kernel.jet_gen(spec, "u"), wx), (kernel.jet_gen(spec, "v"), wx)
+    images = [forms.lie(grading._basis_field(spec, *cand), leading)
+              for cand in (first, later)]
+    assert images[0] and images[0] == images[1] and first < later
+    pool = grading._Pool(spec, grading.KIND_MOMENTUM, 0, 1, 1)
+    sol = grading._stage_solve(spec, leading, images[0].scale(-3), pool)
+    assert {pool.candidate(key): c for key, c in sol.items()} == {first: 3}
+    for order in ([first, later], [later, first]):
+        assert grading._stage_solve(spec, leading, images[0].scale(-3),
+                                    Listed(order)) == {0: 3}
 
 
 def test_retry_over_the_pool_solves_the_full_system(two_blocks):
@@ -495,7 +552,7 @@ def test_retry_over_the_pool_solves_the_full_system(two_blocks):
     basis = full_basis(spec, grading.KIND_MOMENTUM, 0, 1, 1)
     assert [pool.candidate(key) for key in pool.every()] == basis
     by_pool = grading._stage_solve(spec, leading, residual, pool)
-    by_list = grading._stage_solve(spec, leading, residual, basis)
+    by_list = grading._stage_solve(spec, leading, residual, Listed(basis))
     assert by_list
     assert {pool.candidate(key): c for key, c in by_pool.items()} == \
         {basis[i]: c for i, c in by_list.items()}
