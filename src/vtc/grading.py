@@ -29,9 +29,11 @@ and it cannot make the system inconsistent.  That solution pins free
 columns to 0, so it depends on the column order: candidates are ordered by
 direction, then by m in combination order (number of factors, then the
 factors), and of two candidates with dependent images the later one gets 0.
-The retry modulo d, taken only when the first solve is inconsistent,
-enumerates the whole pool and runs on the full row set, as its bounds
-depend on every row.
+The retry modulo d, taken only when the first solve is inconsistent, adds
+the d-images of the rows' preimages to the same rows
+(``variational.solve_mod_d``).  d keeps the label, so these rows stay whole
+components of the saturated system over every candidate, and the retry's
+coordinate-degree bound is read off them alone.
 """
 
 from __future__ import annotations
@@ -268,7 +270,6 @@ class _Pool:
                     for mi in itertools.combinations_with_replacement(
                         range(spectrum.dim), r)]
         self.directions = [g for g in self.variants if kernel.is_jet(g)]
-        self._found: dict[tuple, Candidate] = {}
 
     def fill(self, direction: Gen, label: Label) -> list[tuple]:
         """The ids of the candidates in ``direction`` with m of ``label``."""
@@ -285,26 +286,13 @@ class _Pool:
         ids = []
         for combo in itertools.product(*choices):
             factors = tuple(sorted(itertools.chain.from_iterable(combo)))
-            key = (direction, len(factors), factors)
-            self._found[key] = (direction, tuple(
-                (g, len(list(run))) for g, run in itertools.groupby(factors)))
-            ids.append(key)
+            ids.append((direction, len(factors), factors))
         return ids
 
-    def every(self) -> list[tuple]:
-        """Every candidate's id, in order: the pool filled at every label."""
-        parts = sorted(self.variants)
-        ids = []
-        for direction in self.directions:
-            for size in range(1, self.poly_degree + 1):
-                for combo in itertools.combinations_with_replacement(parts, size):
-                    label = tuple((part, len(list(run)))
-                                  for part, run in itertools.groupby(combo))
-                    ids.extend(self.fill(direction, label))
-        return sorted(ids)
-
     def candidate(self, key: tuple) -> Candidate:
-        return self._found[key]
+        direction, _, factors = key
+        return direction, tuple(
+            (g, len(list(run))) for g, run in itertools.groupby(factors))
 
     def _fits(self, direction: Gen, degrees: tuple) -> bool:
         _, par, gh, src, af = degrees
@@ -373,42 +361,27 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
     reduced row-echelon solution of ``solve_linear`` (free columns 0) is 0,
     and a homogeneous system is always consistent.  So the solution and the
     verdict of the first solve are those of the full system in the same
-    column order.  The retry modulo d needs all rows, because its
-    coordinate-degree bound and its saturation depend on them, so it first
-    adds the images of every other candidate.
+    column order.  The retry modulo d (``variational.solve_mod_d``) closes
+    the same rows under preimages of d, within their own coordinate degree
+    plus one.  d keeps the label, so the saturated rows of every other
+    candidate are again a homogeneous system apart from these, and the
+    retry's solution and verdict are those of the full system at that bound.
     """
     rows: dict[tuple, dict] = {}
-
-    def add_images(ids) -> None:
-        for i in ids:
-            direction, mono = source.candidate(i)
-            image = forms.lie(_basis_field(spectrum, direction, mono), leading)
-            for key, c in variational.form_mono_items(image):
-                rows.setdefault(key, {})[("c", i)] = c
-
     kept = _candidates_in_reach(leading, residual, source)
-    add_images(kept)
-    rhs: dict[tuple, Fraction] = {}
-    for key, c in variational.form_mono_items(residual):
-        rhs[key] = rhs.get(key, 0) + c
+    for i in kept:
+        direction, mono = source.candidate(i)
+        image = forms.lie(_basis_field(spectrum, direction, mono), leading)
+        for key, c in variational.form_mono_items(image):
+            rows.setdefault(key, {})[("c", i)] = c
+    target = {key: -c for key, c in variational.form_mono_items(residual)}
+    for key in target:
         rows.setdefault(key, {})
-
-    def solve() -> Optional[dict]:
-        return linsolve.solve_linear(
-            [(rows[key], -rhs.get(key, 0)) for key in sorted(rows)])
-
-    sol = solve()
+    sol = linsolve.solve_linear(
+        [(rows[key], target.get(key, 0)) for key in sorted(rows)])
     if sol is None:
-        # Retry modulo exact horizontal differentials: saturate the row set
-        # with d-images of candidate primitives of the rows already present.
-        kept_set = set(kept)
-        add_images([i for i in source.every() if i not in kept_set])
-        x_cap = variational.max_x_degree(rows) + 1
-        d_cands = variational.saturate_d(spectrum.dim, rows, x_cap)
-        for cand, image in d_cands.items():
-            for row, c in image.items():
-                rows.setdefault(row, {})[("b", cand)] = c
-        sol = solve()
+        sol = variational.solve_mod_d(spectrum.dim, rows, target,
+                                      variational.max_x_degree(rows) + 1)
     if sol is None:
         return None
     return {i: v for (tag, i), v in sol.items() if tag == "c" and v}

@@ -13,7 +13,9 @@ trading a dx for a base-coordinate power), close up under the new rows this
 creates, and solve the resulting sparse rational system.  If some sigma with
 d(sigma) = rho exists supported anywhere, restricting to the saturated
 candidate set keeps the system solvable, so failure of the bounded solve is
-an honest obstruction report rather than a search artifact.
+an honest obstruction report rather than a search artifact.  That engine is
+``solve_mod_d``: ``_solve_d`` calls it with no other columns, the
+homogenizer with its candidates' Lie images as columns.
 """
 
 from __future__ import annotations
@@ -290,15 +292,33 @@ def saturate_d(dim: int, rows: Iterable[MonoKey], x_cap: int,
     return candidates
 
 
-def _solve_d_block(dim: int, rhs: dict[MonoKey, Fraction], x_cap: int,
-                   ) -> Optional[dict[MonoKey, Fraction]]:
-    by_row: dict[MonoKey, dict[MonoKey, Fraction]] = {row: {} for row in rhs}
-    for cand, image in saturate_d(dim, rhs, x_cap).items():
+def solve_mod_d(dim: int, rows: dict[MonoKey, dict],
+                target: dict[MonoKey, Fraction], x_cap: int,
+                ) -> Optional[dict]:
+    """Solve sum_j c_j column_j + d(sigma) = target over a saturated basis.
+
+    ``rows`` maps form monomials to their coefficients in the caller's
+    columns (it may be empty), ``target`` maps monomials to the right-hand
+    side.  The row set is closed under ``saturate_d``, and each preimage
+    ``cand`` becomes a column ``("b", cand)`` holding d(cand).  Returns the
+    reduced row-echelon solution over every column, or None when the system
+    is inconsistent.  ``rows`` is not changed.
+
+    ``x_cap`` bounds the base-coordinate degree of the preimages.  The
+    caller reads it off the rows it passes, never off rows outside them:
+    ``max_x_degree`` of those rows, which suffices for translation-covariant
+    input, or one more than that.  So a block of the system gets the same
+    answer whether or not other blocks are solved with it.
+    """
+    system = {row: dict(coeffs) for row, coeffs in rows.items()}
+    for row in target:
+        system.setdefault(row, {})
+    for cand, image in saturate_d(dim, system, x_cap).items():
+        column = ("b", cand)
         for row, c in image.items():
-            by_row.setdefault(row, {})[cand] = c
-    equations = [(by_row[row], rhs.get(row, 0))
-                 for row in sorted(by_row)]
-    return linsolve.solve_linear(equations)
+            system.setdefault(row, {})[column] = c
+    return linsolve.solve_linear(
+        [(system[row], target.get(row, 0)) for row in sorted(system)])
 
 
 def _solve_d(rho: LocalForm) -> LocalForm:
@@ -320,15 +340,14 @@ def _solve_d(rho: LocalForm) -> LocalForm:
     for label in sorted(blocks):
         rhs = blocks[label]
         x_base = max_x_degree(rhs)
-        solution = _solve_d_block(dim, rhs, x_base)
+        solution = solve_mod_d(dim, {}, rhs, x_base)
         if solution is None:
-            solution = _solve_d_block(dim, rhs, x_base + 1)
+            solution = solve_mod_d(dim, {}, rhs, x_base + 1)
         if solution is None:
             raise NoPrimitiveError(
                 "no primitive found within jet order "
                 f"{rho.max_jet_order()} and coordinate degree {x_base + 1}")
-        for cand in sorted(solution):
-            c = solution[cand]
+        for (_, cand), c in sorted(solution.items()):
             if c:
                 sigma = sigma + _single(dim, cand, c)
     return sigma

@@ -132,6 +132,9 @@ def test_pullback_reports_nonterminating_series(reduced):
 # -- the homogenizer --------------------------------------------------------
 
 
+SWEEP = [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
+
+
 def test_homogenizer_matches_printed_field(reduced):
     spl = reduced["spl"]
     K = kernel.parameter("k")
@@ -171,9 +174,12 @@ def test_unreachable_ansatz_reports_failure(reduced):
         grading.find_homogenizer(bad, spl, jet_order=0, poly_degree=1)
 
 
-def test_exact_tail_ends_the_search_after_one_stage(reduced, monkeypatch):
+@pytest.mark.parametrize("jet_order,poly_degree", SWEEP)
+def test_exact_tail_ends_the_search_after_one_stage(reduced, monkeypatch,
+                                                    jet_order, poly_degree):
     # the tail is a degree-4 horizontal differential: the first stage solves
-    # it with no candidate, and a second stage would only repeat the first
+    # it with no candidate, and a second stage would only repeat the first;
+    # its retry modulo d saturates only the rows in reach, at every bound
     spl = reduced["spl"]
     leading = grading.degree_split(reduced["w1red"], grading.KIND_MOMENTUM)[0][1]
     exact = parser.parse_expression(
@@ -186,7 +192,8 @@ def test_exact_tail_ends_the_search_after_one_stage(reduced, monkeypatch):
         return stage_solve(*args)
 
     monkeypatch.setattr(grading, "_stage_solve", counting)
-    h = grading.find_homogenizer(leading + exact, spl)
+    h = grading.find_homogenizer(leading + exact, spl, jet_order=jet_order,
+                                 poly_degree=poly_degree)
     assert len(stages) == 1
     assert h.X.is_zero()
     assert h.certificate.leading == leading
@@ -218,9 +225,6 @@ class Listed:
 
     def fill(self, direction, label):
         return self._by_label.get((direction, label), ())
-
-    def every(self):
-        return range(len(self.basis))
 
     def candidate(self, i):
         return self.basis[i]
@@ -319,9 +323,24 @@ def in_reach_by_filter(leading, residual, basis):
     return sorted(kept)
 
 
-def full_stage_solve(spectrum, leading, residual, basis, images):
-    """A stage solved over every candidate, with no pruning: (solution,
-    whether the first solve was consistent)."""
+def every(pool):
+    """Every candidate id of a ``grading._Pool``, in order: the pool filled
+    at every label of its generators."""
+    parts = sorted(pool.variants)
+    ids = []
+    for direction in pool.directions:
+        for size in range(1, pool.poly_degree + 1):
+            for combo in itertools.combinations_with_replacement(parts, size):
+                label = tuple((part, len(list(run)))
+                              for part, run in itertools.groupby(combo))
+                ids.extend(pool.fill(direction, label))
+    return sorted(ids)
+
+
+def stage_system(spectrum, residual, images, modulo_d):
+    """The equations {row: (coefficients, rhs)} of a stage over every
+    candidate; with ``modulo_d``, those of its retry: every row closed under
+    preimages of d within the rows' coordinate degree plus one."""
     rows = {}
     for i, image in enumerate(images):
         for key, c in variational.form_mono_items(image):
@@ -330,20 +349,27 @@ def full_stage_solve(spectrum, leading, residual, basis, images):
     for key, c in variational.form_mono_items(residual):
         rhs[key] = rhs.get(key, Fr(0)) + c
         rows.setdefault(key, {})
-
-    def solve():
-        return linsolve.solve_linear(
-            [(coeffs, -rhs.get(key, Fr(0)))
-             for key, coeffs in sorted(rows.items(), key=repr)])
-
-    sol = solve()
-    first_consistent = sol is not None
-    if sol is None:
+    if modulo_d:
         x_cap = variational.max_x_degree(rows) + 1
         for cand, image in variational.saturate_d(spectrum.dim, rows, x_cap).items():
             for key, c in image.items():
                 rows.setdefault(key, {})[("b", cand)] = c
-        sol = solve()
+    return {key: (coeffs, -rhs.get(key, Fr(0))) for key, coeffs in rows.items()}
+
+
+def full_stage_solve(spectrum, leading, residual, basis, images):
+    """A stage solved over every candidate, with no pruning: (solution,
+    whether the first solve was consistent)."""
+
+    def solve(modulo_d):
+        system = stage_system(spectrum, residual, images, modulo_d)
+        return linsolve.solve_linear(
+            [system[key] for key in sorted(system, key=repr)])
+
+    sol = solve(False)
+    first_consistent = sol is not None
+    if sol is None:
+        sol = solve(True)
     assert sol is not None
     return ({i: v for (tag, i), v in sol.items() if tag == "c" and v},
             first_consistent)
@@ -426,10 +452,16 @@ def test_closure_follows_a_candidate_into_a_second_block(two_blocks):
     assert sorted(sol) == [0, 1]
 
 
+def equation_counter(equations):
+    return collections.Counter(
+        (frozenset(coeffs.items()), rhs) for coeffs, rhs in equations)
+
+
 def test_retry_modulo_d_solves_the_full_system(two_blocks, monkeypatch):
     # an exact form outside the images' span makes the first solve
-    # inconsistent; the retry must see the rows of every candidate, the one
-    # out of reach included
+    # inconsistent; the retry solves the rows in reach alone, which are
+    # whole components of the full retry system: the rest of it is
+    # homogeneous and shares no column with them
     spec, leading, basis, images, ct = (
         two_blocks[k] for k in ("spec", "leading", "basis", "images", "ct"))
     residual = two_blocks["residual"] + forms.d(forms.wedge(ct("u"), ct("v")))
@@ -437,15 +469,64 @@ def test_retry_modulo_d_solves_the_full_system(two_blocks, monkeypatch):
     solve_linear = linsolve.solve_linear
 
     def recording(equations):
-        systems.append(collections.Counter(
-            (frozenset(coeffs.items()), rhs) for coeffs, rhs in equations))
+        systems.append(equation_counter(equations))
         return solve_linear(equations)
 
     monkeypatch.setattr(linsolve, "solve_linear", recording)
     sol = grading._stage_solve(spec, leading, residual, Listed(basis))
     assert (sol, False) == full_stage_solve(spec, leading, residual, basis, images)
     assert sol
-    assert len(systems) == 4 and systems[1] == systems[3]
+    full = stage_system(spec, residual, images, modulo_d=True)
+    assert len(systems) == 4 and systems[3] == equation_counter(full.values())
+    kept = grading._candidates_in_reach(leading, residual, Listed(basis))
+    labels = image_labels(residual).union(
+        *(image_labels(images[i]) for i in kept))
+    inside = [eq for key, eq in full.items()
+              if variational.block_key(key) in labels]
+    outside = [eq for key, eq in full.items()
+               if variational.block_key(key) not in labels]
+    assert systems[1] == equation_counter(inside)
+    assert outside and all(rhs == 0 for _, rhs in outside)
+    assert {c for coeffs, _ in inside for c in coeffs}.isdisjoint(
+        {c for coeffs, _ in outside for c in coeffs})
+
+
+def test_retry_images_only_the_candidates_in_reach(two_blocks, monkeypatch):
+    # with jet order 0 the pool's images miss an exact form, so the first
+    # solve is inconsistent and the retry sets u d/dw; it solves the rows it
+    # has, so only the candidates in reach of the residual pay for an image
+    spec, leading, ct = (two_blocks[k] for k in ("spec", "leading", "ct"))
+    u, w = kernel.jet_gen(spec, "u"), kernel.jet_gen(spec, "w")
+    residual = (forms.d(forms.wedge(ct("u"), ct("v")))
+                - forms.lie(grading._basis_field(spec, w, ((u, 1),)), leading))
+    pool = grading._Pool(spec, grading.KIND_MOMENTUM, 0, 0, 1)
+    ids = every(pool)
+    basis = [pool.candidate(key) for key in ids]
+    full = full_stage_solve(spec, leading, residual, basis, [
+        forms.lie(grading._basis_field(spec, *cand), leading)
+        for cand in basis])
+    kept = grading._candidates_in_reach(leading, residual, pool)
+    verdicts = []
+    images = []
+    solve_linear, lie = linsolve.solve_linear, forms.lie
+
+    def recording_solve(equations):
+        sol = solve_linear(equations)
+        verdicts.append(sol is not None)
+        return sol
+
+    def counting_lie(*args):
+        images.append(args)
+        return lie(*args)
+
+    monkeypatch.setattr(linsolve, "solve_linear", recording_solve)
+    monkeypatch.setattr(forms, "lie", counting_lie)
+    sol = grading._stage_solve(spec, leading, residual, pool)
+    assert verdicts == [False, True]
+    assert {pool.candidate(key): c for key, c in sol.items()} == {
+        (w, ((u, 1),)): 1}
+    assert ({ids.index(key): c for key, c in sol.items()}, False) == full
+    assert 0 < len(images) == len(kept) < len(ids)
 
 
 def test_prediction_reads_the_rows_of_delta_leading():
@@ -462,9 +543,6 @@ def test_prediction_reads_the_rows_of_delta_leading():
 
 
 # -- generating the candidates label by label -------------------------------
-
-
-SWEEP = [(2, 3), (3, 3), (4, 3), (2, 4), (3, 4)]
 
 
 @pytest.mark.parametrize("jet_order,poly_degree", SWEEP)
@@ -498,7 +576,7 @@ def test_generated_candidates_are_the_in_reach_part_of_the_full_basis(
 def test_every_candidate_of_the_pool_is_the_full_basis(first_stage):
     spl = first_stage["spl"]
     pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, 2, 3)
-    assert [pool.candidate(key) for key in pool.every()] == first_stage["basis"]
+    assert [pool.candidate(key) for key in every(pool)] == first_stage["basis"]
 
 
 def factors(mono):
@@ -513,7 +591,7 @@ def test_every_candidate_of_the_maxwell_leaf_pool_in_combination_order():
     basis = full_basis(spl, grading.KIND_MOMENTUM, 1, 1, 3)
     assert len(basis) == 50598
     pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, 1, 3)
-    ids = pool.every()
+    ids = every(pool)
     assert ids == sorted(ids)
     assert [pool.candidate(key) for key in ids] == sorted(
         basis, key=lambda cand: (cand[0], len(factors(cand[1])),
@@ -544,13 +622,12 @@ def test_the_later_of_two_equal_images_gets_zero():
 
 def test_retry_over_the_pool_solves_the_full_system(two_blocks):
     # the pool of u, v, w, z and their first derivatives, one factor each;
-    # an exact form makes the first solve inconsistent, so the retry must
-    # enumerate the whole pool
+    # its candidates in reach solve the exact form in the first solve
     spec, leading, ct = (two_blocks[k] for k in ("spec", "leading", "ct"))
     residual = two_blocks["residual"] + forms.d(forms.wedge(ct("u"), ct("v")))
     pool = grading._Pool(spec, grading.KIND_MOMENTUM, 0, 1, 1)
     basis = full_basis(spec, grading.KIND_MOMENTUM, 0, 1, 1)
-    assert [pool.candidate(key) for key in pool.every()] == basis
+    assert [pool.candidate(key) for key in every(pool)] == basis
     by_pool = grading._stage_solve(spec, leading, residual, pool)
     by_list = grading._stage_solve(spec, leading, residual, Listed(basis))
     assert by_list
