@@ -47,7 +47,8 @@ contact d(g).  Then:
   (-1)^{cp(phi) * c}, where c is the parity of the contacts d(phi_{Ij})
   passes on its way to its sorted place; zero when dx^j is already there,
   or d(phi_{Ij}) is odd and already there.
-* delta: (-1)^{P(w)} right_partial_g(s) with d(g) inserted into w, times
+* delta: (-1)^{P(w)} times the right partial of s along g, with d(g)
+  inserted into w, times
   (-1)^{cp(g) * (#dx + parity of the contacts before d(g))}; zero when d(g)
   is odd and already there.
 * contract, contact d(phi^a_I) at slot k: s * X^a_I with that contact
@@ -76,6 +77,16 @@ _EMPTY: Key = ((), ())
 
 def _contact_parity(g: Gen) -> int:
     return (kernel.gen_parity(g) + 1) % 2
+
+
+def _key_grade(key: Key, grading: str) -> int:
+    """What a term key's dx and contact generators add to a grading, before
+    parity is taken mod 2: a dx is odd, a contact d(g) has the parity of
+    d(g) and the ghost number and role of g."""
+    dxs, contacts = key
+    if grading == "parity":
+        return len(dxs) + sum(_contact_parity(g) for g in contacts)
+    return kernel.mono_grade(tuple((g, 1) for g in contacts), grading)
 
 
 def _odd_part_negated(s: GradedScalar) -> GradedScalar:
@@ -185,52 +196,25 @@ class LocalForm:
             return None
         return (v, h)
 
-    def parity(self) -> Optional[int]:
-        vals = set()
-        for (dxs, contacts), s in self.terms.items():
-            sp = s.grade_of("parity")
-            if sp is None:
-                return None
-            base = (len(dxs) + sum(_contact_parity(g) for g in contacts)) % 2
-            vals.add((sp + base) % 2)
-            if len(vals) > 1:
-                return None
-        return vals.pop() if vals else None
-
-    def ghost(self) -> Optional[int]:
-        vals = set()
-        for (dxs, contacts), s in self.terms.items():
-            sg = s.grade_of("ghost")
-            if sg is None:
-                return None
-            vals.add(sg + sum(kernel.gen_ghost(g) for g in contacts))
-            if len(vals) > 1:
-                return None
-        return vals.pop() if vals else None
-
-    def weight(self, grading: str) -> Optional[int]:
-        """Uniform momentum or polyvector weight, contacts included."""
-        role = kernel.GRADING_ROLES[grading]
-        vals = set()
-        for (dxs, contacts), s in self.terms.items():
-            split = s.grade_split(grading)
-            if len(split) != 1:
-                return None
-            (w,) = split.keys()
-            vals.add(w + sum(1 for g in contacts if kernel.gen_role(g) == role))
-            if len(vals) > 1:
-                return None
-        return vals.pop() if vals else None
-
-    def weight_split(self, grading: str) -> dict[int, "LocalForm"]:
-        """Decompose into homogeneous momentum or polyvector weight."""
-        role = kernel.GRADING_ROLES[grading]
+    def grade_split(self, grading: str) -> dict[int, "LocalForm"]:
+        """Decompose into homogeneous pieces of a grading of
+        ``GradedScalar.grade_of``, counting each term's dx and contact
+        factors (``_key_grade``) as well as its coefficient."""
         out: dict[int, dict[Key, GradedScalar]] = {}
-        for (dxs, contacts), s in self.terms.items():
-            cdeg = sum(1 for g in contacts if kernel.gen_role(g) == role)
+        for key, s in self.terms.items():
+            kg = _key_grade(key, grading)
             for w, part in s.grade_split(grading).items():
-                out.setdefault(w + cdeg, {})[(dxs, contacts)] = part
+                w += kg
+                out.setdefault(w % 2 if grading == "parity" else w, {})[key] = part
         return {w: LocalForm(self.dim, t) for w, t in sorted(out.items())}
+
+    def grade_of(self, grading: str) -> Optional[int]:
+        """Common grade of all terms, or None when inhomogeneous / zero."""
+        split = self.grade_split(grading)
+        return next(iter(split)) if len(split) == 1 else None
+
+    def parity(self) -> Optional[int]:
+        return self.grade_of("parity")
 
     def bidegree_split(self) -> dict[tuple[int, int], "LocalForm"]:
         """Split into (vertical, horizontal) homogeneous pieces."""
@@ -241,13 +225,6 @@ class LocalForm:
 
     # -- inspection -------------------------------------------------------
 
-    def jet_generators(self) -> set[Gen]:
-        gens = set()
-        for (dxs, contacts), s in self.terms.items():
-            gens.update(s.jet_generators())
-            gens.update(contacts)
-        return gens
-
     def max_jet_order(self) -> int:
         m = 0
         for (dxs, contacts), s in self.terms.items():
@@ -255,9 +232,6 @@ class LocalForm:
             for g in contacts:
                 m = max(m, len(kernel.jet_mi(g)))
         return m
-
-    def coefficient(self, key: Key) -> GradedScalar:
-        return self.terms.get(key, kernel.ZERO)
 
 
 def _add_term(out: dict[Key, GradedScalar], key: Key, s: GradedScalar) -> None:
@@ -413,12 +387,9 @@ def delta(form: LocalForm) -> LocalForm:
     dim = form.dim
     for (dxs, contacts), s in form.terms.items():
         base_par = len(dxs) + sum(_contact_parity(h) for h in contacts)
-        for g in sorted(s.jet_generators()):
+        for g, df in sorted(s.partials().items()):
             p = _contact_parity(g)
-            if p and g in contacts:
-                continue
-            df = s.right_partial(g)
-            if df:
+            if kernel.is_jet(g) and not (p and g in contacts):
                 # d(g) moves right past the dx^i and the contacts below it
                 k = bisect_right(contacts, g)
                 sign = base_par
@@ -506,9 +477,8 @@ class EvoField:
     def apply(self, s: GradedScalar) -> GradedScalar:
         """Action on a scalar: sum of (right-partial) * component."""
         total = kernel.ZERO
-        for g in s.jet_generators():
-            part = s.right_partial(g)
-            if part:
+        for g, part in s.partials().items():
+            if kernel.is_jet(g):
                 total = total + part * self.component(g)
         return total
 

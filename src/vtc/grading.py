@@ -82,7 +82,7 @@ def degree_split(a: LocalForm, kind: str) -> list[tuple[int, LocalForm]]:
     """
     if kind not in kernel.GRADING_ROLES:
         raise ValueError(f"unknown grading kind {kind!r}")
-    return sorted(a.weight_split(kind).items())
+    return sorted(a.grade_split(kind).items())
 
 
 def counting_field(spectrum: Spectrum, kind: str) -> EvoField:
@@ -478,7 +478,7 @@ def derived_bracket(generator: LocalForm, args: Sequence[LocalForm],
             f"generator of degree {gen_degree} defines a {gen_degree}-ary "
             f"bracket, got {len(args)} arguments")
     for pos, a in enumerate(args):
-        w = a.weight(kind)
+        w = a.grade_of(kind)
         if w not in (0, None):
             raise ArityError(
                 f"argument {pos} has counting degree {w}, expected 0")

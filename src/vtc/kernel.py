@@ -490,7 +490,7 @@ class GradedScalar:
 
         ``grading`` is one of "parity", "ghost", "momentum", "polyvector".
         """
-        values = {_mono_grade(m, grading) for m in self.terms}
+        values = {mono_grade(m, grading) for m in self.terms}
         if len(values) != 1:
             return None
         return values.pop()
@@ -499,50 +499,41 @@ class GradedScalar:
         """Decompose into homogeneous pieces of the given grading."""
         out: dict[int, dict[Monomial, Fraction]] = {}
         for m, c in self.terms.items():
-            out.setdefault(_mono_grade(m, grading), {})[m] = c
-        return {k: GradedScalar(v) for k, v in sorted(out.items())}
+            out.setdefault(mono_grade(m, grading), {})[m] = c
+        return {k: GradedScalar._wrap(v) for k, v in sorted(out.items())}
 
     def parity(self) -> Optional[int]:
         return self.grade_of("parity")
 
     # -- derivatives ------------------------------------------------------
 
-    def left_partial(self, g: Gen) -> "GradedScalar":
-        """Left derivative with respect to the generator g."""
-        return self._partial(g, left=True)
+    def partials(self, left: bool = False) -> dict[Gen, "GradedScalar"]:
+        """Every nonzero partial derivative, keyed by generator, from one
+        pass over the terms: right derivatives, or left ones when ``left``.
 
-    def right_partial(self, g: Gen) -> "GradedScalar":
-        """Right derivative with respect to the generator g."""
-        return self._partial(g, left=False)
-
-    def _partial(self, g: Gen, left: bool) -> "GradedScalar":
-        out: dict[Monomial, Fraction] = {}
-        gp = gen_parity(g)
+        Stripping an odd generator signs each term by the odd factors it
+        crosses on its way out: those after it for a right derivative,
+        those before it for a left one.
+        """
+        out: dict[Gen, dict[Monomial, Coefficient]] = {}
         for m, c in self.terms.items():
+            odd_after = sum(gen_parity(h) for h, _ in m)
+            odd_before = 0
             for idx, (h, e) in enumerate(m):
-                if h != g:
-                    continue
-                if gp:
-                    if left:
-                        crossed = sum(gen_parity(k) & (x & 1) for k, x in m[:idx])
-                    else:
-                        crossed = sum(gen_parity(k) & (x & 1) for k, x in m[idx + 1:])
+                if gen_parity(h):  # odd generators have exponent 1
+                    odd_after -= 1
                     rest = m[:idx] + m[idx + 1:]
-                    cc = -c if crossed % 2 else c
+                    cc = -c if (odd_before if left else odd_after) & 1 else c
+                    odd_before += 1
                 elif e > 1:
                     rest = m[:idx] + ((h, e - 1),) + m[idx + 1:]
                     cc = c * e
                 else:
                     rest = m[:idx] + m[idx + 1:]
                     cc = c
-                prev = out.get(rest)
-                s = cc if prev is None else prev + cc
-                if s:
-                    out[rest] = s
-                else:
-                    out.pop(rest, None)
-                break
-        return GradedScalar._wrap(out)
+                # (h, rest) determines the term, so nothing accumulates
+                out.setdefault(h, {})[rest] = cc
+        return {h: GradedScalar._wrap(t) for h, t in out.items()}
 
     def total_derivative(self, j: int) -> "GradedScalar":
         """Total derivative in base direction j.
@@ -597,9 +588,6 @@ class GradedScalar:
 
     # -- inspection -------------------------------------------------------
 
-    def jet_generators(self) -> set[Gen]:
-        return {g for m in self.terms for g, _ in m if is_jet(g)}
-
     def max_jet_order(self) -> int:
         orders = [len(jet_mi(g)) for m in self.terms for g, _ in m if is_jet(g)]
         return max(orders, default=0)
@@ -641,7 +629,8 @@ def _coerce(v: Union[GradedScalar, Coefficient]) -> GradedScalar:
     return GradedScalar.constant(v)
 
 
-def _mono_grade(m: Monomial, grading: str) -> int:
+def mono_grade(m: Monomial, grading: str) -> int:
+    """Grade of one monomial under a grading of ``GradedScalar.grade_of``."""
     if grading == "parity":
         return mono_parity(m)
     if grading == "ghost":

@@ -197,7 +197,7 @@ def _probe_rows(spectrum: Spectrum, om: LocalForm, h: Gen,
             raise NoHamiltonianFieldError(h, "contraction is not a source form")
         # one term per g, linear in the probe: its coefficient is nonzero
         g = contacts[0]
-        rows[g] = s.left_partial(aux) * variational._contact_vol_sign(om.dim, g)
+        rows[g] = s.partials(left=True)[aux] * variational._contact_vol_sign(om.dim, g)
     return rows
 
 
@@ -470,7 +470,7 @@ def verify_evolution_generator(S: LocalForm, Gamma: LocalForm,
     if Gamma.is_zero():
         return True
     gpar = (Gamma.parity() + Gamma.hdeg()) % 2
-    ggh = Gamma.ghost()
+    ggh = Gamma.grade_of("ghost")
     if (gpar, ggh) not in ((kernel.EVEN, 0), (kernel.ODD, 1)):
         raise GradingError(
             f"evolution generator must be even ghost 0 or odd ghost 1, "

@@ -74,9 +74,8 @@ def el_derivative(lam: LocalForm) -> dict[Gen, GradedScalar]:
     """
     L = _top_scalar(lam)
     acc: dict[Gen, GradedScalar] = {}
-    for g in sorted(L.jet_generators()):
-        part = L.right_partial(g)
-        if not part:
+    for g, part in sorted(L.partials().items()):
+        if not kernel.is_jet(g):
             continue
         mi = kernel.jet_mi(g)
         term = part.total_derivative_mi(mi)
@@ -400,10 +399,11 @@ def divergence_primitive(f: LocalForm) -> LocalForm:
 def equiv_mod_d(a: LocalForm, b: LocalForm) -> bool:
     """Whether a - b is a horizontal differential.
 
-    Tested per bidegree block: a top form is exact over R^n iff all its
-    Euler-Lagrange derivatives vanish; a (1,n) block iff its source part
-    vanishes; positive vertical degree below top iff it is d-closed (row
-    exactness); higher vertical degree at the top via the bounded solver.
+    Tested per bidegree block: below top horizontal degree a block is
+    exact iff it is d-closed (row exactness; in horizontal degree 0 only
+    zero is); a top form is exact over R^n iff all its Euler-Lagrange
+    derivatives vanish; a (1,n) block iff its source part vanishes; higher
+    vertical degree at the top via the bounded solver.
     """
     if a.dim != b.dim:
         raise DegreeError("forms live over different base dimensions")
@@ -417,23 +417,18 @@ def equiv_mod_d(a: LocalForm, b: LocalForm) -> bool:
     for (q, p), block in rho.bidegree_split().items():
         if p == 0:
             return False
-        if q == 0:
-            if p == n:
-                if el_derivative(block):
-                    return False
-            else:
-                if not forms.d(block).is_zero():
-                    return False
-        elif p == n:
-            if q == 1:
-                if source_decompose(block).components:
-                    return False
-            else:
-                try:
-                    _solve_d(block)
-                except NoPrimitiveError:
-                    return False
-        else:
+        if p < n:
             if not forms.d(block).is_zero():
+                return False
+        elif q == 0:
+            if el_derivative(block):
+                return False
+        elif q == 1:
+            if source_decompose(block).components:
+                return False
+        else:
+            try:
+                _solve_d(block)
+            except NoPrimitiveError:
                 return False
     return True

@@ -222,7 +222,7 @@ def test_current_reduces_to_gauss_constraint(maxwell, gauss):
     Jred = foliation.charge_density(maxwell["sigma"], maxwell["F"],
                                     maxwell["st_red"])
     assert Jred.bidegree() == (0, 3)
-    assert Jred.ghost() == 1
+    assert Jred.grade_of("ghost") == 1
     assert variational.equiv_mod_d(Jred, gauss)
 
 

@@ -8,7 +8,9 @@ single factors s ^ dx^{i1} ^ ... ^ d(phi_1) ^ ..., and
     D(f_1 ^ ... ^ f_n) = sum_k (-1)^{e * parity(f_{k+1} ^ ... ^ f_n)}
                          f_1 ^ ... ^ D(f_k) ^ ... ^ f_n,
 
-with D(f_k) given on single factors.  Every product is taken with
+with D(f_k) given on single factors; the partials delta takes of a scalar
+come from ``test_scalars.ref_partial``, one scan per generator, not from
+``GradedScalar.partials``.  Every product is taken with
 ``forms.wedge``, which inserts the factors of its right operand one at a
 time, so the signs come from that generic factor-by-factor
 canonicalisation, not from the sign rules the engine's derivations use.
@@ -25,6 +27,8 @@ from hypothesis import strategies as st
 from vtc import forms as F
 from vtc import kernel as K
 from vtc import parser
+
+from test_scalars import ref_partial
 
 
 SP = K.Spectrum(4, [
@@ -95,8 +99,9 @@ def oracle_d(form):
 
 def oracle_delta(form):
     def on_scalar(s):
-        return sum((F.wedge(sf(s.right_partial(g)), F.contact(DIM, g))
-                    for g in sorted(s.jet_generators())), F.LocalForm.zero(DIM))
+        jets = sorted({g for m in s.terms for g, _ in m if K.is_jet(g)})
+        return sum((F.wedge(sf(ref_partial(s, g)), F.contact(DIM, g)) for g in jets),
+                   F.LocalForm.zero(DIM))
 
     return by_right_derivation(form, 1, on_scalar, zero_form, zero_form)
 

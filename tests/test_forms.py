@@ -351,14 +351,14 @@ def test_bidegree_and_parity():
     w = F.wedge_all([sf(J("C")), dx(0), ct(G("A", (1,)))])
     assert w.bidegree() == (1, 1)
     assert w.parity() == (1 + 1 + 1) % 2
-    assert w.ghost() == 1
+    assert w.grade_of("ghost") == 1
     mixed = w + dx(0)
     assert mixed.bidegree() is None
 
 
 def test_weights_count_contacts():
     w = F.wedge(sf(J("As", (0,))), ct(G("As", (1,))))
-    assert w.weight("polyvector") == 2
-    assert w.weight("momentum") == 0
-    parts = w.weight_split("polyvector")
+    assert w.grade_of("polyvector") == 2
+    assert w.grade_of("momentum") == 0
+    parts = w.grade_split("polyvector")
     assert list(parts) == [2] and parts[2] == w

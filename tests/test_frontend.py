@@ -315,6 +315,23 @@ def test_cli_bracket_takes_densities_of_one_parity(capsys, option, expression,
     assert captured.out == ""
 
 
+def test_cli_foliated_bracket_needs_a_foliation(tmp_path, capsys):
+    text = builtin_models.model_text("maxwell")
+    path = tmp_path / "flat.vtc"
+    path.write_text(text[:text.index("foliation {")])
+    rc = cli.main(["bracket", str(path), "--foliated",
+                   "--a", "C ^ vol", "--b", "C ^ vol"])
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.err == "vtc: model declares no foliation\n"
+    assert captured.out == ""
+
+
+def test_unknown_builtin_model_raises_model_error():
+    with pytest.raises(model.ModelError, match="unknown built-in model 'nope'"):
+        builtin_models.builtin("nope")
+
+
 def test_cli_usage_errors_exit_2(capsys):
     assert cli.main(["descend", "no-such-model"]) == 2
     assert cli.main(["bracket", "chiral", "--a", "oops", "--b", "1"]) == 2

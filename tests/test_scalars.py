@@ -101,22 +101,51 @@ def test_coefficients_stay_integers_until_a_division():
 # -- frozen partial derivatives ---------------------------------------------
 
 
+def ref_partial(s, g, left=False):
+    """Reference partial derivative along the one generator g, by its own
+    scan of the terms: g is stripped where it stands, an odd g signed by
+    the odd factors it crosses (those after it for a right derivative,
+    those before it for a left one)."""
+    out = K.ZERO
+    for m, c in s.terms.items():
+        for idx, (h, e) in enumerate(m):
+            if h != g:
+                continue
+            if K.gen_parity(g):
+                crossed = m[:idx] if left else m[idx + 1:]
+                odd = sum(K.gen_parity(k) & (x & 1) for k, x in crossed)
+                rest, cc = m[:idx] + m[idx + 1:], -c if odd % 2 else c
+            elif e > 1:
+                rest, cc = m[:idx] + ((h, e - 1),) + m[idx + 1:], c * e
+            else:
+                rest, cc = m[:idx] + m[idx + 1:], c
+            out = out + K.GradedScalar({rest: cc})
+    return out
+
+
+def partial(s, g, left=False):
+    """The engine's partial along g, checked against the reference."""
+    got = s.partials(left).get(g, K.ZERO)
+    assert got == ref_partial(s, g, left)
+    return got
+
+
 def test_partials_even_generator():
     f = J("A", (1,)) * J("A", (1,)) * K.x(0)
     g = G("A", (1,))
-    assert f.right_partial(g) == 2 * K.x(0) * J("A", (1,))
-    assert f.left_partial(g) == 2 * K.x(0) * J("A", (1,))
+    assert partial(f, g) == 2 * K.x(0) * J("A", (1,))
+    assert partial(f, g, left=True) == 2 * K.x(0) * J("A", (1,))
 
 
 def test_partials_odd_frozen():
     f = J("C") * J("As", (0,)) * J("As", (1,))
     # right strip of As0: C As0 As1 = -C As1 As0
-    assert f.right_partial(G("As", (0,))) == -1 * (J("C") * J("As", (1,)))
+    assert partial(f, G("As", (0,))) == -1 * (J("C") * J("As", (1,)))
     # left strip of As0: C As0 As1 = -As0 C As1
-    assert f.left_partial(G("As", (0,))) == -1 * (J("C") * J("As", (1,)))
+    assert partial(f, G("As", (0,)), left=True) == -1 * (J("C") * J("As", (1,)))
     # right strip of C crosses two odd factors
-    assert f.right_partial(G("C")) == J("As", (0,)) * J("As", (1,))
-    assert f.left_partial(G("C")) == J("As", (0,)) * J("As", (1,))
+    assert partial(f, G("C")) == J("As", (0,)) * J("As", (1,))
+    assert partial(f, G("C"), left=True) == J("As", (0,)) * J("As", (1,))
 
 
 def test_left_right_partial_relation():
@@ -124,14 +153,14 @@ def test_left_right_partial_relation():
     f0 = J("C") * J("As", (2,))           # even
     f1 = J("A", (0,)) * J("C")            # odd
     g = G("C")
-    assert f0.left_partial(g) == -1 * f0.right_partial(g)
-    assert f1.left_partial(g) == f1.right_partial(g)
+    assert partial(f0, g, left=True) == -1 * partial(f0, g)
+    assert partial(f1, g, left=True) == partial(f1, g)
 
 
 def test_second_odd_partial_vanishes():
     f = J("C") * J("As", (0,)) * J("Cs")
     g = G("C")
-    assert f.right_partial(g).right_partial(g).is_zero()
+    assert partial(partial(f, g), g).is_zero()
 
 
 # -- frozen total derivatives -----------------------------------------------
@@ -234,12 +263,12 @@ POOL = [
 ]
 
 
-def random_scalar(rnd, nterms=3, nfac=3):
+def random_scalar(rnd, nterms=3, nfac=3, pool=POOL):
     total = K.ZERO
     for _ in range(rnd.randint(1, nterms)):
         term = K.scalar(Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)))
         for _ in range(rnd.randint(0, nfac)):
-            term = term * rnd.choice(POOL)
+            term = term * rnd.choice(pool)
         total = total + term
     return total
 
@@ -298,9 +327,39 @@ def test_right_partial_leibniz_random():
         if v.is_zero():
             continue
         sign = -1 if v.grade_of("parity") else 1
-        lhs = (u * v).right_partial(g)
-        rhs = u * v.right_partial(g) + sign * (u.right_partial(g) * v)
+        lhs = partial(u * v, g)
+        rhs = u * partial(v, g) + sign * (partial(u, g) * v)
         assert lhs == rhs
+
+
+def test_partials_match_the_reference_random():
+    # every generator kind: parameter, coordinates, even and odd jets, even
+    # and odd auxiliaries; all the partials come from one pass
+    pool = POOL + [K.aux("a"), K.aux("b", K.ODD, 1)]
+    gens = sorted({g for f in pool for m in f.terms for g, _ in m})
+    rnd = random.Random(14)
+    for _ in range(300):
+        s = random_scalar(rnd, nterms=4, nfac=4, pool=pool)
+        for left in (False, True):
+            got = s.partials(left)
+            assert all(got.values())
+            for g in gens:
+                assert got.get(g, K.ZERO) == ref_partial(s, g, left)
+
+
+CONTACTS = [G("A", (0,)), G("A", (2,), (1,)), G("C"), G("As", (1,)), G("Cs")]
+
+
+def random_form(rnd):
+    total = F.LocalForm.zero(4)
+    for _ in range(rnd.randint(1, 3)):
+        piece = F.scalar_form(4, random_scalar(rnd))
+        for i in rnd.sample(range(4), rnd.randint(0, 2)):
+            piece = F.wedge(piece, F.dx(4, i))
+        for _ in range(rnd.randint(0, 2)):
+            piece = F.wedge(piece, F.contact(4, rnd.choice(CONTACTS)))
+        total = total + piece
+    return total
 
 
 def test_grade_split_reassembles_random():
@@ -313,3 +372,9 @@ def test_grade_split_reassembles_random():
             for p in parts.values():
                 total = total + p
             assert total == a
+    for _ in range(100):
+        w = random_form(rnd)
+        for grading in ("parity", "ghost", "momentum", "polyvector"):
+            parts = w.grade_split(grading)
+            assert sum(parts.values(), F.LocalForm.zero(4)) == w
+            assert all(p.grade_of(grading) == k for k, p in parts.items())

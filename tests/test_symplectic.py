@@ -99,7 +99,7 @@ def test_canonical_structure_is_delta_exact():
 def test_canonical_structure_term_count(maxwell):
     # one term per paired component: four A components plus the ghost pair
     assert len(maxwell["st"].omega.terms) == 5
-    assert maxwell["st"].omega.ghost() == -1
+    assert maxwell["st"].omega.grade_of("ghost") == -1
     assert maxwell["st"].omega.parity() == ODD
 
 
@@ -256,7 +256,7 @@ def test_first_descent_exactness(maxwell, chain):
     assert forms.d(om1) == forms.lie(maxwell["Q"], maxwell["st"].omega)
     assert forms.delta(om1).is_zero()
     assert om1.bidegree() == (2, 3)
-    assert om1.ghost() == maxwell["st"].omega.ghost() + 1
+    assert om1.grade_of("ghost") == maxwell["st"].omega.grade_of("ghost") + 1
 
 
 def test_first_descent_expansion(maxwell, chain):
@@ -302,7 +302,7 @@ def test_second_descent_exactness(maxwell, chain):
     assert forms.d(om2) == forms.lie(maxwell["Q"], sys1.structure.omega)
     assert forms.delta(om2).is_zero()
     assert om2.bidegree() == (2, 2)
-    assert om2.ghost() == sys1.structure.omega.ghost() + 1
+    assert om2.grade_of("ghost") == sys1.structure.omega.grade_of("ghost") + 1
 
 
 def test_second_descent_matches_frozen_form(maxwell, chain):

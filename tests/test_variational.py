@@ -108,6 +108,42 @@ def test_el_derivative_rejects_wrong_degree():
         V.el_derivative(F.dx(DIM, 0))
 
 
+def test_el_derivative_matches_sympy_on_maxwell():
+    # an independent Euler operator: sympy's euler_equations on the A-only
+    # (even, first-order) part of maxwell's S, written with sympy functions
+    sympy = pytest.importorskip("sympy")
+    from sympy.calculus.euler import euler_equations
+    from vtc import builtin_models
+
+    S = builtin_models.builtin("maxwell").master_density()
+    vol_key = (tuple(range(DIM)), ())
+    xs = sympy.symbols("x0:4")
+    A = [sympy.Function(f"A{a}")(*xs) for a in range(DIM)]
+
+    def to_sympy(s):
+        out = 0
+        for m, c in s.terms.items():
+            term = sympy.Rational(c.numerator, c.denominator)
+            for g, e in m:
+                assert K.jet_name(g) == "A"
+                f = A[K.jet_comp(g)[0]]
+                for j in K.jet_mi(g):
+                    f = sympy.diff(f, xs[j])
+                term *= f ** e
+            out += term
+        return out
+
+    L = K.GradedScalar({m: c for m, c in S.terms[vol_key].terms.items()
+                        if all(K.jet_name(g) == "A" for g, _ in m)})
+    assert L.max_jet_order() == 1 and L.grade_of("parity") == K.EVEN
+    expected = euler_equations(to_sympy(L), A, xs)
+    got = V.el_derivative(F.wedge(sf(L), VOL))
+    assert set(got) == {G("A", (a,)) for a in range(DIM)}
+    for a, eq in enumerate(expected):
+        assert eq.rhs == 0
+        assert sympy.expand(to_sympy(got[G("A", (a,))]) - eq.lhs) == 0
+
+
 # -- source decomposition ---------------------------------------------------
 
 
