@@ -1,16 +1,39 @@
-"""The sparse exact solver against an independent dense oracle.
+"""The sparse exact solver against two oracles.
 
-The oracle is textbook Gauss-Jordan elimination on the dense augmented
-matrix, with the columns in sorted key order.  The reduced row-echelon form
-of a system is unique, so the solution with every free column pinned to 0
-is too: ``solve_linear`` must return exactly that dict, or None exactly
-when the oracle finds a row 0 = b with b nonzero.
+The dense oracle is textbook Gauss-Jordan elimination on the dense
+augmented matrix, with the columns in sorted key order.  The reduced
+row-echelon form of a system is unique, so the solution with every free
+column pinned to 0 is too: ``solve_linear`` must return exactly that dict,
+or None exactly when the oracle finds a row 0 = b with b nonzero.
+
+The sparse oracle, ``fraction_solve``, is the elimination ``solve_linear``
+ran before it became fraction-free: the same pivot order over ``Fraction``
+rows scaled to a leading 1.  It is fast enough to replay every system the
+calculus queries and both reports solve.  The seed-0 calculus queries are
+also checked against their digest in ``perfbench/pinned.json``, which pins
+the printed answers of the engine's homotopy, divergence and bracket
+queries.
 """
 
+import hashlib
+import heapq
+import importlib.util
+import json
 import random
+import sys
 from fractions import Fraction as Fr
+from pathlib import Path
 
-from vtc import linsolve
+from hypothesis import given, settings
+from hypothesis import strategies as st
+import pytest
+
+import vtc
+from vtc import builtin_models, linsolve, report
+# the calculus queries read these as attributes of the vtc package
+from vtc import forms, model, parser, symplectic, variational  # noqa: F401
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
 def dense_rref_solve(equations):
@@ -39,6 +62,60 @@ def dense_rref_solve(equations):
     for i, j in enumerate(pivot_cols):
         solution[cols[j]] = matrix[i][-1]
     return solution, pivots
+
+
+def fraction_solve(equations):
+    """The rational elimination ``solve_linear`` replaced, kept as an oracle.
+
+    Rows are reduced in the order given against the stored pivots they
+    contain, in increasing column order; each pivot is stored under its
+    smallest column, scaled to a leading 1; back substitution runs in
+    decreasing pivot-column order with free columns pinned to 0.
+    """
+    pivots = {}
+    columns = set()
+    for coeffs, rhs in equations:
+        row = {c: v for c, v in coeffs.items() if v}
+        columns.update(row)
+        pending = [c for c in row if c in pivots]
+        heapq.heapify(pending)
+        while pending:
+            col = heapq.heappop(pending)
+            factor = row.pop(col, None)
+            if factor is None:
+                continue
+            prest, prhs = pivots[col]
+            for c, v in prest.items():
+                old = row.get(c)
+                if old is None:
+                    row[c] = -factor * v
+                    if c in pivots:
+                        heapq.heappush(pending, c)
+                else:
+                    nv = old - factor * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
+            rhs = rhs - factor * prhs
+        if not row:
+            if rhs:
+                return None
+            continue
+        pcol = min(row)
+        lead = row.pop(pcol)
+        if lead != 1:
+            row = {c: Fr(v, lead) for c, v in row.items()}
+            rhs = Fr(rhs, lead)
+        pivots[pcol] = (row, rhs)
+    solution = {col: 0 for col in columns}
+    for pcol in sorted(pivots, reverse=True):
+        rest, value = pivots[pcol]
+        for c, v in rest.items():
+            if c in pivots:
+                value = value - v * solution[c]
+        solution[pcol] = value
+    return solution
 
 
 def _random_row(rnd, keys, density):
@@ -191,3 +268,127 @@ def test_row_order_does_not_change_the_solution():
             assert linsolve.solve_linear(shuffled) == expected
         kinds[kind] += 1
     assert min(kinds.values()) > 30
+
+
+# -- property test against the dense oracle -----------------------------------
+
+# pairwise coprime, so a row's lcm is the product of its distinct denominators
+_DENOMINATORS = (1, 2, 3, 5, 7, 11, 13)
+_BIG = 10**15
+_entries = st.one_of(
+    st.integers(-_BIG, _BIG),
+    st.integers(-3, 3),
+    st.builds(Fr, st.integers(-_BIG, _BIG), st.sampled_from(_DENOMINATORS)),
+    st.builds(Fr, st.integers(-3, 3), st.sampled_from(_DENOMINATORS)),
+)
+
+
+@st.composite
+def systems(draw):
+    """(kind, equations): sparse rows of large integers and Fractions.
+
+    ``random`` rows have any right-hand side.  A ``rank-deficient`` system
+    has fewer base rows than columns, right-hand sides that one assignment
+    meets, and combinations of the base rows; an ``inconsistent`` one is
+    such a system with one combination's right-hand side shifted.
+    """
+    kind = draw(st.sampled_from(("random", "rank-deficient", "inconsistent")))
+    ncols = draw(st.integers(1 if kind == "random" else 2, 7))
+    keys = list(range(ncols))
+    rows = st.dictionaries(st.sampled_from(keys), _entries, max_size=ncols)
+    if kind == "random":
+        return kind, draw(st.lists(st.tuples(rows, _entries),
+                                   min_size=1, max_size=9))
+    truth = {k: draw(_entries) for k in keys}
+    base = [(row, sum((v * truth[k] for k, v in row.items()), Fr(0)))
+            for row in draw(st.lists(rows, min_size=1, max_size=ncols - 1))]
+    equations = list(base)
+    for i in range(draw(st.integers(1, 3))):
+        coeffs, rhs = {}, Fr(0)
+        for row, b in base:
+            f = draw(_entries)
+            for k, v in row.items():
+                coeffs[k] = coeffs.get(k, 0) + f * v
+            rhs += f * b
+        if i == 0 and kind == "inconsistent":
+            rhs += draw(st.sampled_from((Fr(1), Fr(-1, 7), Fr(_BIG, 13))))
+        equations.insert(draw(st.integers(0, len(equations))), (coeffs, rhs))
+    return kind, equations
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(systems())
+def test_large_and_fractional_systems_match_the_dense_oracle(system):
+    kind, equations = system
+    expected, pivots = dense_rref_solve(equations)
+    got = linsolve.solve_linear(equations)
+    assert got == expected
+    if kind != "random":
+        assert (got is None) == (kind == "inconsistent")
+    if got is None:
+        return
+    assert all(type(v) in (int, Fr) for v in got.values())
+    assert all(got[k] == 0 for k in set(got) - pivots)
+    for coeffs, rhs in equations:
+        assert sum((v * got[k] for k, v in coeffs.items() if v), Fr(0)) == rhs
+
+
+# -- every system the engine solves, against the rational elimination ---------
+
+
+def _load_calculus():
+    """``perfbench/calculus.py``, imported from its file without changing it."""
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_calculus", PERFBENCH / "calculus.py")
+    module = importlib.util.module_from_spec(spec)
+    # its dataclasses look their module up while they are built
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def _recording(run):
+    """run() with every system ``solve_linear`` receives recorded:
+    (run's result, [equations, ...])."""
+    systems = []
+    solve = linsolve.solve_linear
+
+    def recording(equations):
+        equations = [(dict(coeffs), rhs) for coeffs, rhs in equations]
+        systems.append(equations)
+        return solve(equations)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(linsolve, "solve_linear", recording)
+        return run(), systems
+
+
+@pytest.fixture(scope="module")
+def calculus_pass():
+    """The 200 seed-0 calculus queries of ``perfbench/run.py --workload
+    calculus``: ([(identity holds, printed result)], recorded systems)."""
+    calculus = _load_calculus()
+    calc = calculus.Calculus(vtc)
+    queries = calculus.make_queries(0, 200)
+    return _recording(lambda: [calc.run(q) for q in queries])
+
+
+def test_calculus_queries_match_the_pinned_digest(calculus_pass):
+    results, _ = calculus_pass
+    assert all(ok for ok, _ in results)
+    printed = "".join(text + "\n" for _, text in results).encode()
+    pinned = json.loads((PERFBENCH / "pinned.json").read_text())
+    assert hashlib.sha256(printed).hexdigest() == pinned["calculus"]["0"]
+
+
+def test_engine_systems_match_the_rational_elimination(calculus_pass):
+    systems = list(calculus_pass[1])
+    for name in builtin_models.BUILTINS:
+        m = builtin_models.builtin(name)
+        systems += _recording(lambda: report.run_pipeline(m))[1]
+    assert len(systems) > 300
+    for equations in systems:
+        got = linsolve.solve_linear(equations)
+        assert got == fraction_solve(equations)
+        if got is not None:
+            assert all(type(v) in (int, Fr) for v in got.values())
