@@ -21,6 +21,13 @@ densities with their master, and an optional foliation block::
       density H = ...
     }
 
+A ``{ key value, key value }`` attribute block, on ``field`` and ``algebra``
+lines, reads each value in place with the reader of its key; every value
+ends at the ``,`` before the next key or at the closing ``}``, so a stray
+token after a value is an error at that token.  The model name and the
+structure kind are one word: names joined by ``-`` with no space, as in
+``odd-BV``.
+
 Expressions use ``+ - * ^`` with ``*`` and ``^`` both denoting the graded
 product, ``dx[j]``, ``x[j]``, ``vol``, ``del(...)``, ``d(...)``,
 ``ib(j, ...)`` for contraction of a horizontal form with the j-th
@@ -35,7 +42,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Any, Callable, Optional, Sequence
 
 from . import foliation, forms, kernel, model, symplectic
 from .forms import LocalForm
@@ -94,10 +101,6 @@ def tokenize(text: str) -> list[Token]:
 
 _RESERVED = {"dx", "x", "vol", "del", "d", "ib"}
 
-_FIELD_ATTRS = ("parity", "ghost", "role", "shape", "conjugate", "slots",
-                "factor")
-_ALGEBRA_ATTRS = ("constants", "form")
-
 
 class _Parser:
     def __init__(self, toks: Sequence[Token]):
@@ -148,6 +151,12 @@ class _Parser:
             self.fail("expected an integer", t)
         return int(t.text)
 
+    def signed_integer(self) -> int:
+        if self.at("op", "-"):
+            self.next()
+            return -self.integer()
+        return self.integer()
+
     def fraction(self, t: Token) -> Fraction:
         """The rational literal of a number token, with nonzero denominator."""
         if re.fullmatch(r"\d+/0+", t.text):
@@ -165,6 +174,26 @@ class _Parser:
     def name(self) -> str:
         return self.expect("name").text
 
+    def word(self) -> str:
+        """One hyphenated word: a name, then any number of ``-`` names, with
+        no space in between (``odd-BV``)."""
+        t = self.expect("name")
+        text, end = t.text, t.col + len(t.text)
+        while self.at("op", "-") and self.peek().col == end:
+            self.next()
+            t = self.peek()
+            if t.col != end + 1:
+                self.fail("expected a name right after '-'", t)
+            text += "-" + self.name()
+            end = t.col + len(t.text)
+        return text
+
+    def names(self) -> tuple[str, ...]:
+        out = []
+        while self.at("name"):
+            out.append(self.name())
+        return tuple(out)
+
     def int_list(self) -> tuple[int, ...]:
         out = []
         while self.at("number"):
@@ -176,14 +205,6 @@ class _Parser:
         while self.at("number") or self.at("op", "-"):
             out.append(self.number())
         return tuple(out)
-
-    def word_to_eol(self) -> str:
-        parts = []
-        while not self.at("nl") and not self.at("eof"):
-            parts.append(self.next().text)
-        if not parts:
-            self.fail("expected a word")
-        return "".join(parts)
 
     # -- expressions -------------------------------------------------------
 
@@ -318,105 +339,81 @@ class _Parser:
 
     # -- attribute blocks --------------------------------------------------
 
-    def attr_block(self, keywords: Sequence[str]) -> dict[str, list[Token]]:
-        """``{ key value..., key value... }`` with values left unparsed."""
+    def attributes(self, readers: dict[str, Callable[[], Any]],
+                   ) -> dict[str, Any]:
+        """``{ key value, key value }``: each value is read in place by its
+        key's reader and must end at ``,`` or ``}``."""
         self.expect("op", "{")
-        out: dict[str, list[Token]] = {}
+        out: dict[str, Any] = {}
         while not self.at("op", "}"):
+            if out:
+                self.expect("op", ",")
             t = self.peek()
             key = self.name()
-            if key not in keywords:
+            if key not in readers:
                 self.fail(f"unknown attribute {key!r}", t)
             if key in out:
                 self.fail(f"duplicate attribute {key!r}", t)
-            depth = 0
-            value: list[Token] = []
-            while True:
-                if self.at("nl") or self.at("eof"):
-                    self.fail("unterminated attribute block")
-                if depth == 0 and self.at("op", "}"):
-                    break
-                if depth == 0 and self.at("op", ",") and \
-                        self.at("name", ahead=1):
-                    self.next()
-                    break
-                tok = self.next()
-                if tok.kind == "op" and tok.text in "([{":
-                    depth += 1
-                elif tok.kind == "op" and tok.text in ")]}":
-                    depth -= 1
-                value.append(tok)
-            if not value:
+            start = self.pos
+            out[key] = readers[key]()
+            if self.pos == start:
                 self.fail(f"attribute {key!r} has no value", t)
-            out[key] = value
-        self.expect("op", "}")
+        self.next()
         return out
-
-    def _sub(self, value: list[Token]) -> "_Parser":
-        last = value[-1]
-        stop = Token("nl", "\n", last.line, last.col + len(last.text))
-        return _Parser(value + [stop])
 
     def field_spec(self, dim: int) -> FieldSpec:
         t = self.peek()
         fname = self.name()
         if fname in _RESERVED:
             self.fail(f"{fname!r} is reserved", t)
-        attrs = self.attr_block(_FIELD_ATTRS)
+        attrs = self.attributes({
+            "parity": self.integer, "ghost": self.signed_integer,
+            "role": self.name, "shape": self.int_list,
+            "conjugate": self.name, "slots": self.names,
+            "factor": lambda: self.form_factor(dim)})
         for req in ("parity", "ghost", "role"):
             if req not in attrs:
                 self.fail(f"field {fname!r} is missing {req!r}", t)
-        kw: dict = {}
-        kw["parity"] = self._sub(attrs["parity"]).integer()
-        kw["ghost"] = self._int_signed(attrs["ghost"])
-        kw["role"] = self._sub(attrs["role"]).name()
-        if "shape" in attrs:
-            kw["shape"] = self._sub(attrs["shape"]).int_list()
-        if "conjugate" in attrs:
-            kw["conjugate"] = self._sub(attrs["conjugate"]).name()
-        if "slots" in attrs:
-            sub = self._sub(attrs["slots"])
-            kinds = []
-            while sub.at("name"):
-                kinds.append(sub.name())
-            kw["slot_kinds"] = tuple(kinds)
-        if "factor" in attrs:
-            kw["form_factor"] = self._form_factor(attrs["factor"], dim)
+        attrs["slot_kinds"] = attrs.pop("slots", None)
+        attrs["form_factor"] = attrs.pop("factor", None)
         try:
-            return FieldSpec(fname, **kw)
+            return FieldSpec(fname, **attrs)
         except ValueError as e:
             self.fail(str(e), t)
 
-    def _int_signed(self, value: list[Token]) -> int:
-        sub = self._sub(value)
-        neg = False
-        if sub.at("op", "-"):
-            sub.next()
-            neg = True
-        n = sub.integer()
-        return -n if neg else n
-
-    def _form_factor(self, value: list[Token], dim: int,
-                     ) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
-        blank = Spectrum(dim, [])
-        sub = self._sub(value)
-        a = sub.expression(blank)
+    def form_factor(self, dim: int,
+                    ) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+        t = self.peek()
+        a = self.expression(Spectrum(dim, []))
         out = []
         for (dxs, contacts), s in sorted(a.terms.items()):
             mono = {(): Fraction(0)}
             mono.update({m: c for m, c in s.terms.items()})
             if contacts or set(mono) != {()}:
-                self.fail("factor must be a constant horizontal form",
-                          value[0])
+                self.fail("factor must be a constant horizontal form", t)
             out.append((mono[()], dxs))
         return tuple(out)
+
+    def densities(self, spectrum: Spectrum) -> dict[str, LocalForm]:
+        """The ``density name = expression`` lines that follow."""
+        out: dict[str, LocalForm] = {}
+        while self.at("name", "density"):
+            self.next()
+            t = self.peek()
+            dname = self.name()
+            if dname in out:
+                self.fail(f"duplicate density {dname!r}", t)
+            self.expect("op", "=")
+            out[dname] = self.expression(spectrum)
+            self.end_line()
+        return out
 
     # -- model files -------------------------------------------------------
 
     def model_file(self) -> model.Model:
         self.skip_blank()
         self.expect("name", "model")
-        mname = self.word_to_eol()
+        mname = self.word()
         self.end_line()
 
         self.expect("name", "dim")
@@ -445,22 +442,18 @@ class _Parser:
             field_toks.setdefault(fields[-1].name, t)
             self.end_line()
 
-        algebra_constants = None
-        algebra_form = None
+        algebra: dict[str, Any] = {}
         algebra_tok = None
         if self.at("name", "algebra"):
             algebra_tok = self.next()
-            attrs = self.attr_block(_ALGEBRA_ATTRS)
-            if "constants" in attrs:
-                algebra_constants = self._sub(attrs["constants"]).name()
-            if "form" in attrs:
-                algebra_form = self._sub(attrs["form"]).num_list()
+            algebra = self.attributes({"constants": self.name,
+                                       "form": self.num_list})
             self.end_line()
 
         try:
             spectrum = Spectrum(dim, fields, metric=metric,
                                 parameters=tuple(parameters),
-                                algebra_form=algebra_form)
+                                algebra_form=algebra.get("form"))
         except kernel.DeclarationError as e:
             self.fail(str(e), (e.algebra and algebra_tok) or field_toks[e.field])
         except ValueError as e:
@@ -468,22 +461,13 @@ class _Parser:
 
         self.expect("name", "structure")
         t = self.peek()
-        structure_kind = self.word_to_eol()
+        structure_kind = self.word()
         if structure_kind not in symplectic.KIND_RULES:
             self.fail(f"unknown structure kind {structure_kind!r}; expected "
                       f"one of {', '.join(sorted(symplectic.KIND_RULES))}", t)
         self.end_line()
 
-        densities: dict[str, LocalForm] = {}
-        while self.at("name", "density"):
-            self.next()
-            t = self.peek()
-            dname = self.name()
-            if dname in densities:
-                self.fail(f"duplicate density {dname!r}", t)
-            self.expect("op", "=")
-            densities[dname] = self.expression(spectrum)
-            self.end_line()
+        densities = self.densities(spectrum)
 
         self.expect("name", "master")
         master = self.name()
@@ -501,7 +485,7 @@ class _Parser:
             return model.Model(mname, spectrum, structure_kind, densities,
                                master, foliation=fol,
                                phase_densities=phase_densities,
-                               algebra_constants=algebra_constants)
+                               algebra_constants=algebra.get("constants"))
         except (model.ModelError, foliation.FoliationError, ValueError) as e:
             self.fail(str(e), self.toks[0])
 
@@ -555,16 +539,7 @@ class _Parser:
             rules[g] = self.scalar_expression(spatial)
             self.end_line()
 
-        phase_densities: dict[str, LocalForm] = {}
-        while self.at("name", "density"):
-            self.next()
-            t = self.peek()
-            dname = self.name()
-            if dname in phase_densities:
-                self.fail(f"duplicate density {dname!r}", t)
-            self.expect("op", "=")
-            phase_densities[dname] = self.expression(spatial)
-            self.end_line()
+        phase_densities = self.densities(spatial)
 
         self.expect("op", "}")
         try:

@@ -239,9 +239,10 @@ def hamiltonian_field(O: LocalForm, structure: PresympStructure) -> EvoField:
 
 
 def _solve_field(O: LocalForm, structure: PresympStructure) -> EvoField:
-    """The source components of delta(O) are matched row by row against the
-    structure's pairing rows; directions the structure cannot pair are
-    reported as obstructions."""
+    """The source components of delta(O), which on an n-dimensional base are
+    (-1)^n times the Euler-Lagrange derivatives of O, are matched row by row
+    against the structure's pairing rows; directions the structure cannot
+    pair are reported as obstructions, the least first."""
     om = structure.omega
     spectrum = structure.spectrum
     if spectrum is None:
@@ -256,8 +257,9 @@ def _solve_field(O: LocalForm, structure: PresympStructure) -> EvoField:
         raise GradingError("Hamiltonian form and structure must have definite parity")
     xpar = (opar + ompar) % 2
     directions, rows = _pairing(structure, xpar)
-    targets = variational.source_decompose(forms.delta(O)).components
-    for g in targets:
+    targets = {g: (-1) ** O.dim * v
+               for g, v in variational.el_derivative(O).items()}
+    for g in sorted(targets):
         if g not in rows:
             raise NoHamiltonianFieldError(g, "structure is degenerate")
     unknowns: dict[Gen, Optional[GradedScalar]] = {h: None for h in directions}

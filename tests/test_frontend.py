@@ -393,6 +393,12 @@ def _chiral_with(old, new):
     return text.replace(old, new)
 
 
+def _maxwell_with(old, new):
+    text = builtin_models.model_text("maxwell")
+    assert old in text
+    return text.replace(old, new, 1)
+
+
 @pytest.mark.parametrize("text, expression, message", [
     (_chiral_with("structure even-cotangent", "structure odd-BVX"), None,
      "line 10, column 11: unknown structure kind 'odd-BVX'; expected one of "
@@ -417,11 +423,32 @@ def _chiral_with(old, new):
      "line 11, column 19: ib(j, ...) takes a horizontal form"),
     (None, "ib(1, del(phi[0]))",
      "line 1, column 7: ib(j, ...) takes a horizontal form"),
+    (_maxwell_with("parity 1,", "parity 1 7,"), None,
+     "line 5, column 20: expected ',', got '7'"),
+    (_maxwell_with("role field }", "role field more }"), None,
+     "line 5, column 41: expected ',', got 'more'"),
+    (_maxwell_with("shape 4 }", "shape 4 x y }"), None,
+     "line 4, column 50: expected ',', got 'x'"),
+    (_chiral_with("constants su2,", "constants su2 extra,"), None,
+     "line 9, column 25: expected ',', got 'extra'"),
+    (_chiral_with("factor dx[0] + dx[1] }", "factor dx[0] + dx[1] dx[0] }"),
+     None, "line 5, column 90: expected ',', got 'dx'"),
+    (_maxwell_with("model maxwell", "model max well"), None,
+     "line 1, column 11: expected 'nl', got 'well'"),
+    (_maxwell_with("odd-BV", "odd- BV"), None,
+     "line 8, column 16: expected a name right after '-'"),
+    (_maxwell_with("odd-BV", "odd -BV"), None,
+     "line 8, column 11: unknown structure kind 'odd'; expected one of "
+     "even-cotangent, odd-BV, odd-phase"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
         "map-of-undeclared-field", "ib-of-a-contact-in-file",
-        "ib-of-a-contact-in-expression"])
+        "ib-of-a-contact-in-expression", "trailing-parity-token",
+        "trailing-role-token", "trailing-shape-tokens",
+        "trailing-constants-token", "trailing-factor-term",
+        "model-name-of-two-words", "space-after-hyphen",
+        "space-before-hyphen"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:

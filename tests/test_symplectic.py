@@ -14,10 +14,13 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from vtc import forms, kernel, symplectic, variational
+from vtc import (builtin_models, forms, kernel, parser, symplectic,
+                 variational)
 from vtc.forms import LocalForm
 from vtc.kernel import (EVEN, ODD, ROLE_ANTIFIELD, ROLE_FIELD, ROLE_SOURCE,
                         FieldSpec, Spectrum)
+
+from test_linsolve import _load_calculus
 
 ETA = [Fr(1), Fr(-1), Fr(-1), Fr(-1)]
 
@@ -428,6 +431,27 @@ def test_failed_hamiltonian_field_is_not_kept():
         with pytest.raises(symplectic.NoHamiltonianFieldError):
             symplectic.hamiltonian_field(O, st)
     assert st.hamiltonian_fields == {}
+
+
+def test_source_components_are_signed_euler_lagrange_derivatives():
+    # _solve_field reads the source components of delta(O) as (-1)^n times
+    # the Euler-Lagrange derivatives of O on an n-dimensional base; checked
+    # on every built-in density and every seed-0 calculus bracket argument
+    densities = []
+    for name in builtin_models.BUILTINS:
+        m = builtin_models.builtin(name)
+        densities += [*m.densities.values(), *m.phase_densities.values()]
+    spacetime = builtin_models.builtin("maxwell").spectrum
+    brackets = [q for q in _load_calculus().make_queries(0, 200)
+                if q.kind == "bracket"]
+    assert brackets
+    densities += [parser.parse_expression(text, spacetime)
+                  for q in brackets for text in q.texts]
+    assert {O.dim for O in densities} == {2, 3, 4}
+    for O in densities:
+        assert variational.source_decompose(forms.delta(O)).components == {
+            g: (-1) ** O.dim * v
+            for g, v in variational.el_derivative(O).items()}
 
 
 def test_structure_errors_are_typed(maxwell):
