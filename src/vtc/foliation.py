@@ -160,18 +160,15 @@ def reduce(a: LocalForm, F: FoliationContext) -> LocalForm:
 
 
 def charge_density(J: LocalForm, F: FoliationContext,
-                   structure: Optional[symplectic.PresympStructure] = None,
-                   ) -> LocalForm:
+                   structure: symplectic.PresympStructure) -> LocalForm:
     """Reduce a conserved current to its charge density on the leaves.
 
-    When the reduced presymplectic structure is supplied, the density is
-    required to satisfy the master equation there; a violation raises
-    FoliationError.
+    The density is required to satisfy the master equation in the reduced
+    presymplectic structure; a violation raises FoliationError.
     """
     sigma = reduce(J, F)
-    if structure is not None:
-        square = symplectic.bracket(sigma, sigma, structure)
-        if not variational.equiv_mod_d(square, LocalForm.zero(F.spatial.dim)):
-            raise FoliationError(
-                "reduced charge density violates the master equation")
+    square = symplectic.bracket(sigma, sigma, structure)
+    if not variational.equiv_mod_d(square, LocalForm.zero(F.spatial.dim)):
+        raise FoliationError(
+            "reduced charge density violates the master equation")
     return sigma

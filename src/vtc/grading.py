@@ -1,11 +1,13 @@
 """Degree gradings, exponential jet-space flows, and derived multibrackets.
 
-This module provides the bookkeeping for the two auxiliary gradings carried
+This module provides the Euler fields of the two auxiliary gradings carried
 by the jet algebra (the number of source factors and the number of antifield
 factors), the formal diffeomorphisms e^X generated by degree-raising
 evolutionary fields, a bounded search that homogenizes an inhomogeneous
 presymplectic form by such a flow, and the nested-bracket construction that
-turns a degree-n generator into an n-ary bracket on degree-0 densities.
+turns a degree-n generator into an n-ary bracket on degree-0 densities.  The
+homogenizer and the brackets work in the momentum degree, the number of
+source factors; a form's homogeneous parts are ``LocalForm.grade_split``.
 
 Each stage of the homogenizer search solves one linear system: its columns
 are candidate fields X_i = m_i * d/d(phi_i), its rows the form monomials of
@@ -50,6 +52,10 @@ from .kernel import Gen, GradedScalar, Spectrum
 KIND_MOMENTUM = "momentum"
 KIND_POLYVECTOR = "polyvector"
 
+# The order bound of every exponential series here (flows, the conjugated
+# Euler field) and of the homogenizer's stages.
+TRUNCATION_ORDER = 16
+
 
 class TruncationError(kernel.EngineError):
     """An exponential series failed to stabilize within its order bound."""
@@ -68,27 +74,23 @@ class ArityError(kernel.EngineError):
 
 
 # ---------------------------------------------------------------------------
-# Degree splitting and Euler fields
+# Euler fields
 # ---------------------------------------------------------------------------
 
 
-def degree_split(a: LocalForm, kind: str) -> list[tuple[int, LocalForm]]:
-    """Split a form into eigenforms of the chosen counting degree.
+def euler_field(spectrum: Spectrum, kind: str,
+                conjugator: Optional[EvoField] = None) -> EvoField:
+    """The Euler field of a grading, optionally conjugated by a flow e^X.
 
     ``kind`` selects which factors are counted: ``"momentum"`` counts source
-    variables, ``"polyvector"`` counts antifield variables, in scalar
-    coefficients and contact factors alike.  Returns (degree, component)
-    pairs in increasing degree; their sum is the input.
-    """
-    if kind not in kernel.GRADING_ROLES:
-        raise ValueError(f"unknown grading kind {kind!r}")
-    return sorted(a.grade_split(kind).items())
-
-
-def counting_field(spectrum: Spectrum, kind: str) -> EvoField:
-    """The literal Euler field of a grading: X^a = phi^a on counted fields.
-
-    Its Lie derivative multiplies each homogeneous component by its degree.
+    variables, ``"polyvector"`` counts antifield variables.  Without a
+    conjugator this is the literal field X^a = phi^a on the counted fields,
+    whose Lie derivative multiplies each homogeneous component by its
+    degree.  With one, the field is transported through the inverse flow,
+    e^{-ad X}, so that it measures the degree of the flow's image; a
+    structure made homogeneous by e^X is an exact eigenform of the result.
+    Raises TruncationError if that series has not terminated after
+    ``TRUNCATION_ORDER`` terms.
     """
     role = kernel.GRADING_ROLES[kind]
     comps: dict[Gen, GradedScalar] = {}
@@ -98,39 +100,20 @@ def counting_field(spectrum: Spectrum, kind: str) -> EvoField:
         for comp in f.components():
             g = kernel.jet_gen(spectrum, f.name, comp, ())
             comps[g] = GradedScalar.generator(g)
-    return EvoField(spectrum, comps, parity=kernel.EVEN, ghost=0,
+    base = EvoField(spectrum, comps, parity=kernel.EVEN, ghost=0,
                     name=f"E[{kind}]")
-
-
-@dataclass(frozen=True)
-class EulerField:
-    """A counting field, optionally conjugated by a flow e^X.
-
-    Without a conjugator this is the literal field whose Lie derivative
-    reads off the degree.  With one, the field is transported through the
-    inverse flow, so that it measures the degree of the flow's image; a
-    structure made homogeneous by e^X is an exact eigenform of the result.
-    """
-
-    kind: str
-    conjugator: Optional[EvoField] = None
-    truncation_order: int = 16
-
-    def field(self, spectrum: Spectrum) -> EvoField:
-        base = counting_field(spectrum, self.kind)
-        if self.conjugator is None or self.conjugator.is_zero():
-            return base
-        total = base
-        term = base
-        for k in range(1, self.truncation_order + 1):
-            term = forms.scale_field(
-                forms.commutator(self.conjugator, term), Fraction(-1, k))
-            if term.is_zero():
-                return total
-            total = forms.add_fields(total, term)
-        raise TruncationError(
-            f"conjugated Euler field did not stabilize within order "
-            f"{self.truncation_order}")
+    if conjugator is None or conjugator.is_zero():
+        return base
+    total = term = base
+    for k in range(1, TRUNCATION_ORDER + 1):
+        term = forms.scale_field(
+            forms.commutator(conjugator, term), Fraction(-1, k))
+        if term.is_zero():
+            return total
+        total = forms.add_fields(total, term)
+    raise TruncationError(
+        f"conjugated Euler field did not stabilize within order "
+        f"{TRUNCATION_ORDER}")
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +131,7 @@ class HomotopyDiffeo:
     """
 
     X: EvoField
-    truncation_order: int = 16
+    truncation_order: int = TRUNCATION_ORDER
     certificate: Optional["HomogenizerCertificate"] = None
 
     def inverse(self) -> "HomotopyDiffeo":
@@ -243,7 +226,7 @@ class _Pool:
     A candidate m * d/d(phi) has m a product of 1 to ``poly_degree``
     factors: jet variables of order <= ``jet_order`` of the spectrum's field
     components (no odd one repeated) and parameters.  m has the parity and
-    ghost number of phi, and its counted degree exceeds phi's own by
+    ghost number of phi, and its momentum degree exceeds phi's own by
     ``raise_by``.  All of these depend on label(m) alone, so the pool is
     filled label by label and never enumerated for the first solve.
 
@@ -252,9 +235,8 @@ class _Pool:
     in combination order.
     """
 
-    def __init__(self, spectrum: Spectrum, kind: str, raise_by: int,
-                 jet_order: int, poly_degree: int):
-        self.role = kernel.GRADING_ROLES[kind]
+    def __init__(self, spectrum: Spectrum, raise_by: int, jet_order: int,
+                 poly_degree: int):
         self.raise_by = raise_by
         self.poly_degree = poly_degree
         # the pool's generators by label part: a parameter, or the underived
@@ -295,21 +277,19 @@ class _Pool:
             (g, len(list(run))) for g, run in itertools.groupby(factors))
 
     def _fits(self, direction: Gen, degrees: tuple) -> bool:
-        _, par, gh, src, af = degrees
-        counted = src if self.role == kernel.ROLE_SOURCE else af
-        own = 1 if kernel.gen_role(direction) == self.role else 0
+        _, par, gh, src = degrees
+        own = 1 if kernel.gen_role(direction) == kernel.ROLE_SOURCE else 0
         return (par == kernel.gen_parity(direction)
                 and gh == kernel.gen_ghost(direction)
-                and counted == self.raise_by + own)
+                and src == self.raise_by + own)
 
 
-def _degrees(label: Label) -> tuple[int, int, int, int, int]:
-    """(size, parity, ghost, source, antifield) degrees of the monomials of
-    a label, which reads as a monomial in underived generators."""
+def _degrees(label: Label) -> tuple[int, int, int, int]:
+    """(size, parity, ghost, momentum) degrees of the monomials of a label,
+    which reads as a monomial in underived generators."""
     return (sum(n for _, n in label), kernel.mono_parity(label),
             kernel.mono_ghost(label),
-            kernel.mono_degree(label, kernel.ROLE_SOURCE),
-            kernel.mono_degree(label, kernel.ROLE_ANTIFIELD))
+            kernel.mono_degree(label, kernel.ROLE_SOURCE))
 
 
 def _candidates_in_reach(leading: LocalForm, residual: LocalForm,
@@ -388,12 +368,11 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
 
 
 def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
-                     kind: str = KIND_MOMENTUM,
-                     jet_order: int = 2, poly_degree: int = 3,
-                     truncation_order: int = 16) -> HomotopyDiffeo:
+                     jet_order: int = 2,
+                     poly_degree: int = 3) -> HomotopyDiffeo:
     """Search for a flow whose pullback reduces a form to its leading degree.
 
-    The form is split by the chosen counting degree; the flow's generator is
+    The form is split by the momentum degree; the flow's generator is
     built degree by degree as a linear combination of candidate evolutionary
     fields (components polynomial in jet variables up to ``jet_order``
     derivatives and ``poly_degree`` factors, parameters included), with the
@@ -402,36 +381,35 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
     be linked to its residual, label by label, and orders them by direction
     and combination order (see the module notes), so the answer is the one
     over every candidate in that order.  The search ends at the first stage
-    that sets no candidate, as a further stage would repeat it.  The
-    returned flow carries a certificate recording the verified identity;
-    failure to find a generator within the bounds raises
-    NoHomogenizerError, which does not assert that none exists.
+    that sets no candidate, as a further stage would repeat it, and after at
+    most ``TRUNCATION_ORDER`` stages.  The returned flow carries a
+    certificate recording the verified identity; failure to find a
+    generator within the bounds raises NoHomogenizerError, which does not
+    assert that none exists.
     """
-    parts = degree_split(omega1, kind)
+    parts = omega1.grade_split(KIND_MOMENTUM)
     if not parts:
         zero = EvoField(spectrum, {}, parity=kernel.EVEN, ghost=0)
-        return HomotopyDiffeo(zero, truncation_order,
-                              HomogenizerCertificate(omega1, omega1, 0, omega1))
-    k0, leading = parts[0]
-    if leading.is_zero():
-        raise NoHomogenizerError("leading degree component vanishes")
+        return HomotopyDiffeo(
+            zero, certificate=HomogenizerCertificate(omega1, omega1, 0, omega1))
+    k0, leading = next(iter(parts.items()))
     X_total = EvoField(spectrum, {}, parity=kernel.EVEN, ghost=0)
-    for _stage in range(truncation_order):
-        current = pullback(HomotopyDiffeo(X_total, truncation_order), omega1)
-        tail = [(k, comp) for k, comp in degree_split(current, kind) if k > k0]
+    for _stage in range(TRUNCATION_ORDER):
+        current = pullback(HomotopyDiffeo(X_total), omega1)
+        tail = [(k, comp) for k, comp in
+                current.grade_split(KIND_MOMENTUM).items() if k > k0]
         sol = None
         if tail:
             gap, residual = tail[0]
-            pool = _Pool(spectrum, kind, gap - k0, jet_order, poly_degree)
+            pool = _Pool(spectrum, gap - k0, jet_order, poly_degree)
             sol = _stage_solve(spectrum, leading, residual, pool)
         if not sol:
             # the flow is final: no tail is left (the flow raises the degree,
             # so current is then leading itself), or the stage sets no
             # candidate and a further stage would repeat it
             if variational.equiv_mod_d(current, leading):
-                return HomotopyDiffeo(X_total, truncation_order,
-                                      HomogenizerCertificate(
-                                          omega1, leading, k0, current))
+                return HomotopyDiffeo(X_total, certificate=(
+                    HomogenizerCertificate(omega1, leading, k0, current)))
             raise NoHomogenizerError(
                 f"no generator of degree {gap - k0} within jet order "
                 f"{jet_order} and polynomial degree {poly_degree} removes "
@@ -444,7 +422,7 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
         X_total = forms.add_fields(
             X_total, EvoField(spectrum, comps, parity=kernel.EVEN, ghost=0))
     raise NoHomogenizerError(
-        f"homogenization did not stabilize within {truncation_order} stages")
+        f"homogenization did not stabilize within {TRUNCATION_ORDER} stages")
 
 
 # ---------------------------------------------------------------------------
@@ -453,35 +431,32 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
 
 
 def derived_bracket(generator: LocalForm, args: Sequence[LocalForm],
-                    structure: symplectic.PresympStructure,
-                    kind: str = KIND_MOMENTUM) -> LocalForm:
+                    structure: symplectic.PresympStructure) -> LocalForm:
     """n-ary bracket of degree-0 densities derived from a degree-n generator.
 
     Evaluates the nested bracket {...{{generator, a_1}, a_2}, ..., a_n}.
-    The generator must be homogeneous of counting degree equal to the number
-    of arguments, and every argument must have counting degree 0; mismatches
-    raise ArityError.  Each nesting step consumes one degree, so the result
-    is again of degree 0.
+    The generator must be homogeneous of momentum degree equal to the number
+    of arguments, and every nonzero argument homogeneous of momentum degree
+    0; mismatches raise ArityError.  Each nesting step consumes one degree,
+    so the result is again of degree 0.
     """
     args = list(args)
     if not args:
         raise ArityError("derived bracket needs at least one argument")
-    parts = [(k, c) for k, c in degree_split(generator, kind)
-             if not c.is_zero()]
-    if len(parts) != 1:
-        found = [k for k, _ in parts]
+    degrees = list(generator.grade_split(KIND_MOMENTUM))
+    if len(degrees) != 1:
         raise ArityError(
-            f"generator is not degree-homogeneous (degrees {found})")
-    gen_degree = parts[0][0]
+            f"generator is not degree-homogeneous (degrees {degrees})")
+    gen_degree = degrees[0]
     if gen_degree != len(args):
         raise ArityError(
             f"generator of degree {gen_degree} defines a {gen_degree}-ary "
             f"bracket, got {len(args)} arguments")
     for pos, a in enumerate(args):
-        w = a.grade_of(kind)
-        if w not in (0, None):
+        found = list(a.grade_split(KIND_MOMENTUM))
+        if found not in ([], [0]):
             raise ArityError(
-                f"argument {pos} has counting degree {w}, expected 0")
+                f"argument {pos} has momentum degrees {found}, expected [0]")
     out = generator
     for a in args:
         out = symplectic.bracket(out, a, structure)

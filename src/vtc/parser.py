@@ -101,6 +101,13 @@ def tokenize(text: str) -> list[Token]:
 
 _RESERVED = {"dx", "x", "vol", "del", "d", "ib"}
 
+# How an error message names the tokens that have no text of their own.
+_ENDS = {"nl": "end of line", "eof": "end of file"}
+
+
+def _shown(t: Token) -> str:
+    return _ENDS.get(t.kind) or repr(t.text)
+
 
 class _Parser:
     def __init__(self, toks: Sequence[Token]):
@@ -125,9 +132,9 @@ class _Parser:
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
-            want = text if text is not None else kind
-            got = t.text if t.text.strip() else t.kind
-            self.fail(f"expected {want!r}, got {got!r}", t)
+            want = repr(text) if text is not None else _ENDS.get(
+                kind, repr(kind))
+            self.fail(f"expected {want}, got {_shown(t)}", t)
         return self.next()
 
     def at(self, kind: str, text: Optional[str] = None,
@@ -241,7 +248,7 @@ class _Parser:
             return forms.scalar_form(dim, self.fraction(self.next()))
         t = self.peek()
         if t.kind != "name":
-            self.fail(f"expected an expression, got {t.text.strip() or t.kind!r}")
+            self.fail(f"expected an expression, got {_shown(t)}")
         word = self.next().text
         if word == "vol":
             return forms.volume(dim)

@@ -169,9 +169,8 @@ def _algebra_closure(run: _Run, hs: LocalForm,
 
 
 def _stage_homogenize(run: _Run) -> tuple[dict, bool]:
-    parts = grading.degree_split(run.reduced_structure.omega,
-                                 grading.KIND_MOMENTUM)
-    if len(parts) > 1 and parts[0][0] < 1:
+    parts = run.reduced_structure.omega.grade_split(grading.KIND_MOMENTUM)
+    if len(parts) > 1 and min(parts) < 1:
         raise grading.NoHomogenizerError(
             "the reduced structure has a momentum-degree-0 block, which the "
             "momentum flow leaves fixed; homogenization does not apply")
@@ -219,11 +218,10 @@ def default_stages(run: _Run) -> tuple[str, ...]:
         return tuple(stages)
     stages += ["reduce", "brackets"]
     try:
-        parts = grading.degree_split(run.reduced_structure.omega,
-                                     grading.KIND_MOMENTUM)
+        parts = run.reduced_structure.omega.grade_split(grading.KIND_MOMENTUM)
     except kernel.EngineError:
         return tuple(stages)
-    if len(parts) > 1 and parts[0][0] >= 1:
+    if len(parts) > 1 and min(parts) >= 1:
         stages.append("homogenize")
     return tuple(stages)
 

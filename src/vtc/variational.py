@@ -344,8 +344,8 @@ def _solve_d(rho: LocalForm) -> LocalForm:
             solution = solve_mod_d(dim, {}, rhs, x_base + 1)
         if solution is None:
             raise NoPrimitiveError(
-                "no primitive found within jet order "
-                f"{rho.max_jet_order()} and coordinate degree {x_base + 1}")
+                "no primitive found within jet-order cap "
+                f"{kernel.jet_order_cap()} and coordinate degree {x_base + 1}")
         for (_, cand), c in sorted(solution.items()):
             if c:
                 sigma = sigma + _single(dim, cand, c)

@@ -511,7 +511,7 @@ def test_descended_hamiltonian_differential_chiral(cb):
 
 def test_multibracket_identities_to_third_order(cb):
     st, sp = cb["st"], cb["sp"]
-    parts = dict(grading.degree_split(cb["O"], grading.KIND_MOMENTUM))
+    parts = cb["O"].grade_split(grading.KIND_MOMENTUM)
     Om1, Om2 = parts[1], parts[2]
     zero = LocalForm.zero(2)
     vol = forms.volume(2)

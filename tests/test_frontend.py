@@ -434,12 +434,38 @@ def _maxwell_with(old, new):
     (_chiral_with("factor dx[0] + dx[1] }", "factor dx[0] + dx[1] dx[0] }"),
      None, "line 5, column 90: expected ',', got 'dx'"),
     (_maxwell_with("model maxwell", "model max well"), None,
-     "line 1, column 11: expected 'nl', got 'well'"),
+     "line 1, column 11: expected end of line, got 'well'"),
     (_maxwell_with("odd-BV", "odd- BV"), None,
      "line 8, column 16: expected a name right after '-'"),
     (_maxwell_with("odd-BV", "odd -BV"), None,
      "line 8, column 11: unknown structure kind 'odd'; expected one of "
      "even-cotangent, odd-BV, odd-phase"),
+    (_maxwell_with("ghost 0, role field, shape 4",
+                   "ghost 0, ghost 0, role field, shape 4"), None,
+     "line 4, column 30: duplicate attribute 'ghost'"),
+    (_maxwell_with("shape 4 }", "shape }"), None,
+     "line 4, column 42: attribute 'shape' has no value"),
+    (_maxwell_with("ghost 1, role field }", "ghost 1 }"), None,
+     "line 5, column 7: field 'C' is missing 'role'"),
+    (_maxwell_with("field C {", "field dx {"), None,
+     "line 5, column 7: 'dx' is reserved"),
+    (_chiral_with("factor dx[0] - dx[1] }", "factor x[0]*dx[0] }"), None,
+     "line 7, column 93: factor must be a constant horizontal form"),
+    (_maxwell_with("master S\n", "density S = C ^ vol\nmaster S\n"), None,
+     "line 10, column 9: duplicate density 'S'"),
+    (_maxwell_with("  map C -> C\n", "  map C -> C\n  map C -> C\n"), None,
+     "line 15, column 7: field 'C' mapped twice"),
+    (_maxwell_with("  phase C,[0] := Cd\n",
+                   "  phase C,[0] := Cd\n  phase C,[0] := Cd\n"), None,
+     "line 25, column 9: duplicate phase rule"),
+    (_maxwell_with("phase C,[0] := Cd", "phase C,[0] := dx[0]"), None,
+     "line 24, column 18: expected a scalar expression"),
+    (_maxwell_with("phase C,[0] := Cd", "phase vol := Cd"), None,
+     "line 24, column 9: 'vol' is not a field"),
+    (_maxwell_with("C*(As[0],[0]", "C*(As[0],[4]"), None,
+     "line 9, column 317: direction 4 out of range for dimension 4"),
+    (_chiral_with("density O = ", "density O = ib(2, phi[0] ^ dx[0]) + "),
+     None, "line 11, column 13: direction 2 out of range for dimension 2"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
@@ -448,7 +474,12 @@ def _maxwell_with(old, new):
         "trailing-role-token", "trailing-shape-tokens",
         "trailing-constants-token", "trailing-factor-term",
         "model-name-of-two-words", "space-after-hyphen",
-        "space-before-hyphen"])
+        "space-before-hyphen", "duplicate-attribute",
+        "attribute-without-value", "field-without-role",
+        "reserved-field-name", "non-constant-factor", "duplicate-density",
+        "field-mapped-twice", "duplicate-phase-rule", "non-scalar-phase-image",
+        "phase-of-vol", "jet-direction-out-of-range",
+        "ib-direction-out-of-range"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:

@@ -47,7 +47,7 @@ def sf1(s):
 
 
 def test_charge_splits_by_momentum_degree(chiral):
-    parts = grading.degree_split(chiral["O"], grading.KIND_MOMENTUM)
+    parts = chiral["O"].grade_split(grading.KIND_MOMENTUM).items()
     assert [k for k, _ in parts] == [1, 2]
     total = LocalForm.zero(2)
     for _, c in parts:
@@ -58,7 +58,7 @@ def test_charge_splits_by_momentum_degree(chiral):
 def test_descended_structure_splits(chiral):
     sp = chiral["m"].spectrum
     K = kernel.parameter("k")
-    parts = dict(grading.degree_split(chiral["om1"], grading.KIND_MOMENTUM))
+    parts = chiral["om1"].grade_split(grading.KIND_MOMENTUM)
     assert sorted(parts) == [1, 2]
 
     def sf2(s):
@@ -80,17 +80,17 @@ def test_descended_structure_splits(chiral):
 
 
 def test_split_of_homogeneous_form_is_single(chiral):
-    parts = grading.degree_split(chiral["om1"], grading.KIND_POLYVECTOR)
+    parts = chiral["om1"].grade_split(grading.KIND_POLYVECTOR)
     assert len(parts) == 1
 
 
 def test_split_of_zero_is_empty():
-    assert grading.degree_split(LocalForm.zero(2), grading.KIND_MOMENTUM) == []
+    assert LocalForm.zero(2).grade_split(grading.KIND_MOMENTUM) == {}
 
 
 def test_counting_field_measures_degree(chiral):
-    Em = grading.counting_field(chiral["m"].spectrum, grading.KIND_MOMENTUM)
-    for k, c in grading.degree_split(chiral["O"], grading.KIND_MOMENTUM):
+    Em = grading.euler_field(chiral["m"].spectrum, grading.KIND_MOMENTUM)
+    for k, c in chiral["O"].grade_split(grading.KIND_MOMENTUM).items():
         assert forms.lie(Em, c) == c.scale(k)
 
 
@@ -123,7 +123,7 @@ def test_pullback_inverts(reduced):
 
 def test_pullback_reports_nonterminating_series(reduced):
     spl = reduced["spl"]
-    E = grading.counting_field(spl, grading.KIND_MOMENTUM)
+    E = grading.euler_field(spl, grading.KIND_MOMENTUM)
     h = grading.HomotopyDiffeo(E, truncation_order=7)
     with pytest.raises(grading.TruncationError):
         grading.pullback(h, sf1(kernel.jet(spl, "phib", (0,))))
@@ -148,16 +148,14 @@ def test_homogenizer_certificate_is_exact(reduced):
     cert = reduced["h"].certificate
     assert cert.original == reduced["w1red"]
     assert cert.degree == 1
-    parts = dict(grading.degree_split(reduced["w1red"],
-                                      grading.KIND_MOMENTUM))
+    parts = reduced["w1red"].grade_split(grading.KIND_MOMENTUM)
     assert cert.leading == parts[1]
     assert cert.pulled_back == cert.leading
     assert grading.pullback(reduced["h"], reduced["w1red"]) == cert.leading
 
 
 def test_homogeneous_input_needs_no_homogenizer(reduced):
-    parts = dict(grading.degree_split(reduced["w1red"],
-                                      grading.KIND_MOMENTUM))
+    parts = reduced["w1red"].grade_split(grading.KIND_MOMENTUM)
     h = grading.find_homogenizer(parts[1], reduced["spl"])
     assert h.X.base_components() == {}
     assert grading.pullback(h, parts[1]) == parts[1]
@@ -181,7 +179,7 @@ def test_exact_tail_ends_the_search_after_one_stage(reduced, monkeypatch,
     # it with no candidate, and a second stage would only repeat the first;
     # its retry modulo d saturates only the rows in reach, at every bound
     spl = reduced["spl"]
-    leading = grading.degree_split(reduced["w1red"], grading.KIND_MOMENTUM)[0][1]
+    leading = reduced["w1red"].grade_split(grading.KIND_MOMENTUM)[1]
     exact = parser.parse_expression(
         "d(phib[2]*phib[2] ^ del(phib[0]) ^ del(phib[1]))", spl)
     stages = []
@@ -379,8 +377,8 @@ def full_stage_solve(spectrum, leading, residual, basis, images):
 def first_stage(reduced):
     """The chiral homogenizer's one stage: every candidate with its image."""
     spl = reduced["spl"]
-    (k0, leading), (gap, residual) = grading.degree_split(
-        reduced["w1red"], grading.KIND_MOMENTUM)
+    (k0, leading), (gap, residual) = reduced["w1red"].grade_split(
+        grading.KIND_MOMENTUM).items()
     basis = full_basis(spl, grading.KIND_MOMENTUM, gap - k0, 2, 3)
     images = [forms.lie(grading._basis_field(spl, direction, mono), leading)
               for direction, mono in basis]
@@ -499,7 +497,7 @@ def test_retry_images_only_the_candidates_in_reach(two_blocks, monkeypatch):
     u, w = kernel.jet_gen(spec, "u"), kernel.jet_gen(spec, "w")
     residual = (forms.d(forms.wedge(ct("u"), ct("v")))
                 - forms.lie(grading._basis_field(spec, w, ((u, 1),)), leading))
-    pool = grading._Pool(spec, grading.KIND_MOMENTUM, 0, 0, 1)
+    pool = grading._Pool(spec, 0, 0, 1)
     ids = every(pool)
     basis = [pool.candidate(key) for key in ids]
     full = full_stage_solve(spec, leading, residual, basis, [
@@ -565,7 +563,7 @@ def test_generated_candidates_are_the_in_reach_part_of_the_full_basis(
     spl, leading, residual = (first_stage[k]
                               for k in ("spl", "leading", "residual"))
     basis = full_basis(spl, grading.KIND_MOMENTUM, 1, jet_order, poly_degree)
-    pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, jet_order, poly_degree)
+    pool = grading._Pool(spl, 1, jet_order, poly_degree)
     generated = grading._candidates_in_reach(leading, residual, pool)
     in_reach = in_reach_by_filter(leading, residual, basis)
     assert 0 < len(generated) < 20
@@ -575,7 +573,7 @@ def test_generated_candidates_are_the_in_reach_part_of_the_full_basis(
 
 def test_every_candidate_of_the_pool_is_the_full_basis(first_stage):
     spl = first_stage["spl"]
-    pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, 2, 3)
+    pool = grading._Pool(spl, 1, 2, 3)
     assert [pool.candidate(key) for key in every(pool)] == first_stage["basis"]
 
 
@@ -590,7 +588,7 @@ def test_every_candidate_of_the_maxwell_leaf_pool_in_combination_order():
     spl = builtin_models.builtin("maxwell").foliation.spatial
     basis = full_basis(spl, grading.KIND_MOMENTUM, 1, 1, 3)
     assert len(basis) == 50598
-    pool = grading._Pool(spl, grading.KIND_MOMENTUM, 1, 1, 3)
+    pool = grading._Pool(spl, 1, 1, 3)
     ids = every(pool)
     assert ids == sorted(ids)
     assert [pool.candidate(key) for key in ids] == sorted(
@@ -612,7 +610,7 @@ def test_the_later_of_two_equal_images_gets_zero():
     images = [forms.lie(grading._basis_field(spec, *cand), leading)
               for cand in (first, later)]
     assert images[0] and images[0] == images[1] and first < later
-    pool = grading._Pool(spec, grading.KIND_MOMENTUM, 0, 1, 1)
+    pool = grading._Pool(spec, 0, 1, 1)
     sol = grading._stage_solve(spec, leading, images[0].scale(-3), pool)
     assert {pool.candidate(key): c for key, c in sol.items()} == {first: 3}
     for order in ([first, later], [later, first]):
@@ -625,7 +623,7 @@ def test_retry_over_the_pool_solves_the_full_system(two_blocks):
     # its candidates in reach solve the exact form in the first solve
     spec, leading, ct = (two_blocks[k] for k in ("spec", "leading", "ct"))
     residual = two_blocks["residual"] + forms.d(forms.wedge(ct("u"), ct("v")))
-    pool = grading._Pool(spec, grading.KIND_MOMENTUM, 0, 1, 1)
+    pool = grading._Pool(spec, 0, 1, 1)
     basis = full_basis(spec, grading.KIND_MOMENTUM, 0, 1, 1)
     assert [pool.candidate(key) for key in every(pool)] == basis
     by_pool = grading._stage_solve(spec, leading, residual, pool)
@@ -638,8 +636,7 @@ def test_retry_over_the_pool_solves_the_full_system(two_blocks):
 def test_conjugated_euler_field_fixes_structure(reduced):
     spl = reduced["spl"]
     K = kernel.parameter("k")
-    ef = grading.EulerField(grading.KIND_MOMENTUM, conjugator=reduced["h"].X)
-    Ep = ef.field(spl)
+    Ep = grading.euler_field(spl, grading.KIND_MOMENTUM, reduced["h"].X)
     comps = {g: v for g, v in Ep.base_components().items() if not v.is_zero()}
     expected = {}
     for i in range(3):
@@ -653,19 +650,12 @@ def test_conjugated_euler_field_fixes_structure(reduced):
     assert forms.lie(Ep, reduced["w1red"]) == reduced["w1red"]
 
 
-def test_plain_euler_field_is_counting_field(reduced):
-    ef = grading.EulerField(grading.KIND_MOMENTUM)
-    spl = reduced["spl"]
-    assert ef.field(spl).base_components() == \
-        grading.counting_field(spl, grading.KIND_MOMENTUM).base_components()
-
-
 # -- derived brackets -------------------------------------------------------
 
 
 def test_unary_derived_bracket_is_brst_action(chiral):
     st = chiral["st"]
-    parts = dict(grading.degree_split(chiral["O"], grading.KIND_MOMENTUM))
+    parts = chiral["O"].grade_split(grading.KIND_MOMENTUM)
     sp = chiral["m"].spectrum
     a = forms.wedge(forms.scalar_form(2, kernel.jet(sp, "phi", (0,)) *
                                       kernel.jet(sp, "phi", (1,))),
@@ -677,7 +667,7 @@ def test_unary_derived_bracket_is_brst_action(chiral):
 def test_binary_derived_bracket_nests(chiral):
     st = chiral["st"]
     sp = chiral["m"].spectrum
-    parts = dict(grading.degree_split(chiral["O"], grading.KIND_MOMENTUM))
+    parts = chiral["O"].grade_split(grading.KIND_MOMENTUM)
     vol = forms.volume(2)
     a = forms.wedge(forms.scalar_form(2, kernel.jet(sp, "phi", (0,))), vol)
     b = forms.wedge(forms.scalar_form(2, kernel.jet(sp, "eta", (1,)) *
@@ -693,7 +683,7 @@ def test_derived_bracket_rejects_inhomogeneous_generator(chiral):
 
 
 def test_derived_bracket_rejects_wrong_arity(chiral):
-    parts = dict(grading.degree_split(chiral["O"], grading.KIND_MOMENTUM))
+    parts = chiral["O"].grade_split(grading.KIND_MOMENTUM)
     sp = chiral["m"].spectrum
     a = forms.wedge(forms.scalar_form(2, kernel.jet(sp, "phi", (0,))),
                     forms.volume(2))
@@ -702,16 +692,28 @@ def test_derived_bracket_rejects_wrong_arity(chiral):
 
 
 def test_derived_bracket_rejects_graded_arguments(chiral):
-    parts = dict(grading.degree_split(chiral["O"], grading.KIND_MOMENTUM))
+    parts = chiral["O"].grade_split(grading.KIND_MOMENTUM)
     with pytest.raises(grading.ArityError):
         grading.derived_bracket(parts[2], [parts[1], parts[1]], chiral["st"])
+
+
+def test_derived_bracket_rejects_arguments_of_mixed_degree(chiral):
+    # a sum of a degree-0 and a degree-1 density has no single degree; the
+    # unary bracket would return a degree-1 form, not a degree-0 one
+    O1 = chiral["O"].grade_split(grading.KIND_MOMENTUM)[1]
+    a = parser.parse_expression("(phi[0] + phi[1]*phib[2]) ^ vol",
+                                chiral["m"].spectrum)
+    with pytest.raises(grading.ArityError,
+                       match=r"^argument 0 has momentum degrees \[0, 1\], "
+                             r"expected \[0\]$"):
+        grading.derived_bracket(O1, [a], chiral["m"].structure())
 
 
 def test_binary_bracket_symmetry_sign(chiral):
     st = chiral["st"]
     sp = chiral["m"].spectrum
     vol = forms.volume(2)
-    parts = dict(grading.degree_split(chiral["O"], grading.KIND_MOMENTUM))
+    parts = chiral["O"].grade_split(grading.KIND_MOMENTUM)
 
     def dens(s):
         return forms.wedge(forms.scalar_form(2, s), vol)

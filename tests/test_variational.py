@@ -9,6 +9,7 @@ import pytest
 from vtc import forms as F
 from vtc import kernel as K
 from vtc import linsolve
+from vtc import parser
 from vtc import variational as V
 
 
@@ -259,6 +260,20 @@ def test_homotopy_top_degree_obstruction():
     src = F.wedge_all([sf(J("C")), F.contact(DIM, G("A", (0,))), VOL])
     with pytest.raises(V.NoPrimitiveError):
         V.horizontal_homotopy(src)
+
+
+def test_no_primitive_names_the_jet_order_cap_in_force(monkeypatch):
+    # A,[0 0] dx is d(A,[0]): within the default cap it has a primitive;
+    # under a cap of 1 the primitive's d-image is out of reach, and the
+    # error names that cap, not the input's own jet order of 2
+    sp = K.Spectrum(1, [K.FieldSpec("A", K.EVEN, 0)])
+    f = parser.parse_expression("A,[0 0] ^ dx[0]", sp)
+    assert V.divergence_primitive(f) == F.scalar_form(1, K.jet(sp, "A", (), (0,)))
+    monkeypatch.setenv("VTC_JET_ORDER_CAP", "1")
+    with pytest.raises(V.NoPrimitiveError) as info:
+        V.divergence_primitive(f)
+    assert str(info.value) == ("no primitive found within jet-order cap 1 "
+                               "and coordinate degree 1")
 
 
 # -- divergence primitive ---------------------------------------------------
