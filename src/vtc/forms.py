@@ -71,6 +71,8 @@ from .kernel import Gen, GradedScalar, Spectrum
 # A form term key: (ascending tuple of dx directions, sorted tuple of contact
 # generators).  Contact generators of odd fields (even contacts) may repeat.
 Key = tuple[tuple[int, ...], tuple[Gen, ...]]
+# One form monomial: a term key and one monomial of its coefficient.
+MonoKey = tuple[tuple[int, ...], tuple[Gen, ...], kernel.Monomial]
 
 _EMPTY: Key = ((), ())
 
@@ -343,42 +345,80 @@ def constant_horizontal(dim: int,
 # -- differentials ----------------------------------------------------------
 
 
-def d(form: LocalForm) -> LocalForm:
-    """Horizontal differential (odd right derivation)."""
-    out: dict[Key, GradedScalar] = {}
-    dim = form.dim
-    for (dxs, contacts), s in form.terms.items():
-        cpar = sum(_contact_parity(g) for g in contacts)
-        # the directions j whose dx^j is not in w yet, with the number of
-        # dx^i in w with i < j
-        free = [(j, bisect_left(dxs, j)) for j in range(dim) if j not in dxs]
-        # (-1)^{P(w)} total_j(s) ^ dx^j ^ w: dx^j moves right past the
-        # dx^i with i < j
+def d_monomial(dim: int, key: MonoKey, cap: Optional[int]) -> dict[MonoKey, int]:
+    """Horizontal differential of the form monomial ``key`` with coefficient
+    1, as {form monomial: integer coefficient}.
+
+    ``cap`` is the jet-order cap that every jet shift is checked against
+    (``kernel.jet_order_cap``).  It may be None when nothing is shifted:
+    when the monomial has every dx, or holds no contact and no jet
+    variable."""
+    dxs, contacts, mono = key
+    out: dict[MonoKey, int] = {}
+    if len(dxs) == dim:
+        return out
+    cpar = sum(_contact_parity(g) for g in contacts)
+    # the directions j whose dx^j is not in w yet, with the number of
+    # dx^i in w with i < j
+    free = [(j, bisect_left(dxs, j)) for j in range(dim) if j not in dxs]
+    # (-1)^{P(w)} total_j(s) ^ dx^j ^ w: dx^j moves right past the dx^i
+    # with i < j; the image monomials are distinct
+    for j, pos in free:
+        odd = (len(dxs) + cpar + pos) % 2
+        jdxs = dxs[:pos] + (j,) + dxs[pos:]
+        for m, k in kernel.mono_total_derivative(mono, j, cap):
+            out[(jdxs, contacts, m)] = -k if odd else k
+    # d(phi_I) -> d(phi_{Ij}) ^ dx^j, signed by the parity of the contacts
+    # after it; dx^j moves left past the earlier contacts, d(phi_{Ij}) and
+    # the dx^i with i > j (together C(w) + #(i > j)), then d(phi_{Ij})
+    # moves to its sorted place among the others.  A repeated even contact
+    # gives the same image once per copy.
+    for idx, g in enumerate(contacts):
+        p = _contact_parity(g)
+        others = contacts[:idx] + contacts[idx + 1:]
         for j, pos in free:
-            ds = s.total_derivative(j)
-            if ds:
-                sign = len(dxs) + cpar + pos
-                _add_term(out, (dxs[:pos] + (j,) + dxs[pos:], contacts),
-                          -ds if sign % 2 else ds)
-        # d(phi_I) -> d(phi_{Ij}) ^ dx^j, signed by the parity of the
-        # contacts after it; dx^j moves left past the earlier contacts,
-        # d(phi_{Ij}) and the dx^i with i > j (together C(w) + #(i > j)),
-        # then d(phi_{Ij}) moves to its sorted place among the others
-        for idx, g in enumerate(contacts):
-            p = _contact_parity(g)
-            others = contacts[:idx] + contacts[idx + 1:]
-            for j, pos in free:
-                g2 = kernel.jet_shift(g, j)
-                if p and g2 in others:
-                    continue
-                k = bisect_right(others, g2)
-                sign = cpar + len(dxs) - pos
-                if p:
-                    sign += sum(_contact_parity(h)
-                                for h in others[min(k, idx):max(k, idx)])
-                key = (dxs[:pos] + (j,) + dxs[pos:], others[:k] + (g2,) + others[k:])
-                _add_term(out, key, -s if sign % 2 else s)
-    return LocalForm(dim, out)
+            g2 = kernel.jet_shift(g, j, cap)
+            if p and g2 in others:
+                continue
+            k = bisect_right(others, g2)
+            sign = cpar + len(dxs) - pos
+            if p:
+                sign += sum(_contact_parity(h)
+                            for h in others[min(k, idx):max(k, idx)])
+            image = (dxs[:pos] + (j,) + dxs[pos:], others[:k] + (g2,) + others[k:], mono)
+            v = out.get(image, 0) + (-1 if sign % 2 else 1)
+            if v:
+                out[image] = v
+            else:
+                del out[image]
+    return out
+
+
+def d(form: LocalForm) -> LocalForm:
+    """Horizontal differential (odd right derivation), monomial by monomial
+    (``d_monomial``).  The jet-order cap is read once, at the first term
+    whose image shifts a jet variable."""
+    dim = form.dim
+    cap = None
+    out: dict[Key, dict[kernel.Monomial, kernel.Coefficient]] = {}
+    for (dxs, contacts), s in form.terms.items():
+        if len(dxs) == dim:
+            continue
+        if cap is None and (contacts or any(kernel.is_jet(g)
+                                            for m in s.terms for g, _ in m)):
+            cap = kernel.jet_order_cap()
+        for mono, c in s.terms.items():
+            image = d_monomial(dim, (dxs, contacts, mono), cap)
+            for (jdxs, jcontacts, m), k in image.items():
+                t = out.setdefault((jdxs, jcontacts), {})
+                cc = c if k == 1 else -c if k == -1 else c * k
+                prev = t.get(m)
+                v = cc if prev is None else prev + cc
+                if v:
+                    t[m] = v
+                else:
+                    del t[m]
+    return LocalForm(dim, {key: GradedScalar._wrap(t) for key, t in out.items()})
 
 
 def delta(form: LocalForm) -> LocalForm:

@@ -11,6 +11,7 @@ brackets) is built on top of this module.
 from __future__ import annotations
 
 import os
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -50,7 +51,12 @@ class DeclarationError(ValueError):
 
 
 def jet_order_cap() -> int:
-    """Maximal multi-index length allowed, configurable via environment."""
+    """Maximal multi-index length allowed, configurable via environment.
+
+    Read from ``VTC_JET_ORDER_CAP`` once per operation that shifts a jet
+    variable: once per ``forms.d``, ``variational.saturate_d`` or
+    ``GradedScalar.total_derivative`` call, which hand the value to every
+    ``jet_shift`` they make."""
     raw = os.environ.get("VTC_JET_ORDER_CAP")
     if raw is None:
         return 8
@@ -75,11 +81,6 @@ def multi_index(parts: Iterable[int]) -> tuple[int, ...]:
         if p < 0:
             raise ValueError(f"negative direction in multi-index: {mi}")
     return mi
-
-
-def mi_extend(mi: Sequence[int], j: int) -> tuple[int, ...]:
-    """Multi-index with one more derivative in direction j."""
-    return tuple(sorted(tuple(mi) + (j,)))
 
 
 def mi_remove(mi: Sequence[int], j: int) -> tuple[int, ...]:
@@ -282,14 +283,15 @@ def jet_base(g: Gen) -> Gen:
     return g[:4] + ((),) + g[5:]
 
 
-def jet_shift(g: Gen, j: int) -> Gen:
-    """The jet generator with one more derivative in direction j."""
-    cap = jet_order_cap()
-    mi = mi_extend(g[4], j)
-    if len(mi) > cap:
+def jet_shift(g: Gen, j: int, cap: int) -> Gen:
+    """The jet generator with one more derivative in direction j; ``cap`` is
+    the jet-order cap in force (``jet_order_cap``)."""
+    mi = g[4]
+    if len(mi) >= cap:
         raise JetOrderCapExceeded(
-            f"jet order {len(mi)} exceeds cap {cap} (set VTC_JET_ORDER_CAP to raise)")
-    return g[:4] + (mi,) + g[5:]
+            f"jet order {len(mi) + 1} exceeds cap {cap} (set VTC_JET_ORDER_CAP to raise)")
+    k = bisect_right(mi, j)
+    return g[:4] + (mi[:k] + (j,) + mi[k:],) + g[5:]
 
 
 # ---------------------------------------------------------------------------
@@ -357,6 +359,41 @@ def mono_mul(m1: Monomial, m2: Monomial) -> tuple[int, Optional[Monomial]]:
 
 def mono_sort_key(m: Monomial) -> tuple:
     return (len(m), m)
+
+
+def mono_total_derivative(m: Monomial, j: int, cap: Optional[int],
+                          ) -> list[tuple[Monomial, int]]:
+    """Total derivative in base direction j of the monomial m, as
+    (monomial, coefficient) pairs with distinct monomials.
+
+    An even derivation: x^j goes to 1, every jet variable phi^a_I goes to
+    phi^a_{Ij} (``jet_shift`` under the cap ``cap``, which may be None when
+    m holds no jet variable), parameters and auxiliaries go to 0.  The
+    shifted generator moves to its sorted place past generators of its own
+    field component only, so an odd one is signed by how many it passes.
+    """
+    out = []
+    for idx, (g, e) in enumerate(m):
+        rank = g[0]
+        if rank == 1:
+            if g[1] == j:
+                head = m[:idx] + ((g, e - 1),) if e > 1 else m[:idx]
+                out.append((head + m[idx + 1:], e))
+        elif rank == 2:
+            repl = jet_shift(g, j, cap)
+            if e > 1:
+                rest = m[:idx] + ((g, e - 1),) + m[idx + 1:]
+            else:
+                rest = m[:idx] + m[idx + 1:]
+            k = bisect_left(rest, (repl,))
+            if k < len(rest) and rest[k][0] == repl:
+                if repl[5]:
+                    continue  # odd generator squared
+                out.append((rest[:k] + ((repl, rest[k][1] + 1),) + rest[k + 1:], e))
+            else:
+                sign = -1 if repl[5] and (k - idx) % 2 else 1
+                out.append((rest[:k] + ((repl, 1),) + rest[k:], sign * e))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -536,42 +573,15 @@ class GradedScalar:
         return {h: GradedScalar._wrap(t) for h, t in out.items()}
 
     def total_derivative(self, j: int) -> "GradedScalar":
-        """Total derivative in base direction j.
-
-        Acts as an even derivation: x^j goes to 1, every jet variable
-        phi^a_I goes to phi^a_{Ij}, parameters and auxiliaries go to 0.
-        """
+        """Total derivative in base direction j, monomial by monomial
+        (``mono_total_derivative``)."""
         out: dict[Monomial, Fraction] = {}
+        cap = None
         for m, c in self.terms.items():
-            for idx, (g, e) in enumerate(m):
-                repl: Optional[Gen]
-                if g[0] == 1:
-                    repl = None if g[1] != j else ()
-                elif g[0] == 2:
-                    repl = jet_shift(g, j)
-                else:
-                    continue
-                if repl is None:
-                    continue
-                if e > 1:
-                    head = m[:idx] + ((g, e - 1),)
-                    cc = c * e
-                else:
-                    head = m[:idx]
-                    cc = c
-                tail = m[idx + 1:]
-                if repl == ():  # derivative of the coordinate itself
-                    sign, mono = mono_mul(head, tail)
-                else:
-                    sign, mid = mono_mul(head, ((repl, 1),))
-                    if mid is None:
-                        continue
-                    sign2, mono = mono_mul(mid, tail)
-                    if mono is None:
-                        continue
-                    sign *= sign2
-                if sign < 0:
-                    cc = -cc
+            if cap is None and any(g[0] == 2 for g, _ in m):
+                cap = jet_order_cap()
+            for mono, k in mono_total_derivative(m, j, cap):
+                cc = c if k == 1 else -c if k == -1 else c * k
                 prev = out.get(mono)
                 s = cc if prev is None else prev + cc
                 if s:

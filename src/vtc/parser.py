@@ -103,6 +103,10 @@ _RESERVED = {"dx", "x", "vol", "del", "d", "ib"}
 
 # How an error message names the tokens that have no text of their own.
 _ENDS = {"nl": "end of line", "eof": "end of file"}
+# How an error message names what a token kind must be, when any text of
+# that kind will do.
+_WANTED = _ENDS | {"name": "a name", "number": "a number", "arrow": "'->'",
+                   "assign": "':='"}
 
 
 def _shown(t: Token) -> str:
@@ -132,8 +136,7 @@ class _Parser:
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         t = self.peek()
         if t.kind != kind or (text is not None and t.text != text):
-            want = repr(text) if text is not None else _ENDS.get(
-                kind, repr(kind))
+            want = repr(text) if text is not None else _WANTED[kind]
             self.fail(f"expected {want}, got {_shown(t)}", t)
         return self.next()
 
@@ -153,10 +156,10 @@ class _Parser:
     # -- small shared pieces ----------------------------------------------
 
     def integer(self) -> int:
-        t = self.expect("number")
-        if "/" in t.text:
-            self.fail("expected an integer", t)
-        return int(t.text)
+        t = self.peek()
+        if t.kind != "number" or "/" in t.text:
+            self.fail(f"expected an integer, got {_shown(t)}", t)
+        return int(self.next().text)
 
     def signed_integer(self) -> int:
         if self.at("op", "-"):

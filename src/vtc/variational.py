@@ -10,10 +10,14 @@ candidate basis grown by preimage saturation: starting from the monomials of
 the right-hand side, collect every form monomial whose horizontal
 differential can reach them (lowering one derivative index and one dx, or
 trading a dx for a base-coordinate power), close up under the new rows this
-creates, and solve the resulting sparse rational system.  If some sigma with
-d(sigma) = rho exists supported anywhere, restricting to the saturated
-candidate set keeps the system solvable, so failure of the bounded solve is
-an honest obstruction report rather than a search artifact.  That engine is
+creates, and solve the resulting sparse rational system.  Each candidate is
+imaged once per saturation, straight from its key by ``forms.d_monomial``,
+the one horizontal differential that ``forms.d`` also runs on; the
+saturation reads the jet-order cap once and hands it to every image.  If
+some sigma with d(sigma) = rho exists supported anywhere, restricting to
+the saturated candidate set keeps the system solvable, so failure of the
+bounded solve is an honest obstruction report rather than a search
+artifact.  That engine is
 ``solve_mod_d``: ``_solve_d`` calls it with no other columns, the
 homogenizer with its candidates' Lie images as columns.
 """
@@ -25,7 +29,7 @@ from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from . import forms, kernel, linsolve, printing
-from .forms import LocalForm
+from .forms import LocalForm, MonoKey
 from .kernel import Gen, GradedScalar
 
 
@@ -170,19 +174,10 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
 # Inversion of the horizontal differential
 # ---------------------------------------------------------------------------
 
-# A column/row key is one form monomial: (dx tuple, contact tuple, monomial).
-MonoKey = tuple[tuple[int, ...], tuple[Gen, ...], kernel.Monomial]
-
-
 def form_mono_items(form: LocalForm) -> Iterator[tuple[MonoKey, Fraction]]:
     for (dxs, contacts), s in form.terms.items():
         for mono, c in s.terms.items():
             yield (dxs, contacts, mono), c
-
-
-def _single(dim: int, key: MonoKey, coeff: Fraction = 1) -> LocalForm:
-    dxs, contacts, mono = key
-    return LocalForm(dim, {(dxs, contacts): GradedScalar({mono: coeff})})
 
 
 def _mono_x_degree(mono: kernel.Monomial) -> int:
@@ -196,6 +191,7 @@ def _lower_contact(g: Gen, j: int) -> Gen:
 def _preimages(key: MonoKey, x_cap: int) -> Iterator[MonoKey]:
     """Candidate monomials whose horizontal differential can hit ``key``."""
     dxs, contacts, mono = key
+    below_cap = _mono_x_degree(mono) < x_cap
     for pos, j in enumerate(dxs):
         rest = dxs[:pos] + dxs[pos + 1:]
         # lower a contact factor
@@ -215,7 +211,7 @@ def _preimages(key: MonoKey, x_cap: int) -> Iterator[MonoKey]:
                 if newm is not None:
                     yield (rest, contacts, newm)
         # trade the dx for a base-coordinate power
-        if _mono_x_degree(mono) < x_cap:
+        if below_cap:
             _, newm = kernel.mono_mul(mono, ((kernel.coord_gen(j), 1),))
             yield (rest, contacts, newm)
 
@@ -259,35 +255,42 @@ def max_x_degree(keys: Iterable[MonoKey]) -> int:
 
 
 def saturate_d(dim: int, rows: Iterable[MonoKey], x_cap: int,
-               ) -> dict[MonoKey, dict[MonoKey, Fraction]]:
+               ) -> dict[MonoKey, dict[MonoKey, int]]:
     """Close ``rows`` under preimages of d: ``{candidate: d(candidate)}``.
 
     Every candidate is a preimage (within coordinate degree ``x_cap``) of a
-    row already present, and every monomial of its nonzero d-image becomes a
-    row in turn.  Candidates past the jet-order cap are skipped.  The result
-    is the least fixpoint, so it does not depend on the order of the rows.
+    row already present, and every monomial of its nonzero d-image
+    (``forms.d_monomial``) becomes a row in turn.  Candidates past the
+    jet-order cap, read once when the first candidate is imaged, are
+    skipped.  The result is the least fixpoint, so it does not depend on
+    the order of the rows.
     """
-    candidates: dict[MonoKey, dict[MonoKey, Fraction]] = {}
+    candidates: dict[MonoKey, dict[MonoKey, int]] = {}
+    rejected: set[MonoKey] = set()
     seen_rows: set[MonoKey] = set(rows)
-    queue = sorted(seen_rows)
+    queue = list(seen_rows)
+    cap = None
     while queue:
         next_rows: list[MonoKey] = []
         for row in queue:
             for cand in _preimages(row, x_cap):
-                if cand in candidates:
+                if cand in candidates or cand in rejected:
                     continue
+                if cap is None:
+                    cap = kernel.jet_order_cap()
                 try:
-                    image = dict(form_mono_items(forms.d(_single(dim, cand))))
+                    image = forms.d_monomial(dim, cand, cap)
                 except kernel.JetOrderCapExceeded:
-                    continue
+                    image = None
                 if not image:
+                    rejected.add(cand)
                     continue
                 candidates[cand] = image
                 for r in image:
                     if r not in seen_rows:
                         seen_rows.add(r)
                         next_rows.append(r)
-        queue = sorted(next_rows)
+        queue = next_rows
     return candidates
 
 
@@ -335,7 +338,7 @@ def _solve_d(rho: LocalForm) -> LocalForm:
     blocks: dict[tuple, dict[MonoKey, Fraction]] = {}
     for key, c in form_mono_items(rho):
         blocks.setdefault(block_key(key), {})[key] = c
-    sigma = LocalForm.zero(dim)
+    terms: dict[forms.Key, dict[kernel.Monomial, Fraction]] = {}
     for label in sorted(blocks):
         rhs = blocks[label]
         x_base = max_x_degree(rhs)
@@ -346,10 +349,11 @@ def _solve_d(rho: LocalForm) -> LocalForm:
             raise NoPrimitiveError(
                 "no primitive found within jet-order cap "
                 f"{kernel.jet_order_cap()} and coordinate degree {x_base + 1}")
-        for (_, cand), c in sorted(solution.items()):
+        # the candidates of distinct blocks are distinct
+        for (_, (dxs, contacts, mono)), c in sorted(solution.items()):
             if c:
-                sigma = sigma + _single(dim, cand, c)
-    return sigma
+                terms.setdefault((dxs, contacts), {})[mono] = c
+    return LocalForm(dim, {key: GradedScalar(t) for key, t in terms.items()})
 
 
 def horizontal_homotopy(rho: LocalForm) -> LocalForm:

@@ -10,7 +10,9 @@ single factors s ^ dx^{i1} ^ ... ^ d(phi_1) ^ ..., and
 
 with D(f_k) given on single factors; the partials delta takes of a scalar
 come from ``test_scalars.ref_partial``, one scan per generator, not from
-``GradedScalar.partials``.  Every product is taken with
+``GradedScalar.partials``, and d takes a scalar's total derivatives from
+those partials by the chain rule, not from
+``GradedScalar.total_derivative``.  Every product is taken with
 ``forms.wedge``, which inserts the factors of its right operand one at a
 time, so the signs come from that generic factor-by-factor
 canonicalisation, not from the sign rules the engine's derivations use.
@@ -21,9 +23,11 @@ associativity and graded commutativity.
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings
+import pytest
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from vtc import builtin_models
 from vtc import forms as F
 from vtc import kernel as K
 from vtc import parser
@@ -56,22 +60,22 @@ def sf(s):
 # -- the oracle ----------------------------------------------------------------
 
 
-def single_factors(key, s):
+def single_factors(key, s, dim=DIM):
     """The term (key, s) as its list of (form, parity) single factors; the
     scalar's parity is never needed, since nothing stands to its left."""
     dxs, contacts = key
-    fs = [(sf(s), None)]
-    fs += [(F.dx(DIM, i), 1) for i in dxs]
-    fs += [(F.contact(DIM, g), (K.gen_parity(g) + 1) % 2) for g in contacts]
+    fs = [(F.scalar_form(dim, s), None)]
+    fs += [(F.dx(dim, i), 1) for i in dxs]
+    fs += [(F.contact(dim, g), (K.gen_parity(g) + 1) % 2) for g in contacts]
     return fs
 
 
 def by_right_derivation(form, parity, on_scalar, on_dx, on_contact):
-    out = F.LocalForm.zero(DIM)
+    out = F.LocalForm.zero(form.dim)
     for key, s in form.terms.items():
         dxs, contacts = key
         images = [on_scalar(s)] + [on_dx(i) for i in dxs] + [on_contact(g) for g in contacts]
-        fs = single_factors(key, s)
+        fs = single_factors(key, s, form.dim)
         for k, image in enumerate(images):
             if image.is_zero():
                 continue
@@ -85,14 +89,32 @@ def zero_form(_):
     return F.LocalForm.zero(DIM)
 
 
+def oracle_total_derivative(s, j):
+    """total_j(s) by the chain rule of an even derivation: the sum over the
+    generators g of s of the right partial along g times total_j(g), which
+    is 1 for x^j and the shifted jet variable for a jet variable."""
+    out = K.ZERO
+    for g in sorted({g for m in s.terms for g, _ in m}):
+        if g == K.coord_gen(j):
+            out = out + ref_partial(s, g)
+        elif K.is_jet(g):
+            shifted = K.GradedScalar.generator(K.jet_shift(g, j, K.jet_order_cap()))
+            out = out + ref_partial(s, g) * shifted
+    return out
+
+
 def oracle_d(form):
+    dim = form.dim
+
     def on_scalar(s):
-        return sum((F.wedge(sf(s.total_derivative(j)), F.dx(DIM, j)) for j in range(DIM)),
-                   F.LocalForm.zero(DIM))
+        return sum((F.wedge(F.scalar_form(dim, oracle_total_derivative(s, j)),
+                            F.dx(dim, j))
+                    for j in range(dim)), F.LocalForm.zero(dim))
 
     def on_contact(g):
-        return sum((F.wedge(F.contact(DIM, K.jet_shift(g, j)), F.dx(DIM, j))
-                    for j in range(DIM)), F.LocalForm.zero(DIM))
+        return sum((F.wedge(F.contact(dim, K.jet_shift(g, j, K.jet_order_cap())),
+                            F.dx(dim, j))
+                    for j in range(dim)), F.LocalForm.zero(dim))
 
     return by_right_derivation(form, 1, on_scalar, zero_form, on_contact)
 
@@ -249,6 +271,87 @@ def test_repr_of_a_field_names_its_components_in_the_model_language():
                    parity=K.ODD)
     assert repr(X) == "EvoField[A[1]: x[0]*C,[1] - As[2],[1 3]; C: A[0]*Cs]"
     assert repr(F.EvoField(SP, {}, parity=K.EVEN)) == "EvoField[0]"
+
+
+# -- d of one form monomial ---------------------------------------------------
+
+
+_MAXWELL = builtin_models.builtin("maxwell")
+# Maxwell's spacetime (dimension 4) and leaf (dimension 3) spectra
+MAXWELL_SPECTRA = (_MAXWELL.spectrum, _MAXWELL.foliation.spatial)
+
+
+@st.composite
+def form_monomials(draw):
+    """(dim, form monomial) over a Maxwell spectrum: jet factors, powers of
+    coordinates and of a parameter, odd and even contacts, sometimes an even
+    contact twice, and up to every dx."""
+    sp = draw(st.sampled_from(MAXWELL_SPECTRA))
+    dim = sp.dim
+
+    def jet_gen(fields):
+        f = draw(st.sampled_from(fields))
+        comp = tuple(draw(st.integers(0, n - 1)) for n in f.shape)
+        mi = draw(st.lists(st.integers(0, dim - 1), max_size=2))
+        return K.jet_gen(sp, f.name, comp, mi)
+
+    s = K.ONE
+    for _ in range(draw(st.integers(0, 3))):
+        s = s * K.GradedScalar.generator(jet_gen(sp.fields))
+    for i in draw(st.lists(st.integers(0, dim - 1), max_size=3)):
+        s = s * K.x(i)
+    for _ in range(draw(st.integers(0, 2))):
+        s = s * K.parameter("k")
+    contacts = [jet_gen(sp.fields) for _ in range(draw(st.integers(0, 2)))]
+    if draw(st.booleans()):
+        # d(g) of an odd field g is even, so it may repeat
+        g = jet_gen([f for f in sp.fields if f.parity == K.ODD])
+        contacts += [g, g]
+    contacts = tuple(sorted(contacts))
+    assume(s and all(K.gen_parity(g) or contacts.count(g) == 1 for g in contacts))
+    dxs = tuple(sorted(set(draw(st.lists(st.integers(0, dim - 1), max_size=dim)))))
+    (mono,) = s.terms
+    return dim, (dxs, contacts, mono)
+
+
+def monomial_form(dim, key):
+    dxs, contacts, mono = key
+    return F.LocalForm(dim, {(dxs, contacts): K.GradedScalar({mono: 1})})
+
+
+def form_monomial_items(form):
+    return {(dxs, contacts, m): c
+            for (dxs, contacts), s in form.terms.items() for m, c in s.terms.items()}
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_monomials())
+def test_d_of_a_form_monomial_matches_the_right_derivation_oracle(case):
+    dim, key = case
+    assert F.d_monomial(dim, key, K.jet_order_cap()) == \
+        form_monomial_items(oracle_d(monomial_form(dim, key)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(form_monomials())
+def test_d_of_a_form_monomial_exceeds_the_jet_order_cap_where_the_oracle_does(case):
+    dim, key = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("VTC_JET_ORDER_CAP", "1")
+        try:
+            expected = form_monomial_items(oracle_d(monomial_form(dim, key)))
+        except K.JetOrderCapExceeded:
+            expected = None
+    if len(key[0]) == dim:
+        # every dx is there, so d takes no derivative; the oracle, which
+        # differentiates first and wedges after, may still reach the cap
+        assert F.d_monomial(dim, key, 1) == {}
+        return
+    if expected is None:
+        with pytest.raises(K.JetOrderCapExceeded):
+            F.d_monomial(dim, key, 1)
+    else:
+        assert F.d_monomial(dim, key, 1) == expected
 
 
 # -- property tests of the complex identities ---------------------------------

@@ -466,6 +466,14 @@ def _maxwell_with(old, new):
      "line 9, column 317: direction 4 out of range for dimension 4"),
     (_chiral_with("density O = ", "density O = ib(2, phi[0] ^ dx[0]) + "),
      None, "line 11, column 13: direction 2 out of range for dimension 2"),
+    (_maxwell_with("ghost 1,", "ghost,"), None,
+     "line 5, column 26: expected an integer, got ','"),
+    (_maxwell_with("parity 1,", "parity 1/2,"), None,
+     "line 5, column 18: expected an integer, got '1/2'"),
+    (_maxwell_with("role field }", "role 5 }"), None,
+     "line 5, column 35: expected a name, got '5'"),
+    (_maxwell_with("  map C -> C", "  map C C"), None,
+     "line 14, column 9: expected '->', got 'C'"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
@@ -479,7 +487,9 @@ def _maxwell_with(old, new):
         "reserved-field-name", "non-constant-factor", "duplicate-density",
         "field-mapped-twice", "duplicate-phase-rule", "non-scalar-phase-image",
         "phase-of-vol", "jet-direction-out-of-range",
-        "ib-direction-out-of-range"])
+        "ib-direction-out-of-range", "integer-attribute-without-value",
+        "fractional-integer-attribute", "number-for-a-name",
+        "map-without-arrow"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:

@@ -5,12 +5,17 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import vtc
 from vtc import forms as F
 from vtc import kernel as K
 from vtc import linsolve
 from vtc import parser
 from vtc import variational as V
+
+from test_linsolve import _load_calculus
 
 
 SP = K.Spectrum(4, [
@@ -274,6 +279,53 @@ def test_no_primitive_names_the_jet_order_cap_in_force(monkeypatch):
         V.divergence_primitive(f)
     assert str(info.value) == ("no primitive found within jet-order cap 1 "
                                "and coordinate degree 1")
+
+
+@pytest.fixture(scope="module")
+def calculus_solves():
+    """The seed-0 calculus pass of ``perfbench/run.py --workload calculus``,
+    counting the jet-order cap reads and recording every ``solve_mod_d``
+    call: (reads, [(dim, rows, target, x_cap), ...])."""
+    calculus = _load_calculus()
+    calc = calculus.Calculus(vtc)
+    queries = calculus.make_queries(0, 200)
+    reads, calls = [0], []
+    read_cap, solve = K.jet_order_cap, V.solve_mod_d
+
+    def counting_read():
+        reads[0] += 1
+        return read_cap()
+
+    def recording_solve(dim, rows, target, x_cap):
+        calls.append((dim, rows, dict(target), x_cap))
+        return solve(dim, rows, target, x_cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(K, "jet_order_cap", counting_read)
+        mp.setattr(V, "solve_mod_d", recording_solve)
+        assert all(ok for ok, _ in (calc.run(q) for q in queries))
+    return reads[0], calls
+
+
+def test_the_jet_order_cap_is_read_once_per_operation(calculus_solves):
+    # the pass makes 21,504 jet shifts; d, saturation and total derivatives
+    # read the cap once per call, at least 85% fewer reads than one a shift
+    reads, calls = calculus_solves
+    assert len(calls) > 300
+    assert 0 < reads <= 21504 * 15 // 100
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.data())
+def test_saturation_does_not_depend_on_the_order_of_the_rows(calculus_solves, data):
+    dim, rows, target, x_cap = data.draw(st.sampled_from(calculus_solves[1]))
+    keys = list(rows) + [key for key in target if key not in rows]
+    shuffled = data.draw(st.permutations(keys))
+    assert V.saturate_d(dim, shuffled, x_cap) == V.saturate_d(dim, keys, x_cap)
+    target_shuffled = {key: target[key]
+                       for key in data.draw(st.permutations(list(target)))}
+    assert V.solve_mod_d(dim, rows, target_shuffled, x_cap) == \
+        V.solve_mod_d(dim, rows, target, x_cap)
 
 
 # -- divergence primitive ---------------------------------------------------
