@@ -3,13 +3,19 @@
 Models are addressed by file path or by built-in name.  Exit codes: 0 when
 every check passes; 1 when a check fails or an engine error
 (``kernel.EngineError``) is raised, which prints ``vtc: <Type>: <message>``;
-2 on usage or parse errors (``UsageError``, ``parser.ParseError``).  The
-environment variable VTC_JET_ORDER_CAP bounds the jet order of every
-symbolic operation.
+2 on usage or parse errors (``UsageError``, ``parser.ParseError``).
+
+The environment variable VTC_JET_ORDER_CAP bounds the jet order of every
+symbolic operation.  ``main`` is its only reader: it parses the variable
+once per call, a value that is not a positive integer being a usage error,
+and runs the command in a copy of the caller's context with
+``kernel.JET_ORDER_CAP`` set to it, so the caller's cap does not change.
+Unset, the variable leaves the cap in force (8 by default).
 """
 from __future__ import annotations
 
 import argparse
+import contextvars
 import os
 import sys
 from typing import Optional, Sequence
@@ -114,15 +120,20 @@ def build_argparser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    ap = build_argparser()
-    args = ap.parse_args(argv)
+    args = build_argparser().parse_args(argv)
+    ctx = contextvars.copy_context()
     try:
-        kernel.jet_order_cap()
-    except ValueError as e:
-        sys.stderr.write(f"vtc: {e}\n")
-        return USAGE_ERROR
-    try:
-        return args.func(args)
+        raw = os.environ.get("VTC_JET_ORDER_CAP")
+        if raw is not None:
+            try:
+                cap = int(raw)
+            except ValueError:
+                raise UsageError("VTC_JET_ORDER_CAP must be an integer, "
+                                 f"got {raw!r}") from None
+            if cap < 1:
+                raise UsageError("VTC_JET_ORDER_CAP must be positive")
+            ctx.run(kernel.JET_ORDER_CAP.set, cap)
+        return ctx.run(args.func, args)
     except (parser.ParseError, UsageError, OSError) as e:
         sys.stderr.write(f"vtc: {e}\n")
         return USAGE_ERROR

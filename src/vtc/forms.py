@@ -345,14 +345,9 @@ def constant_horizontal(dim: int,
 # -- differentials ----------------------------------------------------------
 
 
-def d_monomial(dim: int, key: MonoKey, cap: Optional[int]) -> dict[MonoKey, int]:
+def d_monomial(dim: int, key: MonoKey) -> dict[MonoKey, int]:
     """Horizontal differential of the form monomial ``key`` with coefficient
-    1, as {form monomial: integer coefficient}.
-
-    ``cap`` is the jet-order cap that every jet shift is checked against
-    (``kernel.jet_order_cap``).  It may be None when nothing is shifted:
-    when the monomial has every dx, or holds no contact and no jet
-    variable."""
+    1, as {form monomial: integer coefficient}."""
     dxs, contacts, mono = key
     out: dict[MonoKey, int] = {}
     if len(dxs) == dim:
@@ -366,7 +361,7 @@ def d_monomial(dim: int, key: MonoKey, cap: Optional[int]) -> dict[MonoKey, int]
     for j, pos in free:
         odd = (len(dxs) + cpar + pos) % 2
         jdxs = dxs[:pos] + (j,) + dxs[pos:]
-        for m, k in kernel.mono_total_derivative(mono, j, cap):
+        for m, k in kernel.mono_total_derivative(mono, j):
             out[(jdxs, contacts, m)] = -k if odd else k
     # d(phi_I) -> d(phi_{Ij}) ^ dx^j, signed by the parity of the contacts
     # after it; dx^j moves left past the earlier contacts, d(phi_{Ij}) and
@@ -377,7 +372,7 @@ def d_monomial(dim: int, key: MonoKey, cap: Optional[int]) -> dict[MonoKey, int]
         p = _contact_parity(g)
         others = contacts[:idx] + contacts[idx + 1:]
         for j, pos in free:
-            g2 = kernel.jet_shift(g, j, cap)
+            g2 = kernel.jet_shift(g, j)
             if p and g2 in others:
                 continue
             k = bisect_right(others, g2)
@@ -396,19 +391,14 @@ def d_monomial(dim: int, key: MonoKey, cap: Optional[int]) -> dict[MonoKey, int]
 
 def d(form: LocalForm) -> LocalForm:
     """Horizontal differential (odd right derivation), monomial by monomial
-    (``d_monomial``).  The jet-order cap is read once, at the first term
-    whose image shifts a jet variable."""
+    (``d_monomial``)."""
     dim = form.dim
-    cap = None
     out: dict[Key, dict[kernel.Monomial, kernel.Coefficient]] = {}
     for (dxs, contacts), s in form.terms.items():
         if len(dxs) == dim:
             continue
-        if cap is None and (contacts or any(kernel.is_jet(g)
-                                            for m in s.terms for g, _ in m)):
-            cap = kernel.jet_order_cap()
         for mono, c in s.terms.items():
-            image = d_monomial(dim, (dxs, contacts, mono), cap)
+            image = d_monomial(dim, (dxs, contacts, mono))
             for (jdxs, jcontacts, m), k in image.items():
                 t = out.setdefault((jdxs, jcontacts), {})
                 cc = c if k == 1 else -c if k == -1 else c * k

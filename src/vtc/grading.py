@@ -126,17 +126,15 @@ class HomotopyDiffeo:
     """Formal diffeomorphism of the jet space generated by a vertical field.
 
     The pullback acts as e^{L_X}; the series must terminate on each input
-    within ``truncation_order`` steps, which holds whenever X strictly
+    within ``TRUNCATION_ORDER`` steps, which holds whenever X strictly
     raises a bounded grading (the only case produced here).
     """
 
     X: EvoField
-    truncation_order: int = TRUNCATION_ORDER
     certificate: Optional["HomogenizerCertificate"] = None
 
     def inverse(self) -> "HomotopyDiffeo":
-        return HomotopyDiffeo(forms.scale_field(self.X, -1),
-                              self.truncation_order)
+        return HomotopyDiffeo(forms.scale_field(self.X, -1))
 
 
 @dataclass(frozen=True)
@@ -153,17 +151,17 @@ def pullback(h: HomotopyDiffeo, a: LocalForm) -> LocalForm:
     """Apply the flow's pullback e^{L_X} to a form, term by term.
 
     Raises TruncationError, reporting the order bound, if the Lie series
-    has not terminated after ``truncation_order`` steps.
+    has not terminated after ``TRUNCATION_ORDER`` steps.
     """
     total = a
     term = a
-    for k in range(1, h.truncation_order + 1):
+    for k in range(1, TRUNCATION_ORDER + 1):
         term = forms.lie(h.X, term).scale(Fraction(1, k))
         if term.is_zero():
             return total
         total = total + term
     raise TruncationError(
-        f"pullback series did not terminate within order {h.truncation_order}")
+        f"pullback series did not terminate within order {TRUNCATION_ORDER}")
 
 
 # ---------------------------------------------------------------------------

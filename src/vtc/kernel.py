@@ -5,13 +5,16 @@ x^i, formal parameters, and jet variables phi^a_I (a field component
 together with a symmetric multi-index of total-derivative directions).
 Coefficients are exact rationals; Grassmann-odd generators anticommute and
 square to zero.  Everything downstream (forms, variational calculus,
-brackets) is built on top of this module.
+brackets) is built on top of this module.  Its one bound is the jet-order
+cap, ``JET_ORDER_CAP``: a context variable that every jet shift reads, so
+no operation takes the cap as an argument.
 """
 
 from __future__ import annotations
 
-import os
+import itertools
 from bisect import bisect_left, bisect_right
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
@@ -50,23 +53,10 @@ class DeclarationError(ValueError):
         self.algebra = algebra
 
 
-def jet_order_cap() -> int:
-    """Maximal multi-index length allowed, configurable via environment.
-
-    Read from ``VTC_JET_ORDER_CAP`` once per operation that shifts a jet
-    variable: once per ``forms.d``, ``variational.saturate_d`` or
-    ``GradedScalar.total_derivative`` call, which hand the value to every
-    ``jet_shift`` they make."""
-    raw = os.environ.get("VTC_JET_ORDER_CAP")
-    if raw is None:
-        return 8
-    try:
-        value = int(raw)
-    except ValueError as exc:
-        raise ValueError(f"VTC_JET_ORDER_CAP must be an integer, got {raw!r}") from exc
-    if value < 1:
-        raise ValueError("VTC_JET_ORDER_CAP must be positive")
-    return value
+# The jet-order cap: the maximal multi-index length ``jet_shift`` may
+# produce.  ``vtc`` sets it once per command from VTC_JET_ORDER_CAP; a
+# library caller sets and resets it, or sets it in a copied context.
+JET_ORDER_CAP: ContextVar[int] = ContextVar("JET_ORDER_CAP", default=8)
 
 
 # ---------------------------------------------------------------------------
@@ -131,16 +121,7 @@ class FieldSpec:
 
     def components(self) -> Iterator[tuple[int, ...]]:
         """All component label tuples of this field."""
-        if not self.shape:
-            yield ()
-            return
-        def rec(prefix: tuple[int, ...], dims: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-            if not dims:
-                yield prefix
-                return
-            for v in range(dims[0]):
-                yield from rec(prefix + (v,), dims[1:])
-        yield from rec((), self.shape)
+        return itertools.product(*(range(n) for n in self.shape))
 
 
 class Spectrum:
@@ -283,10 +264,11 @@ def jet_base(g: Gen) -> Gen:
     return g[:4] + ((),) + g[5:]
 
 
-def jet_shift(g: Gen, j: int, cap: int) -> Gen:
-    """The jet generator with one more derivative in direction j; ``cap`` is
-    the jet-order cap in force (``jet_order_cap``)."""
+def jet_shift(g: Gen, j: int) -> Gen:
+    """The jet generator with one more derivative in direction j, within the
+    jet-order cap in force (``JET_ORDER_CAP``)."""
     mi = g[4]
+    cap = JET_ORDER_CAP.get()
     if len(mi) >= cap:
         raise JetOrderCapExceeded(
             f"jet order {len(mi) + 1} exceeds cap {cap} (set VTC_JET_ORDER_CAP to raise)")
@@ -361,14 +343,12 @@ def mono_sort_key(m: Monomial) -> tuple:
     return (len(m), m)
 
 
-def mono_total_derivative(m: Monomial, j: int, cap: Optional[int],
-                          ) -> list[tuple[Monomial, int]]:
+def mono_total_derivative(m: Monomial, j: int) -> list[tuple[Monomial, int]]:
     """Total derivative in base direction j of the monomial m, as
     (monomial, coefficient) pairs with distinct monomials.
 
     An even derivation: x^j goes to 1, every jet variable phi^a_I goes to
-    phi^a_{Ij} (``jet_shift`` under the cap ``cap``, which may be None when
-    m holds no jet variable), parameters and auxiliaries go to 0.  The
+    phi^a_{Ij} (``jet_shift``), parameters and auxiliaries go to 0.  The
     shifted generator moves to its sorted place past generators of its own
     field component only, so an odd one is signed by how many it passes.
     """
@@ -380,7 +360,7 @@ def mono_total_derivative(m: Monomial, j: int, cap: Optional[int],
                 head = m[:idx] + ((g, e - 1),) if e > 1 else m[:idx]
                 out.append((head + m[idx + 1:], e))
         elif rank == 2:
-            repl = jet_shift(g, j, cap)
+            repl = jet_shift(g, j)
             if e > 1:
                 rest = m[:idx] + ((g, e - 1),) + m[idx + 1:]
             else:
@@ -576,11 +556,8 @@ class GradedScalar:
         """Total derivative in base direction j, monomial by monomial
         (``mono_total_derivative``)."""
         out: dict[Monomial, Fraction] = {}
-        cap = None
         for m, c in self.terms.items():
-            if cap is None and any(g[0] == 2 for g, _ in m):
-                cap = jet_order_cap()
-            for mono, k in mono_total_derivative(m, j, cap):
+            for mono, k in mono_total_derivative(m, j):
                 cc = c if k == 1 else -c if k == -1 else c * k
                 prev = out.get(mono)
                 s = cc if prev is None else prev + cc

@@ -33,11 +33,12 @@ def form_json(a: LocalForm) -> dict:
     return {"text": printing.form_text(a), "terms": terms}
 
 
-def field_json(X: forms.EvoField) -> dict:
-    """Components of an evolutionary field, keyed by generator text."""
+def components_json(components: Mapping[kernel.Gen, kernel.GradedScalar],
+                    ) -> dict:
+    """Scalars keyed by generator text, in generator order: the components
+    of an evolutionary field, or of a master check's residual."""
     return {printing.gen_text(g): printing.scalar_text(v)
-            for g, v in sorted(X.base_components().items())
-            if not v.is_zero()}
+            for g, v in sorted(components.items())}
 
 
 class _Run:
@@ -99,12 +100,12 @@ class _Run:
 
 def _stage_master(run: _Run) -> tuple[dict, bool]:
     mc = run.system.master
-    out: dict = {"ok": mc.ok, "brst_field": field_json(run.system.Q)}
+    out: dict = {"ok": mc.ok,
+                 "brst_field": components_json(run.system.Q.base_components())}
     if mc.ok:
         out["sigma"] = form_json(mc.sigma)
     else:
-        out["residual"] = {printing.gen_text(g): printing.scalar_text(v)
-                           for g, v in sorted((mc.residual or {}).items())}
+        out["residual"] = components_json(mc.residual or {})
     return out, mc.ok
 
 
@@ -178,7 +179,7 @@ def _stage_homogenize(run: _Run) -> tuple[dict, bool]:
     cert = h.certificate
     ok = cert.pulled_back == cert.leading or variational.equiv_mod_d(
         cert.pulled_back, cert.leading)
-    out: dict = {"vector": field_json(h.X),
+    out: dict = {"vector": components_json(h.X.base_components()),
                  "degree": cert.degree,
                  "certificate_exact": cert.pulled_back == cert.leading,
                  "structure": form_json(cert.pulled_back)}

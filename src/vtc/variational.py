@@ -12,14 +12,12 @@ differential can reach them (lowering one derivative index and one dx, or
 trading a dx for a base-coordinate power), close up under the new rows this
 creates, and solve the resulting sparse rational system.  Each candidate is
 imaged once per saturation, straight from its key by ``forms.d_monomial``,
-the one horizontal differential that ``forms.d`` also runs on; the
-saturation reads the jet-order cap once and hands it to every image.  If
-some sigma with d(sigma) = rho exists supported anywhere, restricting to
-the saturated candidate set keeps the system solvable, so failure of the
+the one horizontal differential that ``forms.d`` also runs on.  If some
+sigma with d(sigma) = rho exists supported anywhere, restricting to the
+saturated candidate set keeps the system solvable, so failure of the
 bounded solve is an honest obstruction report rather than a search
-artifact.  That engine is
-``solve_mod_d``: ``_solve_d`` calls it with no other columns, the
-homogenizer with its candidates' Lie images as columns.
+artifact.  That engine is ``solve_mod_d``: ``_solve_d`` calls it with no
+other columns, the homogenizer with its candidates' Lie images as columns.
 """
 
 from __future__ import annotations
@@ -261,25 +259,21 @@ def saturate_d(dim: int, rows: Iterable[MonoKey], x_cap: int,
     Every candidate is a preimage (within coordinate degree ``x_cap``) of a
     row already present, and every monomial of its nonzero d-image
     (``forms.d_monomial``) becomes a row in turn.  Candidates past the
-    jet-order cap, read once when the first candidate is imaged, are
-    skipped.  The result is the least fixpoint, so it does not depend on
-    the order of the rows.
+    jet-order cap are skipped.  The result is the least fixpoint, so it does
+    not depend on the order of the rows.
     """
     candidates: dict[MonoKey, dict[MonoKey, int]] = {}
     rejected: set[MonoKey] = set()
     seen_rows: set[MonoKey] = set(rows)
     queue = list(seen_rows)
-    cap = None
     while queue:
         next_rows: list[MonoKey] = []
         for row in queue:
             for cand in _preimages(row, x_cap):
                 if cand in candidates or cand in rejected:
                     continue
-                if cap is None:
-                    cap = kernel.jet_order_cap()
                 try:
-                    image = forms.d_monomial(dim, cand, cap)
+                    image = forms.d_monomial(dim, cand)
                 except kernel.JetOrderCapExceeded:
                     image = None
                 if not image:
@@ -348,7 +342,7 @@ def _solve_d(rho: LocalForm) -> LocalForm:
         if solution is None:
             raise NoPrimitiveError(
                 "no primitive found within jet-order cap "
-                f"{kernel.jet_order_cap()} and coordinate degree {x_base + 1}")
+                f"{kernel.JET_ORDER_CAP.get()} and coordinate degree {x_base + 1}")
         # the candidates of distinct blocks are distinct
         for (_, (dxs, contacts, mono)), c in sorted(solution.items()):
             if c:

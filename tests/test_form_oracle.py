@@ -12,10 +12,12 @@ with D(f_k) given on single factors; the partials delta takes of a scalar
 come from ``test_scalars.ref_partial``, one scan per generator, not from
 ``GradedScalar.partials``, and d takes a scalar's total derivatives from
 those partials by the chain rule, not from
-``GradedScalar.total_derivative``.  Every product is taken with
-``forms.wedge``, which inserts the factors of its right operand one at a
-time, so the signs come from that generic factor-by-factor
-canonicalisation, not from the sign rules the engine's derivations use.
+``GradedScalar.total_derivative``; it shifts jet variables and checks the
+jet-order cap itself (``oracle_shift``), not with ``kernel.jet_shift``.
+Every product is taken with ``forms.wedge``, which inserts the factors of
+its right operand one at a time, so the signs come from that generic
+factor-by-factor canonicalisation, not from the sign rules the engine's
+derivations use.
 Wedge itself is checked against the chain of its one-factor steps, and for
 associativity and graded commutativity.
 """
@@ -89,6 +91,13 @@ def zero_form(_):
     return F.LocalForm.zero(DIM)
 
 
+def oracle_shift(g, j):
+    """phi^a_{Ij}: j joins the sorted multi-index, within the jet-order cap."""
+    if len(K.jet_mi(g)) >= K.JET_ORDER_CAP.get():
+        raise K.JetOrderCapExceeded(f"cap {K.JET_ORDER_CAP.get()}")
+    return g[:4] + (tuple(sorted(K.jet_mi(g) + (j,))),) + g[5:]
+
+
 def oracle_total_derivative(s, j):
     """total_j(s) by the chain rule of an even derivation: the sum over the
     generators g of s of the right partial along g times total_j(g), which
@@ -98,7 +107,7 @@ def oracle_total_derivative(s, j):
         if g == K.coord_gen(j):
             out = out + ref_partial(s, g)
         elif K.is_jet(g):
-            shifted = K.GradedScalar.generator(K.jet_shift(g, j, K.jet_order_cap()))
+            shifted = K.GradedScalar.generator(oracle_shift(g, j))
             out = out + ref_partial(s, g) * shifted
     return out
 
@@ -112,7 +121,7 @@ def oracle_d(form):
                     for j in range(dim)), F.LocalForm.zero(dim))
 
     def on_contact(g):
-        return sum((F.wedge(F.contact(dim, K.jet_shift(g, j, K.jet_order_cap())),
+        return sum((F.wedge(F.contact(dim, oracle_shift(g, j)),
                             F.dx(dim, j))
                     for j in range(dim)), F.LocalForm.zero(dim))
 
@@ -328,7 +337,7 @@ def form_monomial_items(form):
 @given(form_monomials())
 def test_d_of_a_form_monomial_matches_the_right_derivation_oracle(case):
     dim, key = case
-    assert F.d_monomial(dim, key, K.jet_order_cap()) == \
+    assert F.d_monomial(dim, key) == \
         form_monomial_items(oracle_d(monomial_form(dim, key)))
 
 
@@ -336,22 +345,23 @@ def test_d_of_a_form_monomial_matches_the_right_derivation_oracle(case):
 @given(form_monomials())
 def test_d_of_a_form_monomial_exceeds_the_jet_order_cap_where_the_oracle_does(case):
     dim, key = case
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setenv("VTC_JET_ORDER_CAP", "1")
+    token = K.JET_ORDER_CAP.set(1)
+    try:
         try:
             expected = form_monomial_items(oracle_d(monomial_form(dim, key)))
         except K.JetOrderCapExceeded:
             expected = None
-    if len(key[0]) == dim:
-        # every dx is there, so d takes no derivative; the oracle, which
-        # differentiates first and wedges after, may still reach the cap
-        assert F.d_monomial(dim, key, 1) == {}
-        return
-    if expected is None:
-        with pytest.raises(K.JetOrderCapExceeded):
-            F.d_monomial(dim, key, 1)
-    else:
-        assert F.d_monomial(dim, key, 1) == expected
+        if len(key[0]) == dim:
+            # every dx is there, so d takes no derivative; the oracle, which
+            # differentiates first and wedges after, may still reach the cap
+            assert F.d_monomial(dim, key) == {}
+        elif expected is None:
+            with pytest.raises(K.JetOrderCapExceeded):
+                F.d_monomial(dim, key)
+        else:
+            assert F.d_monomial(dim, key) == expected
+    finally:
+        K.JET_ORDER_CAP.reset(token)
 
 
 # -- property tests of the complex identities ---------------------------------

@@ -359,6 +359,15 @@ def test_cli_invalid_jet_order_cap_exits_2(monkeypatch, capsys, cap, message):
     assert capsys.readouterr().err == f"vtc: {message}\n"
 
 
+def test_cli_sets_the_jet_order_cap_for_its_command_only(monkeypatch, capsys):
+    # chiral's master check needs jet order 2; the caller's cap stays 8
+    monkeypatch.setenv("VTC_JET_ORDER_CAP", "1")
+    assert cli.main(["report", "chiral"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert out["stages"]["master"]["error"].startswith("JetOrderCapExceeded: ")
+    assert kernel.JET_ORDER_CAP.get() == 8
+
+
 def test_cli_component_out_of_range_in_expression_exits_2(capsys):
     rc = cli.main(["bracket", "maxwell", "--a", "A[9] ^ vol", "--b", "C ^ vol"])
     assert rc == 2

@@ -186,13 +186,25 @@ def test_total_derivative_power():
     assert f.total_derivative(3) == 2 * J("A", (2,)) * J("A", (2,), (3,))
 
 
-def test_jet_order_cap(monkeypatch):
-    monkeypatch.setenv("VTC_JET_ORDER_CAP", "2")
+def test_jet_order_cap():
     f = J("A", (0,), (0, 1))
-    with pytest.raises(K.JetOrderCapExceeded):
-        f.total_derivative(1)
-    monkeypatch.delenv("VTC_JET_ORDER_CAP")
+    token = K.JET_ORDER_CAP.set(2)
+    try:
+        with pytest.raises(K.JetOrderCapExceeded):
+            f.total_derivative(1)
+    finally:
+        K.JET_ORDER_CAP.reset(token)
     f.total_derivative(1)  # fine under the default cap
+
+
+@pytest.mark.parametrize("shape", [(), (3,), (2, 3), (3, 1, 2), (2, 0)])
+def test_components_run_over_the_shape_in_row_major_order(shape):
+    def row_major(dims):
+        if not dims:
+            return [()]
+        return [(v,) + rest for v in range(dims[0]) for rest in row_major(dims[1:])]
+    spec = K.FieldSpec("A", K.EVEN, 0, shape=shape)
+    assert list(spec.components()) == row_major(shape)
 
 
 def test_max_jet_order_counts_derivatives_not_component_labels():

@@ -267,16 +267,19 @@ def test_homotopy_top_degree_obstruction():
         V.horizontal_homotopy(src)
 
 
-def test_no_primitive_names_the_jet_order_cap_in_force(monkeypatch):
+def test_no_primitive_names_the_jet_order_cap_in_force():
     # A,[0 0] dx is d(A,[0]): within the default cap it has a primitive;
     # under a cap of 1 the primitive's d-image is out of reach, and the
     # error names that cap, not the input's own jet order of 2
     sp = K.Spectrum(1, [K.FieldSpec("A", K.EVEN, 0)])
     f = parser.parse_expression("A,[0 0] ^ dx[0]", sp)
     assert V.divergence_primitive(f) == F.scalar_form(1, K.jet(sp, "A", (), (0,)))
-    monkeypatch.setenv("VTC_JET_ORDER_CAP", "1")
-    with pytest.raises(V.NoPrimitiveError) as info:
-        V.divergence_primitive(f)
+    token = K.JET_ORDER_CAP.set(1)
+    try:
+        with pytest.raises(V.NoPrimitiveError) as info:
+            V.divergence_primitive(f)
+    finally:
+        K.JET_ORDER_CAP.reset(token)
     assert str(info.value) == ("no primitive found within jet-order cap 1 "
                                "and coordinate degree 1")
 
@@ -284,41 +287,28 @@ def test_no_primitive_names_the_jet_order_cap_in_force(monkeypatch):
 @pytest.fixture(scope="module")
 def calculus_solves():
     """The seed-0 calculus pass of ``perfbench/run.py --workload calculus``,
-    counting the jet-order cap reads and recording every ``solve_mod_d``
-    call: (reads, [(dim, rows, target, x_cap), ...])."""
+    recording every ``solve_mod_d`` call: [(dim, rows, target, x_cap), ...]."""
     calculus = _load_calculus()
     calc = calculus.Calculus(vtc)
     queries = calculus.make_queries(0, 200)
-    reads, calls = [0], []
-    read_cap, solve = K.jet_order_cap, V.solve_mod_d
-
-    def counting_read():
-        reads[0] += 1
-        return read_cap()
+    calls = []
+    solve = V.solve_mod_d
 
     def recording_solve(dim, rows, target, x_cap):
         calls.append((dim, rows, dict(target), x_cap))
         return solve(dim, rows, target, x_cap)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(K, "jet_order_cap", counting_read)
         mp.setattr(V, "solve_mod_d", recording_solve)
         assert all(ok for ok, _ in (calc.run(q) for q in queries))
-    return reads[0], calls
-
-
-def test_the_jet_order_cap_is_read_once_per_operation(calculus_solves):
-    # the pass makes 21,504 jet shifts; d, saturation and total derivatives
-    # read the cap once per call, at least 85% fewer reads than one a shift
-    reads, calls = calculus_solves
     assert len(calls) > 300
-    assert 0 < reads <= 21504 * 15 // 100
+    return calls
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
 def test_saturation_does_not_depend_on_the_order_of_the_rows(calculus_solves, data):
-    dim, rows, target, x_cap = data.draw(st.sampled_from(calculus_solves[1]))
+    dim, rows, target, x_cap = data.draw(st.sampled_from(calculus_solves))
     keys = list(rows) + [key for key in target if key not in rows]
     shuffled = data.draw(st.permutations(keys))
     assert V.saturate_d(dim, shuffled, x_cap) == V.saturate_d(dim, keys, x_cap)
