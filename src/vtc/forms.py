@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Callable, Mapping, Optional, Sequence, Union
 
 from . import kernel, printing
 from .kernel import Gen, GradedScalar, Spectrum
@@ -102,9 +102,15 @@ def _odd_part_negated(s: GradedScalar) -> GradedScalar:
 
 
 class LocalForm:
-    """A local differential form over an n-dimensional base."""
+    """A local differential form over an n-dimensional base.
 
-    __slots__ = ("dim", "terms")
+    Forms are values: never mutate ``terms``.  A form keeps its own d and
+    horizontal homotopy once computed (``memo``: None, or a dict from
+    ``(op, cap)`` to a form; see ``kept``), one per jet-order cap, and
+    drops them with itself.
+    """
+
+    __slots__ = ("dim", "terms", "memo")
 
     def __init__(self, dim: int, terms: Optional[Mapping[Key, GradedScalar]] = None):
         self.dim = dim
@@ -114,6 +120,7 @@ class LocalForm:
                 if s:
                     data[k] = s
         self.terms = data
+        self.memo = None
 
     # -- constructors -----------------------------------------------------
 
@@ -152,12 +159,14 @@ class LocalForm:
         res = LocalForm.__new__(LocalForm)
         res.dim = self.dim
         res.terms = out
+        res.memo = None
         return res
 
     def __neg__(self) -> "LocalForm":
         res = LocalForm.__new__(LocalForm)
         res.dim = self.dim
         res.terms = {k: -s for k, s in self.terms.items()}
+        res.memo = None
         return res
 
     def __sub__(self, other: "LocalForm") -> "LocalForm":
@@ -176,6 +185,19 @@ class LocalForm:
         return NotImplemented
 
     __rmul__ = __mul__
+
+    def kept(self, op: str, compute: Callable[["LocalForm"], "LocalForm"]) -> "LocalForm":
+        """``compute(self)``, computed once per jet-order cap and kept on
+        this form under ``op``.  The cap is part of the key because a result
+        found under one cap may need jets past a lower one, where a fresh
+        computation raises; a computation that raises keeps nothing."""
+        key = (op, kernel.JET_ORDER_CAP.get())
+        if self.memo is None:
+            self.memo = {}
+        out = self.memo.get(key)
+        if out is None:
+            out = self.memo[key] = compute(self)
+        return out
 
     # -- degrees ----------------------------------------------------------
 
@@ -391,7 +413,12 @@ def d_monomial(dim: int, key: MonoKey) -> dict[MonoKey, int]:
 
 def d(form: LocalForm) -> LocalForm:
     """Horizontal differential (odd right derivation), monomial by monomial
-    (``d_monomial``)."""
+    (``d_monomial``).  The form keeps it (``LocalForm.kept``), so asking
+    again returns the same object."""
+    return form.kept("d", _d)
+
+
+def _d(form: LocalForm) -> LocalForm:
     dim = form.dim
     out: dict[Key, dict[kernel.Monomial, kernel.Coefficient]] = {}
     for (dxs, contacts), s in form.terms.items():

@@ -271,7 +271,8 @@ def jet_shift(g: Gen, j: int) -> Gen:
     cap = JET_ORDER_CAP.get()
     if len(mi) >= cap:
         raise JetOrderCapExceeded(
-            f"jet order {len(mi) + 1} exceeds cap {cap} (set VTC_JET_ORDER_CAP to raise)")
+            f"jet order {len(mi) + 1} exceeds cap {cap} (raise kernel.JET_ORDER_CAP, "
+            "or VTC_JET_ORDER_CAP for vtc)")
     k = bisect_right(mi, j)
     return g[:4] + (mi[:k] + (j,) + mi[k:],) + g[5:]
 

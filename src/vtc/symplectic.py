@@ -75,8 +75,9 @@ class PresympStructure:
         return {}
 
     @cached_property
-    def hamiltonian_fields(self) -> dict[LocalForm, EvoField]:
-        """The solved Hamiltonian field of each form, by form.
+    def hamiltonian_fields(self) -> dict[tuple[LocalForm, int], EvoField]:
+        """The solved Hamiltonian field of each form, by form and jet-order
+        cap (a field solved under one cap may have jets past a lower one).
 
         The memo has no bound and lives as long as the structure: a caller
         that keeps one structure keeps every field solved against it, and
@@ -228,13 +229,15 @@ def _pairing(structure: PresympStructure, xpar: int,
 def hamiltonian_field(O: LocalForm, structure: PresympStructure) -> EvoField:
     """Solve i_X omega = delta(O) modulo d for an evolutionary X.
 
-    The field depends on the form and the structure alone, so each solved
-    field is kept in the structure's ``hamiltonian_fields`` and equal forms
-    share one field; a failed solve is not kept, and raises again.
+    The field depends on the form, the structure and the jet-order cap
+    alone, so each solved field is kept in the structure's
+    ``hamiltonian_fields`` and equal forms share one field per cap; a failed
+    solve is not kept, and raises again.
     """
-    X = structure.hamiltonian_fields.get(O)
+    key = (O, kernel.JET_ORDER_CAP.get())
+    X = structure.hamiltonian_fields.get(key)
     if X is None:
-        X = structure.hamiltonian_fields[O] = _solve_field(O, structure)
+        X = structure.hamiltonian_fields[key] = _solve_field(O, structure)
     return X
 
 

@@ -356,7 +356,16 @@ def horizontal_homotopy(rho: LocalForm) -> LocalForm:
     For vertical degree q >= 1 this satisfies d h + h d = identity below the
     top horizontal degree; at top degree it returns a primitive of an exact
     input and reports the obstruction otherwise.
+
+    Below the top degree h(rho) is the primitive of rho - h(d rho), so the
+    form keeps h (``LocalForm.kept``) and so does the d rho it keeps: the
+    contract check's h(d rho) solves nothing again.  Forms are values, so
+    never mutate the ``terms`` of one that has kept its d or h.
     """
+    return rho.kept("h", _homotopy)
+
+
+def _homotopy(rho: LocalForm) -> LocalForm:
     if rho.is_zero():
         return LocalForm.zero(rho.dim)
     bd = rho.bidegree()
@@ -369,7 +378,7 @@ def horizontal_homotopy(rho: LocalForm) -> LocalForm:
         raise DegreeError("no horizontal degree left to invert")
     if p == rho.dim:
         return _solve_d(rho)
-    return _solve_d(rho - _solve_d(forms.d(rho)))
+    return _solve_d(rho - horizontal_homotopy(forms.d(rho)))
 
 
 def divergence_primitive(f: LocalForm) -> LocalForm:

@@ -363,14 +363,18 @@ def _recording(run):
         return run(), systems
 
 
-@pytest.fixture(scope="module")
-def calculus_pass():
-    """The 200 seed-0 calculus queries of ``perfbench/run.py --workload
-    calculus``: ([(identity holds, printed result)], recorded systems)."""
+def _calculus_pass(seed):
+    """The 200 calculus queries of ``perfbench/run.py --workload calculus
+    --seed seed``: ([(identity holds, printed result)], recorded systems)."""
     calculus = _load_calculus()
     calc = calculus.Calculus(vtc)
-    queries = calculus.make_queries(0, 200)
+    queries = calculus.make_queries(seed, 200)
     return _recording(lambda: [calc.run(q) for q in queries])
+
+
+@pytest.fixture(scope="module")
+def calculus_pass():
+    return _calculus_pass(0)
 
 
 def test_calculus_queries_match_the_pinned_digest(calculus_pass):
@@ -382,12 +386,16 @@ def test_calculus_queries_match_the_pinned_digest(calculus_pass):
 
 
 def test_engine_systems_match_the_rational_elimination(calculus_pass):
-    systems = list(calculus_pass[1])
+    systems = calculus_pass[1] + _calculus_pass(1)[1]
     for name in builtin_models.BUILTINS:
         m = builtin_models.builtin(name)
         systems += _recording(lambda: report.run_pipeline(m))[1]
-    assert len(systems) > 300
+    distinct = {}
     for equations in systems:
+        key = tuple((frozenset(coeffs.items()), rhs) for coeffs, rhs in equations)
+        distinct.setdefault(key, equations)
+    assert len(distinct) > 300
+    for equations in distinct.values():
         got = linsolve.solve_linear(equations)
         assert got == fraction_solve(equations)
         if got is not None:

@@ -190,10 +190,13 @@ def test_jet_order_cap():
     f = J("A", (0,), (0, 1))
     token = K.JET_ORDER_CAP.set(2)
     try:
-        with pytest.raises(K.JetOrderCapExceeded):
+        with pytest.raises(K.JetOrderCapExceeded) as info:
             f.total_derivative(1)
     finally:
         K.JET_ORDER_CAP.reset(token)
+    # the message names both ways to raise the cap
+    assert str(info.value) == ("jet order 3 exceeds cap 2 (raise kernel.JET_ORDER_CAP, "
+                               "or VTC_JET_ORDER_CAP for vtc)")
     f.total_derivative(1)  # fine under the default cap
 
 

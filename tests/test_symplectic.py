@@ -404,7 +404,7 @@ def test_new_structure_starts_with_empty_memos(maxwell):
     assert st.pairing_rows == {} and st.hamiltonian_fields == {}
     symplectic.bracket(maxwell["S"], maxwell["S"], st)
     # one solve for both sides of the self-bracket, one parity of rows
-    assert list(st.hamiltonian_fields) == [maxwell["S"]]
+    assert list(st.hamiltonian_fields) == [(maxwell["S"], kernel.JET_ORDER_CAP.get())]
     assert list(st.pairing_rows) == [maxwell["Q"].parity]
 
 
@@ -416,6 +416,26 @@ def test_equal_forms_share_one_hamiltonian_field(maxwell):
     assert symplectic.hamiltonian_field(twin, st) is \
         symplectic.hamiltonian_field(S, st)
     assert len(st.hamiltonian_fields) == 1
+
+
+def test_a_kept_hamiltonian_field_is_not_returned_under_a_lower_jet_order_cap():
+    # the field of this density has jets of order 3: solved under the
+    # default cap and asked for again under a cap of 2, it raises as a
+    # fresh structure does, and it is still kept for the default cap
+    m = parser.parse_model(builtin_models.model_text("maxwell"))
+    O = parser.parse_expression("(A[1],[0 0]*A[2],[1]) ^ vol", m.spectrum)
+    st = m.structure()
+    X = symplectic.hamiltonian_field(O, st)
+    assert max(v.max_jet_order() for v in X.base_components().values()) == 3
+    token = kernel.JET_ORDER_CAP.set(2)
+    try:
+        for structure in (m.structure(), st):
+            with pytest.raises(kernel.JetOrderCapExceeded) as info:
+                symplectic.hamiltonian_field(O, structure)
+            assert str(info.value).startswith("jet order 3 exceeds cap 2 ")
+    finally:
+        kernel.JET_ORDER_CAP.reset(token)
+    assert symplectic.hamiltonian_field(O, st) is X
 
 
 def test_failed_hamiltonian_field_is_not_kept():
