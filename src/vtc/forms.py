@@ -507,25 +507,29 @@ class EvoField:
         self.parity = parity
         self.ghost = ghost
         self._components = comps
-        self._cache: dict[Gen, GradedScalar] = dict(comps)
+        # prolonged components by jet-order cap, then by generator
+        self._kept: dict[int, dict[Gen, GradedScalar]] = {}
 
     def component(self, g: Gen) -> GradedScalar:
-        """Prolonged component X^a_I = total_I(X^a)."""
-        cached = self._cache.get(g)
-        if cached is not None:
-            return cached
+        """Prolonged component X^a_I = total_I(X^a).
+
+        Kept on the field per jet-order cap, as ``LocalForm.kept`` keeps its
+        results: a component found under one cap may need jets past a lower
+        one, where a fresh field raises."""
+        cap = kernel.JET_ORDER_CAP.get()
+        kept = self._kept.get(cap)
+        if kept is None:
+            kept = self._kept[cap] = dict(self._components)
+        val = kept.get(g)
+        if val is not None:
+            return val
         mi = kernel.jet_mi(g)
-        if not mi:
+        if not mi or kernel.jet_base(g) not in self._components:
             val = kernel.ZERO
         else:
-            base = self._cache.get(kernel.jet_base(g))
-            if base is None and kernel.jet_base(g) not in self._components:
-                val = kernel.ZERO
-            else:
-                j = mi[-1]
-                parent = g[:4] + (mi[:-1],) + g[5:]
-                val = self.component(parent).total_derivative(j)
-        self._cache[g] = val
+            parent = g[:4] + (mi[:-1],) + g[5:]
+            val = self.component(parent).total_derivative(mi[-1])
+        kept[g] = val
         return val
 
     def base_components(self) -> dict[Gen, GradedScalar]:

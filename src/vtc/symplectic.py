@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 from . import forms, kernel, printing, variational
 from .forms import EvoField, LocalForm
@@ -347,8 +347,9 @@ class GaugeSystem:
     """A gauge system (Q, omega), with a Hamiltonian H of Q when known.
 
     ``master`` (check_master of H) and ``descendant`` (descend of the
-    system) are computed once, on first use, and kept; the system is frozen
-    so they cannot go stale.  The master check's sigma, with d(sigma) =
+    system) are computed on first use and kept per jet-order cap, as
+    ``LocalForm.kept`` keeps its results; the system is frozen so they
+    cannot go stale.  The master check's sigma, with d(sigma) =
     -1/2 {H,H}, is both the BRST current and the descendant's Hamiltonian.
     """
 
@@ -357,25 +358,28 @@ class GaugeSystem:
     H: Optional[LocalForm] = None
 
     @cached_property
+    def _kept(self) -> dict[tuple[str, int], object]:
+        return {}
+
+    def _keep(self, op: str, compute: Callable[["GaugeSystem"], object]):
+        """``compute(self)``, kept under ``op`` and the jet-order cap: a
+        result found under one cap may need jets past a lower one, where a
+        fresh system raises; a computation that raises keeps nothing."""
+        key = (op, kernel.JET_ORDER_CAP.get())
+        out = self._kept.get(key)
+        if out is None:
+            out = self._kept[key] = compute(self)
+        return out
+
+    @property
     def master(self) -> "MasterCheck":
         if self.H is None:
             raise ValueError("system carries no Hamiltonian")
-        return check_master(self.H, self.structure)
+        return self._keep("master", lambda s: check_master(s.H, s.structure))
 
-    @cached_property
+    @property
     def descendant(self) -> "GaugeSystem":
-        return descend(self)
-
-    def validate(self) -> None:
-        if not forms.commutator(self.Q, self.Q).is_zero():
-            raise ValueError("Q is not homological: [Q,Q] != 0")
-        hot = forms.lie(self.Q, self.structure.omega)
-        if not variational.equiv_mod_d(hot, LocalForm.zero(hot.dim)):
-            raise ValueError("structure is not Q-invariant modulo d")
-        if self.H is not None:
-            lhs = forms.contract(self.Q, self.structure.omega)
-            if not variational.equiv_mod_d(lhs, forms.delta(self.H)):
-                raise ValueError("H is not a Hamiltonian for Q")
+        return self._keep("descendant", descend)
 
 
 @dataclass

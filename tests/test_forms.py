@@ -373,6 +373,30 @@ def test_fields_that_differ_are_unequal():
     assert Q != Q.base_components()
 
 
+def test_a_kept_component_is_not_returned_under_a_lower_jet_order_cap():
+    # the prolonged component total_0(A[0],[0 0]) has jets of order 3: kept
+    # under the default cap and asked for again under a cap of 2, it raises
+    # as a fresh field does, and it is still kept for the default cap
+    def field():
+        return F.EvoField(SP, {G("A", (1,)): J("A", (0,), (0, 0))})
+
+    X = field()
+    g = G("A", (1,), (0,))
+    kept = X.component(g)
+    assert kept == J("A", (0,), (0, 0, 0))
+    token = K.JET_ORDER_CAP.set(2)
+    try:
+        for f in (field(), X):
+            with pytest.raises(K.JetOrderCapExceeded) as info:
+                f.component(g)
+            assert str(info.value).startswith("jet order 3 exceeds cap 2 ")
+        # the base component needs no prolongation and is there under any cap
+        assert X.component(G("A", (1,))) == J("A", (0,), (0, 0))
+    finally:
+        K.JET_ORDER_CAP.reset(token)
+    assert X.component(g) is kept
+
+
 # -- coordinate interior products -------------------------------------------
 
 

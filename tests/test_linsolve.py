@@ -7,10 +7,12 @@ column pinned to 0 is too: ``solve_linear`` must return exactly that dict,
 or None exactly when the oracle finds a row 0 = b with b nonzero.
 
 The sparse oracle, ``fraction_solve``, is the elimination ``solve_linear``
-ran before it became fraction-free: the same pivot order over ``Fraction``
-rows scaled to a leading 1.  It is fast enough to replay every system the
-calculus queries and both reports solve.  The seed-0 calculus queries are
-also checked against their digest in ``perfbench/pinned.json``, which pins
+ran before it became fraction-free: ``Fraction`` rows scaled to a leading
+1, fed in the caller's order and keyed by the column keys themselves
+(``solve_linear`` feeds them largest leading column first and works on
+column ranks).  It is fast enough to replay every system the calculus
+queries and both reports solve.  The seed-0 calculus queries are also
+checked against their digest in ``perfbench/pinned.json``, which pins
 the printed answers of the engine's homotopy, divergence and bracket
 queries.
 """
@@ -169,6 +171,19 @@ def test_random_sparse_systems_match_the_dense_oracle():
         else:
             consistent += 1
     assert consistent > 50 and inconsistent > 50
+    # square nonsingular systems of 30 to 40 columns (row i holds column i
+    # and a few others), so that every row is needed and many rows share a
+    # leading column
+    for _ in range(4):
+        keys = list(range(rnd.randint(30, 40)))
+        truth = {k: Fr(rnd.randint(-4, 4), rnd.randint(1, 3)) for k in keys}
+        equations = []
+        for k in keys:
+            row = {**_random_row(rnd, keys, 0.1), k: Fr(rnd.choice((-2, -1, 1, 3)))}
+            equations.append((row, sum((v * truth[c] for c, v in row.items()), Fr(0))))
+        rnd.shuffle(equations)
+        got, pivots = _check_against_oracle(equations)
+        assert got == truth and pivots == set(keys)
 
 
 def test_rank_deficient_systems_pin_free_columns_to_zero():
@@ -398,5 +413,8 @@ def test_engine_systems_match_the_rational_elimination(calculus_pass):
     for equations in distinct.values():
         got = linsolve.solve_linear(equations)
         assert got == fraction_solve(equations)
+        # the rows reach the elimination in another order, and rows with
+        # the same leading column meet in the opposite order
+        assert linsolve.solve_linear(equations[::-1]) == got
         if got is not None:
             assert all(type(v) in (int, Fr) for v in got.values())

@@ -178,7 +178,15 @@ def test_brst_differential_squares_to_zero(maxwell):
 
 
 def test_gauge_system_validates(maxwell):
-    maxwell["sys0"].validate()
+    # Q is homological, omega is Q-invariant modulo d, and H is a
+    # Hamiltonian of Q: i_Q omega = delta(H) modulo d
+    sys0 = maxwell["sys0"]
+    Q, omega = sys0.Q, sys0.structure.omega
+    assert forms.commutator(Q, Q).is_zero()
+    hot = forms.lie(Q, omega)
+    assert not hot.is_zero()  # invariant modulo d only, not on the nose
+    assert variational.equiv_mod_d(hot, LocalForm.zero(hot.dim))
+    assert variational.equiv_mod_d(forms.contract(Q, omega), forms.delta(sys0.H))
 
 
 def test_master_equation_holds(maxwell):
@@ -354,6 +362,34 @@ def test_gauge_system_keeps_its_master_check_and_descendant(maxwell):
     assert sys0.master is sys0.master
     assert symplectic.descent_chain(sys0, 1)[1] is sys0.descendant
     assert sys0.descendant.H == sys0.master.sigma
+
+
+@pytest.mark.parametrize("name, cap, order", [("master", 1, 2),
+                                               ("descendant", 2, 3)])
+def test_a_kept_master_check_or_descendant_is_not_returned_under_a_lower_jet_order_cap(
+        name, cap, order):
+    # kept under the default cap and asked for again under a lower one, the
+    # maxwell master check (jets of order 2) and descendant (order 3) raise
+    # as a fresh system does, and stay kept for the default cap
+    m = parser.parse_model(builtin_models.model_text("maxwell"))
+
+    def system():
+        st = m.structure()
+        S = m.master_density()
+        return symplectic.GaugeSystem(symplectic.hamiltonian_field(S, st), st, S)
+
+    sys0, fresh = system(), system()
+    kept = getattr(sys0, name)
+    token = kernel.JET_ORDER_CAP.set(cap)
+    try:
+        for gs in (fresh, sys0):
+            with pytest.raises(kernel.JetOrderCapExceeded) as info:
+                getattr(gs, name)
+            assert str(info.value).startswith(
+                f"jet order {order} exceeds cap {cap} ")
+    finally:
+        kernel.JET_ORDER_CAP.reset(token)
+    assert getattr(sys0, name) is kept
 
 
 def test_brst_current_cross_checks(maxwell):
