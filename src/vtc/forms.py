@@ -63,7 +63,7 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
-from typing import Callable, Mapping, Optional, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 from . import kernel, printing
 from .kernel import Gen, GradedScalar, Spectrum
@@ -105,9 +105,9 @@ class LocalForm:
     """A local differential form over an n-dimensional base.
 
     Forms are values: never mutate ``terms``.  A form keeps its own d and
-    horizontal homotopy once computed (``memo``: None, or a dict from
-    ``(op, cap)`` to a form; see ``kept``), one per jet-order cap, and
-    drops them with itself.
+    horizontal homotopy once computed, in its ``memo`` dict under the
+    operation and the jet-order cap (``kernel.keep``), and drops them with
+    itself.
     """
 
     __slots__ = ("dim", "terms", "memo")
@@ -120,7 +120,7 @@ class LocalForm:
                 if s:
                     data[k] = s
         self.terms = data
-        self.memo = None
+        self.memo = {}
 
     # -- constructors -----------------------------------------------------
 
@@ -159,14 +159,14 @@ class LocalForm:
         res = LocalForm.__new__(LocalForm)
         res.dim = self.dim
         res.terms = out
-        res.memo = None
+        res.memo = {}
         return res
 
     def __neg__(self) -> "LocalForm":
         res = LocalForm.__new__(LocalForm)
         res.dim = self.dim
         res.terms = {k: -s for k, s in self.terms.items()}
-        res.memo = None
+        res.memo = {}
         return res
 
     def __sub__(self, other: "LocalForm") -> "LocalForm":
@@ -185,19 +185,6 @@ class LocalForm:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def kept(self, op: str, compute: Callable[["LocalForm"], "LocalForm"]) -> "LocalForm":
-        """``compute(self)``, computed once per jet-order cap and kept on
-        this form under ``op``.  The cap is part of the key because a result
-        found under one cap may need jets past a lower one, where a fresh
-        computation raises; a computation that raises keeps nothing."""
-        key = (op, kernel.JET_ORDER_CAP.get())
-        if self.memo is None:
-            self.memo = {}
-        out = self.memo.get(key)
-        if out is None:
-            out = self.memo[key] = compute(self)
-        return out
 
     # -- degrees ----------------------------------------------------------
 
@@ -413,9 +400,9 @@ def d_monomial(dim: int, key: MonoKey) -> dict[MonoKey, int]:
 
 def d(form: LocalForm) -> LocalForm:
     """Horizontal differential (odd right derivation), monomial by monomial
-    (``d_monomial``).  The form keeps it (``LocalForm.kept``), so asking
+    (``d_monomial``).  The form keeps it (``kernel.keep``), so asking
     again returns the same object."""
-    return form.kept("d", _d)
+    return kernel.keep(form.memo, "d", lambda: _d(form))
 
 
 def _d(form: LocalForm) -> LocalForm:
@@ -507,30 +494,25 @@ class EvoField:
         self.parity = parity
         self.ghost = ghost
         self._components = comps
-        # prolonged components by jet-order cap, then by generator
-        self._kept: dict[int, dict[Gen, GradedScalar]] = {}
+        self.memo: dict = {}
 
     def component(self, g: Gen) -> GradedScalar:
         """Prolonged component X^a_I = total_I(X^a).
 
-        Kept on the field per jet-order cap, as ``LocalForm.kept`` keeps its
-        results: a component found under one cap may need jets past a lower
-        one, where a fresh field raises."""
-        cap = kernel.JET_ORDER_CAP.get()
-        kept = self._kept.get(cap)
-        if kept is None:
-            kept = self._kept[cap] = dict(self._components)
-        val = kept.get(g)
+        A prolonged component is kept in the field's ``memo`` under its
+        generator and the jet-order cap (``kernel.keep``): one found under
+        one cap may need jets past a lower one, where a fresh field raises."""
+        val = self._components.get(g)
         if val is not None:
             return val
+        return kernel.keep(self.memo, g, lambda: self._prolong(g))
+
+    def _prolong(self, g: Gen) -> GradedScalar:
         mi = kernel.jet_mi(g)
         if not mi or kernel.jet_base(g) not in self._components:
-            val = kernel.ZERO
-        else:
-            parent = g[:4] + (mi[:-1],) + g[5:]
-            val = self.component(parent).total_derivative(mi[-1])
-        kept[g] = val
-        return val
+            return kernel.ZERO
+        parent = g[:4] + (mi[:-1],) + g[5:]
+        return self.component(parent).total_derivative(mi[-1])
 
     def base_components(self) -> dict[Gen, GradedScalar]:
         return dict(self._components)

@@ -7,7 +7,9 @@ Coefficients are exact rationals; Grassmann-odd generators anticommute and
 square to zero.  Everything downstream (forms, variational calculus,
 brackets) is built on top of this module.  Its one bound is the jet-order
 cap, ``JET_ORDER_CAP``: a context variable that every jet shift reads, so
-no operation takes the cap as an argument.
+no operation takes the cap as an argument.  Every result an object keeps
+lives on its owner's ``memo`` dict, kept by ``keep`` under the operation
+and the cap.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
 
 EVEN = 0
 ODD = 1
@@ -57,6 +59,20 @@ class DeclarationError(ValueError):
 # produce.  ``vtc`` sets it once per command from VTC_JET_ORDER_CAP; a
 # library caller sets and resets it, or sets it in a copied context.
 JET_ORDER_CAP: ContextVar[int] = ContextVar("JET_ORDER_CAP", default=8)
+
+_MISSING = object()
+
+
+def keep(memo: dict, key, compute: Callable[[], object]):
+    """``compute()``, kept in ``memo`` under ``key`` and the jet-order cap in
+    force.  The cap is part of the key because a result found under one cap
+    may need jets past a lower one, where a fresh computation raises; a
+    computation that raises keeps nothing."""
+    k = (key, JET_ORDER_CAP.get())
+    out = memo.get(k, _MISSING)
+    if out is _MISSING:
+        out = memo[k] = compute()
+    return out
 
 
 # ---------------------------------------------------------------------------

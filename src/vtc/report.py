@@ -43,8 +43,9 @@ def components_json(components: Mapping[kernel.Gen, kernel.GradedScalar],
 
 class _Run:
     """Shared state between stages, one per report: each prerequisite is
-    computed lazily, once.  The master check, the current and the descent
-    chain reuse the one gauge system's cached master check and descendants.
+    computed lazily, once, under the one jet-order cap of the run.  The
+    master check, the current and the descent chain reuse the master check
+    and descendants kept in the one gauge system's ``memo``.
     """
 
     def __init__(self, m: Model, steps: int):

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Optional
 
 from . import forms, kernel, printing, variational
 from .forms import EvoField, LocalForm
@@ -46,7 +46,8 @@ class DescentError(kernel.EngineError):
 
 
 class StructureError(kernel.EngineError, ValueError):
-    """A presymplectic structure is malformed, or cannot serve a form."""
+    """A presymplectic structure is malformed or cannot serve a form, or a
+    gauge system lacks what an operation needs (a Hamiltonian)."""
 
 
 @dataclass(frozen=True)
@@ -54,9 +55,12 @@ class PresympStructure:
     """A delta-closed (2,m)-form, with its potential when known.
 
     Frozen, so what depends on the structure alone is kept on it once
-    computed: its pairing rows by field parity (``pairing_rows``) and the
-    Hamiltonian field of each form (``hamiltonian_fields``).  Neither memo
-    is a dataclass field, so both stay out of equality, hashing and repr.
+    computed, in its ``memo`` under the operation and the jet-order cap
+    (``kernel.keep``): its pairing rows by field parity and the Hamiltonian
+    field of each form.  The memo is not a dataclass field, so it stays out
+    of equality, hashing and repr.  It has no bound and lives as long as the
+    structure: a caller that keeps one structure keeps every field solved
+    against it, and drops them all with it.
     """
 
     omega: LocalForm
@@ -71,18 +75,7 @@ class PresympStructure:
             raise StructureError("theta is not a potential: delta(theta) != omega")
 
     @cached_property
-    def pairing_rows(self) -> dict[int, tuple[list[Gen], dict]]:
-        return {}
-
-    @cached_property
-    def hamiltonian_fields(self) -> dict[tuple[LocalForm, int], EvoField]:
-        """The solved Hamiltonian field of each form, by form and jet-order
-        cap (a field solved under one cap may have jets past a lower one).
-
-        The memo has no bound and lives as long as the structure: a caller
-        that keeps one structure keeps every field solved against it, and
-        drops them all with it.
-        """
+    def memo(self) -> dict:
         return {}
 
 
@@ -207,38 +200,38 @@ def _pairing(structure: PresympStructure, xpar: int,
     """The structure's underived contact directions h, and its pairing rows
     for a field X of parity xpar: the source component of i_X omega along g
     is the sum over h of (component of X along h) * rows[g][h].  Both are
-    kept in the structure's ``pairing_rows``."""
-    memo = structure.pairing_rows
-    if xpar not in memo:
-        om = structure.omega
-        directions = sorted({h for _, contacts in om.terms for h in contacts})
-        for h in directions:
-            if kernel.jet_mi(h):
-                raise NoHamiltonianFieldError(
-                    h, "structure has differentiated contact directions")
-        rows: dict[Gen, dict[Gen, GradedScalar]] = {}
-        for h in directions:
-            probe_parity = (xpar + kernel.gen_parity(h)) % 2
-            for g, c in _probe_rows(structure.spectrum, om, h,
-                                    probe_parity).items():
-                rows.setdefault(g, {})[h] = c
-        memo[xpar] = directions, rows
-    return memo[xpar]
+    kept in the structure's ``memo``."""
+    return kernel.keep(structure.memo, ("pairing", xpar),
+                       lambda: _pairing_rows(structure, xpar))
+
+
+def _pairing_rows(structure: PresympStructure, xpar: int,
+                  ) -> tuple[list[Gen], dict[Gen, dict[Gen, GradedScalar]]]:
+    om = structure.omega
+    directions = sorted({h for _, contacts in om.terms for h in contacts})
+    for h in directions:
+        if kernel.jet_mi(h):
+            raise NoHamiltonianFieldError(
+                h, "structure has differentiated contact directions")
+    rows: dict[Gen, dict[Gen, GradedScalar]] = {}
+    for h in directions:
+        probe_parity = (xpar + kernel.gen_parity(h)) % 2
+        for g, c in _probe_rows(structure.spectrum, om, h,
+                                probe_parity).items():
+            rows.setdefault(g, {})[h] = c
+    return directions, rows
 
 
 def hamiltonian_field(O: LocalForm, structure: PresympStructure) -> EvoField:
     """Solve i_X omega = delta(O) modulo d for an evolutionary X.
 
     The field depends on the form, the structure and the jet-order cap
-    alone, so each solved field is kept in the structure's
-    ``hamiltonian_fields`` and equal forms share one field per cap; a failed
-    solve is not kept, and raises again.
+    alone, so each solved field is kept in the structure's ``memo`` and
+    equal forms share one field per cap; a failed solve is not kept, and
+    raises again.
     """
-    key = (O, kernel.JET_ORDER_CAP.get())
-    X = structure.hamiltonian_fields.get(key)
-    if X is None:
-        X = structure.hamiltonian_fields[key] = _solve_field(O, structure)
-    return X
+    return kernel.keep(structure.memo, ("field", O),
+                       lambda: _solve_field(O, structure))
 
 
 def _solve_field(O: LocalForm, structure: PresympStructure) -> EvoField:
@@ -347,8 +340,8 @@ class GaugeSystem:
     """A gauge system (Q, omega), with a Hamiltonian H of Q when known.
 
     ``master`` (check_master of H) and ``descendant`` (descend of the
-    system) are computed on first use and kept per jet-order cap, as
-    ``LocalForm.kept`` keeps its results; the system is frozen so they
+    system) are computed on first use and kept in the system's ``memo``
+    under the jet-order cap (``kernel.keep``); the system is frozen so they
     cannot go stale.  The master check's sigma, with d(sigma) =
     -1/2 {H,H}, is both the BRST current and the descendant's Hamiltonian.
     """
@@ -358,28 +351,19 @@ class GaugeSystem:
     H: Optional[LocalForm] = None
 
     @cached_property
-    def _kept(self) -> dict[tuple[str, int], object]:
+    def memo(self) -> dict:
         return {}
-
-    def _keep(self, op: str, compute: Callable[["GaugeSystem"], object]):
-        """``compute(self)``, kept under ``op`` and the jet-order cap: a
-        result found under one cap may need jets past a lower one, where a
-        fresh system raises; a computation that raises keeps nothing."""
-        key = (op, kernel.JET_ORDER_CAP.get())
-        out = self._kept.get(key)
-        if out is None:
-            out = self._kept[key] = compute(self)
-        return out
 
     @property
     def master(self) -> "MasterCheck":
         if self.H is None:
-            raise ValueError("system carries no Hamiltonian")
-        return self._keep("master", lambda s: check_master(s.H, s.structure))
+            raise StructureError("system carries no Hamiltonian")
+        return kernel.keep(self.memo, "master",
+                           lambda: check_master(self.H, self.structure))
 
     @property
     def descendant(self) -> "GaugeSystem":
-        return self._keep("descendant", descend)
+        return kernel.keep(self.memo, "descendant", lambda: descend(self))
 
 
 @dataclass
@@ -446,7 +430,7 @@ def descend(sys: GaugeSystem) -> GaugeSystem:
 def descent_chain(sys: GaugeSystem, steps: int) -> list[GaugeSystem]:
     """Iterated descent: [sys, sys.descendant, ...], at most steps entries
     beyond sys, ending at the first zero structure.  Each step reads the
-    cached ``descendant``, so every reader shares the same systems."""
+    kept ``descendant``, so every reader shares the same systems."""
     chain = [sys]
     for _ in range(steps):
         if chain[-1].structure.omega.is_zero():

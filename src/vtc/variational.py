@@ -358,11 +358,11 @@ def horizontal_homotopy(rho: LocalForm) -> LocalForm:
     input and reports the obstruction otherwise.
 
     Below the top degree h(rho) is the primitive of rho - h(d rho), so the
-    form keeps h (``LocalForm.kept``) and so does the d rho it keeps: the
-    contract check's h(d rho) solves nothing again.  Forms are values, so
-    never mutate the ``terms`` of one that has kept its d or h.
+    form keeps h in its ``memo`` (``kernel.keep``) and so does the d rho it
+    keeps: the contract check's h(d rho) solves nothing again.  Forms are
+    values, so never mutate the ``terms`` of one that has kept its d or h.
     """
-    return rho.kept("h", _homotopy)
+    return kernel.keep(rho.memo, "h", lambda: _homotopy(rho))
 
 
 def _homotopy(rho: LocalForm) -> LocalForm:

@@ -8,7 +8,9 @@ first descendant matches the radiative structure written out longhand.
 import hashlib
 import importlib
 import json
+import pathlib
 import pkgutil
+import re
 from fractions import Fraction as Fr
 
 import pytest
@@ -592,3 +594,30 @@ def test_cli_report_writes_files(tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["ok"] is True
     capsys.readouterr()
+
+
+# -- documentation ----------------------------------------------------------
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_python_blocks() -> list[str]:
+    """The fenced ``python`` blocks of README.md, in order."""
+    return re.findall(r"^```python\n(.*?)^```$", README.read_text(),
+                      re.MULTILINE | re.DOTALL)
+
+
+@pytest.mark.parametrize("index", range(len(readme_python_blocks())))
+def test_readme_python_blocks_run(index, capsys):
+    # each block runs on its own; a print line documents its output in
+    # the comment after it
+    block = readme_python_blocks()[index]
+    exec(compile(block, f"README.md block {index}", "exec"), {})
+    documented = [line.split("#", 1)[1].strip() for line in block.splitlines()
+                  if line.startswith("print(") and "#" in line]
+    assert capsys.readouterr().out.splitlines() == documented
+
+
+def test_every_readme_python_block_is_found():
+    blocks = readme_python_blocks()
+    assert 0 < len(blocks) == README.read_text().count("```python\n")

@@ -392,6 +392,18 @@ def test_a_kept_master_check_or_descendant_is_not_returned_under_a_lower_jet_ord
     assert getattr(sys0, name) is kept
 
 
+def test_a_system_without_a_hamiltonian_has_no_master_check(maxwell):
+    # a typed engine error that existing ValueError handlers still catch,
+    # raised by the master check and by the current that reads it
+    sys0 = symplectic.GaugeSystem(maxwell["Q"], maxwell["st"])
+    for read in (lambda: sys0.master, lambda: symplectic.brst_current(sys0)):
+        with pytest.raises(kernel.EngineError) as info:
+            read()
+        assert type(info.value) is symplectic.StructureError
+        assert isinstance(info.value, ValueError)
+        assert str(info.value) == "system carries no Hamiltonian"
+
+
 def test_brst_current_cross_checks(maxwell):
     J = symplectic.brst_current(maxwell["sys0"])
     sigma = symplectic.check_master(maxwell["S"], maxwell["st"]).sigma
@@ -422,6 +434,11 @@ def test_hamiltonian_field_is_the_same_on_every_call(maxwell):
     assert repr(first) == repr(second) == repr(fresh)
 
 
+def kept_ops(st) -> list:
+    """The ops a structure's memo keeps results under, each with its cap."""
+    return [(key[0], cap) for key, cap in st.memo]
+
+
 def test_presymp_structure_is_frozen_and_memos_are_not_fields(maxwell):
     st = maxwell["st"]
     with pytest.raises(dataclasses.FrozenInstanceError):
@@ -429,19 +446,21 @@ def test_presymp_structure_is_frozen_and_memos_are_not_fields(maxwell):
     assert [f.name for f in dataclasses.fields(st)] == [
         "omega", "theta", "kind", "spectrum"]
     symplectic.hamiltonian_field(maxwell["S"], st)
-    assert st.pairing_rows and st.hamiltonian_fields
-    # the memos stay out of equality, hashing and repr
+    cap = kernel.JET_ORDER_CAP.get()
+    assert {"field", "pairing"} <= {op for op, c in kept_ops(st) if c == cap}
+    # the memo stays out of equality, hashing and repr
     twin = symplectic.PresympStructure(st.omega, st.theta, st.kind, st.spectrum)
     assert twin == st and hash(twin) == hash(st) and repr(twin) == repr(st)
 
 
 def test_new_structure_starts_with_empty_memos(maxwell):
     st = symplectic.canonical_structure(maxwell["spec"], symplectic.KIND_ODD_BV)
-    assert st.pairing_rows == {} and st.hamiltonian_fields == {}
+    assert st.memo == {}
     symplectic.bracket(maxwell["S"], maxwell["S"], st)
     # one solve for both sides of the self-bracket, one parity of rows
-    assert list(st.hamiltonian_fields) == [(maxwell["S"], kernel.JET_ORDER_CAP.get())]
-    assert list(st.pairing_rows) == [maxwell["Q"].parity]
+    cap = kernel.JET_ORDER_CAP.get()
+    assert set(st.memo) == {(("field", maxwell["S"]), cap),
+                            (("pairing", maxwell["Q"].parity), cap)}
 
 
 def test_equal_forms_share_one_hamiltonian_field(maxwell):
@@ -451,7 +470,7 @@ def test_equal_forms_share_one_hamiltonian_field(maxwell):
     assert twin is not S and twin == S
     assert symplectic.hamiltonian_field(twin, st) is \
         symplectic.hamiltonian_field(S, st)
-    assert len(st.hamiltonian_fields) == 1
+    assert [op for op, _ in kept_ops(st)].count("field") == 1
 
 
 def test_a_kept_hamiltonian_field_is_not_returned_under_a_lower_jet_order_cap():
@@ -486,7 +505,7 @@ def test_failed_hamiltonian_field_is_not_kept():
     for _ in range(2):
         with pytest.raises(symplectic.NoHamiltonianFieldError):
             symplectic.hamiltonian_field(O, st)
-    assert st.hamiltonian_fields == {}
+    assert "field" not in [op for op, _ in kept_ops(st)]
 
 
 def test_source_components_are_signed_euler_lagrange_derivatives():
