@@ -104,8 +104,8 @@ def _odd_part_negated(s: GradedScalar) -> GradedScalar:
 class LocalForm:
     """A local differential form over an n-dimensional base.
 
-    Forms are values: never mutate ``terms``.  A form keeps its own d and
-    horizontal homotopy once computed, in its ``memo`` dict under the
+    Forms are values: never mutate ``terms``.  A form keeps its own hash,
+    d and horizontal homotopy once computed, in its ``memo`` dict under the
     operation and the jet-order cap (``kernel.keep``), and drops them with
     itself.
     """
@@ -142,7 +142,8 @@ class LocalForm:
         return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return hash((self.dim, tuple(sorted((k, hash(s)) for k, s in self.terms.items()))))
+        return kernel.keep(self.memo, "hash", lambda: hash((self.dim, tuple(
+            sorted((k, hash(s)) for k, s in self.terms.items())))))
 
     def __repr__(self) -> str:
         return printing.form_text(self)
@@ -418,6 +419,8 @@ def _d(form: LocalForm) -> LocalForm:
                 cc = c if k == 1 else -c if k == -1 else c * k
                 prev = t.get(m)
                 v = cc if prev is None else prev + cc
+                if type(v) is Fraction:
+                    v = kernel.exact(v)
                 if v:
                     t[m] = v
                 else:

@@ -3,7 +3,9 @@
 The scalar layer of the engine: polynomial expressions in base coordinates
 x^i, formal parameters, and jet variables phi^a_I (a field component
 together with a symmetric multi-index of total-derivative directions).
-Coefficients are exact rationals; Grassmann-odd generators anticommute and
+Coefficients are exact rationals in one form (``exact``): an ``int``
+exactly when the value is integral, a ``Fraction`` only when its
+denominator is greater than 1.  Grassmann-odd generators anticommute and
 square to zero.  Everything downstream (forms, variational calculus,
 brackets) is built on top of this module.  Its one bound is the jet-order
 cap, ``JET_ORDER_CAP``: a context variable that every jet shift reads, so
@@ -121,7 +123,7 @@ class FieldSpec:
     shape: tuple[int, ...] = ()
     conjugate: Optional[str] = None
     slot_kinds: Optional[tuple[str, ...]] = None
-    form_factor: Optional[tuple[tuple[Fraction, tuple[int, ...]], ...]] = None
+    form_factor: Optional[tuple[tuple[Coefficient, tuple[int, ...]], ...]] = None
 
     def __post_init__(self) -> None:
         if self.parity not in (EVEN, ODD):
@@ -156,13 +158,13 @@ class Spectrum:
             raise ValueError("duplicate field names in spectrum")
         self.index = {f.name: i for i, f in enumerate(self.fields)}
         if metric is None:
-            metric = [Fraction(1)] * dim
-        self.metric = tuple(Fraction(m) for m in metric)
+            metric = [1] * dim
+        self.metric = tuple(exact(Fraction(m)) for m in metric)
         if len(self.metric) != dim:
             raise ValueError("metric must have one diagonal entry per dimension")
         self.parameters = tuple(parameters)
         self.algebra_form = (None if algebra_form is None
-                             else tuple(Fraction(a) for a in algebra_form))
+                             else tuple(exact(Fraction(a)) for a in algebra_form))
         for f in self.fields:
             if f.conjugate is not None and f.conjugate not in self.by_name:
                 raise DeclarationError(
@@ -400,22 +402,31 @@ def mono_total_derivative(m: Monomial, j: int) -> list[tuple[Monomial, int]]:
 Coefficient = Union[int, Fraction]
 
 
+def exact(q: Coefficient) -> Coefficient:
+    """q in the one form of a coefficient: ``int`` when integral, else the
+    ``Fraction`` as it is.  Hot loops test ``type(q) is Fraction`` first, so
+    an ``int`` pays no call."""
+    return q.numerator if type(q) is Fraction and q.denominator == 1 else q
+
+
 class GradedScalar:
     """Exact polynomial in graded generators: a map monomial -> rational.
 
-    Coefficients are ``int`` or ``Fraction``; integer arithmetic stays in
-    ``int``.  Immutable in use (no mutating public API); arithmetic returns
-    fresh instances and drops zero coefficients eagerly.
+    A coefficient is an ``int`` exactly when its value is integral and a
+    ``Fraction`` only when its denominator is greater than 1 (``exact``),
+    so integer arithmetic stays in ``int``.  Immutable in use (no mutating
+    public API); arithmetic returns fresh instances and drops zero
+    coefficients eagerly.
     """
 
     __slots__ = ("terms",)
 
     def __init__(self, terms: Optional[Mapping[Monomial, Coefficient]] = None):
-        data: dict[Monomial, Fraction] = {}
+        data: dict[Monomial, Coefficient] = {}
         if terms:
             for m, c in terms.items():
-                if type(c) is not int and type(c) is not Fraction:
-                    c = Fraction(c)
+                if type(c) is not int:
+                    c = exact(Fraction(c))
                 if c:
                     data[m] = c
         self.terms = data
@@ -423,8 +434,8 @@ class GradedScalar:
     # -- constructors -----------------------------------------------------
 
     @classmethod
-    def _wrap(cls, terms: dict[Monomial, Fraction]) -> "GradedScalar":
-        """A scalar on ``terms`` as given: exact coefficients, none zero."""
+    def _wrap(cls, terms: dict[Monomial, Coefficient]) -> "GradedScalar":
+        """A scalar on ``terms`` as given: coefficients ``exact``, none zero."""
         res = cls.__new__(cls)
         res.terms = terms
         return res
@@ -467,6 +478,8 @@ class GradedScalar:
         for m, c in other.terms.items():
             prev = out.get(m)
             s = c if prev is None else prev + c
+            if type(s) is Fraction:
+                s = exact(s)
             if s:
                 out[m] = s
             else:
@@ -494,8 +507,8 @@ class GradedScalar:
             if type(other) is not int and type(other) is not Fraction:
                 other = Fraction(other)
             return GradedScalar._wrap(
-                {m: c * other for m, c in self.terms.items()} if other else {})
-        out: dict[Monomial, Fraction] = {}
+                {m: exact(c * other) for m, c in self.terms.items()} if other else {})
+        out: dict[Monomial, Coefficient] = {}
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, m = mono_mul(m1, m2)
@@ -506,6 +519,8 @@ class GradedScalar:
                     c = -c
                 prev = out.get(m)
                 s = c if prev is None else prev + c
+                if type(s) is Fraction:
+                    s = exact(s)
                 if s:
                     out[m] = s
                 else:
@@ -531,7 +546,7 @@ class GradedScalar:
 
     def grade_split(self, grading: str) -> dict[int, "GradedScalar"]:
         """Decompose into homogeneous pieces of the given grading."""
-        out: dict[int, dict[Monomial, Fraction]] = {}
+        out: dict[int, dict[Monomial, Coefficient]] = {}
         for m, c in self.terms.items():
             out.setdefault(mono_grade(m, grading), {})[m] = c
         return {k: GradedScalar._wrap(v) for k, v in sorted(out.items())}
@@ -561,7 +576,7 @@ class GradedScalar:
                     odd_before += 1
                 elif e > 1:
                     rest = m[:idx] + ((h, e - 1),) + m[idx + 1:]
-                    cc = c * e
+                    cc = exact(c * e)
                 else:
                     rest = m[:idx] + m[idx + 1:]
                     cc = c
@@ -572,12 +587,14 @@ class GradedScalar:
     def total_derivative(self, j: int) -> "GradedScalar":
         """Total derivative in base direction j, monomial by monomial
         (``mono_total_derivative``)."""
-        out: dict[Monomial, Fraction] = {}
+        out: dict[Monomial, Coefficient] = {}
         for m, c in self.terms.items():
             for mono, k in mono_total_derivative(m, j):
                 cc = c if k == 1 else -c if k == -1 else c * k
                 prev = out.get(mono)
                 s = cc if prev is None else prev + cc
+                if type(s) is Fraction:
+                    s = exact(s)
                 if s:
                     out[mono] = s
                 else:

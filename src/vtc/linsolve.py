@@ -34,9 +34,9 @@ depends only on the span of the rows before it, so whatever the row order,
 the pivot columns are those of the system's reduced row-echelon form.
 Free (non-pivot) columns are pinned to zero, which makes the solution that
 unique reduced row-echelon one.  So neither the ranks (rank order is key
-order) nor the row order changes the answer: a system gives equal values
-in any row order, though a zero may come back as ``0`` in one order and
-``Fraction(0)`` in another.
+order) nor the row order changes the answer: a system gives the same
+values in any row order, each an ``int`` when it is integral and a
+``Fraction`` only when it has a denominator (``kernel.exact``).
 """
 
 from __future__ import annotations
@@ -46,6 +46,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import itemgetter
 from typing import Hashable, Iterable, Optional
+
+from .kernel import exact
 
 Row = dict[Hashable, int | Fraction]
 
@@ -57,7 +59,7 @@ def solve_linear(equations: Iterable[tuple[Row, int | Fraction]],
     ``equations`` is an iterable of (coefficients, rhs) pairs.  Returns an
     assignment for every column that appears (free columns get 0), in
     sorted key order, or None when the system is inconsistent.  Every value
-    is an int or a Fraction.
+    is an int when it is integral, else a Fraction.
     """
     # each row scaled to ints, keyed by its columns' ranks in sorted key order
     equations = list(equations)
@@ -129,5 +131,5 @@ def solve_linear(equations: Iterable[tuple[Row, int | Fraction]],
         for c, v in rest.items():
             # a free column holds int 0, which changes neither value nor type
             value -= v * values[c]
-        values[pcol] = value if lead == 1 else Fraction(value, lead)
+        values[pcol] = exact(value if lead == 1 else Fraction(value, lead))
     return dict(zip(keys, values))

@@ -11,7 +11,6 @@ through text.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
 from typing import Mapping, Optional, Sequence
 
 from . import forms, kernel, symplectic
@@ -28,15 +27,12 @@ class ModelError(kernel.EngineError):
 SU2 = "su2"
 
 
-def structure_constants(name: str) -> dict[tuple[int, int, int], Fraction]:
+def structure_constants(name: str) -> dict[tuple[int, int, int], int]:
     """Totally antisymmetric structure constants of a named algebra."""
     if name != SU2:
         raise ModelError(f"unknown structure-constant set {name!r}")
-    eps: dict[tuple[int, int, int], Fraction] = {}
-    for (i, j, k), s in [((0, 1, 2), 1), ((1, 2, 0), 1), ((2, 0, 1), 1),
-                         ((0, 2, 1), -1), ((2, 1, 0), -1), ((1, 0, 2), -1)]:
-        eps[(i, j, k)] = Fraction(s)
-    return eps
+    return {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
+            (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
 
 def phase_spectrum(spacetime: Spectrum, time_directions: Sequence[int],

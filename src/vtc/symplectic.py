@@ -79,8 +79,9 @@ class PresympStructure:
         return {}
 
 
-def _pair_weight(spectrum: Spectrum, f: kernel.FieldSpec, comp: tuple[int, ...]) -> Fraction:
-    w = Fraction(1)
+def _pair_weight(spectrum: Spectrum, f: kernel.FieldSpec,
+                 comp: tuple[int, ...]) -> kernel.Coefficient:
+    w = 1
     kinds = getattr(f, "slot_kinds", None) or ("base",) * len(f.shape)
     for kind_slot, n, c in zip(kinds, f.shape, comp):
         if kind_slot == "base":
@@ -314,7 +315,7 @@ def _solve_field(O: LocalForm, structure: PresympStructure) -> EvoField:
     return EvoField(spectrum, comps, parity=xpar)
 
 
-def _constant_of(s: GradedScalar) -> Optional[Fraction]:
+def _constant_of(s: GradedScalar) -> Optional[kernel.Coefficient]:
     if set(s.terms) == {kernel.ONE_MONO}:
         return s.terms[kernel.ONE_MONO]
     return None

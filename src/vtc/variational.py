@@ -23,7 +23,6 @@ other columns, the homogenizer with its candidates' Lie images as columns.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Iterator, Optional
 
 from . import forms, kernel, linsolve, printing
@@ -172,7 +171,7 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
 # Inversion of the horizontal differential
 # ---------------------------------------------------------------------------
 
-def form_mono_items(form: LocalForm) -> Iterator[tuple[MonoKey, Fraction]]:
+def form_mono_items(form: LocalForm) -> Iterator[tuple[MonoKey, kernel.Coefficient]]:
     for (dxs, contacts), s in form.terms.items():
         for mono, c in s.terms.items():
             yield (dxs, contacts, mono), c
@@ -289,7 +288,7 @@ def saturate_d(dim: int, rows: Iterable[MonoKey], x_cap: int,
 
 
 def solve_mod_d(dim: int, rows: dict[MonoKey, dict],
-                target: dict[MonoKey, Fraction], x_cap: int,
+                target: dict[MonoKey, kernel.Coefficient], x_cap: int,
                 ) -> Optional[dict]:
     """Solve sum_j c_j column_j + d(sigma) = target over a saturated basis.
 
@@ -329,10 +328,10 @@ def _solve_d(rho: LocalForm) -> LocalForm:
     if rho.is_zero():
         return LocalForm.zero(rho.dim)
     dim = rho.dim
-    blocks: dict[tuple, dict[MonoKey, Fraction]] = {}
+    blocks: dict[tuple, dict[MonoKey, kernel.Coefficient]] = {}
     for key, c in form_mono_items(rho):
         blocks.setdefault(block_key(key), {})[key] = c
-    terms: dict[forms.Key, dict[kernel.Monomial, Fraction]] = {}
+    terms: dict[forms.Key, dict[kernel.Monomial, kernel.Coefficient]] = {}
     for label in sorted(blocks):
         rhs = blocks[label]
         x_base = max_x_degree(rhs)

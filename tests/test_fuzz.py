@@ -5,6 +5,9 @@ a valid input, replace, delete or insert one or two tokens drawn from a
 fixed vocabulary of the grammar, and run the result through ``cli.main``
 in-process.  Whatever the mutant, the command must exit 0, 1 or 2, let no
 exception escape, and explain every exit 2 on a ``vtc: `` line of stderr.
+A mutated model text that the parser accepts must also print as a text
+that parses back to an equal model and prints the same, and hold every
+coefficient in its one form (``kernel.exact``).
 The seeds are the shipped model files and the bracket expressions of the
 command line.  Examples are derandomized, so every run sees the same
 mutants.
@@ -18,7 +21,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 import pytest
 
-from vtc import builtin_models, cli
+from vtc import builtin_models, cli, kernel, model, parser
+
+from test_exact import coefficients
+from test_linsolve import is_exact
 
 # Every character of a text falls in exactly one piece, so joining the
 # pieces gives the text back.  Whitespace pieces are never mutated.
@@ -37,6 +43,9 @@ VOCABULARY = (
     "0", "1", "2", "3", "5", "1/2", "1/0", "{", "}", "(", ")", "[", "]",
     ",", "=", "+", "-", "*", "^", "->", ":=", "\n",
 )
+
+# Number literals for the round trip, integral ones in several spellings.
+LITERALS = ("0", "1", "2", "3", "4/2", "2/4", "3/2", "6/3", "10/4")
 
 EXPRESSIONS = {
     "maxwell": ("C ^ vol", "As[0] ^ vol", "A[1],[0] * As[1] ^ vol"),
@@ -100,6 +109,51 @@ def test_mutated_model_files_keep_the_exit_contract(workdir, name):
     def check(edits, command):
         path.write_text(mutate(seed, edits), encoding="utf-8")
         assert_contract(*run_cli([command, str(path)]))
+
+    check()
+
+
+def _replaced(text, literals):
+    """``text`` with the (piece index, word) replacements made."""
+    pieces = _PIECE.findall(text)
+    for i, word in literals:
+        pieces[i] = word
+    return "".join(pieces)
+
+
+def _parses(text):
+    """The model of ``text``, or None when the parser rejects it."""
+    try:
+        return parser.parse_model(text)
+    except (parser.ParseError, kernel.EngineError):
+        return None
+
+
+@pytest.mark.parametrize("name", builtin_models.BUILTINS)
+def test_accepted_mutated_models_print_and_parse_back(name):
+    # a mutant the parser accepts must mean exactly what it prints: the
+    # printed text parses back to an equal model, which prints the same text
+    seed = builtin_models.model_text(name)
+    # the number literals the parser reads as rationals: most token edits
+    # break the grammar, while edits of these alone keep it and reach every
+    # literal the parser reads
+    rationals = [i for i, p in enumerate(_PIECE.findall(seed))
+                 if p[0].isdigit() and _parses(_replaced(seed, [(i, "3/2")]))]
+    assert rationals
+
+    @FUZZ
+    @given(edits=st.one_of(st.just([]), EDITS), literals=st.lists(
+        st.tuples(st.sampled_from(rationals), st.sampled_from(LITERALS)),
+        max_size=3))
+    def check(edits, literals):
+        m = _parses(mutate(_replaced(seed, literals), edits))
+        if m is None:
+            return
+        assert all(map(is_exact, coefficients(m)))
+        text = model.print_model(m)
+        again = parser.parse_model(text)
+        assert again == m
+        assert model.print_model(again) == text
 
     check()
 

@@ -91,6 +91,7 @@ def _system_site(name):
 
 
 SITES = {
+    "LocalForm.__hash__": _form_site(forms.LocalForm.__hash__),
     "forms.d": _form_site(forms.d),
     "horizontal_homotopy": _form_site(variational.horizontal_homotopy),
     "EvoField.component": _component_site,

@@ -38,6 +38,12 @@ from vtc import forms, model, parser, symplectic, variational  # noqa: F401
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
+def is_exact(v):
+    """A solution value in its one form: an int when integral, else a
+    Fraction with a denominator greater than 1."""
+    return type(v) is int or (type(v) is Fr and v.denominator > 1)
+
+
 def dense_rref_solve(equations):
     """(solution or None, pivot columns) by dense Gauss-Jordan elimination."""
     cols = sorted({c for coeffs, _ in equations for c, v in coeffs.items() if v})
@@ -254,6 +260,14 @@ def test_integer_systems_divide_exactly():
     assert type(got["a"]) is Fr
     got = linsolve.solve_linear([({"a": 3, "b": 1}, 2), ({"b": 2}, 4)])
     assert got == {"a": 0, "b": 2}
+    # the pivot of a keeps b in its tail, and back substitution past b = 1/2
+    # lands on an integer: with the pivot's lead 1 (a = 3 - 2 * 1/2), and
+    # with lead 4 (a = (5 - 2 * 1/2) / 4)
+    for lead, rhs, a in ((1, 3, 2), (4, 5, 1)):
+        got = linsolve.solve_linear([({"a": lead, "b": 2}, rhs),
+                                     ({"a": lead, "b": 4}, rhs + 1)])
+        assert got == {"a": a, "b": Fr(1, 2)}
+        assert type(got["a"]) is int and type(got["b"]) is Fr
 
 
 def test_row_order_does_not_change_the_solution():
@@ -342,7 +356,7 @@ def test_large_and_fractional_systems_match_the_dense_oracle(system):
         assert (got is None) == (kind == "inconsistent")
     if got is None:
         return
-    assert all(type(v) in (int, Fr) for v in got.values())
+    assert all(is_exact(v) for v in got.values())
     assert all(got[k] == 0 for k in set(got) - pivots)
     for coeffs, rhs in equations:
         assert sum((v * got[k] for k, v in coeffs.items() if v), Fr(0)) == rhs
@@ -415,6 +429,7 @@ def test_engine_systems_match_the_rational_elimination(calculus_pass):
         assert got == fraction_solve(equations)
         # the rows reach the elimination in another order, and rows with
         # the same leading column meet in the opposite order
-        assert linsolve.solve_linear(equations[::-1]) == got
+        back = linsolve.solve_linear(equations[::-1])
+        assert back == got
         if got is not None:
-            assert all(type(v) in (int, Fr) for v in got.values())
+            assert all(is_exact(v) for v in [*got.values(), *back.values()])

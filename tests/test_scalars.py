@@ -9,9 +9,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from vtc import builtin_models, parser
 from vtc import forms as F
 from vtc import kernel as K
+
+from test_linsolve import _load_calculus, is_exact
 
 
 def bv_spectrum():
@@ -87,15 +92,128 @@ def test_scalar_coefficients_exact():
 
 
 def test_coefficients_stay_integers_until_a_division():
+    # a coefficient is an int exactly when its value is integral
     x = J("A", (0,))
     assert type(K.GradedScalar.constant(3).terms[()]) is int
     assert all(type(c) is int for c in (2 * x * x - x * 3).terms.values())
-    assert all(type(c) is Fraction for c in (x * Fraction(1, 2) * 2).terms.values())
+    half = x * Fraction(1, 2)
+    assert all(type(c) is Fraction for c in half.terms.values())
+    assert x * Fraction(1, 2) * 2 == x
+    assert all(type(c) is int for c in (x * Fraction(1, 2) * 2).terms.values())
+    assert all(type(c) is int for c in (half + half).terms.values())
     # floats and bools are still taken as exact rationals
     assert x * 0.5 == Fraction(1, 2) * x
-    for c, q in ((0.5, Fraction(1, 2)), (True, Fraction(1))):
+    for c, q, kind in ((0.5, Fraction(1, 2), Fraction), (True, 1, int),
+                       (Fraction(4, 2), 2, int)):
         s = K.GradedScalar({(): c})
-        assert s == q and type(s.terms[()]) is Fraction
+        assert s == q and type(s.terms[()]) is kind
+
+
+# -- the int-or-proper-Fraction contract against a Fraction-only oracle ------
+#
+# Scalars are drawn from the generator pools of the calculus queries, with
+# coefficients in {+-1, +-2, +-1/2, +-3/2}, given as ints or Fractions.  The
+# oracle holds every coefficient as a Fraction and uses the kernel only for
+# monomial products and the total derivative of one monomial.
+
+COEFFS = [Fraction(s * n, d) for s in (1, -1) for n, d in ((1, 1), (2, 1), (1, 2), (3, 2))]
+
+
+def _oracle_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        out[m] = out.get(m, Fraction(0)) + c
+        if not out[m]:
+            del out[m]
+    return out
+
+
+def _oracle_mul(a, b):
+    out = {}
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            sign, m = K.mono_mul(m1, m2)
+            if m is not None:
+                out = _oracle_add(out, {m: sign * c1 * c2})
+    return out
+
+
+def _oracle_total_derivative(a, j):
+    out = {}
+    for m, c in a.items():
+        for mono, k in K.mono_total_derivative(m, j):
+            out = _oracle_add(out, {mono: k * c})
+    return out
+
+
+def _oracle_partials(a, left):
+    out = {}
+    for m, c in a.items():
+        for idx, (h, e) in enumerate(m):
+            if K.gen_parity(h):
+                crossed = m[:idx] if left else m[idx + 1:]
+                odd = sum(K.gen_parity(k) for k, _ in crossed)
+                rest, cc = m[:idx] + m[idx + 1:], -c if odd % 2 else c
+            else:
+                rest = m[:idx] + (((h, e - 1),) if e > 1 else ()) + m[idx + 1:]
+                cc = c * e
+            out[h] = _oracle_add(out.get(h, {}), {rest: cc})
+    return {h: t for h, t in out.items() if t}
+
+
+@pytest.fixture(scope="module")
+def calculus_pools():
+    """(dim, [generator scalar]) for each space of the calculus queries."""
+    m = parser.parse_model(builtin_models.model_text("maxwell"))
+    spectra = {"spacetime": m.spectrum, "leaf": m.foliation.spatial}
+    pools = []
+    for space, spec in sorted(_load_calculus().SPACES.items()):
+        gens = [parser.parse_expression(t, spectra[space]).terms[((), ())]
+                for t in spec["scalars"]]
+        pools.append((spec["dim"], gens))
+    return pools
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_arithmetic_keeps_the_coefficient_contract(calculus_pools, data):
+    dim, gens = data.draw(st.sampled_from(calculus_pools))
+    coeff = st.sampled_from(COEFFS).flatmap(
+        lambda q: st.sampled_from([q, q.numerator] if q.denominator == 1 else [q]))
+
+    def leaf():
+        c = data.draw(coeff)
+        s, o = K.scalar(c), {(): Fraction(c)}
+        for g in data.draw(st.lists(st.sampled_from(gens), max_size=2)):
+            s, o = s * g, _oracle_mul(o, {m: Fraction(v) for m, v in g.terms.items()})
+        return s, o
+
+    values = [leaf() for _ in range(data.draw(st.integers(2, 4)))]
+    for _ in range(data.draw(st.integers(1, 6))):
+        op = data.draw(st.sampled_from(["+", "-", "*", "scale", "d", "partials"]))
+        (a, oa), (b, ob) = data.draw(st.sampled_from(values)), data.draw(st.sampled_from(values))
+        if op == "+":
+            got = [(a + b, _oracle_add(oa, ob))]
+        elif op == "-":
+            got = [(a - b, _oracle_add(oa, {m: -c for m, c in ob.items()}))]
+        elif op == "*":
+            got = [(a * b, _oracle_mul(oa, ob))]
+        elif op == "scale":
+            c = data.draw(coeff)
+            got = [(a * c, {m: v * c for m, v in oa.items()}),
+                   (c * a, {m: c * v for m, v in oa.items()})]
+        elif op == "d":
+            j = data.draw(st.integers(0, dim - 1))
+            got = [(a.total_derivative(j), _oracle_total_derivative(oa, j))]
+        else:
+            left = data.draw(st.booleans())
+            ps, ops = a.partials(left), _oracle_partials(oa, left)
+            assert set(ps) == set(ops)
+            got = [(ps[h], ops[h]) for h in sorted(ps)]
+        for s, o in got:
+            assert s.terms == o
+            assert all(is_exact(c) for c in s.terms.values()), s.terms
+        values += got
 
 
 # -- frozen partial derivatives ---------------------------------------------
