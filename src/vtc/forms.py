@@ -333,23 +333,11 @@ def volume(dim: int) -> LocalForm:
 
 def dressed(spectrum: Spectrum, name: str, comp: Sequence[int] = (),
             mi: Sequence[int] = ()) -> LocalForm:
-    """A field component as a local form, wedged with its declared dressing."""
+    """A field component as a local form, wedged on the right with the
+    field's dressing ``FieldSpec.form_factor`` when it declares one."""
     sf = scalar_form(spectrum.dim, kernel.jet(spectrum, name, comp, mi))
     fac = spectrum.field(name).form_factor
-    return sf if fac is None else wedge(sf, constant_horizontal(spectrum.dim, fac))
-
-
-def constant_horizontal(dim: int,
-                        terms: Sequence[tuple[Union[int, Fraction],
-                                              tuple[int, ...]]]) -> LocalForm:
-    """Constant-coefficient horizontal form given as ((coeff, indices), ...)."""
-    out = LocalForm.zero(dim)
-    for co, mi in terms:
-        piece = scalar_form(dim, co)
-        for j in mi:
-            piece = wedge(piece, dx(dim, j))
-        out = out + piece
-    return out
+    return sf if fac is None else wedge(sf, fac)
 
 
 # -- differentials ----------------------------------------------------------

@@ -89,10 +89,10 @@ def euler_field(spectrum: Spectrum, kind: str,
     degree.  With one, the field is transported through the inverse flow,
     e^{-ad X}, so that it measures the degree of the flow's image; a
     structure made homogeneous by e^X is an exact eigenform of the result.
-    Raises TruncationError if that series has not terminated after
-    ``TRUNCATION_ORDER`` terms.
+    Raises ValueError on any other ``kind``, and TruncationError if that
+    series has not terminated after ``TRUNCATION_ORDER`` terms.
     """
-    role = kernel.GRADING_ROLES[kind]
+    role = kernel.grading_role(kind)
     comps: dict[Gen, GradedScalar] = {}
     for f in spectrum.fields:
         if f.role != role:

@@ -21,7 +21,11 @@ from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Mapping, Optional, Sequence, Union
+from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
+                    Optional, Sequence, Union)
+
+if TYPE_CHECKING:
+    from .forms import LocalForm
 
 EVEN = 0
 ODD = 1
@@ -111,9 +115,10 @@ class FieldSpec:
     has shape ().  ``slot_kinds`` marks each shape slot as a base index
     (contracted with the base metric) or an internal index (contracted with
     the spectrum's invariant form); unmarked slots default to base.
-    ``form_factor`` optionally names a constant horizontal form the field is
-    implicitly wedged with (for base-form-valued fields); it is interpreted
-    by the frontend, not by the kernel.
+    ``form_factor`` is None or the constant horizontal ``LocalForm`` over
+    the spectrum's base that the field is implicitly wedged with (for
+    base-form-valued fields, see ``forms.dressed``); the kernel only checks
+    its dimension.
     """
 
     name: str
@@ -123,7 +128,7 @@ class FieldSpec:
     shape: tuple[int, ...] = ()
     conjugate: Optional[str] = None
     slot_kinds: Optional[tuple[str, ...]] = None
-    form_factor: Optional[tuple[tuple[Coefficient, tuple[int, ...]], ...]] = None
+    form_factor: Optional[LocalForm] = None
 
     def __post_init__(self) -> None:
         if self.parity not in (EVEN, ODD):
@@ -169,6 +174,11 @@ class Spectrum:
             if f.conjugate is not None and f.conjugate not in self.by_name:
                 raise DeclarationError(
                     f"field {f.name} declares unknown conjugate {f.conjugate}",
+                    f.name)
+            if (f.form_factor is not None
+                    and getattr(f.form_factor, "dim", None) != dim):
+                raise DeclarationError(
+                    f"dressing of {f.name} is not a form over dimension {dim}",
                     f.name)
             for kind, n in zip(f.slot_kinds or (), f.shape):
                 if kind == "internal" and len(self.algebra_form or ()) != n:
@@ -656,9 +666,15 @@ def mono_grade(m: Monomial, grading: str) -> int:
         return mono_parity(m)
     if grading == "ghost":
         return mono_ghost(m)
-    if grading not in GRADING_ROLES:
+    return mono_degree(m, grading_role(grading))
+
+
+def grading_role(grading: str) -> str:
+    """The role whose variables a counting grading counts."""
+    role = GRADING_ROLES.get(grading)
+    if role is None:
         raise ValueError(f"unknown grading {grading!r}")
-    return mono_degree(m, GRADING_ROLES[grading])
+    return role
 
 
 ZERO = GradedScalar()

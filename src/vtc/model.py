@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
-from . import forms, kernel, symplectic
+from . import kernel, symplectic
 from .foliation import FoliationContext
 from .forms import LocalForm
 from .kernel import FieldSpec, Spectrum
@@ -118,7 +118,7 @@ class Model:
 # ---------------------------------------------------------------------------
 
 
-def _field_attrs(f: FieldSpec, dim: int) -> str:
+def _field_attrs(f: FieldSpec) -> str:
     attrs = [f"parity {f.parity}", f"ghost {f.ghost}", f"role {f.role}"]
     if f.shape:
         attrs.append(f"shape {index_text(f.shape)}")
@@ -127,8 +127,7 @@ def _field_attrs(f: FieldSpec, dim: int) -> str:
     if f.slot_kinds is not None:
         attrs.append(f"slots {' '.join(f.slot_kinds)}")
     if f.form_factor is not None:
-        attrs.append("factor " + form_text(
-            forms.constant_horizontal(dim, f.form_factor)))
+        attrs.append("factor " + form_text(f.form_factor))
     return ", ".join(attrs)
 
 
@@ -140,7 +139,7 @@ def print_model(m: Model) -> str:
     for p in m.spectrum.parameters:
         lines.append(f"parameter {p}")
     for f in m.spectrum.fields:
-        lines.append(f"field {f.name} {{ {_field_attrs(f, m.spectrum.dim)} }}")
+        lines.append(f"field {f.name} {{ {_field_attrs(f)} }}")
     if m.algebra_constants is not None or m.spectrum.algebra_form is not None:
         attrs = []
         if m.algebra_constants is not None:
@@ -164,8 +163,7 @@ def print_model(m: Model) -> str:
                 targets.add(F.field_map[f.name])
         for f in F.spatial.fields:
             if f.name not in targets:
-                lines.append(
-                    f"  field {f.name} {{ {_field_attrs(f, F.spatial.dim)} }}")
+                lines.append(f"  field {f.name} {{ {_field_attrs(f)} }}")
         for g in sorted(F.jet_rules):
             lines.append(f"  phase {gen_text(g)} := "
                          f"{scalar_text(F.jet_rules[g])}")

@@ -391,18 +391,13 @@ class _Parser:
         except ValueError as e:
             self.fail(str(e), t)
 
-    def form_factor(self, dim: int,
-                    ) -> tuple[tuple[Fraction, tuple[int, ...]], ...]:
+    def form_factor(self, dim: int) -> LocalForm:
         t = self.peek()
         a = self.expression(Spectrum(dim, []))
-        out = []
-        for (dxs, contacts), s in sorted(a.terms.items()):
-            mono = {(): Fraction(0)}
-            mono.update({m: c for m, c in s.terms.items()})
-            if contacts or set(mono) != {()}:
+        for (_, contacts), s in a.terms.items():
+            if contacts or set(s.terms) != {()}:
                 self.fail("factor must be a constant horizontal form", t)
-            out.append((mono[()], dxs))
-        return tuple(out)
+        return a
 
     def densities(self, spectrum: Spectrum) -> dict[str, LocalForm]:
         """The ``density name = expression`` lines that follow."""

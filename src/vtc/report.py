@@ -153,9 +153,8 @@ def _algebra_closure(run: _Run, hs: LocalForm,
     pair = next(f for c, f in spl.conjugate_pairs())
 
     def dens(i):
-        return forms.wedge(
-            forms.scalar_form(spl.dim, kernel.jet(spl, pair.name, (i,))),
-            forms.volume(spl.dim))
+        return forms.wedge(forms.dressed(spl, pair.name, (i,)),
+                           forms.volume(spl.dim))
 
     for i in range(rank):
         for j in range(rank):

@@ -107,10 +107,10 @@ def _dressing_degree(f: kernel.FieldSpec) -> int:
     """Horizontal degree of a field's declared dressing, 0 when undressed."""
     if f.form_factor is None:
         return 0
-    degs = {len(mi) for _, mi in f.form_factor}
-    if len(degs) != 1:
+    deg = f.form_factor.hdeg()
+    if deg is None:
         raise SpectrumError(f"dressing of {f.name} mixes horizontal degrees")
-    return degs.pop()
+    return deg
 
 
 def canonical_structure(spectrum: Spectrum, kind: str) -> PresympStructure:

@@ -3,8 +3,10 @@
 In the style of mutation fuzzing (Zeller et al., *The Fuzzing Book*): take
 a valid input, replace, delete or insert one or two tokens drawn from a
 fixed vocabulary of the grammar, and run the result through ``cli.main``
-in-process.  Whatever the mutant, the command must exit 0, 1 or 2, let no
-exception escape, and explain every exit 2 on a ``vtc: `` line of stderr.
+in-process.  A model mutant may also rewrite up to three number literals
+and skip the token edits, so that many mutants parse and the commands run
+past the parser.  Whatever the mutant, the command must exit 0, 1 or 2, let
+no exception escape, and explain every exit 2 on a ``vtc: `` line of stderr.
 A mutated model text that the parser accepts must also print as a text
 that parses back to an equal model and prints the same, and hold every
 coefficient in its one form (``kernel.exact``).
@@ -76,6 +78,9 @@ EDITS = st.lists(
               st.integers(0, 10_000), st.sampled_from(VOCABULARY)),
     min_size=1, max_size=2)
 
+# No edit at all, or the edits of EDITS.
+EDITS_OR_NONE = st.one_of(st.just([]), EDITS)
+
 FUZZ = settings(max_examples=150, derandomize=True, deadline=None)
 
 
@@ -98,21 +103,6 @@ def workdir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-@pytest.mark.parametrize("name", builtin_models.BUILTINS)
-def test_mutated_model_files_keep_the_exit_contract(workdir, name):
-    path = workdir / f"{name}.vtc"
-    seed = builtin_models.model_text(name)
-
-    @FUZZ
-    @given(edits=EDITS,
-           command=st.sampled_from(("check-master", "descend", "current")))
-    def check(edits, command):
-        path.write_text(mutate(seed, edits), encoding="utf-8")
-        assert_contract(*run_cli([command, str(path)]))
-
-    check()
-
-
 def _replaced(text, literals):
     """``text`` with the (piece index, word) replacements made."""
     pieces = _PIECE.findall(text)
@@ -129,22 +119,49 @@ def _parses(text):
         return None
 
 
+def literal_rewrites(seed):
+    """Lists of up to three (piece index, literal) rewrites of ``seed``.
+
+    They touch only the number literals the parser reads as rationals: most
+    token edits break the grammar, while edits of these alone keep it and
+    reach every literal the parser reads.
+    """
+    rationals = [i for i, p in enumerate(_PIECE.findall(seed))
+                 if p[0].isdigit() and _parses(_replaced(seed, [(i, "3/2")]))]
+    assert rationals
+    return st.lists(st.tuples(st.sampled_from(rationals),
+                              st.sampled_from(LITERALS)), max_size=3)
+
+
+@pytest.mark.parametrize("name", builtin_models.BUILTINS)
+def test_mutated_model_files_keep_the_exit_contract(workdir, name):
+    path = workdir / f"{name}.vtc"
+    seed = builtin_models.model_text(name)
+    parsed = 0
+
+    @FUZZ
+    @given(edits=EDITS_OR_NONE, literals=literal_rewrites(seed),
+           command=st.sampled_from(("check-master", "descend", "current")))
+    def check(edits, literals, command):
+        nonlocal parsed
+        text = mutate(_replaced(seed, literals), edits)
+        parsed += _parses(text) is not None
+        path.write_text(text, encoding="utf-8")
+        assert_contract(*run_cli([command, str(path)]))
+
+    check()
+    # enough accepted mutants that the commands run past the parser
+    assert parsed >= 40
+
+
 @pytest.mark.parametrize("name", builtin_models.BUILTINS)
 def test_accepted_mutated_models_print_and_parse_back(name):
     # a mutant the parser accepts must mean exactly what it prints: the
     # printed text parses back to an equal model, which prints the same text
     seed = builtin_models.model_text(name)
-    # the number literals the parser reads as rationals: most token edits
-    # break the grammar, while edits of these alone keep it and reach every
-    # literal the parser reads
-    rationals = [i for i, p in enumerate(_PIECE.findall(seed))
-                 if p[0].isdigit() and _parses(_replaced(seed, [(i, "3/2")]))]
-    assert rationals
 
     @FUZZ
-    @given(edits=st.one_of(st.just([]), EDITS), literals=st.lists(
-        st.tuples(st.sampled_from(rationals), st.sampled_from(LITERALS)),
-        max_size=3))
+    @given(edits=EDITS_OR_NONE, literals=literal_rewrites(seed))
     def check(edits, literals):
         m = _parses(mutate(_replaced(seed, literals), edits))
         if m is None:

@@ -94,6 +94,13 @@ def test_counting_field_measures_degree(chiral):
         assert forms.lie(Em, c) == c.scale(k)
 
 
+def test_an_unknown_grading_name_is_one_error_everywhere(chiral):
+    for call in (lambda: chiral["O"].grade_split("momentun"),
+                 lambda: grading.euler_field(chiral["m"].spectrum, "momentun")):
+        with pytest.raises(ValueError, match="^unknown grading 'momentun'$"):
+            call()
+
+
 # -- pullback ---------------------------------------------------------------
 
 

@@ -14,7 +14,7 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from vtc import (builtin_models, forms, kernel, parser, symplectic,
+from vtc import (builtin_models, forms, kernel, model, parser, symplectic,
                  variational)
 from vtc.forms import LocalForm
 from vtc.kernel import (EVEN, ODD, ROLE_ANTIFIELD, ROLE_FIELD, ROLE_SOURCE,
@@ -133,12 +133,73 @@ def test_canonical_structure_rejects_unknown_kind():
 def test_canonical_structure_rejects_mixed_dressing():
     spec = Spectrum(2, [
         FieldSpec("u", EVEN, 0, ROLE_FIELD, (),
-                  form_factor=((Fr(1), (0,)), (Fr(1), (0, 1)))),
+                  form_factor=forms.dx(2, 0) + forms.wedge(forms.dx(2, 0),
+                                                           forms.dx(2, 1))),
         FieldSpec("us", ODD, -1, ROLE_ANTIFIELD, (), conjugate="u"),
     ])
     with pytest.raises(symplectic.SpectrumError,
                        match="^dressing of u mixes horizontal degrees$"):
         symplectic.canonical_structure(spec, symplectic.KIND_ODD_BV)
+
+
+# A two-dimensional model in the shape of chiral whose dressings carry
+# coefficients other than 1.
+DRESSED = """model dressed
+dim 2
+metric 1 1
+field phi { parity 0, ghost 0, role field, factor 2*dx[0] + 2*dx[1] }
+field eta { parity 1, ghost -1, role field, factor 3*dx[0] ^ dx[1] }
+field phib { parity 0, ghost 0, role source, conjugate phi, factor 1/2*dx[0] - 1/2*dx[1] }
+field etab { parity 1, ghost 1, role source, conjugate eta }
+structure even-cotangent
+density O = etab ^ d(phi ^ (2*dx[0] + 2*dx[1]))
+master O
+"""
+
+
+def test_non_unit_dressings_print_and_parse_back():
+    m = parser.parse_model(DRESSED)
+    text = model.print_model(m)
+    again = parser.parse_model(text)
+    assert again == m
+    assert model.print_model(again) == text
+
+
+def test_canonical_structure_wedges_non_unit_dressings():
+    sp = parser.parse_model(DRESSED).spectrum
+    x, y = forms.dx(2, 0), forms.dx(2, 1)
+
+    def field(name, dressing=None):
+        f = forms.scalar_form(2, kernel.jet(sp, name))
+        return f if dressing is None else forms.wedge(f, dressing)
+
+    phi = field("phi", 2 * x + 2 * y)
+    phib = field("phib", Fr(1, 2) * x - Fr(1, 2) * y)
+    eta = field("eta", 3 * forms.wedge(x, y))
+    etab = field("etab")
+    D = forms.delta
+    st = symplectic.canonical_structure(sp, symplectic.KIND_EVEN_COTANGENT)
+    assert st.omega == (forms.wedge(D(phib), D(phi))
+                        + forms.wedge(D(etab), D(eta)))
+    assert st.theta == forms.wedge(phib, D(phi)) + forms.wedge(etab, D(eta))
+    # 1/2 * 2 * (dx[0] - dx[1]) ^ (dx[0] + dx[1]) = 2 vol, and 3 vol
+    vol = forms.volume(2)
+    assert st.omega == (
+        2 * forms.wedge_all([D(field("phi")), D(field("phib")), vol])
+        + 3 * forms.wedge_all([D(field("eta")), D(etab), vol]))
+
+
+@pytest.mark.parametrize("dressing", [
+    ((1, (0,)), (1, (1,))), forms.dx(3, 0) + forms.dx(3, 1),
+], ids=["tuple", "other-dimension"])
+def test_spectrum_rejects_a_dressing_that_is_not_a_form_over_its_base(
+        dressing):
+    with pytest.raises(kernel.DeclarationError,
+                       match="^dressing of u is not a form over dimension 2$"
+                       ) as info:
+        Spectrum(2, [FieldSpec("u", EVEN, 0, ROLE_FIELD,
+                               form_factor=dressing)])
+    assert info.value.field == "u"
 
 
 def test_presymp_structure_rejects_bad_theta():
