@@ -28,8 +28,9 @@ prolonged component X^a_I.  The vertical Lie derivative is
 
     lie(X, w) = contract(X, delta(w)) + (-1)^{parity(X)} delta(contract(X, w)).
 
-wedge, d, delta and contract write each image term straight into its
-canonical key (dx directions ascending, contacts sorted) and sign it once.
+wedge, d, delta and contract add each image term straight into its
+canonical key (dx directions ascending, contacts sorted) with
+``kernel.add_into``, and sign it once.
 For a term s ^ w, let P(w) be its number of dx plus the parities of its
 contacts, C(w) the parity of its contacts alone, and cp(g) the parity of the
 contact d(g).  Then:
@@ -125,6 +126,15 @@ class LocalForm:
     # -- constructors -----------------------------------------------------
 
     @classmethod
+    def _wrap(cls, dim: int, terms: dict[Key, GradedScalar]) -> "LocalForm":
+        """A form on ``terms`` as given: no scalar in it zero."""
+        res = cls.__new__(cls)
+        res.dim = dim
+        res.terms = terms
+        res.memo = {}
+        return res
+
+    @classmethod
     def zero(cls, dim: int) -> "LocalForm":
         return cls(dim)
 
@@ -149,26 +159,14 @@ class LocalForm:
         return printing.form_text(self)
 
     def __add__(self, other: "LocalForm") -> "LocalForm":
+        _same_dim(self, other)
         out = dict(self.terms)
         for k, s in other.terms.items():
-            t = out.get(k)
-            t = s if t is None else t + s
-            if t:
-                out[k] = t
-            else:
-                out.pop(k, None)
-        res = LocalForm.__new__(LocalForm)
-        res.dim = self.dim
-        res.terms = out
-        res.memo = {}
-        return res
+            kernel.add_into(out, k, s)
+        return LocalForm._wrap(self.dim, out)
 
     def __neg__(self) -> "LocalForm":
-        res = LocalForm.__new__(LocalForm)
-        res.dim = self.dim
-        res.terms = {k: -s for k, s in self.terms.items()}
-        res.memo = {}
-        return res
+        return LocalForm._wrap(self.dim, {k: -s for k, s in self.terms.items()})
 
     def __sub__(self, other: "LocalForm") -> "LocalForm":
         return self + (-other)
@@ -246,13 +244,9 @@ class LocalForm:
         return m
 
 
-def _add_term(out: dict[Key, GradedScalar], key: Key, s: GradedScalar) -> None:
-    t = out.get(key)
-    t = s if t is None else t + s
-    if t:
-        out[key] = t
-    else:
-        out.pop(key, None)
+def _same_dim(a: LocalForm, b: LocalForm) -> None:
+    if a.dim != b.dim:
+        raise ValueError("wedge of forms over different base dimensions")
 
 
 def _wedge_key(a: Key, cpar: int, b: Key) -> Optional[tuple[Key, int]]:
@@ -280,8 +274,7 @@ def _wedge_key(a: Key, cpar: int, b: Key) -> Optional[tuple[Key, int]]:
 
 
 def wedge(a: LocalForm, b: LocalForm) -> LocalForm:
-    if a.dim != b.dim:
-        raise ValueError("wedge of forms over different base dimensions")
+    _same_dim(a, b)
     a_terms = [(ka, sum(_contact_parity(g) for g in ka[1]) % 2, sa)
                for ka, sa in a.terms.items()]
     out: dict[Key, GradedScalar] = {}
@@ -293,8 +286,8 @@ def wedge(a: LocalForm, b: LocalForm) -> LocalForm:
             placed = _wedge_key(ka, cpar, kb) if s else None
             if placed is not None:
                 key, odd = placed
-                _add_term(out, key, -s if odd else s)
-    return LocalForm(a.dim, out)
+                kernel.add_into(out, key, -s if odd else s)
+    return LocalForm._wrap(a.dim, out)
 
 
 def wedge_all(forms: Sequence[LocalForm]) -> LocalForm:
@@ -379,11 +372,7 @@ def d_monomial(dim: int, key: MonoKey) -> dict[MonoKey, int]:
                 sign += sum(_contact_parity(h)
                             for h in others[min(k, idx):max(k, idx)])
             image = (dxs[:pos] + (j,) + dxs[pos:], others[:k] + (g2,) + others[k:], mono)
-            v = out.get(image, 0) + (-1 if sign % 2 else 1)
-            if v:
-                out[image] = v
-            else:
-                del out[image]
+            kernel.add_into(out, image, -1 if sign % 2 else 1)
     return out
 
 
@@ -403,17 +392,11 @@ def _d(form: LocalForm) -> LocalForm:
         for mono, c in s.terms.items():
             image = d_monomial(dim, (dxs, contacts, mono))
             for (jdxs, jcontacts, m), k in image.items():
-                t = out.setdefault((jdxs, jcontacts), {})
-                cc = c if k == 1 else -c if k == -1 else c * k
-                prev = t.get(m)
-                v = cc if prev is None else prev + cc
-                if type(v) is Fraction:
-                    v = kernel.exact(v)
-                if v:
-                    t[m] = v
-                else:
-                    del t[m]
-    return LocalForm(dim, {key: GradedScalar._wrap(t) for key, t in out.items()})
+                kernel.add_into(out.setdefault((jdxs, jcontacts), {}), m,
+                                c if k == 1 else -c if k == -1 else c * k)
+    # a key whose monomials all cancelled is dropped
+    return LocalForm._wrap(dim, {key: GradedScalar._wrap(t)
+                                 for key, t in out.items() if t})
 
 
 def delta(form: LocalForm) -> LocalForm:
@@ -430,9 +413,9 @@ def delta(form: LocalForm) -> LocalForm:
                 sign = base_par
                 if p:
                     sign += len(dxs) + sum(_contact_parity(h) for h in contacts[:k])
-                _add_term(out, (dxs, contacts[:k] + (g,) + contacts[k:]),
-                          -df if sign % 2 else df)
-    return LocalForm(dim, out)
+                kernel.add_into(out, (dxs, contacts[:k] + (g,) + contacts[k:]),
+                                -df if sign % 2 else df)
+    return LocalForm._wrap(dim, out)
 
 
 # -- evolutionary vector fields ---------------------------------------------
@@ -502,7 +485,7 @@ class EvoField:
         mi = kernel.jet_mi(g)
         if not mi or kernel.jet_base(g) not in self._components:
             return kernel.ZERO
-        parent = g[:4] + (mi[:-1],) + g[5:]
+        parent = kernel.jet_with_mi(g, mi[:-1])
         return self.component(parent).total_derivative(mi[-1])
 
     def base_components(self) -> dict[Gen, GradedScalar]:
@@ -548,7 +531,7 @@ def add_fields(X: EvoField, Y: EvoField) -> EvoField:
         raise ValueError("cannot add evolutionary fields of different parity")
     comps = X.base_components()
     for g, v in Y.base_components().items():
-        comps[g] = comps.get(g, kernel.ZERO) + v
+        kernel.add_into(comps, g, v)
     return EvoField(X.spectrum, comps, parity=X.parity)
 
 
@@ -568,9 +551,10 @@ def contract(X: EvoField, form: LocalForm) -> LocalForm:
                     comp = _odd_part_negated(comp)
                 if dpar and sum(_contact_parity(h) for h in contacts[idx + 1:]) % 2:
                     comp = -comp
-                _add_term(out, (dxs, contacts[:idx] + contacts[idx + 1:]), s * comp)
+                kernel.add_into(out, (dxs, contacts[:idx] + contacts[idx + 1:]),
+                                s * comp)
             crossed += _contact_parity(g)
-    return LocalForm(dim, out)
+    return LocalForm._wrap(dim, out)
 
 
 def lie(X: EvoField, form: LocalForm) -> LocalForm:
@@ -606,5 +590,5 @@ def interior_coordinate(form: LocalForm, j: int) -> LocalForm:
             continue
         pos = dxs.index(j)
         t = _odd_part_negated(s)
-        _add_term(out, (dxs[:pos] + dxs[pos + 1:], ()), -t if pos % 2 else t)
-    return LocalForm(form.dim, out)
+        kernel.add_into(out, (dxs[:pos] + dxs[pos + 1:], ()), -t if pos % 2 else t)
+    return LocalForm._wrap(form.dim, out)

@@ -415,8 +415,7 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
         comps: dict[Gen, GradedScalar] = {}
         for key, c in sorted(sol.items()):
             direction, mono = pool.candidate(key)
-            comps.setdefault(direction, kernel.ZERO)
-            comps[direction] = comps[direction] + GradedScalar({mono: c})
+            kernel.add_into(comps, direction, GradedScalar({mono: c}))
         X_total = forms.add_fields(
             X_total, EvoField(spectrum, comps, parity=kernel.EVEN, ghost=0))
     raise NoHomogenizerError(

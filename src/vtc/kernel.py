@@ -5,7 +5,9 @@ x^i, formal parameters, and jet variables phi^a_I (a field component
 together with a symmetric multi-index of total-derivative directions).
 Coefficients are exact rationals in one form (``exact``): an ``int``
 exactly when the value is integral, a ``Fraction`` only when its
-denominator is greater than 1.  Grassmann-odd generators anticommute and
+denominator is greater than 1, and never zero.  Every sparse sum, of
+coefficients or of scalars, is built by ``add_into``, which keeps that
+contract in one place.  Grassmann-odd generators anticommute and
 square to zero.  Everything downstream (forms, variational calculus,
 brackets) is built on top of this module.  Its one bound is the jet-order
 cap, ``JET_ORDER_CAP``: a context variable that every jet shift reads, so
@@ -287,9 +289,15 @@ def jet_mi(g: Gen) -> tuple[int, ...]:
     return g[4]
 
 
+def jet_with_mi(g: Gen, mi: tuple[int, ...]) -> Gen:
+    """The jet generator of the same field component with the canonical
+    multi-index ``mi``."""
+    return g[:4] + (mi,) + g[5:]
+
+
 def jet_base(g: Gen) -> Gen:
     """The underived generator of the same field component."""
-    return g[:4] + ((),) + g[5:]
+    return jet_with_mi(g, ())
 
 
 def jet_shift(g: Gen, j: int) -> Gen:
@@ -302,7 +310,7 @@ def jet_shift(g: Gen, j: int) -> Gen:
             f"jet order {len(mi) + 1} exceeds cap {cap} (raise kernel.JET_ORDER_CAP, "
             "or VTC_JET_ORDER_CAP for vtc)")
     k = bisect_right(mi, j)
-    return g[:4] + (mi[:k] + (j,) + mi[k:],) + g[5:]
+    return jet_with_mi(g, mi[:k] + (j,) + mi[k:])
 
 
 # ---------------------------------------------------------------------------
@@ -419,6 +427,23 @@ def exact(q: Coefficient) -> Coefficient:
     return q.numerator if type(q) is Fraction and q.denominator == 1 else q
 
 
+def add_into(out: dict, key, value) -> None:
+    """Add ``value`` into ``out[key]``: the one step of every sparse sum.
+
+    ``value`` is a coefficient or a ``GradedScalar``; the sum is made
+    ``exact`` when it is a ``Fraction``, and a zero sum drops the key, so
+    ``out`` never holds a zero."""
+    prev = out.get(key)
+    if prev is not None:
+        value = prev + value
+    if type(value) is Fraction:
+        value = exact(value)
+    if value:
+        out[key] = value
+    else:
+        out.pop(key, None)
+
+
 class GradedScalar:
     """Exact polynomial in graded generators: a map monomial -> rational.
 
@@ -483,17 +508,9 @@ class GradedScalar:
     # -- arithmetic -------------------------------------------------------
 
     def __add__(self, other: "GradedScalar") -> "GradedScalar":
-        other = _coerce(other)
         out = dict(self.terms)
-        for m, c in other.terms.items():
-            prev = out.get(m)
-            s = c if prev is None else prev + c
-            if type(s) is Fraction:
-                s = exact(s)
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
+        for m, c in _coerce(other).terms.items():
+            add_into(out, m, c)
         return GradedScalar._wrap(out)
 
     __radd__ = __add__
@@ -522,19 +539,8 @@ class GradedScalar:
         for m1, c1 in self.terms.items():
             for m2, c2 in other.terms.items():
                 sign, m = mono_mul(m1, m2)
-                if m is None:
-                    continue
-                c = c1 * c2
-                if sign < 0:
-                    c = -c
-                prev = out.get(m)
-                s = c if prev is None else prev + c
-                if type(s) is Fraction:
-                    s = exact(s)
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
+                if m is not None:
+                    add_into(out, m, -c1 * c2 if sign < 0 else c1 * c2)
         return GradedScalar._wrap(out)
 
     def __rmul__(self, other: Coefficient) -> "GradedScalar":
@@ -600,15 +606,7 @@ class GradedScalar:
         out: dict[Monomial, Coefficient] = {}
         for m, c in self.terms.items():
             for mono, k in mono_total_derivative(m, j):
-                cc = c if k == 1 else -c if k == -1 else c * k
-                prev = out.get(mono)
-                s = cc if prev is None else prev + cc
-                if type(s) is Fraction:
-                    s = exact(s)
-                if s:
-                    out[mono] = s
-                else:
-                    out.pop(mono, None)
+                add_into(out, mono, c if k == 1 else -c if k == -1 else c * k)
         return GradedScalar._wrap(out)
 
     def total_derivative_mi(self, mi: Sequence[int]) -> "GradedScalar":

@@ -82,9 +82,8 @@ def el_derivative(lam: LocalForm) -> dict[Gen, GradedScalar]:
         term = part.total_derivative_mi(mi)
         if len(mi) % 2:
             term = -term
-        base = kernel.jet_base(g)
-        acc[base] = acc.get(base, kernel.ZERO) + term
-    return {g: v for g, v in acc.items() if v}
+        kernel.add_into(acc, kernel.jet_base(g), term)
+    return acc
 
 
 def _contact_vol_sign(dim: int, g: Gen) -> int:
@@ -162,8 +161,7 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
     components: dict[Gen, GradedScalar] = {}
     for (dxs, contacts), s in rem.terms.items():
         g = contacts[0]
-        components[g] = components.get(g, kernel.ZERO) + s * _contact_vol_sign(n, g)
-    components = {g: v for g, v in components.items() if v}
+        kernel.add_into(components, g, s * _contact_vol_sign(n, g))
     return SourceDecomposition(source_form(n, components), boundary, components)
 
 
@@ -182,7 +180,7 @@ def _mono_x_degree(mono: kernel.Monomial) -> int:
 
 
 def _lower_contact(g: Gen, j: int) -> Gen:
-    return g[:4] + (kernel.mi_remove(kernel.jet_mi(g), j),) + g[5:]
+    return kernel.jet_with_mi(g, kernel.mi_remove(kernel.jet_mi(g), j))
 
 
 def _preimages(key: MonoKey, x_cap: int) -> Iterator[MonoKey]:

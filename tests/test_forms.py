@@ -87,6 +87,16 @@ def test_canonical_layout():
     assert w == -F.wedge_all([sf(J("C")), dx(0), dx(1), ct(G("A", (0,)))])
 
 
+def test_forms_over_different_base_dimensions_do_not_combine():
+    # dx[2] does not exist over a 2-dimensional base
+    a, b = F.dx(2, 0), F.dx(3, 2)
+    for op in (F.wedge, lambda u, v: u + v, lambda u, v: u - v):
+        for u, v in ((a, b), (b, a)):
+            with pytest.raises(ValueError,
+                               match="^wedge of forms over different base dimensions$"):
+                op(u, v)
+
+
 # -- differentials ----------------------------------------------------------
 
 
@@ -220,8 +230,8 @@ def reference_d(form):
             ds = s.total_derivative(j)
             if ds:
                 sign = len(dxs) + cpar + pos
-                F._add_term(out, (dxs[:pos] + (j,) + dxs[pos:], contacts),
-                            -ds if sign % 2 else ds)
+                K.add_into(out, (dxs[:pos] + (j,) + dxs[pos:], contacts),
+                           -ds if sign % 2 else ds)
         for idx, g in enumerate(contacts):
             p = F._contact_parity(g)
             others = contacts[:idx] + contacts[idx + 1:]
@@ -235,7 +245,7 @@ def reference_d(form):
                     sign += sum(F._contact_parity(h)
                                 for h in others[min(k, idx):max(k, idx)])
                 key = (dxs[:pos] + (j,) + dxs[pos:], others[:k] + (g2,) + others[k:])
-                F._add_term(out, key, -s if sign % 2 else s)
+                K.add_into(out, key, -s if sign % 2 else s)
     return F.LocalForm(dim, out)
 
 

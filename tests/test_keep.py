@@ -3,7 +3,8 @@
 A result kept under one jet-order cap and read under another equals a
 fresh computation under the second cap, value for value and error for
 error, at every place that keeps a result.  And the decision of how a
-result is keyed lives in ``kernel`` alone.
+result is keyed lives in ``kernel`` alone, as does the rule that makes a
+coefficient exact.
 """
 
 import ast
@@ -131,23 +132,34 @@ def test_a_result_kept_under_one_cap_reads_under_another_as_a_fresh_one(
             assert kept[0] is first[0]
 
 
-def _cap_readers(tree) -> list:
-    """The name of the innermost function around each ``JET_ORDER_CAP.get()``
-    call in a module, None for a call outside every function."""
-    readers = []
+def _name(node):
+    """The name a ``Name`` or ``Attribute`` node ends in."""
+    return getattr(node, "id", None) or getattr(node, "attr", None)
+
+
+def _callers(tree, calls) -> list:
+    """The name of the innermost function around each call node for which
+    ``calls(node)`` holds, None for a call outside every function."""
+    found = []
 
     def visit(node, fn):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             fn = node.name
-        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "get"
-                and "JET_ORDER_CAP" in (getattr(node.func.value, "id", None),
-                                        getattr(node.func.value, "attr", None))):
-            readers.append(fn)
+        if isinstance(node, ast.Call) and calls(node):
+            found.append(fn)
         for child in ast.iter_child_nodes(node):
             visit(child, fn)
     visit(tree, None)
-    return readers
+    return found
+
+
+def _reads_the_cap(call) -> bool:
+    return (isinstance(call.func, ast.Attribute) and call.func.attr == "get"
+            and _name(call.func.value) == "JET_ORDER_CAP")
+
+
+def _calls_exact(call) -> bool:
+    return _name(call.func) == "exact"
 
 
 def test_only_kernel_keys_results_by_the_cap():
@@ -158,7 +170,7 @@ def test_only_kernel_keys_results_by_the_cap():
     readers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
-        readers |= {(path.stem, fn) for fn in _cap_readers(tree)}
+        readers |= {(path.stem, fn) for fn in _callers(tree, _reads_the_cap)}
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 assert node.name not in deleted, (path.name, node.name)
@@ -166,3 +178,20 @@ def test_only_kernel_keys_results_by_the_cap():
                 assert node.attr not in deleted, (path.name, node.attr)
     assert readers == {("kernel", "jet_shift"), ("kernel", "keep"),
                        ("variational", "_solve_d")}
+
+
+def test_only_kernel_makes_coefficients_exact():
+    # a coefficient is made exact where kernel makes it (a scalar or a
+    # spectrum from caller input, a product by a coefficient, a partial),
+    # where add_into adds it into a sparse sum, and in linsolve's back
+    # substitution; every other sum goes through add_into
+    callers = set()
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        callers |= {(path.stem, fn) for fn in _callers(tree, _calls_exact)}
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "_add_term", path.name
+    assert callers == {("kernel", "__init__"), ("kernel", "__mul__"),
+                       ("kernel", "partials"), ("kernel", "add_into"),
+                       ("linsolve", "solve_linear")}
