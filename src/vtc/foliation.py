@@ -144,7 +144,7 @@ def reduce(a: LocalForm, F: FoliationContext) -> LocalForm:
     if offenders:
         raise IncompletePhaseMapError(sorted(offenders))
     n = F.spatial.dim
-    out = LocalForm.zero(n)
+    out = LocalForm(n)
     for (dxs, contacts), s in kept.items():
         factors = [forms.scalar_form(n, s.substitute(table))]
         factors += [forms.dx(n, F.spatial_index(j)) for j in dxs]
@@ -168,7 +168,7 @@ def charge_density(J: LocalForm, F: FoliationContext,
     """
     sigma = reduce(J, F)
     square = symplectic.bracket(sigma, sigma, structure)
-    if not variational.equiv_mod_d(square, LocalForm.zero(F.spatial.dim)):
+    if not variational.equiv_mod_d(square, LocalForm(F.spatial.dim)):
         raise FoliationError(
             "reduced charge density violates the master equation")
     return sigma

@@ -134,10 +134,6 @@ class LocalForm:
         res.memo = {}
         return res
 
-    @classmethod
-    def zero(cls, dim: int) -> "LocalForm":
-        return cls(dim)
-
     # -- basics -----------------------------------------------------------
 
     def is_zero(self) -> bool:
@@ -515,8 +511,8 @@ class EvoField:
                                   for g, v in self._components.items()))))
 
     def __repr__(self) -> str:
-        bits = [f"{printing.gen_text(g)}: {printing.scalar_text(v)}"
-                for g, v in sorted(self._components.items())]
+        bits = [f"{g}: {v}" for g, v in
+                printing.component_texts(self._components).items()]
         label = self.name or "EvoField"
         return f"{label}[" + "; ".join(bits) + "]" if bits else f"{label}[0]"
 

@@ -679,10 +679,6 @@ ZERO = GradedScalar()
 ONE = GradedScalar.constant(1)
 
 
-def scalar(c: Coefficient) -> GradedScalar:
-    return GradedScalar.constant(c)
-
-
 def x(i: int) -> GradedScalar:
     return GradedScalar.generator(coord_gen(i))
 
@@ -694,7 +690,3 @@ def parameter(name: str) -> GradedScalar:
 def jet(spectrum: Spectrum, name: str, comp: Sequence[int] = (),
         mi: Iterable[int] = ()) -> GradedScalar:
     return GradedScalar.generator(jet_gen(spectrum, name, comp, mi))
-
-
-def aux(name: str, parity: int = EVEN, ghost: int = 0) -> GradedScalar:
-    return GradedScalar.generator(aux_gen(name, parity, ghost))

@@ -17,7 +17,7 @@ from . import kernel, symplectic
 from .foliation import FoliationContext
 from .forms import LocalForm
 from .kernel import FieldSpec, Spectrum
-from .printing import form_text, gen_text, index_text, scalar_text
+from .printing import component_texts, form_text, index_text
 
 
 class ModelError(kernel.EngineError):
@@ -164,9 +164,8 @@ def print_model(m: Model) -> str:
         for f in F.spatial.fields:
             if f.name not in targets:
                 lines.append(f"  field {f.name} {{ {_field_attrs(f)} }}")
-        for g in sorted(F.jet_rules):
-            lines.append(f"  phase {gen_text(g)} := "
-                         f"{scalar_text(F.jet_rules[g])}")
+        for g, v in component_texts(F.jet_rules).items():
+            lines.append(f"  phase {g} := {v}")
         for nm, a in m.phase_densities.items():
             lines.append(f"  density {nm} = {form_text(a)}")
         lines.append("}")

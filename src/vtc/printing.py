@@ -21,7 +21,7 @@ identical strings.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Iterable, Mapping, Sequence
 
 from . import kernel
 
@@ -50,21 +50,33 @@ def gen_text(g: kernel.Gen) -> str:
     return s
 
 
-def mono_factors(mono: kernel.Monomial) -> list[str]:
-    """A monomial's factors in surface syntax, each power written out."""
-    return [gen_text(g) for g, p in mono for _ in range(p)]
+def scalar_walk(s: kernel.GradedScalar) -> list[tuple]:
+    """A scalar's (factor texts, coefficient) pairs in canonical order,
+    each power of a generator written out as that many factors."""
+    return [([gen_text(g) for g, p in m for _ in range(p)], c)
+            for m, c in sorted(s.terms.items())]
 
 
-def signed_sum(terms: Iterable[tuple], spell: Callable) -> str:
-    """Join ordered (monomial, coefficient) pairs into a signed sum.
+def form_walk(a: LocalForm) -> list[tuple]:
+    """A form's terms in canonical order, each generator spelled once: per
+    term its dx directions, its contact texts and its ``scalar_walk``.
+
+    ``form_text`` renders this walk, and a report's term list is built
+    from the same one."""
+    return [(dxs, [gen_text(g) for g in contacts], scalar_walk(s))
+            for (dxs, contacts), s in sorted(a.terms.items())]
+
+
+def sum_text(pairs: Iterable[tuple[list[str], kernel.Coefficient]]) -> str:
+    """Join ordered (factor texts, coefficient) pairs into a signed sum.
 
     A unit coefficient is left out and an empty monomial prints as its
     coefficient; the first term carries its own minus sign, and every later
     negative term is joined with " - "."""
     out = ""
-    for m, c in terms:
-        a = abs(c)
-        body = str(a) if not m else spell(m) if a == 1 else f"{a}*{spell(m)}"
+    for factors, c in pairs:
+        a, body = abs(c), "*".join(factors)
+        body = f"{a}*{body}" if body and a != 1 else body or str(a)
         if out:
             out += (" - " if c < 0 else " + ") + body
         else:
@@ -74,22 +86,32 @@ def signed_sum(terms: Iterable[tuple], spell: Callable) -> str:
 
 def scalar_text(s: kernel.GradedScalar) -> str:
     """A graded scalar in surface syntax."""
-    return signed_sum(sorted(s.terms.items()),
-                      lambda m: "*".join(mono_factors(m)))
+    return sum_text(scalar_walk(s))
+
+
+def walk_text(walk: list[tuple]) -> str:
+    """A ``form_walk`` in surface syntax."""
+    parts = []
+    for dxs, contacts, pairs in walk:
+        text = sum_text(pairs)
+        if len(pairs) != 1 or text.startswith("-"):
+            text = f"({text})"  # a sum or a negative coefficient, as a factor
+        factors = [f"dx[{j}]" for j in dxs] + [f"del({c})" for c in contacts]
+        if text != "1" or not factors:
+            factors.insert(0, text)
+        parts.append(" ^ ".join(factors))
+    return " + ".join(parts) or "0"
 
 
 def form_text(a: LocalForm) -> str:
     """A local form in surface syntax."""
-    if a.is_zero():
-        return "0"
-    parts = []
-    for (dxs, contacts), coeff in sorted(a.terms.items()):
-        text = scalar_text(coeff)
-        if len(coeff.terms) != 1 or text.startswith("-"):
-            text = f"({text})"  # a sum or a negative coefficient, as a factor
-        factors = [f"dx[{j}]" for j in dxs]
-        factors += [f"del({gen_text(g)})" for g in contacts]
-        if text != "1" or not factors:
-            factors.insert(0, text)
-        parts.append(" ^ ".join(factors))
-    return " + ".join(parts)
+    return walk_text(form_walk(a))
+
+
+def component_texts(components: Mapping[kernel.Gen, kernel.GradedScalar],
+                    ) -> dict[str, str]:
+    """Scalars keyed by generator text, in generator order: the components
+    of an evolutionary field, a master check's residual, or a foliation's
+    jet rules."""
+    return {gen_text(g): scalar_text(v)
+            for g, v in sorted(components.items())}

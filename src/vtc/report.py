@@ -22,23 +22,14 @@ from .model import Model
 
 
 def form_json(a: LocalForm) -> dict:
-    """Canonical text plus a machine-readable sorted term list."""
-    terms = []
-    for (dxs, contacts), s in sorted(a.terms.items()):
-        scal = [{"monomial": printing.mono_factors(mono), "coefficient": str(c)}
-                for mono, c in sorted(s.terms.items())]
-        terms.append({"dx": list(dxs),
-                      "contacts": [printing.gen_text(g) for g in contacts],
-                      "scalar": scal})
-    return {"text": printing.form_text(a), "terms": terms}
-
-
-def components_json(components: Mapping[kernel.Gen, kernel.GradedScalar],
-                    ) -> dict:
-    """Scalars keyed by generator text, in generator order: the components
-    of an evolutionary field, or of a master check's residual."""
-    return {printing.gen_text(g): printing.scalar_text(v)
-            for g, v in sorted(components.items())}
+    """Canonical text plus a machine-readable sorted term list, both from
+    the one ``printing.form_walk`` of the form."""
+    walk = printing.form_walk(a)
+    terms = [{"dx": list(dxs), "contacts": contacts,
+              "scalar": [{"monomial": factors, "coefficient": str(c)}
+                         for factors, c in pairs]}
+             for dxs, contacts, pairs in walk]
+    return {"text": printing.walk_text(walk), "terms": terms}
 
 
 class _Run:
@@ -105,12 +96,12 @@ class _Run:
 
 def _stage_master(run: _Run) -> tuple[dict, bool]:
     mc = run.system.master
-    out: dict = {"ok": mc.ok,
-                 "brst_field": components_json(run.system.Q.base_components())}
+    out: dict = {"ok": mc.ok, "brst_field": printing.component_texts(
+        run.system.Q.base_components())}
     if mc.ok:
         out["sigma"] = form_json(mc.sigma)
     else:
-        out["residual"] = components_json(mc.residual or {})
+        out["residual"] = printing.component_texts(mc.residual or {})
     return out, mc.ok
 
 
@@ -130,7 +121,7 @@ def _stage_reduce(run: _Run) -> tuple[dict, bool]:
 
 def _stage_brackets(run: _Run) -> tuple[dict, bool]:
     st = run.reduced_structure
-    z = LocalForm.zero(st.omega.dim)
+    z = LocalForm(st.omega.dim)
     verdicts = {}
     ok = True
     for name in sorted(run.m.phase_densities):
@@ -162,7 +153,7 @@ def _algebra_closure(run: _Run, hs: LocalForm,
 
     for i in range(rank):
         for j in range(rank):
-            want = LocalForm.zero(spl.dim)
+            want = LocalForm(spl.dim)
             for kk in range(rank):
                 s = eps.get((i, j, kk))
                 if s:
@@ -181,11 +172,11 @@ def _stage_homogenize(run: _Run) -> tuple[dict, bool]:
             "momentum flow leaves fixed; homogenization does not apply")
     h = run.homogenizer
     cert = h.certificate
-    ok = cert.pulled_back == cert.leading or variational.equiv_mod_d(
-        cert.pulled_back, cert.leading)
-    out: dict = {"vector": components_json(h.X.base_components()),
+    exact = cert.pulled_back == cert.leading
+    ok = exact or variational.equiv_mod_d(cert.pulled_back, cert.leading)
+    out: dict = {"vector": printing.component_texts(h.X.base_components()),
                  "degree": cert.degree,
-                 "certificate_exact": cert.pulled_back == cert.leading,
+                 "certificate_exact": exact,
                  "structure": form_json(cert.pulled_back)}
     hs = grading.pullback(h, run.charge)
     out["charge"] = form_json(hs)
@@ -263,7 +254,8 @@ def run_pipeline(m: Model, stages: Optional[Sequence[str]] = None,
 
 def _text_value(value, indent: str, lines: list) -> None:
     if isinstance(value, Mapping):
-        if "text" in value and "terms" in value:
+        if isinstance(value.get("terms"), list) \
+                and isinstance(value.get("text"), str):
             lines.append(f"{indent}{value['text']}")
             return
         for key in sorted(value):

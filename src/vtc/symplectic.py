@@ -133,8 +133,8 @@ def canonical_structure(spectrum: Spectrum, kind: str) -> PresympStructure:
             raise SpectrumError(f"field {f.name} has no conjugate partner")
     dim = spectrum.dim
     vol = forms.volume(dim)
-    omega = LocalForm.zero(dim)
-    theta = LocalForm.zero(dim)
+    omega = LocalForm(dim)
+    theta = LocalForm(dim)
     for conj, base in pairs:
         if conj.shape != base.shape:
             raise SpectrumError(
@@ -373,16 +373,13 @@ class MasterCheck:
     sigma: Optional[LocalForm]
     residual: Optional[dict[Gen, GradedScalar]] = None
 
-    def __iter__(self):
-        return iter((self.ok, self.sigma))
-
 
 def check_master(O: LocalForm, structure: PresympStructure) -> MasterCheck:
     """Whether {O,O} is a total divergence, and the density it is one of."""
     br = bracket(O, O, structure)
     rhs = br.scale(Fraction(-1, 2))
     if rhs.is_zero():
-        return MasterCheck(True, LocalForm.zero(O.dim))
+        return MasterCheck(True, LocalForm(O.dim))
     try:
         sigma = variational.divergence_primitive(rhs)
     except variational.NotDivergenceError as exc:
@@ -470,4 +467,4 @@ def verify_evolution_generator(S: LocalForm, Gamma: LocalForm,
             f"evolution generator must be even ghost 0 or odd ghost 1, "
             f"got intrinsic parity {gpar} ghost {ggh}")
     br = bracket(S, Gamma, structure)
-    return variational.equiv_mod_d(br, LocalForm.zero(br.dim))
+    return variational.equiv_mod_d(br, LocalForm(br.dim))

@@ -114,9 +114,6 @@ class SourceDecomposition:
     boundary: LocalForm
     components: dict[Gen, GradedScalar]
 
-    def __iter__(self) -> Iterator[LocalForm]:
-        return iter((self.source, self.boundary))
-
 
 def source_decompose(alpha: LocalForm) -> SourceDecomposition:
     """Write a (1,n)-form as (source form) + d(boundary).
@@ -131,7 +128,7 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
         if dxs != vol_key or len(contacts) != 1:
             raise DegreeError(f"expected a (1,{n})-form")
     rem = alpha
-    boundary = LocalForm.zero(n)
+    boundary = LocalForm(n)
     while True:
         target: Optional[tuple] = None
         best = 0
@@ -324,7 +321,7 @@ def _solve_d(rho: LocalForm) -> LocalForm:
     NoPrimitiveError when inconsistent (rho not exact within the bounds).
     """
     if rho.is_zero():
-        return LocalForm.zero(rho.dim)
+        return LocalForm(rho.dim)
     dim = rho.dim
     blocks: dict[tuple, dict[MonoKey, kernel.Coefficient]] = {}
     for key, c in form_mono_items(rho):
@@ -364,7 +361,7 @@ def horizontal_homotopy(rho: LocalForm) -> LocalForm:
 
 def _homotopy(rho: LocalForm) -> LocalForm:
     if rho.is_zero():
-        return LocalForm.zero(rho.dim)
+        return LocalForm(rho.dim)
     bd = rho.bidegree()
     if bd is None:
         raise DegreeError("homotopy needs a bidegree-homogeneous form")
@@ -381,7 +378,7 @@ def _homotopy(rho: LocalForm) -> LocalForm:
 def divergence_primitive(f: LocalForm) -> LocalForm:
     """Invert d on a horizontal top form that is a total divergence."""
     if f.is_zero():
-        return LocalForm.zero(f.dim)
+        return LocalForm(f.dim)
     top = _top_scalar(f)
     residual = el_derivative(f)
     if residual:

@@ -21,7 +21,10 @@ import pytest
 from vtc import (builtin_models, foliation, forms, grading, kernel, model,
                  symplectic, variational)
 from vtc.forms import LocalForm
-from vtc.kernel import EVEN, FieldSpec, ODD, ROLE_ANTIFIELD, ROLE_FIELD, Spectrum
+from vtc.kernel import ODD
+
+from lawcheck import (intrinsic_parity, random_hamiltonian_form,
+                      structures_under_test)
 
 ETA = [Fr(1), Fr(-1), Fr(-1), Fr(-1)]
 
@@ -116,13 +119,13 @@ def chiral_current_blocks(sp):
     def etab2(j, kk):
         return sf2(kernel.jet(sp, "etab", (j,)) * kernel.jet(sp, "etab", (kk,)))
 
-    quad = LocalForm.zero(2)
+    quad = LocalForm(2)
     for (i, j, kk), e in sorted(EPS.items()):
         quad = quad + forms.wedge(forms.dressed(sp, "phi", (i,)),
                                   etab2(j, kk)).scale(e)
     for i in range(3):
         quad = quad + forms.wedge(etab(i), forms.d(etab(i))).scale(K)
-    cub = LocalForm.zero(2)
+    cub = LocalForm(2)
     for (i, j, kk), e in sorted(EPS.items()):
         cub = cub + forms.wedge(forms.dressed(sp, "phib", (i,)),
                                 etab2(j, kk)).scale(e * K)
@@ -163,9 +166,9 @@ def test_brst_differential_is_homological(mx):
 
 def test_descent_reaches_the_radiative_structure(mx):
     sp = mx["sp"]
-    om1 = LocalForm.zero(4)
+    om1 = LocalForm(4)
     for nu in range(4):
-        blk = LocalForm.zero(4)
+        blk = LocalForm(4)
         for mu in range(4):
             blk = blk + forms.wedge(ctF(sp, nu, mu),
                                     ct4(sp, "A", (mu,))).scale(ETA[mu])
@@ -178,7 +181,7 @@ def test_descent_reaches_the_radiative_structure(mx):
 
 def test_second_descent_is_ghost_times_field_strength(mx):
     sp = mx["sp"]
-    om2 = LocalForm.zero(4)
+    om2 = LocalForm(4)
     for mu in range(4):
         for nu in range(4):
             if mu == nu:
@@ -202,7 +205,7 @@ def test_second_descent_is_ghost_times_field_strength(mx):
 def test_brst_current_is_ghost_times_field_equations(mx):
     sp = mx["sp"]
     C = kernel.jet(sp, "C")
-    J = LocalForm.zero(4)
+    J = LocalForm(4)
     for nu in range(4):
         acc = kernel.ZERO
         for mu in range(4):
@@ -225,7 +228,7 @@ def test_current_reduces_to_the_gauss_density(mx):
 
 def test_energy_commutes_with_the_reduced_charge(mx):
     got = symplectic.bracket(mx["H"], mx["Jred"], mx["st_red"])
-    assert variational.equiv_mod_d(got, LocalForm.zero(3))
+    assert variational.equiv_mod_d(got, LocalForm(3))
 
 
 # ---------------------------------------------------------------------------
@@ -270,11 +273,11 @@ def test_homogenized_charge_is_the_reduced_quadratic_block(cb):
 
 
 def poly(rnd, x):
-    out = kernel.scalar(Fr(rnd.randint(-2, 2)))
+    out = kernel.GradedScalar.constant(Fr(rnd.randint(-2, 2)))
     for j in range(1, rnd.randint(1, 3) + 1):
         c = Fr(rnd.randint(-2, 2))
         if c:
-            t = kernel.scalar(c)
+            t = kernel.GradedScalar.constant(c)
             for _ in range(j):
                 t = t * x
             out = out + t
@@ -287,7 +290,7 @@ def su2_bracket(a, b):
         acc = kernel.ZERO
         for (i, j, k2), e in EPS.items():
             if i == kk:
-                acc = acc + a[j] * b[k2] * kernel.scalar(e)
+                acc = acc + a[j] * b[k2] * kernel.GradedScalar.constant(e)
         out.append(acc)
     return out
 
@@ -299,7 +302,7 @@ def test_smeared_fields_close_on_the_affine_algebra(cb):
     x = kernel.x(0)
 
     def smear(eps):
-        out = LocalForm.zero(1)
+        out = LocalForm(1)
         for i in range(3):
             out = out + forms.wedge(
                 forms.scalar_form(1, eps[i] * kernel.jet(spl, "phi", (i,))),
@@ -308,7 +311,7 @@ def test_smeared_fields_close_on_the_affine_algebra(cb):
 
     def pairing(a, b):
         # <a, db> against the unit metric, as a density on the leaf
-        out = LocalForm.zero(1)
+        out = LocalForm(1)
         for i in range(3):
             out = out + forms.wedge(
                 forms.scalar_form(1, a[i] * b[i].total_derivative(0)), dsig)
@@ -340,7 +343,8 @@ def random_scalar(rnd, pool, nterms=2, nfac=2, field=False):
     # result is never a pure function of the base coordinates
     t = kernel.ZERO
     for _ in range(rnd.randint(1, nterms)):
-        term = kernel.scalar(Fr(rnd.randint(-3, 3) or 1, rnd.randint(1, 2)))
+        term = kernel.GradedScalar.constant(
+            Fr(rnd.randint(-3, 3) or 1, rnd.randint(1, 2)))
         for _ in range(rnd.randint(1 if field else 0, nfac)):
             term = term * rnd.choice(pool[2:] if field else pool)
         t = t + term
@@ -403,58 +407,9 @@ def test_homotopy_contract_at_volume(mx):
 # ---------------------------------------------------------------------------
 
 
-def small_bv_spectrum():
-    return Spectrum(1, [
-        FieldSpec("u", EVEN, 0, ROLE_FIELD, ()),
-        FieldSpec("c", ODD, 1, ROLE_FIELD, ()),
-        FieldSpec("us", ODD, -1, ROLE_ANTIFIELD, (), conjugate="u"),
-        FieldSpec("cs", EVEN, -2, ROLE_ANTIFIELD, (), conjugate="c"),
-    ])
-
-
-def small_cotangent_spectrum():
-    return Spectrum(1, [
-        FieldSpec("u", EVEN, 0, ROLE_FIELD, ()),
-        FieldSpec("c", ODD, 1, ROLE_FIELD, ()),
-        FieldSpec("ub", EVEN, 0, kernel.ROLE_SOURCE, (), conjugate="u"),
-        FieldSpec("cb", ODD, -1, kernel.ROLE_SOURCE, (), conjugate="c"),
-    ])
-
-
-def structures_under_test():
-    yield (symplectic.canonical_structure(small_bv_spectrum(),
-                                          symplectic.KIND_ODD_BV),
-           small_bv_spectrum())
-    yield (symplectic.canonical_structure(small_cotangent_spectrum(),
-                                          symplectic.KIND_EVEN_COTANGENT),
-           small_cotangent_spectrum())
-
-
-def random_hamiltonian_form(rnd, spec, parity, max_terms=2):
-    gens = []
-    for f in spec.fields:
-        for mi in [(), (0,)]:
-            gens.append(kernel.jet_gen(spec, f.name, (), mi))
-    for _ in range(400):
-        out = kernel.ZERO
-        for _ in range(max_terms):
-            m = kernel.ONE
-            for g in rnd.sample(gens, rnd.randint(1, 3)):
-                m = m * kernel.GradedScalar.generator(g)
-            if m.parity() == parity:
-                out = out + m * Fr(rnd.choice([1, -1, 2]))
-        if out and out.parity() == parity:
-            return forms.wedge(forms.scalar_form(1, out), forms.volume(1))
-    raise RuntimeError("could not build a form of the requested parity")
-
-
-def intrinsic_parity(st):
-    return (st.omega.parity() + st.omega.hdeg()) % 2
-
-
 def test_bracket_symmetry_at_volume():
     rnd = random.Random(604)
-    zero = LocalForm.zero(1)
+    zero = LocalForm(1)
     for st, spec in structures_under_test():
         sigma = intrinsic_parity(st)
         checked = 0
@@ -473,7 +428,7 @@ def test_bracket_symmetry_at_volume():
 
 def test_bracket_jacobi_at_volume():
     rnd = random.Random(605)
-    zero = LocalForm.zero(1)
+    zero = LocalForm(1)
     for st, spec in structures_under_test():
         sigma = intrinsic_parity(st)
         for _ in range(25):
@@ -513,7 +468,7 @@ def test_multibracket_identities_to_third_order(cb):
     st, sp = cb["st"], cb["sp"]
     parts = cb["O"].grade_split(grading.KIND_MOMENTUM)
     Om1, Om2 = parts[1], parts[2]
-    zero = LocalForm.zero(2)
+    zero = LocalForm(2)
     vol = forms.volume(2)
 
     def dens(s):
@@ -567,7 +522,7 @@ def test_source_decomposition_roundtrip_at_volume(mx):
     rnd = random.Random(606)
     vol = forms.volume(4)
     for _ in range(100):
-        alpha = LocalForm.zero(4)
+        alpha = LocalForm(4)
         for _ in range(rnd.randint(1, 3)):
             alpha = alpha + forms.wedge_all(
                 [forms.scalar_form(4, random_scalar(rnd, pool)), vol,

@@ -75,14 +75,16 @@ def test_exact_gives_the_one_form():
 def test_the_walk_finds_a_broken_coefficient():
     s = kernel.GradedScalar._wrap({(): Fraction(2)})
     assert not all(map(is_exact, coefficients({"k": [s]})))
-    assert all(map(is_exact, coefficients({"k": [kernel.scalar(Fraction(2))]})))
+    two = kernel.GradedScalar.constant(Fraction(2))
+    assert all(map(is_exact, coefficients({"k": [two]})))
 
 
 def test_the_walk_finds_a_zero_term():
     s = kernel.GradedScalar._wrap({(): 0})
     w = forms.LocalForm._wrap(2, {((0,), ()): kernel.ONE, ((1,), ()): kernel.ZERO})
     assert {id(o) for o in zero_terms({"k": [s, w]})} == {id(s), id(w)}
-    assert zero_terms({"k": [kernel.scalar(0), forms.LocalForm(2, w.terms)]}) == []
+    assert zero_terms({"k": [kernel.GradedScalar.constant(0),
+                              forms.LocalForm(2, w.terms)]}) == []
 
 
 @pytest.mark.parametrize("name", builtin_models.BUILTINS)

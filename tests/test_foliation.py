@@ -157,7 +157,7 @@ def test_terms_with_time_differentials_drop(maxwell):
     a = forms.wedge_all([
         forms.scalar_form(4, kernel.jet(sp, "C", (), (0, 0, 0))),
         forms.dx(4, 0), forms.dx(4, 1), forms.dx(4, 2), forms.dx(4, 3)])
-    assert foliation.reduce(a, maxwell["F"]) == LocalForm.zero(3)
+    assert foliation.reduce(a, maxwell["F"]) == LocalForm(3)
 
 
 def test_reduce_is_an_algebra_morphism(maxwell):
@@ -209,7 +209,7 @@ def test_velocity_rule_solves_for_the_field_strength(maxwell):
 def test_reduced_structure_is_darboux(maxwell):
     spl = maxwell["spl"]
     vol3 = forms.volume(3)
-    cand = LocalForm.zero(3)
+    cand = LocalForm(3)
     for i in range(3):
         cand = cand + forms.wedge(
             forms.wedge(ct3(spl, "E", (i,)), ct3(spl, "A", (i + 1,))), vol3)
@@ -253,7 +253,7 @@ def test_energy_generates_ampere_evolution(maxwell):
 
 
 def test_energy_commutes_with_the_constraint(maxwell, gauss):
-    z = LocalForm.zero(3)
+    z = LocalForm(3)
     st_red = maxwell["st_red"]
     assert variational.equiv_mod_d(
         symplectic.bracket(maxwell["H"], gauss, st_red), z)
@@ -283,7 +283,7 @@ def test_chiral_structure_reduces_to_printed_form():
     def sf1(s):
         return forms.scalar_form(1, s)
 
-    cand = LocalForm.zero(1)
+    cand = LocalForm(1)
     for i in range(3):
         pair = forms.delta(sf1(kernel.jet(spl, "phi", (i,)))) - \
             forms.delta(sf1(kernel.jet(spl, "phib", (i,)))).scale(K)

@@ -32,7 +32,7 @@ from hypothesis import strategies as st
 from vtc import builtin_models
 from vtc import forms as F
 from vtc import kernel as K
-from vtc import parser
+from vtc import parser, printing, report
 
 from test_scalars import ref_partial
 
@@ -73,7 +73,7 @@ def single_factors(key, s, dim=DIM):
 
 
 def by_right_derivation(form, parity, on_scalar, on_dx, on_contact):
-    out = F.LocalForm.zero(form.dim)
+    out = F.LocalForm(form.dim)
     for key, s in form.terms.items():
         dxs, contacts = key
         images = [on_scalar(s)] + [on_dx(i) for i in dxs] + [on_contact(g) for g in contacts]
@@ -88,7 +88,7 @@ def by_right_derivation(form, parity, on_scalar, on_dx, on_contact):
 
 
 def zero_form(_):
-    return F.LocalForm.zero(DIM)
+    return F.LocalForm(DIM)
 
 
 def oracle_shift(g, j):
@@ -118,12 +118,12 @@ def oracle_d(form):
     def on_scalar(s):
         return sum((F.wedge(F.scalar_form(dim, oracle_total_derivative(s, j)),
                             F.dx(dim, j))
-                    for j in range(dim)), F.LocalForm.zero(dim))
+                    for j in range(dim)), F.LocalForm(dim))
 
     def on_contact(g):
         return sum((F.wedge(F.contact(dim, oracle_shift(g, j)),
                             F.dx(dim, j))
-                    for j in range(dim)), F.LocalForm.zero(dim))
+                    for j in range(dim)), F.LocalForm(dim))
 
     return by_right_derivation(form, 1, on_scalar, zero_form, on_contact)
 
@@ -132,7 +132,7 @@ def oracle_delta(form):
     def on_scalar(s):
         jets = sorted({g for m in s.terms for g, _ in m if K.is_jet(g)})
         return sum((F.wedge(sf(ref_partial(s, g)), F.contact(DIM, g)) for g in jets),
-                   F.LocalForm.zero(DIM))
+                   F.LocalForm(DIM))
 
     return by_right_derivation(form, 1, on_scalar, zero_form, zero_form)
 
@@ -159,7 +159,8 @@ def random_scalar(rnd, nterms=3, nfac=3):
     """Sums of random monomials: the parity is often mixed."""
     t = K.ZERO
     for _ in range(rnd.randint(1, nterms)):
-        term = K.scalar(Fraction(rnd.randint(-3, 3) or 1, rnd.randint(1, 3)))
+        term = K.GradedScalar.constant(
+            Fraction(rnd.randint(-3, 3) or 1, rnd.randint(1, 3)))
         for _ in range(rnd.randint(0, nfac)):
             term = term * rnd.choice(POOL)
         t = t + term
@@ -176,7 +177,7 @@ def random_term(rnd):
 
 
 def random_form(rnd):
-    w = F.LocalForm.zero(DIM)
+    w = F.LocalForm(DIM)
     for _ in range(rnd.randint(1, 3)):
         w = w + random_term(rnd)
     return w
@@ -245,7 +246,7 @@ def test_contract_matches_the_right_derivation_oracle():
 
 def by_single_factors(u, v):
     """u ^ v as the sum over term pairs of the chain of one-factor wedges."""
-    out = F.LocalForm.zero(DIM)
+    out = F.LocalForm(DIM)
     for ku, su in u.terms.items():
         for kv, sv in v.terms.items():
             fs = single_factors(ku, su) + single_factors(kv, sv)
@@ -369,10 +370,11 @@ def test_d_of_a_form_monomial_exceeds_the_jet_order_cap_where_the_oracle_does(ca
 
 @st.composite
 def local_forms(draw):
-    w = F.LocalForm.zero(DIM)
+    w = F.LocalForm(DIM)
     for _ in range(draw(st.integers(1, 3))):
         sign = -1 if draw(st.booleans()) else 1
-        s = K.scalar(Fraction(sign * draw(st.integers(1, 4)), draw(st.integers(1, 3))))
+        s = K.GradedScalar.constant(Fraction(sign * draw(st.integers(1, 4)),
+                                             draw(st.integers(1, 3))))
         for f in draw(st.lists(st.sampled_from(POOL), max_size=3)):
             s = s * f
         term = sf(s)
@@ -424,7 +426,7 @@ def test_wedge_is_associative(u, v, w):
 
 def graded_swap(u, v):
     """v ^ u, each pair of parity parts signed by the Koszul rule."""
-    out = F.LocalForm.zero(DIM)
+    out = F.LocalForm(DIM)
     for p, up in parity_parts(u).items():
         for q, vq in parity_parts(v).items():
             t = F.wedge(vq, up)
@@ -442,3 +444,109 @@ def test_wedge_is_graded_commutative_on_samples():
     forms = sample_forms(35, 30)
     for u, v in zip(forms, forms[2:] + forms[:2]):
         assert F.wedge(u, v) == graded_swap(u, v)
+
+
+# -- the one printing walk against a two-walk reference -----------------------
+#
+# The reference renders a form's text in one walk and its report term list
+# in another, spelling every generator twice; the engine reads both off one
+# ``printing.form_walk``.
+
+
+def ref_scalar_text(s):
+    out = ""
+    for m, c in sorted(s.terms.items()):
+        a = abs(c)
+        spelled = "*".join(printing.gen_text(g) for g, p in m for _ in range(p))
+        body = str(a) if not m else spelled if a == 1 else f"{a}*{spelled}"
+        if out:
+            out += (" - " if c < 0 else " + ") + body
+        else:
+            out = "-" + body if c < 0 else body
+    return out or "0"
+
+
+def ref_form_text(a):
+    if a.is_zero():
+        return "0"
+    parts = []
+    for (dxs, contacts), coeff in sorted(a.terms.items()):
+        text = ref_scalar_text(coeff)
+        if len(coeff.terms) != 1 or text.startswith("-"):
+            text = f"({text})"
+        factors = [f"dx[{j}]" for j in dxs]
+        factors += [f"del({printing.gen_text(g)})" for g in contacts]
+        if text != "1" or not factors:
+            factors.insert(0, text)
+        parts.append(" ^ ".join(factors))
+    return " + ".join(parts)
+
+
+def ref_form_json(a):
+    terms = []
+    for (dxs, contacts), s in sorted(a.terms.items()):
+        scal = [{"monomial": [printing.gen_text(g) for g, p in mono
+                              for _ in range(p)],
+                 "coefficient": str(c)}
+                for mono, c in sorted(s.terms.items())]
+        terms.append({"dx": list(dxs),
+                      "contacts": [printing.gen_text(g) for g in contacts],
+                      "scalar": scal})
+    return {"text": ref_form_text(a), "terms": terms}
+
+
+def ref_components_json(components):
+    return {printing.gen_text(g): ref_scalar_text(v)
+            for g, v in sorted(components.items())}
+
+
+def ref_field_repr(X):
+    bits = [f"{printing.gen_text(g)}: {ref_scalar_text(v)}"
+            for g, v in sorted(X.base_components().items())]
+    label = X.name or "EvoField"
+    return f"{label}[" + "; ".join(bits) + "]" if bits else f"{label}[0]"
+
+
+@st.composite
+def scalars(draw, pool=POOL):
+    """Sums of signed, fractional monomials with powers; sometimes zero."""
+    s = K.ZERO
+    for _ in range(draw(st.integers(0, 3))):
+        sign = -1 if draw(st.booleans()) else 1
+        term = K.GradedScalar.constant(Fraction(sign * draw(st.integers(1, 4)),
+                                                draw(st.integers(1, 3))))
+        for f in draw(st.lists(st.sampled_from(pool), max_size=3)):
+            term = term * f
+        s = s + term
+    return s
+
+
+UNDERIVED = [G("A", (0,)), G("A", (3,)), G("C"), G("As", (1,)), G("Cs")]
+
+
+@st.composite
+def even_fields(draw):
+    """Fields whose component on u is q * u for an x- and k-polynomial q,
+    so every component map is consistent in parity and ghost number."""
+    qs = draw(st.dictionaries(st.sampled_from(UNDERIVED),
+                              scalars([K.parameter("k"), K.x(0), K.x(2)])))
+    return F.EvoField(SP, {g: q * K.GradedScalar.generator(g)
+                           for g, q in qs.items()},
+                      parity=K.EVEN, name=draw(st.sampled_from(["", "X"])))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(st.just(F.LocalForm(DIM)), local_forms()))
+def test_one_walk_renders_a_form_as_the_two_walks_did(a):
+    got = report.form_json(a)
+    assert got == ref_form_json(a)
+    assert got["text"] == printing.form_text(a) == ref_form_text(a)
+    assert parser.parse_expression(printing.form_text(a), SP) == a
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.dictionaries(st.sampled_from(CPOOL), scalars()), even_fields())
+def test_component_texts_render_as_the_two_walks_did(components, X):
+    got = printing.component_texts(components)
+    assert list(got.items()) == list(ref_components_json(components).items())
+    assert repr(X) == ref_field_repr(X)

@@ -161,7 +161,8 @@ CPOOL = [G("A", (0,)), G("A", (1,), (0,)), G("C"), G("As", (0,)), G("Cs")]
 def random_scalar(rnd, nterms=2, nfac=2):
     t = K.ZERO
     for _ in range(rnd.randint(1, nterms)):
-        term = K.scalar(Fraction(rnd.randint(-3, 3) or 1, rnd.randint(1, 2)))
+        term = K.GradedScalar.constant(
+            Fraction(rnd.randint(-3, 3) or 1, rnd.randint(1, 2)))
         for _ in range(rnd.randint(0, nfac)):
             term = term * rnd.choice(POOL)
         t = t + term
@@ -252,7 +253,7 @@ def reference_d(form):
 def test_d_matches_the_term_level_reference_random():
     rnd = random.Random(15)
     for _ in range(150):
-        w = F.LocalForm.zero(DIM)
+        w = F.LocalForm(DIM)
         for _ in range(rnd.randint(1, 3)):
             w = w + random_form(rnd)
         assert F.d(w) == reference_d(w)

@@ -196,9 +196,9 @@ def test_maxwell_first_descendant_is_the_radiative_structure(maxwell_report):
     def ctF(mu, nu):
         return ct("A", (nu,), mu) - ct("A", (mu,), nu)
 
-    om1 = LocalForm.zero(4)
+    om1 = LocalForm(4)
     for nu in range(4):
-        blk = LocalForm.zero(4)
+        blk = LocalForm(4)
         for mu in range(4):
             blk = blk + forms.wedge(ctF(nu, mu), ct("A", (mu,))).scale(eta[mu])
         blk = blk - forms.wedge(ct("C", ()), ct("As", (nu,)))
@@ -594,6 +594,23 @@ def test_cli_report_writes_files(tmp_path, capsys):
     rep = json.loads(out.read_text())
     assert rep["ok"] is True
     capsys.readouterr()
+
+
+def test_text_report_keeps_sections_keyed_text_and_terms(tmp_path, capsys):
+    # phase densities named text and terms give a verdicts mapping with
+    # those keys, which is not a form: its terms value is no list
+    src = builtin_models.model_text("maxwell")
+    line = next(ln for ln in src.splitlines() if "density H =" in ln)
+    path = tmp_path / "twice.vtc"
+    path.write_text(src.replace(line, line.replace(" H ", " text ") + "\n"
+                                + line.replace(" H ", " terms ")))
+    assert cli.main(["report", str(path), "--format", "text"]) == 0
+    section = capsys.readouterr().out.split("[brackets]\n")[1]
+    verdicts = ["      commutes_with_charge: yes",
+                "      evolution_generated_by_charge: yes",
+                "      involutive: yes"]
+    assert section.splitlines()[:9] == ["  verdicts:", "    terms:", *verdicts,
+                                        "    text:", *verdicts]
 
 
 # -- documentation ----------------------------------------------------------

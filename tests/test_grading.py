@@ -49,7 +49,7 @@ def sf1(s):
 def test_charge_splits_by_momentum_degree(chiral):
     parts = chiral["O"].grade_split(grading.KIND_MOMENTUM).items()
     assert [k for k, _ in parts] == [1, 2]
-    total = LocalForm.zero(2)
+    total = LocalForm(2)
     for _, c in parts:
         total = total + c
     assert total == chiral["O"]
@@ -66,8 +66,8 @@ def test_descended_structure_splits(chiral):
 
     dxp = forms.dx(2, 0) + forms.dx(2, 1)
     dxm = forms.dx(2, 0) - forms.dx(2, 1)
-    lead = LocalForm.zero(2)
-    sub = LocalForm.zero(2)
+    lead = LocalForm(2)
+    sub = LocalForm(2)
     for i in range(3):
         eb = forms.delta(sf2(kernel.jet(sp, "etab", (i,))))
         lead = lead + forms.wedge(
@@ -85,7 +85,7 @@ def test_split_of_homogeneous_form_is_single(chiral):
 
 
 def test_split_of_zero_is_empty():
-    assert LocalForm.zero(2).grade_split(grading.KIND_MOMENTUM) == {}
+    assert LocalForm(2).grade_split(grading.KIND_MOMENTUM) == {}
 
 
 def test_counting_field_measures_degree(chiral):
@@ -731,7 +731,7 @@ def test_binary_bracket_symmetry_sign(chiral):
     b = dens(kernel.jet(sp, "eta", (2,)) * kernel.jet(sp, "phi", (0,), (1,)))
     ab = grading.derived_bracket(parts[2], [a, b], st)
     ba = grading.derived_bracket(parts[2], [b, a], st)
-    z = LocalForm.zero(2)
+    z = LocalForm(2)
     assert variational.equiv_mod_d(ab + ba, z)
     c = dens(kernel.jet(sp, "phi", (0,)) * kernel.jet(sp, "phi", (0,)))
     ac = grading.derived_bracket(parts[2], [a, c], st)

@@ -183,7 +183,7 @@ def test_arithmetic_keeps_the_coefficient_contract(calculus_pools, data):
 
     def leaf():
         c = data.draw(coeff)
-        s, o = K.scalar(c), {(): Fraction(c)}
+        s, o = K.GradedScalar.constant(c), {(): Fraction(c)}
         for g in data.draw(st.lists(st.sampled_from(gens), max_size=2)):
             s, o = s * g, _oracle_mul(o, {m: Fraction(v) for m, v in g.terms.items()})
         return s, o
@@ -295,8 +295,9 @@ def test_total_derivative_frozen():
 
 def test_total_derivative_on_constants():
     assert K.parameter("k").total_derivative(0).is_zero()
-    assert K.scalar(5).total_derivative(1).is_zero()
-    assert K.aux("q", K.ODD).total_derivative(0).is_zero()
+    assert K.GradedScalar.constant(5).total_derivative(1).is_zero()
+    q = K.GradedScalar.generator(K.aux_gen("q", K.ODD))
+    assert q.total_derivative(0).is_zero()
 
 
 def test_total_derivative_power():
@@ -399,7 +400,8 @@ POOL = [
 def random_scalar(rnd, nterms=3, nfac=3, pool=POOL):
     total = K.ZERO
     for _ in range(rnd.randint(1, nterms)):
-        term = K.scalar(Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)))
+        term = K.GradedScalar.constant(
+            Fraction(rnd.randint(-4, 4), rnd.randint(1, 3)))
         for _ in range(rnd.randint(0, nfac)):
             term = term * rnd.choice(pool)
         total = total + term
@@ -407,7 +409,7 @@ def random_scalar(rnd, nterms=3, nfac=3, pool=POOL):
 
 
 def random_homogeneous(rnd, nfac=3):
-    term = K.scalar(rnd.choice([1, -1, 2]))
+    term = K.GradedScalar.constant(rnd.choice([1, -1, 2]))
     for _ in range(rnd.randint(0, nfac)):
         term = term * rnd.choice(POOL)
     return term
@@ -468,7 +470,8 @@ def test_right_partial_leibniz_random():
 def test_partials_match_the_reference_random():
     # every generator kind: parameter, coordinates, even and odd jets, even
     # and odd auxiliaries; all the partials come from one pass
-    pool = POOL + [K.aux("a"), K.aux("b", K.ODD, 1)]
+    pool = POOL + [K.GradedScalar.generator(K.aux_gen("a")),
+                   K.GradedScalar.generator(K.aux_gen("b", K.ODD, 1))]
     gens = sorted({g for f in pool for m in f.terms for g, _ in m})
     rnd = random.Random(14)
     for _ in range(300):
@@ -484,7 +487,7 @@ CONTACTS = [G("A", (0,)), G("A", (2,), (1,)), G("C"), G("As", (1,)), G("Cs")]
 
 
 def random_form(rnd):
-    total = F.LocalForm.zero(4)
+    total = F.LocalForm(4)
     for _ in range(rnd.randint(1, 3)):
         piece = F.scalar_form(4, random_scalar(rnd))
         for i in rnd.sample(range(4), rnd.randint(0, 2)):
@@ -509,5 +512,5 @@ def test_grade_split_reassembles_random():
         w = random_form(rnd)
         for grading in ("parity", "ghost", "momentum", "polyvector"):
             parts = w.grade_split(grading)
-            assert sum(parts.values(), F.LocalForm.zero(4)) == w
+            assert sum(parts.values(), F.LocalForm(4)) == w
             assert all(p.grade_of(grading) == k for k, p in parts.items())

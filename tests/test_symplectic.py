@@ -17,9 +17,12 @@ import pytest
 from vtc import (builtin_models, forms, kernel, model, parser, symplectic,
                  variational)
 from vtc.forms import LocalForm
-from vtc.kernel import (EVEN, ODD, ROLE_ANTIFIELD, ROLE_FIELD, ROLE_SOURCE,
-                        FieldSpec, Spectrum)
+from vtc.kernel import (EVEN, ODD, ROLE_ANTIFIELD, ROLE_FIELD, FieldSpec,
+                        Spectrum)
 
+from lawcheck import (intrinsic_parity, random_hamiltonian_form,
+                      small_bv_spectrum, small_cotangent_spectrum,
+                      structures_under_test)
 from test_linsolve import _load_calculus
 
 ETA = [Fr(1), Fr(-1), Fr(-1), Fr(-1)]
@@ -71,24 +74,6 @@ def ct(spec, name, comp, *dd):
 # ---------------------------------------------------------------------------
 # Canonical structures
 # ---------------------------------------------------------------------------
-
-
-def small_bv_spectrum():
-    return Spectrum(1, [
-        FieldSpec("u", EVEN, 0, ROLE_FIELD, ()),
-        FieldSpec("c", ODD, 1, ROLE_FIELD, ()),
-        FieldSpec("us", ODD, -1, ROLE_ANTIFIELD, (), conjugate="u"),
-        FieldSpec("cs", EVEN, -2, ROLE_ANTIFIELD, (), conjugate="c"),
-    ])
-
-
-def small_cotangent_spectrum():
-    return Spectrum(1, [
-        FieldSpec("u", EVEN, 0, ROLE_FIELD, ()),
-        FieldSpec("c", ODD, 1, ROLE_FIELD, ()),
-        FieldSpec("ub", EVEN, 0, ROLE_SOURCE, (), conjugate="u"),
-        FieldSpec("cb", ODD, -1, ROLE_SOURCE, (), conjugate="c"),
-    ])
 
 
 def test_canonical_structure_is_delta_exact():
@@ -246,21 +231,19 @@ def test_gauge_system_validates(maxwell):
     assert forms.commutator(Q, Q).is_zero()
     hot = forms.lie(Q, omega)
     assert not hot.is_zero()  # invariant modulo d only, not on the nose
-    assert variational.equiv_mod_d(hot, LocalForm.zero(hot.dim))
+    assert variational.equiv_mod_d(hot, LocalForm(hot.dim))
     assert variational.equiv_mod_d(forms.contract(Q, omega), forms.delta(sys0.H))
 
 
 def test_master_equation_holds(maxwell):
     mc = symplectic.check_master(maxwell["S"], maxwell["st"])
-    assert mc.ok
-    ok, sigma = mc
-    assert ok and sigma is not None
+    assert mc.ok and mc.sigma is not None
 
 
 def test_current_matches_frozen_form(maxwell):
     spec, C, F = maxwell["spec"], maxwell["C"], maxwell["F"]
     sigma = symplectic.check_master(maxwell["S"], maxwell["st"]).sigma
-    J = LocalForm.zero(4)
+    J = LocalForm(4)
     for nu in range(4):
         s = kernel.ZERO
         for mu in range(4):
@@ -311,9 +294,9 @@ def chain(maxwell):
 def test_descended_potential_matches_frozen_form(maxwell, chain):
     spec, C, F = maxwell["spec"], maxwell["C"], maxwell["F"]
     sys1, _ = chain
-    theta = LocalForm.zero(4)
+    theta = LocalForm(4)
     for mu in range(4):
-        blk = LocalForm.zero(4)
+        blk = LocalForm(4)
         for nu in range(4):
             blk = blk + forms.wedge(forms.scalar_form(4, F(mu, nu)),
                                     ct(spec, "A", (nu,))).scale(ETA[nu])
@@ -338,9 +321,9 @@ def test_first_descent_expansion(maxwell, chain):
     def ctF(mu, nu):
         return ct(spec, "A", (nu,), mu) - ct(spec, "A", (mu,), nu)
 
-    om1 = LocalForm.zero(4)
+    om1 = LocalForm(4)
     for nu in range(4):
-        blk = LocalForm.zero(4)
+        blk = LocalForm(4)
         for mu in range(4):
             blk = blk + forms.wedge(ctF(nu, mu), ct(spec, "A", (mu,))).scale(ETA[mu])
         blk = blk - forms.wedge(ct(spec, "C", ()), ct(spec, "As", (nu,)))
@@ -384,7 +367,7 @@ def test_second_descent_matches_frozen_form(maxwell, chain):
     def ctF(mu, nu):
         return ct(spec, "A", (nu,), mu) - ct(spec, "A", (mu,), nu)
 
-    om2 = LocalForm.zero(4)
+    om2 = LocalForm(4)
     for mu in range(4):
         for nu in range(4):
             if mu == nu:
@@ -477,7 +460,7 @@ def test_brst_current_cross_checks(maxwell):
 
 
 def test_hamiltonian_field_of_zero_is_zero(maxwell):
-    X = symplectic.hamiltonian_field(LocalForm.zero(4), maxwell["st"])
+    X = symplectic.hamiltonian_field(LocalForm(4), maxwell["st"])
     assert X.is_zero()
 
 
@@ -503,7 +486,7 @@ def kept_ops(st) -> list:
 def test_presymp_structure_is_frozen_and_memos_are_not_fields(maxwell):
     st = maxwell["st"]
     with pytest.raises(dataclasses.FrozenInstanceError):
-        st.omega = LocalForm.zero(4)
+        st.omega = LocalForm(4)
     assert [f.name for f in dataclasses.fields(st)] == [
         "omega", "theta", "kind", "spectrum"]
     symplectic.hamiltonian_field(maxwell["S"], st)
@@ -640,40 +623,9 @@ def test_hamiltonian_field_rejects_differentiated_structure():
 # ---------------------------------------------------------------------------
 
 
-def random_hamiltonian_form(rng, spec, parity, max_terms=2):
-    gens = []
-    for f in spec.fields:
-        for mi in [(), (0,)]:
-            gens.append(kernel.jet_gen(spec, f.name, (), mi))
-    for _ in range(400):
-        out = kernel.ZERO
-        for _ in range(max_terms):
-            m = kernel.ONE
-            for g in rng.sample(gens, rng.randint(1, 3)):
-                m = m * kernel.GradedScalar.generator(g)
-            if m.parity() == parity:
-                out = out + m * Fr(rng.choice([1, -1, 2]))
-        if out and out.parity() == parity:
-            return forms.wedge(forms.scalar_form(1, out), forms.volume(1))
-    raise RuntimeError("could not build a random form of the requested parity")
-
-
-def structures_under_test():
-    yield (symplectic.canonical_structure(small_bv_spectrum(),
-                                          symplectic.KIND_ODD_BV),
-           small_bv_spectrum())
-    yield (symplectic.canonical_structure(small_cotangent_spectrum(),
-                                          symplectic.KIND_EVEN_COTANGENT),
-           small_cotangent_spectrum())
-
-
-def intrinsic_parity(st):
-    return (st.omega.parity() + st.omega.hdeg()) % 2
-
-
 def test_bracket_graded_symmetry():
     rng = random.Random(501)
-    zero = LocalForm.zero(1)
+    zero = LocalForm(1)
     for st, spec in structures_under_test():
         sigma = intrinsic_parity(st)
         checked = 0
@@ -692,7 +644,7 @@ def test_bracket_graded_symmetry():
 
 def test_bracket_jacobi():
     rng = random.Random(502)
-    zero = LocalForm.zero(1)
+    zero = LocalForm(1)
     for st, spec in structures_under_test():
         sigma = intrinsic_parity(st)
         for _ in range(8):
