@@ -2,10 +2,13 @@
 
 This module provides the Euler fields of the two auxiliary gradings carried
 by the jet algebra (the number of source factors and the number of antifield
-factors), the formal diffeomorphisms e^X generated by degree-raising
-evolutionary fields, a bounded search that homogenizes an inhomogeneous
-presymplectic form by such a flow, and the nested-bracket construction that
-turns a degree-n generator into an n-ary bracket on degree-0 densities.  The
+factors), the pullback by the formal diffeomorphism e^X that a
+degree-raising evolutionary field X generates (``pullback(X, a)``), a
+bounded search that homogenizes an inhomogeneous presymplectic form by such
+a flow, and the nested-bracket construction that turns a degree-n generator
+into an n-ary bracket on degree-0 densities.  The search returns a
+``Homogenizer``: the field X, the form's leading part and its degree, and
+the pullback, which it has checked equals the leading part modulo d.  The
 homogenizer and the brackets work in the momentum degree, the number of
 source factors; a form's homogeneous parts are ``LocalForm.grade_split``.
 
@@ -121,42 +124,19 @@ def euler_field(spectrum: Spectrum, kind: str,
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class HomotopyDiffeo:
-    """Formal diffeomorphism of the jet space generated by a vertical field.
+def pullback(X: EvoField, a: LocalForm) -> LocalForm:
+    """Apply the pullback e^{L_X} of the flow of X to a form, term by term.
 
-    The pullback acts as e^{L_X}; the series must terminate on each input
-    within ``TRUNCATION_ORDER`` steps, which holds whenever X strictly
-    raises a bounded grading (the only case produced here).
-    """
-
-    X: EvoField
-    certificate: Optional["HomogenizerCertificate"] = None
-
-    def inverse(self) -> "HomotopyDiffeo":
-        return HomotopyDiffeo(forms.scale_field(self.X, -1))
-
-
-@dataclass(frozen=True)
-class HomogenizerCertificate:
-    """Record of a verified homogenization: h*(original) ~ leading mod d."""
-
-    original: LocalForm
-    leading: LocalForm
-    degree: int
-    pulled_back: LocalForm
-
-
-def pullback(h: HomotopyDiffeo, a: LocalForm) -> LocalForm:
-    """Apply the flow's pullback e^{L_X} to a form, term by term.
-
+    The series terminates on each input within ``TRUNCATION_ORDER`` steps
+    whenever X strictly raises a bounded grading (the only case produced
+    here); e^{-X}, ``forms.scale_field(X, -1)``, pulls back the inverse.
     Raises TruncationError, reporting the order bound, if the Lie series
     has not terminated after ``TRUNCATION_ORDER`` steps.
     """
     total = a
     term = a
     for k in range(1, TRUNCATION_ORDER + 1):
-        term = forms.lie(h.X, term).scale(Fraction(1, k))
+        term = forms.lie(X, term).scale(Fraction(1, k))
         if term.is_zero():
             return total
         total = total + term
@@ -365,9 +345,21 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
     return {i: v for (tag, i), v in sol.items() if tag == "c" and v}
 
 
+@dataclass(frozen=True)
+class Homogenizer:
+    """A verified homogenization: the flow e^X pulls the input form back to
+    ``pulled_back``, which equals ``leading``, the input's lowest momentum
+    part (of momentum degree ``degree``), modulo d."""
+
+    X: EvoField
+    leading: LocalForm
+    degree: int
+    pulled_back: LocalForm
+
+
 def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
                      jet_order: int = 2,
-                     poly_degree: int = 3) -> HomotopyDiffeo:
+                     poly_degree: int = 3) -> Homogenizer:
     """Search for a flow whose pullback reduces a form to its leading degree.
 
     The form is split by the momentum degree; the flow's generator is
@@ -378,24 +370,23 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
     differentials.  Each stage builds only the candidates whose images can
     be linked to its residual, label by label, and orders them by direction
     and combination order (see the module notes), so the answer is the one
-    over every candidate in that order.  The search ends at the first stage
-    that sets no candidate, as a further stage would repeat it, and after at
-    most ``TRUNCATION_ORDER`` stages.  The returned flow carries a
-    certificate recording the verified identity; failure to find a
-    generator within the bounds raises NoHomogenizerError, which does not
-    assert that none exists.
+    over every candidate in that order.  The first stage reads the form
+    itself, and each later one its pullback by the flow so far.  The search
+    ends at the first stage that sets no candidate, as a further stage would
+    repeat it, and after at most ``TRUNCATION_ORDER`` stages.  The result is
+    returned only once its pullback is checked to equal the leading part
+    modulo d; the zero form gives the zero field at degree 0.  Failure to
+    find a generator within the bounds raises NoHomogenizerError, which does
+    not assert that none exists.
     """
     parts = omega1.grade_split(KIND_MOMENTUM)
+    X = EvoField(spectrum, {}, parity=kernel.EVEN, ghost=0)
     if not parts:
-        zero = EvoField(spectrum, {}, parity=kernel.EVEN, ghost=0)
-        return HomotopyDiffeo(
-            zero, certificate=HomogenizerCertificate(omega1, omega1, 0, omega1))
+        return Homogenizer(X, omega1, 0, omega1)
     k0, leading = next(iter(parts.items()))
-    X_total = EvoField(spectrum, {}, parity=kernel.EVEN, ghost=0)
+    current = omega1
     for _stage in range(TRUNCATION_ORDER):
-        current = pullback(HomotopyDiffeo(X_total), omega1)
-        tail = [(k, comp) for k, comp in
-                current.grade_split(KIND_MOMENTUM).items() if k > k0]
+        tail = [(k, comp) for k, comp in parts.items() if k > k0]
         sol = None
         if tail:
             gap, residual = tail[0]
@@ -406,8 +397,7 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
             # so current is then leading itself), or the stage sets no
             # candidate and a further stage would repeat it
             if variational.equiv_mod_d(current, leading):
-                return HomotopyDiffeo(X_total, certificate=(
-                    HomogenizerCertificate(omega1, leading, k0, current)))
+                return Homogenizer(X, leading, k0, current)
             raise NoHomogenizerError(
                 f"no generator of degree {gap - k0} within jet order "
                 f"{jet_order} and polynomial degree {poly_degree} removes "
@@ -416,8 +406,10 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
         for key, c in sorted(sol.items()):
             direction, mono = pool.candidate(key)
             kernel.add_into(comps, direction, GradedScalar({mono: c}))
-        X_total = forms.add_fields(
-            X_total, EvoField(spectrum, comps, parity=kernel.EVEN, ghost=0))
+        X = forms.add_fields(
+            X, EvoField(spectrum, comps, parity=kernel.EVEN, ghost=0))
+        current = pullback(X, omega1)
+        parts = current.grade_split(KIND_MOMENTUM)
     raise NoHomogenizerError(
         f"homogenization did not stabilize within {TRUNCATION_ORDER} stages")
 

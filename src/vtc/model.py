@@ -101,7 +101,13 @@ class Model:
         elif self.phase_densities:
             raise ModelError("phase densities need a foliation")
         if self.algebra_constants is not None:
-            structure_constants(self.algebra_constants)
+            rank = max(i for i, _, _ in
+                       structure_constants(self.algebra_constants)) + 1
+            entries = len(self.spectrum.algebra_form or ())
+            if entries != rank:
+                raise ModelError(
+                    f"algebra constants {self.algebra_constants} have rank "
+                    f"{rank}, but the algebra form has {entries} entries")
 
     def structure(self) -> symplectic.PresympStructure:
         return symplectic.canonical_structure(self.spectrum,

@@ -100,7 +100,7 @@ def test_every_coefficient_of_a_report_run_is_exact(name):
     if run.m.foliation is not None:
         assert {"reduced_structure", "charge"} <= set(objects)
     if "homogenize" in stages:
-        objects["homogenized_charge"] = grading.pullback(run.homogenizer,
+        objects["homogenized_charge"] = grading.pullback(run.homogenizer.X,
                                                          run.charge)
     found = coefficients(objects)
     assert all(map(is_exact, found)), sorted({c for c in found if not is_exact(c)})

@@ -410,6 +410,19 @@ def _maxwell_with(old, new):
     return text.replace(old, new, 1)
 
 
+# chiral at shape 2 with only the linear terms of O: the spectrum takes the
+# two-entry algebra form, but su2 has rank 3, and the homogenize stage's
+# closure check asked for phi[2]
+SU2_ON_TWO_COMPONENTS = re.sub(
+    r"^density O = .*$",
+    "density O = " + " + ".join(
+        f"{c}etab[{i}] ^ d({f}[{i}] ^ (dx[0] {sign} dx[1]))"
+        for c, f, sign in (("", "phi", "+"), ("k*", "phib", "-"))
+        for i in (0, 1)),
+    _chiral_with("form 1 1 1", "form 1 1").replace("shape 3", "shape 2"),
+    flags=re.M)
+
+
 @pytest.mark.parametrize("text, expression, message", [
     (_chiral_with("structure even-cotangent", "structure odd-BVX"), None,
      "line 10, column 11: unknown structure kind 'odd-BVX'; expected one of "
@@ -485,6 +498,9 @@ def _maxwell_with(old, new):
      "line 5, column 35: expected a name, got '5'"),
     (_maxwell_with("  map C -> C", "  map C C"), None,
      "line 14, column 9: expected '->', got 'C'"),
+    (SU2_ON_TWO_COMPONENTS, None,
+     "line 1, column 1: algebra constants su2 have rank 3, but the algebra "
+     "form has 2 entries"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
@@ -500,7 +516,7 @@ def _maxwell_with(old, new):
         "phase-of-vol", "jet-direction-out-of-range",
         "ib-direction-out-of-range", "integer-attribute-without-value",
         "fractional-integer-attribute", "number-for-a-name",
-        "map-without-arrow"])
+        "map-without-arrow", "algebra-constants-rank"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:

@@ -13,7 +13,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from vtc import (builtin_models, forms, foliation, grading, kernel, linsolve,
-                 parser, symplectic, variational)
+                 parser, report, symplectic, variational)
 from vtc.forms import LocalForm
 from vtc.kernel import FieldSpec, Spectrum
 
@@ -106,35 +106,33 @@ def test_an_unknown_grading_name_is_one_error_everywhere(chiral):
 
 def test_pullback_of_zero_field_is_identity(chiral):
     X = forms.EvoField(chiral["m"].spectrum, {})
-    h = grading.HomotopyDiffeo(X)
-    assert grading.pullback(h, chiral["om1"]) == chiral["om1"]
+    assert grading.pullback(X, chiral["om1"]) == chiral["om1"]
 
 
 def test_pullback_is_algebra_morphism(reduced):
     spl = reduced["spl"]
-    h = reduced["h"]
+    X = reduced["h"].X
     a = sf1(kernel.jet(spl, "phi", (0,)) * kernel.jet(spl, "phib", (1,)))
     b = forms.wedge(sf1(kernel.jet(spl, "etab", (2,))), forms.dx(1, 0))
-    assert grading.pullback(h, forms.wedge(a, b)) == \
-        forms.wedge(grading.pullback(h, a), grading.pullback(h, b))
+    assert grading.pullback(X, forms.wedge(a, b)) == \
+        forms.wedge(grading.pullback(X, a), grading.pullback(X, b))
 
 
 def test_pullback_inverts(reduced):
-    h = reduced["h"]
-    hin = h.inverse()
+    X = reduced["h"].X
+    Xin = forms.scale_field(X, -1)
     for a in (reduced["w1red"],
               sf1(kernel.jet(reduced["spl"], "phi", (1,)))):
-        assert grading.pullback(hin, grading.pullback(h, a)) == a
-        assert grading.pullback(h, grading.pullback(hin, a)) == a
+        assert grading.pullback(Xin, grading.pullback(X, a)) == a
+        assert grading.pullback(X, grading.pullback(Xin, a)) == a
 
 
 def test_pullback_reports_nonterminating_series(reduced):
     spl = reduced["spl"]
     E = grading.euler_field(spl, grading.KIND_MOMENTUM)
     # phib has momentum degree 1, so every term of e^{L_E} is nonzero
-    h = grading.HomotopyDiffeo(E)
     with pytest.raises(grading.TruncationError) as info:
-        grading.pullback(h, sf1(kernel.jet(spl, "phib", (0,))))
+        grading.pullback(E, sf1(kernel.jet(spl, "phib", (0,))))
     assert str(info.value) == "pullback series did not terminate within order 16"
 
 
@@ -154,20 +152,26 @@ def test_homogenizer_matches_printed_field(reduced):
 
 
 def test_homogenizer_certificate_is_exact(reduced):
-    cert = reduced["h"].certificate
-    assert cert.original == reduced["w1red"]
-    assert cert.degree == 1
+    h = reduced["h"]
+    assert h.degree == 1
     parts = reduced["w1red"].grade_split(grading.KIND_MOMENTUM)
-    assert cert.leading == parts[1]
-    assert cert.pulled_back == cert.leading
-    assert grading.pullback(reduced["h"], reduced["w1red"]) == cert.leading
+    assert h.leading == parts[1]
+    assert h.pulled_back == h.leading
+    assert grading.pullback(h.X, reduced["w1red"]) == h.leading
 
 
 def test_homogeneous_input_needs_no_homogenizer(reduced):
     parts = reduced["w1red"].grade_split(grading.KIND_MOMENTUM)
     h = grading.find_homogenizer(parts[1], reduced["spl"])
     assert h.X.base_components() == {}
-    assert grading.pullback(h, parts[1]) == parts[1]
+    assert grading.pullback(h.X, parts[1]) == parts[1]
+
+
+def test_the_zero_form_gets_the_zero_field_at_degree_0(reduced):
+    h = grading.find_homogenizer(LocalForm(1), reduced["spl"])
+    assert h.X.is_zero()
+    assert h.degree == 0
+    assert h.pulled_back.is_zero()
 
 
 def test_unreachable_ansatz_reports_failure(reduced):
@@ -203,8 +207,27 @@ def test_exact_tail_ends_the_search_after_one_stage(reduced, monkeypatch,
                                  poly_degree=poly_degree)
     assert len(stages) == 1
     assert h.X.is_zero()
-    assert h.certificate.leading == leading
-    assert h.certificate.pulled_back == leading + exact
+    assert h.leading == leading
+    assert h.pulled_back == leading + exact
+
+
+@pytest.mark.parametrize("bounds", [None] + SWEEP,
+                         ids=["report"] + [f"{j}-{p}" for j, p in SWEEP])
+def test_a_homogenizer_checks_against_its_input(reduced, bounds):
+    # independent of the search: pull the input back by X and the result
+    # back by -X, and compare with the input's own momentum split
+    if bounds is None:
+        run = report._Run(builtin_models.builtin("chiral"), steps=2)
+        w1red, h = run.reduced_structure.omega, run.homogenizer
+    else:
+        w1red = reduced["w1red"]
+        h = grading.find_homogenizer(w1red, reduced["spl"],
+                                     jet_order=bounds[0],
+                                     poly_degree=bounds[1])
+    assert grading.pullback(h.X, w1red) == h.pulled_back
+    assert h.leading == w1red.grade_split(grading.KIND_MOMENTUM)[h.degree]
+    assert variational.equiv_mod_d(h.pulled_back, h.leading)
+    assert grading.pullback(forms.scale_field(h.X, -1), h.pulled_back) == w1red
 
 
 # -- pruning the homogenizer's candidates -----------------------------------
@@ -698,6 +721,9 @@ def test_derived_bracket_rejects_wrong_arity(chiral):
                     forms.volume(2))
     with pytest.raises(grading.ArityError):
         grading.derived_bracket(parts[2], [a], chiral["st"])
+    with pytest.raises(grading.ArityError,
+                       match="^derived bracket needs at least one argument$"):
+        grading.derived_bracket(parts[2], [], chiral["st"])
 
 
 def test_derived_bracket_rejects_graded_arguments(chiral):
