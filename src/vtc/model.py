@@ -21,7 +21,16 @@ from .printing import component_texts, form_text, index_text
 
 
 class ModelError(kernel.EngineError):
-    """A model fails a structural sanity check."""
+    """A model fails a structural sanity check.  ``declaration`` names the
+    declaration at fault, if any (``"master"``, ``"density"``, ``"phase
+    density"``, ``"foliation"`` or ``"algebra"``), and ``name`` the density
+    it concerns."""
+
+    def __init__(self, message: str, declaration: Optional[str] = None,
+                 name: Optional[str] = None):
+        super().__init__(message)
+        self.declaration = declaration
+        self.name = name
 
 
 SU2 = "su2"
@@ -30,7 +39,8 @@ SU2 = "su2"
 def structure_constants(name: str) -> dict[tuple[int, int, int], int]:
     """Totally antisymmetric structure constants of a named algebra."""
     if name != SU2:
-        raise ModelError(f"unknown structure-constant set {name!r}")
+        raise ModelError(f"unknown structure-constant set {name!r}",
+                         "algebra")
     return {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
             (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
@@ -83,23 +93,29 @@ class Model:
 
     def __post_init__(self) -> None:
         if self.master not in self.densities:
-            raise ModelError(f"master density {self.master!r} is not declared")
+            raise ModelError(f"master density {self.master!r} is not declared",
+                             "master")
         n = self.spectrum.dim
         for nm, a in self.densities.items():
             if a.dim != n:
-                raise ModelError(f"density {nm!r} lives over the wrong base")
+                raise ModelError(f"density {nm!r} lives over the wrong base",
+                                 "density", nm)
             if not a.is_density():
-                raise ModelError(f"density {nm!r} is not a top horizontal form")
+                raise ModelError(f"density {nm!r} is not a top horizontal form",
+                                 "density", nm)
         if self.foliation is not None:
             if self.foliation.spacetime != self.spectrum:
-                raise ModelError("foliation slices a different spectrum")
+                raise ModelError("foliation slices a different spectrum",
+                                 "foliation")
             m = self.foliation.spatial.dim
             for nm, a in self.phase_densities.items():
                 if a.dim != m:
                     raise ModelError(
-                        f"phase density {nm!r} lives over the wrong base")
+                        f"phase density {nm!r} lives over the wrong base",
+                        "phase density", nm)
         elif self.phase_densities:
-            raise ModelError("phase densities need a foliation")
+            raise ModelError("phase densities need a foliation",
+                             "phase density", next(iter(self.phase_densities)))
         if self.algebra_constants is not None:
             rank = max(i for i, _, _ in
                        structure_constants(self.algebra_constants)) + 1
@@ -107,7 +123,8 @@ class Model:
             if entries != rank:
                 raise ModelError(
                     f"algebra constants {self.algebra_constants} have rank "
-                    f"{rank}, but the algebra form has {entries} entries")
+                    f"{rank}, but the algebra form has {entries} entries",
+                    "algebra")
 
     def structure(self) -> symplectic.PresympStructure:
         return symplectic.canonical_structure(self.spectrum,

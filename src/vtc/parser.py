@@ -117,6 +117,9 @@ class _Parser:
     def __init__(self, toks: Sequence[Token]):
         self.toks = list(toks)
         self.pos = 0
+        # the keyword token of each model-level declaration, keyed as
+        # model.ModelError names the declaration at fault
+        self.declarations: dict[tuple[str, Optional[str]], Token] = {}
 
     # -- token plumbing ----------------------------------------------------
 
@@ -399,15 +402,17 @@ class _Parser:
                 self.fail("factor must be a constant horizontal form", t)
         return a
 
-    def densities(self, spectrum: Spectrum) -> dict[str, LocalForm]:
+    def densities(self, spectrum: Spectrum,
+                  declaration: str) -> dict[str, LocalForm]:
         """The ``density name = expression`` lines that follow."""
         out: dict[str, LocalForm] = {}
         while self.at("name", "density"):
-            self.next()
+            kw = self.next()
             t = self.peek()
             dname = self.name()
             if dname in out:
                 self.fail(f"duplicate density {dname!r}", t)
+            self.declarations[declaration, dname] = kw
             self.expect("op", "=")
             out[dname] = self.expression(spectrum)
             self.end_line()
@@ -448,9 +453,8 @@ class _Parser:
             self.end_line()
 
         algebra: dict[str, Any] = {}
-        algebra_tok = None
         if self.at("name", "algebra"):
-            algebra_tok = self.next()
+            self.declarations["algebra", None] = self.next()
             algebra = self.attributes({"constants": self.name,
                                        "form": self.num_list})
             self.end_line()
@@ -460,7 +464,8 @@ class _Parser:
                                 parameters=tuple(parameters),
                                 algebra_form=algebra.get("form"))
         except kernel.DeclarationError as e:
-            self.fail(str(e), (e.algebra and algebra_tok) or field_toks[e.field])
+            self.fail(str(e), (e.algebra and self.declarations.get(
+                ("algebra", None))) or field_toks[e.field])
         except ValueError as e:
             self.fail(str(e))
 
@@ -472,16 +477,16 @@ class _Parser:
                       f"one of {', '.join(sorted(symplectic.KIND_RULES))}", t)
         self.end_line()
 
-        densities = self.densities(spectrum)
+        densities = self.densities(spectrum, "density")
 
-        self.expect("name", "master")
+        self.declarations["master", None] = self.expect("name", "master")
         master = self.name()
         self.end_line()
 
         fol = None
         phase_densities: dict[str, LocalForm] = {}
         if self.at("name", "foliation"):
-            self.next()
+            self.declarations["foliation", None] = self.next()
             fol, phase_densities = self.foliation_block(spectrum)
             self.end_line()
 
@@ -491,7 +496,10 @@ class _Parser:
                                master, foliation=fol,
                                phase_densities=phase_densities,
                                algebra_constants=algebra.get("constants"))
-        except (model.ModelError, foliation.FoliationError, ValueError) as e:
+        except model.ModelError as e:
+            self.fail(str(e), self.declarations.get((e.declaration, e.name),
+                                                    self.toks[0]))
+        except (foliation.FoliationError, ValueError) as e:
             self.fail(str(e), self.toks[0])
 
     def foliation_block(self, spectrum: Spectrum,
@@ -544,7 +552,7 @@ class _Parser:
             rules[g] = self.scalar_expression(spatial)
             self.end_line()
 
-        phase_densities = self.densities(spatial)
+        phase_densities = self.densities(spatial, "phase density")
 
         self.expect("op", "}")
         try:

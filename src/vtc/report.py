@@ -8,11 +8,18 @@ error (``kernel.EngineError``) aborts the run and is recorded under the
 stage that raised it.
 Every expression enters the report both as canonical text and as a sorted
 term list, so identical inputs yield byte-identical serializations.
+
+A report is built of dicts with str keys, lists, str, int, bool and None.
+``emit(report, "json")`` writes the same bytes as ``json.dumps(report,
+sort_keys=True, indent=2)`` plus a newline, ASCII only, through a small
+recursive writer on the C string encoder of ``json.encoder`` (``json.dumps``
+with an indent runs CPython's pure-Python encoder); any other value or key
+type raises ``TypeError``.
 """
 from __future__ import annotations
 
-import json
 from functools import cached_property
+from json.encoder import encode_basestring_ascii
 from typing import Mapping, Optional, Sequence
 
 from . import (foliation, forms, grading, kernel, model, printing, symplectic,
@@ -278,10 +285,66 @@ def _scalar_text(value) -> str:
     return str(value)
 
 
+def _json_value(value, pad: str, out: list) -> None:
+    """Append ``value`` as JSON to ``out``, as ``json.dumps`` writes it
+    with ``sort_keys=True, indent=2``; ``pad`` is the indent of the line
+    the value starts on.  ``bool`` is a subclass of ``int``, so it is
+    tested first."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = pad + "  "
+        sep = "{\n" + inner
+        for key in sorted(value):
+            if not isinstance(key, str):
+                raise TypeError(f"report JSON keys are str, not "
+                                f"{type(key).__name__}")
+            out.append(sep + encode_basestring_ascii(key) + ": ")
+            _json_value(value[key], inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "}")
+    elif isinstance(value, list):
+        if not value:
+            out.append("[]")
+            return
+        inner = pad + "  "
+        sep = "[\n" + inner
+        for item in value:
+            out.append(sep)
+            _json_value(item, inner, out)
+            sep = ",\n" + inner
+        out.append("\n" + pad + "]")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif value is None:
+        out.append("null")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    else:
+        raise TypeError(f"cannot write a {type(value).__name__} "
+                        f"as report JSON")
+
+
+def _json_text(value) -> str:
+    # a key, its indent and ": " make one chunk, and the chunk list dies
+    # before the caller encodes the text: so emit peaks no higher in memory
+    # than json.dumps did (tracemalloc, both built-in reports)
+    out: list = []
+    _json_value(value, "", out)
+    out.append("\n")
+    return "".join(out)
+
+
 def emit(report: dict, format: str = "json") -> bytes:
-    """Serialize a report; identical reports give identical bytes."""
+    """Serialize a report; identical reports give identical bytes.  JSON
+    is ``json.dumps(report, sort_keys=True, indent=2)`` plus a newline."""
     if format == "json":
-        return (json.dumps(report, sort_keys=True, indent=2) + "\n").encode()
+        return _json_text(report).encode()
     if format != "text":
         raise ValueError(f"unknown format {format!r}")
     lines = [f"model {report.get('model', '?')} (dim {report.get('dim', '?')})",

@@ -14,6 +14,8 @@ import re
 from fractions import Fraction as Fr
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import vtc
 from vtc import (builtin_models, cli, forms, kernel, model, parser, report,
@@ -166,6 +168,48 @@ def test_reports_match_pinned_digests(maxwell_report, chiral_report):
     for (name, fmt), digest in PINNED_REPORT_SHA256.items():
         emitted = report.emit(reports[name], fmt)
         assert hashlib.sha256(emitted).hexdigest() == digest, (name, fmt)
+
+
+# JSON values of the types a report holds.  Strings mix arbitrary code
+# points with quotes, backslashes, control characters, non-ASCII and lone
+# surrogates; ints run past 64 bits; bools sit among 0 and 1.
+_JSON_TEXT = st.text(st.one_of(
+    st.characters(), st.characters(categories=["Cs"]),
+    st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", "\u00e9",
+                     "\u2028", "\U0001f600"])))
+_JSON_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.sampled_from([0, 1, -1, True, False]),
+    st.integers(), st.integers(-2**200, 2**200), _JSON_TEXT)
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.one_of(st.lists(inner, max_size=4),
+                            st.dictionaries(_JSON_TEXT, inner, max_size=4)),
+    max_leaves=24)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_JSON_VALUES)
+@example({"b": [True, 1, False, 0, None], "a": {}, "\ud800\u00e9": []})
+@example([[[[{"z": -2**70, "y": 2**64}]]]])
+def test_emit_json_is_the_stdlib_bytes(value):
+    assert report.emit(value, "json") == \
+        (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
+
+
+@pytest.mark.parametrize("value, kind", [
+    (0.5, "float"), (Fr(1, 2), "Fraction"), ((1, 2), "tuple"),
+    ({1: "one"}, "int"), ({"stages": {2: []}}, "int"), ({1: 0, "a": 0}, "int"),
+], ids=["float", "fraction", "tuple", "int-key", "nested-int-key",
+        "mixed-keys"])
+def test_emit_json_rejects_other_types(value, kind):
+    # json.dumps would write a float or a tuple, and coerce an int key
+    with pytest.raises(TypeError, match=kind):
+        report.emit({"value": value}, "json")
+
+
+def test_emit_rejects_an_unknown_format(chiral_report):
+    with pytest.raises(ValueError, match="unknown format 'xml'"):
+        report.emit(chiral_report, "xml")
 
 
 @pytest.mark.parametrize("name, solves", [("maxwell", 4), ("chiral", 10)])
@@ -499,8 +543,14 @@ SU2_ON_TWO_COMPONENTS = re.sub(
     (_maxwell_with("  map C -> C", "  map C C"), None,
      "line 14, column 9: expected '->', got 'C'"),
     (SU2_ON_TWO_COMPONENTS, None,
-     "line 1, column 1: algebra constants su2 have rank 3, but the algebra "
+     "line 9, column 1: algebra constants su2 have rank 3, but the algebra "
      "form has 2 entries"),
+    (_maxwell_with("master S\n", "master T\n"), None,
+     "line 10, column 1: master density 'T' is not declared"),
+    (_maxwell_with("master S\n", "density Z = C\nmaster S\n"), None,
+     "line 10, column 1: density 'Z' is not a top horizontal form"),
+    (_chiral_with("constants su2", "constants so3"), None,
+     "line 9, column 1: unknown structure-constant set 'so3'"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
@@ -516,7 +566,9 @@ SU2_ON_TWO_COMPONENTS = re.sub(
         "phase-of-vol", "jet-direction-out-of-range",
         "ib-direction-out-of-range", "integer-attribute-without-value",
         "fractional-integer-attribute", "number-for-a-name",
-        "map-without-arrow", "algebra-constants-rank"])
+        "map-without-arrow", "algebra-constants-rank",
+        "master-not-declared", "density-not-a-top-form",
+        "unknown-structure-constants"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:
