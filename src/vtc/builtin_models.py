@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from importlib import resources
 
-from . import model, parser
+from . import kernel, model, parser
 
 BUILTINS = ("maxwell", "chiral")
 
@@ -22,6 +22,7 @@ def builtin(name: str) -> model.Model:
 def model_text(name: str) -> str:
     """Shipped text of a built-in model."""
     if name not in BUILTINS:
-        raise model.ModelError(f"unknown built-in model {name!r}")
+        raise kernel.DeclarationError(f"unknown built-in model {name!r}",
+                                      "model", name)
     return resources.files(__package__).joinpath(
         f"models/{name}.vtc").read_text(encoding="utf-8")

@@ -46,7 +46,8 @@ GRADING_ROLES = {"momentum": ROLE_SOURCE, "polyvector": ROLE_ANTIFIELD}
 class EngineError(Exception):
     """Root of the engine's typed failures.  A report records one under the
     stage that raised it; ``vtc`` exits 1 and prints ``vtc: <Type>: <message>``.
-    Parse and usage errors (exit 2) are not engine errors."""
+    Parse and usage errors (exit 2) are not engine errors, and neither is a
+    rejected declaration (``DeclarationError``)."""
 
 
 class JetOrderCapExceeded(EngineError):
@@ -54,13 +55,18 @@ class JetOrderCapExceeded(EngineError):
 
 
 class DeclarationError(ValueError):
-    """A field declaration the spectrum rejects: ``field`` names it, and
-    ``algebra`` is set when the algebra form is what the field lacks."""
+    """A declaration that ``FieldSpec``, ``Spectrum`` or ``model.Model``
+    rejects.  ``declaration`` names its kind (``"dim"``, ``"metric"``,
+    ``"field"``, ``"algebra"``, ``"master"``, ``"density"``, ``"phase
+    density"``, ``"foliation"`` or ``"model"``) and ``name`` the field,
+    density or model it concerns, if any: the parser reports the error at
+    that declaration's line, and ``vtc`` exits 2."""
 
-    def __init__(self, message: str, field: str, algebra: bool = False):
+    def __init__(self, message: str, declaration: str,
+                 name: Optional[str] = None):
         super().__init__(message)
-        self.field = field
-        self.algebra = algebra
+        self.declaration = declaration
+        self.name = name
 
 
 # The jet-order cap: the maximal multi-index length ``jet_shift`` may
@@ -134,15 +140,19 @@ class FieldSpec:
 
     def __post_init__(self) -> None:
         if self.parity not in (EVEN, ODD):
-            raise ValueError(f"parity must be 0 or 1, got {self.parity}")
+            raise DeclarationError(f"parity must be 0 or 1, got {self.parity}",
+                                   "field", self.name)
         if self.role not in _ROLES:
-            raise ValueError(f"unknown role {self.role!r}")
+            raise DeclarationError(f"unknown role {self.role!r}", "field",
+                                   self.name)
         if self.slot_kinds is not None:
             if len(self.slot_kinds) != len(self.shape):
-                raise ValueError("slot_kinds must mark every shape slot")
+                raise DeclarationError("slot_kinds must mark every shape slot",
+                                       "field", self.name)
             for k in self.slot_kinds:
                 if k not in ("base", "internal"):
-                    raise ValueError(f"unknown slot kind {k!r}")
+                    raise DeclarationError(f"unknown slot kind {k!r}",
+                                           "field", self.name)
 
     def components(self) -> Iterator[tuple[int, ...]]:
         """All component label tuples of this field."""
@@ -157,18 +167,22 @@ class Spectrum:
                  parameters: Sequence[str] = (),
                  algebra_form: Optional[Sequence[Fraction]] = None):
         if dim < 1:
-            raise ValueError("base dimension must be positive")
+            raise DeclarationError("base dimension must be positive", "dim")
         self.dim = dim
         self.fields = tuple(fields)
-        self.by_name = {f.name: f for f in self.fields}
-        if len(self.by_name) != len(self.fields):
-            raise ValueError("duplicate field names in spectrum")
+        self.by_name: dict[str, FieldSpec] = {}
+        for f in self.fields:
+            if f.name in self.by_name:
+                raise DeclarationError(f"duplicate field {f.name}", "field",
+                                       f.name)
+            self.by_name[f.name] = f
         self.index = {f.name: i for i, f in enumerate(self.fields)}
         if metric is None:
             metric = [1] * dim
         self.metric = tuple(exact(Fraction(m)) for m in metric)
         if len(self.metric) != dim:
-            raise ValueError("metric must have one diagonal entry per dimension")
+            raise DeclarationError(
+                "metric must have one diagonal entry per dimension", "metric")
         self.parameters = tuple(parameters)
         self.algebra_form = (None if algebra_form is None
                              else tuple(exact(Fraction(a)) for a in algebra_form))
@@ -176,18 +190,18 @@ class Spectrum:
             if f.conjugate is not None and f.conjugate not in self.by_name:
                 raise DeclarationError(
                     f"field {f.name} declares unknown conjugate {f.conjugate}",
-                    f.name)
+                    "field", f.name)
             if (f.form_factor is not None
                     and getattr(f.form_factor, "dim", None) != dim):
                 raise DeclarationError(
                     f"dressing of {f.name} is not a form over dimension {dim}",
-                    f.name)
+                    "field", f.name)
             for kind, n in zip(f.slot_kinds or (), f.shape):
                 if kind == "internal" and len(self.algebra_form or ()) != n:
                     raise DeclarationError(
                         f"field {f.name} has an internal slot of range {n}, "
-                        f"so the algebra form needs {n} entries", f.name,
-                        algebra=True)
+                        f"so the algebra form needs {n} entries", "algebra",
+                        f.name)
 
     def _key(self):
         return (self.dim, self.fields, self.metric, self.parameters,

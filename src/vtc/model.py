@@ -13,24 +13,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
-from . import kernel, symplectic
+from . import symplectic
 from .foliation import FoliationContext
 from .forms import LocalForm
-from .kernel import FieldSpec, Spectrum
+from .kernel import DeclarationError, FieldSpec, Spectrum
 from .printing import component_texts, form_text, index_text
-
-
-class ModelError(kernel.EngineError):
-    """A model fails a structural sanity check.  ``declaration`` names the
-    declaration at fault, if any (``"master"``, ``"density"``, ``"phase
-    density"``, ``"foliation"`` or ``"algebra"``), and ``name`` the density
-    it concerns."""
-
-    def __init__(self, message: str, declaration: Optional[str] = None,
-                 name: Optional[str] = None):
-        super().__init__(message)
-        self.declaration = declaration
-        self.name = name
 
 
 SU2 = "su2"
@@ -39,8 +26,8 @@ SU2 = "su2"
 def structure_constants(name: str) -> dict[tuple[int, int, int], int]:
     """Totally antisymmetric structure constants of a named algebra."""
     if name != SU2:
-        raise ModelError(f"unknown structure-constant set {name!r}",
-                         "algebra")
+        raise DeclarationError(f"unknown structure-constant set {name!r}",
+                               "algebra")
     return {(0, 1, 2): 1, (1, 2, 0): 1, (2, 0, 1): 1,
             (0, 2, 1): -1, (2, 1, 0): -1, (1, 0, 2): -1}
 
@@ -69,10 +56,8 @@ def phase_spectrum(spacetime: Spectrum, time_directions: Sequence[int],
         fields.append(FieldSpec(target, f.parity, f.ghost, f.role, f.shape,
                                 conjugate=conj, slot_kinds=f.slot_kinds))
     fields.extend(extra_fields)
-    metric = None
-    if spacetime.metric is not None:
-        metric = [spacetime.metric[j] for j in range(spacetime.dim)
-                  if j not in time]
+    metric = [spacetime.metric[j] for j in range(spacetime.dim)
+              if j not in time]
     return Spectrum(dim, fields, metric=metric,
                     parameters=spacetime.parameters,
                     algebra_form=spacetime.algebra_form)
@@ -93,35 +78,37 @@ class Model:
 
     def __post_init__(self) -> None:
         if self.master not in self.densities:
-            raise ModelError(f"master density {self.master!r} is not declared",
-                             "master")
+            raise DeclarationError(
+                f"master density {self.master!r} is not declared", "master")
         n = self.spectrum.dim
         for nm, a in self.densities.items():
             if a.dim != n:
-                raise ModelError(f"density {nm!r} lives over the wrong base",
-                                 "density", nm)
+                raise DeclarationError(
+                    f"density {nm!r} lives over the wrong base", "density", nm)
             if not a.is_density():
-                raise ModelError(f"density {nm!r} is not a top horizontal form",
-                                 "density", nm)
+                raise DeclarationError(
+                    f"density {nm!r} is not a top horizontal form", "density",
+                    nm)
         if self.foliation is not None:
             if self.foliation.spacetime != self.spectrum:
-                raise ModelError("foliation slices a different spectrum",
-                                 "foliation")
+                raise DeclarationError(
+                    "foliation slices a different spectrum", "foliation")
             m = self.foliation.spatial.dim
             for nm, a in self.phase_densities.items():
                 if a.dim != m:
-                    raise ModelError(
+                    raise DeclarationError(
                         f"phase density {nm!r} lives over the wrong base",
                         "phase density", nm)
         elif self.phase_densities:
-            raise ModelError("phase densities need a foliation",
-                             "phase density", next(iter(self.phase_densities)))
+            raise DeclarationError("phase densities need a foliation",
+                                   "phase density",
+                                   next(iter(self.phase_densities)))
         if self.algebra_constants is not None:
             rank = max(i for i, _, _ in
                        structure_constants(self.algebra_constants)) + 1
             entries = len(self.spectrum.algebra_form or ())
             if entries != rank:
-                raise ModelError(
+                raise DeclarationError(
                     f"algebra constants {self.algebra_constants} have rank "
                     f"{rank}, but the algebra form has {entries} entries",
                     "algebra")
@@ -156,9 +143,8 @@ def _field_attrs(f: FieldSpec) -> str:
 
 def print_model(m: Model) -> str:
     """Render a model in the surface syntax accepted by the parser."""
-    lines = [f"model {m.name}", f"dim {m.spectrum.dim}"]
-    if m.spectrum.metric is not None:
-        lines.append("metric " + " ".join(str(q) for q in m.spectrum.metric))
+    lines = [f"model {m.name}", f"dim {m.spectrum.dim}",
+             "metric " + " ".join(str(q) for q in m.spectrum.metric)]
     for p in m.spectrum.parameters:
         lines.append(f"parameter {p}")
     for f in m.spectrum.fields:

@@ -117,8 +117,8 @@ class _Parser:
     def __init__(self, toks: Sequence[Token]):
         self.toks = list(toks)
         self.pos = 0
-        # the keyword token of each model-level declaration, keyed as
-        # model.ModelError names the declaration at fault
+        # the keyword token of each declaration, keyed by the
+        # (declaration, name) pair a kernel.DeclarationError names
         self.declarations: dict[tuple[str, Optional[str]], Token] = {}
 
     # -- token plumbing ----------------------------------------------------
@@ -135,6 +135,20 @@ class _Parser:
     def fail(self, message: str, t: Optional[Token] = None):
         t = t or self.peek()
         raise ParseError(message, t.line, t.col)
+
+    def declared(self, build: Callable[[], Any],
+                 at: Optional[Token] = None) -> Any:
+        """``build()``, failing at ``at`` on a ``kernel.DeclarationError``,
+        or else at the keyword of the declaration it names: the named one,
+        else the unnamed one of its kind (the ``algebra`` line, for the
+        algebra form a field's internal slot needs), else that field."""
+        try:
+            return build()
+        except kernel.DeclarationError as e:
+            d = self.declarations
+            self.fail(str(e), at or d.get((e.declaration, e.name))
+                      or d.get((e.declaration, None))
+                      or d.get(("field", e.name)))
 
     def expect(self, kind: str, text: Optional[str] = None) -> Token:
         t = self.peek()
@@ -374,7 +388,9 @@ class _Parser:
         self.next()
         return out
 
-    def field_spec(self, dim: int) -> FieldSpec:
+    def field_spec(self, base: Spectrum) -> FieldSpec:
+        """A field's name and attribute block; a ``factor`` is a form over
+        ``base``."""
         t = self.peek()
         fname = self.name()
         if fname in _RESERVED:
@@ -383,20 +399,17 @@ class _Parser:
             "parity": self.integer, "ghost": self.signed_integer,
             "role": self.name, "shape": self.int_list,
             "conjugate": self.name, "slots": self.names,
-            "factor": lambda: self.form_factor(dim)})
+            "factor": lambda: self.form_factor(base)})
         for req in ("parity", "ghost", "role"):
             if req not in attrs:
                 self.fail(f"field {fname!r} is missing {req!r}", t)
         attrs["slot_kinds"] = attrs.pop("slots", None)
         attrs["form_factor"] = attrs.pop("factor", None)
-        try:
-            return FieldSpec(fname, **attrs)
-        except ValueError as e:
-            self.fail(str(e), t)
+        return self.declared(lambda: FieldSpec(fname, **attrs), t)
 
-    def form_factor(self, dim: int) -> LocalForm:
+    def form_factor(self, base: Spectrum) -> LocalForm:
         t = self.peek()
-        a = self.expression(Spectrum(dim, []))
+        a = self.expression(base)
         for (_, contacts), s in a.terms.items():
             if contacts or set(s.terms) != {()}:
                 self.fail("factor must be a constant horizontal form", t)
@@ -426,17 +439,16 @@ class _Parser:
         mname = self.word()
         self.end_line()
 
-        self.expect("name", "dim")
+        self.declarations["dim", None] = self.expect("name", "dim")
         dim = self.integer()
         self.end_line()
 
         metric = None
         if self.at("name", "metric"):
-            self.next()
+            self.declarations["metric", None] = self.next()
             metric = self.num_list()
-            if len(metric) != dim:
-                self.fail(f"metric needs {dim} entries")
             self.end_line()
+        header = self.declared(lambda: Spectrum(dim, [], metric=metric))
 
         parameters = []
         while self.at("name", "parameter"):
@@ -445,11 +457,10 @@ class _Parser:
             self.end_line()
 
         fields = []
-        field_toks: dict[str, Token] = {}
         while self.at("name", "field"):
-            t = self.next()
-            fields.append(self.field_spec(dim))
-            field_toks.setdefault(fields[-1].name, t)
+            kw = self.next()
+            fields.append(self.field_spec(header))
+            self.declarations["field", fields[-1].name] = kw
             self.end_line()
 
         algebra: dict[str, Any] = {}
@@ -459,15 +470,9 @@ class _Parser:
                                        "form": self.num_list})
             self.end_line()
 
-        try:
-            spectrum = Spectrum(dim, fields, metric=metric,
-                                parameters=tuple(parameters),
-                                algebra_form=algebra.get("form"))
-        except kernel.DeclarationError as e:
-            self.fail(str(e), (e.algebra and self.declarations.get(
-                ("algebra", None))) or field_toks[e.field])
-        except ValueError as e:
-            self.fail(str(e))
+        spectrum = self.declared(lambda: Spectrum(
+            dim, fields, metric=metric, parameters=tuple(parameters),
+            algebra_form=algebra.get("form")))
 
         self.expect("name", "structure")
         t = self.peek()
@@ -491,16 +496,10 @@ class _Parser:
             self.end_line()
 
         self.expect("eof")
-        try:
-            return model.Model(mname, spectrum, structure_kind, densities,
-                               master, foliation=fol,
-                               phase_densities=phase_densities,
-                               algebra_constants=algebra.get("constants"))
-        except model.ModelError as e:
-            self.fail(str(e), self.declarations.get((e.declaration, e.name),
-                                                    self.toks[0]))
-        except (foliation.FoliationError, ValueError) as e:
-            self.fail(str(e), self.toks[0])
+        return self.declared(lambda: model.Model(
+            mname, spectrum, structure_kind, densities, master, foliation=fol,
+            phase_densities=phase_densities,
+            algebra_constants=algebra.get("constants")))
 
     def foliation_block(self, spectrum: Spectrum,
                         ) -> tuple[foliation.FoliationContext,
@@ -529,17 +528,17 @@ class _Parser:
             field_map[src] = dst
             self.end_line()
 
-        spatial_dim = spectrum.dim - len(set(time))
+        leaf = self.declared(
+            lambda: Spectrum(spectrum.dim - len(set(time)), []), start)
         extras = []
         while self.at("name", "field"):
             self.next()
-            extras.append(self.field_spec(spatial_dim))
+            extras.append(self.field_spec(leaf))
             self.end_line()
 
-        try:
-            spatial = model.phase_spectrum(spectrum, time, field_map, extras)
-        except ValueError as e:
-            self.fail(str(e), start)
+        spatial = self.declared(
+            lambda: model.phase_spectrum(spectrum, time, field_map, extras),
+            start)
 
         rules: dict[kernel.Gen, GradedScalar] = {}
         while self.at("name", "phase"):

@@ -5,6 +5,7 @@ pinned by digest and parse back to equal models, and the Maxwell report's
 first descendant matches the radiative structure written out longhand.
 """
 
+import dataclasses
 import hashlib
 import importlib
 import json
@@ -374,8 +375,47 @@ def test_cli_foliated_bracket_needs_a_foliation(tmp_path, capsys):
 
 
 def test_unknown_builtin_model_raises_model_error():
-    with pytest.raises(model.ModelError, match="unknown built-in model 'nope'"):
+    with pytest.raises(kernel.DeclarationError,
+                       match="unknown built-in model 'nope'"):
         builtin_models.builtin("nope")
+
+
+@pytest.mark.parametrize("changes, message, declaration, name", [
+    (lambda m: {"densities": {**m.densities, "V": forms.volume(3)}},
+     "density 'V' lives over the wrong base", "density", "V"),
+    (lambda m: {"foliation": builtin_models.builtin("chiral").foliation},
+     "foliation slices a different spectrum", "foliation", None),
+    (lambda m: {"phase_densities": {"H": forms.volume(4)}},
+     "phase density 'H' lives over the wrong base", "phase density", "H"),
+    (lambda m: {"foliation": None},
+     "phase densities need a foliation", "phase density", "H"),
+], ids=["density-over-another-dimension", "foliation-of-another-spectrum",
+        "phase-density-over-the-wrong-base", "phase-density-without-slicing"])
+def test_model_rejects_declarations_no_model_text_reaches(
+        changes, message, declaration, name):
+    # the parser reads densities over the model's own spectrum and phase
+    # densities only inside a foliation block, so these need the library
+    m = builtin_models.builtin("maxwell")
+    with pytest.raises(kernel.DeclarationError, match=f"^{message}$") as info:
+        dataclasses.replace(m, **changes(m))
+    assert (info.value.declaration, info.value.name) == (declaration, name)
+
+
+@pytest.mark.parametrize("build, declaration, name", [
+    (lambda: kernel.FieldSpec("u", 2, 0), "field", "u"),
+    (lambda: kernel.Spectrum(0, []), "dim", None),
+    (lambda: kernel.Spectrum(2, [], metric=[1]), "metric", None),
+    (lambda: kernel.Spectrum(1, [kernel.FieldSpec("u", 0, 0)] * 2),
+     "field", "u"),
+    (lambda: kernel.Spectrum(1, [kernel.FieldSpec(
+        "u", 0, 0, shape=(2,), slot_kinds=("internal",))]), "algebra", "u"),
+    (lambda: builtin_models.model_text("nope"), "model", "nope"),
+], ids=["field-parity", "dimension", "metric-length", "duplicate-field",
+        "algebra-form-length", "unknown-built-in"])
+def test_declaration_errors_name_the_declaration(build, declaration, name):
+    with pytest.raises(kernel.DeclarationError) as info:
+        build()
+    assert (info.value.declaration, info.value.name) == (declaration, name)
 
 
 def test_cli_usage_errors_exit_2(capsys):
@@ -466,6 +506,18 @@ SU2_ON_TWO_COMPONENTS = re.sub(
     _chiral_with("form 1 1 1", "form 1 1").replace("shape 3", "shape 2"),
     flags=re.M)
 
+# a dressing read over a zero-dimensional base: over the model's base, and
+# over the leaf of a slicing that leaves no spatial direction
+DRESSED_OVER_NO_BASE = ("model bad\ndim 0\n"
+                        "field u { parity 0, ghost 0, role field, factor 1 }\n"
+                        "structure odd-BV\ndensity S = u\nmaster S\n")
+DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
+                        "field u { parity 0, ghost 0, role field }\n"
+                        "structure odd-BV\ndensity S = u ^ vol\nmaster S\n"
+                        "foliation {\n  time 0\n"
+                        "  field w { parity 0, ghost 0, role field, factor 1 }\n"
+                        "}\n")
+
 
 @pytest.mark.parametrize("text, expression, message", [
     (_chiral_with("structure even-cotangent", "structure odd-BVX"), None,
@@ -551,6 +603,28 @@ SU2_ON_TWO_COMPONENTS = re.sub(
      "line 10, column 1: density 'Z' is not a top horizontal form"),
     (_chiral_with("constants su2", "constants so3"), None,
      "line 9, column 1: unknown structure-constant set 'so3'"),
+    (DRESSED_OVER_NO_BASE, None,
+     "line 2, column 1: base dimension must be positive"),
+    (DRESSED_OVER_NO_LEAF, None,
+     "line 8, column 11: base dimension must be positive"),
+    (_maxwell_with("dim 4\nmetric 1 -1 -1 -1\n", "dim 0\n"), None,
+     "line 2, column 1: base dimension must be positive"),
+    (_maxwell_with("field Cs {", "field C {"), None,
+     "line 7, column 1: duplicate field C"),
+    (_maxwell_with("metric 1 -1 -1 -1", "metric 1 -1 -1"), None,
+     "line 3, column 1: metric must have one diagonal entry per dimension"),
+    (_maxwell_with("density S = (", "density S = (x[7]*"), None,
+     "line 9, column 16: direction 7 out of range for dimension 4"),
+    (_maxwell_with("  time 0\n", "  time\n"), None,
+     "line 12, column 7: expected time directions"),
+    (_maxwell_with("parity 1, ghost 1,", "parity 2, ghost 1,"), None,
+     "line 5, column 7: parity must be 0 or 1, got 2"),
+    (_maxwell_with("role field }", "role gauge }"), None,
+     "line 5, column 7: unknown role 'gauge'"),
+    (_maxwell_with("shape 4 }", "shape 4, slots base base }"), None,
+     "line 4, column 7: slot_kinds must mark every shape slot"),
+    (_maxwell_with("shape 4 }", "shape 4, slots spatial }"), None,
+     "line 4, column 7: unknown slot kind 'spatial'"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
@@ -568,7 +642,11 @@ SU2_ON_TWO_COMPONENTS = re.sub(
         "fractional-integer-attribute", "number-for-a-name",
         "map-without-arrow", "algebra-constants-rank",
         "master-not-declared", "density-not-a-top-form",
-        "unknown-structure-constants"])
+        "unknown-structure-constants", "dressing-over-dimension-0",
+        "dressing-over-a-leaf-of-dimension-0", "dimension-0",
+        "duplicate-field", "metric-too-short", "coordinate-out-of-range",
+        "time-without-directions", "parity-2", "unknown-role",
+        "slot-kinds-too-few", "unknown-slot-kind"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:
@@ -608,7 +686,7 @@ def test_every_vtc_exception_but_parse_and_usage_errors_is_an_engine_error():
         found |= {obj for obj in vars(mod).values()
                   if isinstance(obj, type) and issubclass(obj, BaseException)
                   and obj.__module__ == mod.__name__}
-    assert outside | {kernel.EngineError, model.ModelError} <= found
+    assert outside | {kernel.EngineError} <= found
     for cls in found - outside:
         assert issubclass(cls, kernel.EngineError), cls
     for cls in outside:

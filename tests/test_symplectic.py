@@ -184,7 +184,7 @@ def test_spectrum_rejects_a_dressing_that_is_not_a_form_over_its_base(
                        ) as info:
         Spectrum(2, [FieldSpec("u", EVEN, 0, ROLE_FIELD,
                                form_factor=dressing)])
-    assert info.value.field == "u"
+    assert (info.value.declaration, info.value.name) == ("field", "u")
 
 
 def test_presymp_structure_rejects_bad_theta():
