@@ -31,6 +31,16 @@ class IncompletePhaseMapError(FoliationError):
             "no phase-space image for: " + ", ".join(self.offenders))
 
 
+def check_time_directions(dim: int, time: Sequence[int]) -> None:
+    """Raise a FoliationError unless ``time`` names at least one direction
+    of a ``dim``-dimensional base, and none twice."""
+    for i, j in enumerate(time):
+        if not 0 <= j < dim or j in time[:i]:
+            raise FoliationError(f"bad time direction {j}")
+    if not time:
+        raise FoliationError("a foliation needs at least one time direction")
+
+
 @dataclass(frozen=True)
 class FoliationContext:
     """Constant-coefficient time slicing together with its phase algebra.
@@ -51,14 +61,8 @@ class FoliationContext:
     jet_rules: Mapping[Gen, GradedScalar] = dc_field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        seen = set()
-        for j in self.time_directions:
-            if not 0 <= j < self.spacetime.dim or j in seen:
-                raise FoliationError(f"bad time direction {j}")
-            seen.add(j)
-        if not seen:
-            raise FoliationError("a foliation needs at least one time direction")
-        if self.spatial.dim != self.spacetime.dim - len(seen):
+        check_time_directions(self.spacetime.dim, self.time_directions)
+        if self.spatial.dim != self.spacetime.dim - len(self.time_directions):
             raise FoliationError(
                 "spatial dimension must drop by the number of time directions")
         for name, target in self.field_map.items():
@@ -74,7 +78,7 @@ class FoliationContext:
             if not kernel.is_jet(g):
                 raise FoliationError("jet rules must be keyed by jet variables")
             mi = kernel.jet_mi(g)
-            if not mi or any(j not in seen for j in mi):
+            if not mi or any(j not in self.time_directions for j in mi):
                 raise FoliationError(
                     "jet rules cover time-derivative variables only; got "
                     + printing.gen_text(g))

@@ -138,13 +138,14 @@ class _Parser:
 
     def declared(self, build: Callable[[], Any],
                  at: Optional[Token] = None) -> Any:
-        """``build()``, failing at ``at`` on a ``kernel.DeclarationError``,
-        or else at the keyword of the declaration it names: the named one,
-        else the unnamed one of its kind (the ``algebra`` line, for the
-        algebra form a field's internal slot needs), else that field."""
+        """``build()``, failing at ``at`` on a ``kernel.DeclarationError``
+        or a ``foliation.FoliationError``, or else at the keyword of the
+        declaration it names: the named one, else the unnamed one of its
+        kind (the ``algebra`` line, for the algebra form a field's internal
+        slot needs), else that field."""
         try:
             return build()
-        except kernel.DeclarationError as e:
+        except (kernel.DeclarationError, foliation.FoliationError) as e:
             d = self.declarations
             self.fail(str(e), at or d.get((e.declaration, e.name))
                       or d.get((e.declaration, None))
@@ -512,6 +513,9 @@ class _Parser:
         time = self.int_list()
         if not time:
             self.fail("expected time directions")
+        # first, so the leaf below drops only directions of the base
+        self.declared(
+            lambda: foliation.check_time_directions(spectrum.dim, time), start)
         self.end_line()
 
         field_map: dict[str, str] = {}
@@ -529,7 +533,7 @@ class _Parser:
             self.end_line()
 
         leaf = self.declared(
-            lambda: Spectrum(spectrum.dim - len(set(time)), []), start)
+            lambda: Spectrum(spectrum.dim - len(time), []), start)
         extras = []
         while self.at("name", "field"):
             self.next()
@@ -554,11 +558,8 @@ class _Parser:
         phase_densities = self.densities(spatial, "phase density")
 
         self.expect("op", "}")
-        try:
-            ctx = foliation.FoliationContext(spectrum, spatial, tuple(time),
-                                             field_map, rules)
-        except foliation.FoliationError as e:
-            self.fail(str(e), start)
+        ctx = self.declared(lambda: foliation.FoliationContext(
+            spectrum, spatial, tuple(time), field_map, rules), start)
         return ctx, phase_densities
 
 

@@ -3,9 +3,10 @@ vector fields, brackets of Hamiltonian forms, master-equation checks,
 descent, and the BRST current.
 
 The sign conventions are self-calibrating: reading a Hamiltonian field off a
-source decomposition contracts the structure with probe fields carrying a
-reserved auxiliary generator of the right parity, so every Koszul factor is
-computed by the form engine itself rather than hard-coded.
+source decomposition contracts the structure once with a probe field that
+carries one reserved auxiliary generator of the right parity per direction,
+so every Koszul factor is computed by the form engine itself rather than
+hard-coded.
 """
 
 from __future__ import annotations
@@ -173,53 +174,48 @@ def canonical_structure(spectrum: Spectrum, kind: str) -> PresympStructure:
 # ---------------------------------------------------------------------------
 
 
-def _probe_rows(spectrum: Spectrum, om: LocalForm, h: Gen,
-                probe_parity: int) -> dict[Gen, GradedScalar]:
-    """Rows contributed by direction h: contract omega with a probe field
-    whose component is the reserved auxiliary generator ``.probe``, then
-    strip it off.  The parser cannot create auxiliary generators, so no
-    structure it builds contains ``.probe``.
-
-    The returned coefficient c is normalized so the direction's contribution
-    to the source component along g is (component of h) * c."""
-    aux = kernel.aux_gen(".probe", probe_parity)
-    X = EvoField(spectrum, {h: GradedScalar.generator(aux)}, name="probe")
-    contracted = forms.contract(X, om)
-    vol_key = tuple(range(om.dim))
-    rows: dict[Gen, GradedScalar] = {}
-    for (dxs, contacts), s in contracted.terms.items():
-        if dxs != vol_key or len(contacts) != 1 or kernel.jet_mi(contacts[0]):
-            raise NoHamiltonianFieldError(h, "contraction is not a source form")
-        # one term per g, linear in the probe: its coefficient is nonzero
-        g = contacts[0]
-        rows[g] = s.partials(left=True)[aux] * variational._contact_vol_sign(om.dim, g)
-    return rows
-
-
 def _pairing(structure: PresympStructure, xpar: int,
              ) -> tuple[list[Gen], dict[Gen, dict[Gen, GradedScalar]]]:
     """The structure's underived contact directions h, and its pairing rows
     for a field X of parity xpar: the source component of i_X omega along g
     is the sum over h of (component of X along h) * rows[g][h].  Both are
-    kept in the structure's ``memo``."""
+    read off one contraction of omega and kept in the structure's ``memo``."""
     return kernel.keep(structure.memo, ("pairing", xpar),
                        lambda: _pairing_rows(structure, xpar))
 
 
 def _pairing_rows(structure: PresympStructure, xpar: int,
                   ) -> tuple[list[Gen], dict[Gen, dict[Gen, GradedScalar]]]:
+    """Contract omega with one probe field of parity xpar whose component
+    along the i-th direction is the auxiliary generator ``.probe<i>``, which
+    the parser cannot create: rows[g][h] is the left partial along h's probe
+    of the source term along g."""
     om = structure.omega
     directions = sorted({h for _, contacts in om.terms for h in contacts})
     for h in directions:
         if kernel.jet_mi(h):
             raise NoHamiltonianFieldError(
                 h, "structure has differentiated contact directions")
+    probes = {kernel.aux_gen(f".probe{i}", (xpar + kernel.gen_parity(h)) % 2): h
+              for i, h in enumerate(directions)}
+    X = EvoField(structure.spectrum,
+                 {h: GradedScalar.generator(p) for p, h in probes.items()},
+                 parity=xpar, name="probe")
+    vol_key = tuple(range(om.dim))
     rows: dict[Gen, dict[Gen, GradedScalar]] = {}
-    for h in directions:
-        probe_parity = (xpar + kernel.gen_parity(h)) % 2
-        for g, c in _probe_rows(structure.spectrum, om, h,
-                                probe_parity).items():
-            rows.setdefault(g, {})[h] = c
+    not_source: list[Gen] = []
+    for (dxs, contacts), s in forms.contract(X, om).terms.items():
+        # linear in the probes: each partial along one is free of them all
+        by_h = {probes[p]: c for p, c in s.partials(left=True).items()
+                if p in probes}
+        if dxs != vol_key or len(contacts) != 1 or kernel.jet_mi(contacts[0]):
+            not_source.extend(by_h)
+            continue
+        sign = variational._contact_vol_sign(om.dim, contacts[0])
+        rows[contacts[0]] = {h: c * sign for h, c in sorted(by_h.items())}
+    if not_source:
+        raise NoHamiltonianFieldError(min(not_source),
+                                      "contraction is not a source form")
     return directions, rows
 
 
@@ -286,28 +282,20 @@ def _solve_field(O: LocalForm, structure: PresympStructure) -> EvoField:
         if progress:
             continue
         # no single-unknown rows left: pin all but one unknown in some row
-        chosen = None
         for g in sorted(pending):
-            open_cols = sorted(h for h, c in pending[g].items() if unknowns[h] is None)
+            open_cols = sorted(h for h in pending[g] if unknowns[h] is None)
             solvable = [h for h in open_cols if _constant_of(pending[g][h]) is not None]
             if solvable:
-                chosen = (g, solvable[0], open_cols)
+                for h in open_cols:
+                    if h != solvable[0]:
+                        unknowns[h] = kernel.ZERO
                 break
-        if chosen is None:
-            g = sorted(pending)[0]
-            raise NoHamiltonianFieldError(g, "no invertible pairing row")
-        g, h, open_cols = chosen
-        for h2 in open_cols:
-            if h2 != h:
-                unknowns[h2] = kernel.ZERO
-    for h in directions:
-        if unknowns[h] is None:
-            unknowns[h] = kernel.ZERO
-    # consistency: every row must now be satisfied
-    for g, cols in rows.items():
-        total = kernel.ZERO
-        for h, c in cols.items():
-            total = total + unknowns[h] * c
+        else:
+            raise NoHamiltonianFieldError(min(pending), "no invertible pairing row")
+    # consistency, the least failing row first: an unknown still open is 0
+    for g in sorted(rows):
+        total = sum((unknowns[h] * c for h, c in rows[g].items()
+                     if unknowns[h] is not None), kernel.ZERO)
         if total != residue[g]:
             raise NoHamiltonianFieldError(
                 g, "source component not in the structure's image")

@@ -617,6 +617,10 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
      "line 9, column 16: direction 7 out of range for dimension 4"),
     (_maxwell_with("  time 0\n", "  time\n"), None,
      "line 12, column 7: expected time directions"),
+    (_maxwell_with("  time 0\n", "  time 7\n"), None,
+     "line 11, column 11: bad time direction 7"),
+    (_maxwell_with("  time 0\n", "  time 4\n"), None,
+     "line 11, column 11: bad time direction 4"),
     (_maxwell_with("parity 1, ghost 1,", "parity 2, ghost 1,"), None,
      "line 5, column 7: parity must be 0 or 1, got 2"),
     (_maxwell_with("role field }", "role gauge }"), None,
@@ -645,7 +649,8 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
         "unknown-structure-constants", "dressing-over-dimension-0",
         "dressing-over-a-leaf-of-dimension-0", "dimension-0",
         "duplicate-field", "metric-too-short", "coordinate-out-of-range",
-        "time-without-directions", "parity-2", "unknown-role",
+        "time-without-directions", "time-direction-7",
+        "time-direction-past-the-base", "parity-2", "unknown-role",
         "slot-kinds-too-few", "unknown-slot-kind"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):

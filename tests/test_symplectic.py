@@ -14,8 +14,9 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from vtc import (builtin_models, forms, kernel, model, parser, symplectic,
-                 variational)
+import vtc
+from vtc import (builtin_models, forms, kernel, model, parser, report,
+                 symplectic, variational)
 from vtc.forms import LocalForm
 from vtc.kernel import (EVEN, ODD, ROLE_ANTIFIELD, ROLE_FIELD, FieldSpec,
                         Spectrum)
@@ -616,6 +617,108 @@ def test_hamiltonian_field_rejects_differentiated_structure():
     with pytest.raises(symplectic.NoHamiltonianFieldError):
         symplectic.hamiltonian_field(
             forms.wedge(forms.scalar_form(1, u * us), vol), st)
+
+
+PQRST = Spectrum(1, [FieldSpec(n, EVEN, 0, ROLE_FIELD, ()) for n in "pqrst"])
+
+
+def _pqrst_solve(omega: str, O: str):
+    st = symplectic.PresympStructure(
+        parser.parse_expression(omega, PQRST), spectrum=PQRST)
+    return symplectic.hamiltonian_field(parser.parse_expression(O, PQRST), st)
+
+
+def test_hamiltonian_field_pins_all_but_one_unknown_of_a_row():
+    # row p pairs q and r and no row has a single unknown: r is pinned to 0
+    X = _pqrst_solve("del(p) ^ (del(q) + del(r)) ^ dx[0]", "p ^ dx[0]")
+    assert repr(X) == "EvoField[q: 1]"
+
+
+@pytest.mark.parametrize("omega, O, message", [
+    ("x[0] * del(p) ^ del(q) ^ dx[0]", "p ^ dx[0]",
+     "no invertible pairing row along p"),
+    ("del(p) ^ del(q) ^ dx[0] + del(r) ^ del(s) ^ del(t)", "p ^ dx[0]",
+     "contraction is not a source form along r"),
+    ("del(p) ^ (del(q) + del(r) + del(s)) ^ dx[0]", "q ^ dx[0]",
+     "not in the structure's image along r"),
+], ids=["non-constant-row", "not-a-source-form", "not-in-the-image"])
+def test_hamiltonian_field_names_the_direction_it_cannot_solve(omega, O,
+                                                               message):
+    with pytest.raises(symplectic.NoHamiltonianFieldError, match=message):
+        _pqrst_solve(omega, O)
+
+
+def test_the_image_check_names_the_least_failing_row_in_any_row_order(
+        monkeypatch):
+    # rows r and s both fail; reversing the rows' order must not change
+    # which one the error names
+    pairing = symplectic._pairing
+
+    def reversed_rows(structure, xpar):
+        directions, rows = pairing(structure, xpar)
+        return directions, dict(reversed(rows.items()))
+
+    monkeypatch.setattr(symplectic, "_pairing", reversed_rows)
+    with pytest.raises(symplectic.NoHamiltonianFieldError,
+                       match="not in the structure's image along r"):
+        _pqrst_solve("del(p) ^ (del(q) + del(r) + del(s)) ^ dx[0]",
+                     "q ^ dx[0]")
+
+
+def _rows_one_direction_at_a_time(structure, xpar):
+    """Reference pairing rows: contract omega once per direction h with a
+    field whose only component, along h, is one auxiliary generator."""
+    om = structure.omega
+    directions = sorted({h for _, contacts in om.terms for h in contacts})
+    for h in directions:
+        if kernel.jet_mi(h):
+            raise symplectic.NoHamiltonianFieldError(
+                h, "structure has differentiated contact directions")
+    rows = {}
+    for h in directions:
+        aux = kernel.aux_gen(".probe", (xpar + kernel.gen_parity(h)) % 2)
+        X = forms.EvoField(structure.spectrum,
+                           {h: kernel.GradedScalar.generator(aux)})
+        for (dxs, contacts), s in forms.contract(X, om).terms.items():
+            if (dxs != tuple(range(om.dim)) or len(contacts) != 1
+                    or kernel.jet_mi(contacts[0])):
+                raise symplectic.NoHamiltonianFieldError(
+                    h, "contraction is not a source form")
+            g = contacts[0]
+            rows.setdefault(g, {})[h] = (
+                s.partials(left=True)[aux]
+                * variational._contact_vol_sign(om.dim, g))
+    return directions, rows
+
+
+def _outcome(rows_of, structure, xpar):
+    try:
+        return rows_of(structure, xpar)
+    except symplectic.NoHamiltonianFieldError as e:
+        return str(e)
+
+
+def test_one_probe_contraction_gives_the_per_direction_rows(monkeypatch):
+    built = []
+    post_init = symplectic.PresympStructure.__post_init__
+
+    def recording(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(symplectic.PresympStructure, "__post_init__",
+                        recording)
+    for name in ("maxwell", "chiral"):
+        report.run_pipeline(builtin_models.builtin(name))
+    built.append(_load_calculus().Calculus(vtc).structure)
+    assert len(built) >= 5
+    pairable = 0
+    for st in built:
+        for xpar in (EVEN, ODD):
+            want = _outcome(_rows_one_direction_at_a_time, st, xpar)
+            assert _outcome(symplectic._pairing_rows, st, xpar) == want
+            pairable += not isinstance(want, str)
+    assert pairable >= 6
 
 
 # ---------------------------------------------------------------------------
