@@ -106,9 +106,9 @@ class LocalForm:
     """A local differential form over an n-dimensional base.
 
     Forms are values: never mutate ``terms``.  A form keeps its own hash,
-    d and horizontal homotopy once computed, in its ``memo`` dict under the
-    operation and the jet-order cap (``kernel.keep``), and drops them with
-    itself.
+    d, delta and horizontal homotopy once computed, in its ``memo`` dict
+    under the operation and the jet-order cap (``kernel.keep``), and drops
+    them with itself.
     """
 
     __slots__ = ("dim", "terms", "memo")
@@ -215,9 +215,21 @@ class LocalForm:
         return {w: LocalForm(self.dim, t) for w, t in sorted(out.items())}
 
     def grade_of(self, grading: str) -> Optional[int]:
-        """Common grade of all terms, or None when inhomogeneous / zero."""
-        split = self.grade_split(grading)
-        return next(iter(split)) if len(split) == 1 else None
+        """Common grade of all terms, or None when inhomogeneous / zero: the
+        key of ``grade_split``'s one piece, read term by term until a second
+        grade appears."""
+        grade = None
+        for key, s in self.terms.items():
+            w = s.grade_of(grading)
+            if w is None:
+                return None
+            w += _key_grade(key, grading)
+            if grading == "parity":
+                w %= 2
+            if grade is not None and w != grade:
+                return None
+            grade = w
+        return grade
 
     def parity(self) -> Optional[int]:
         return self.grade_of("parity")
@@ -273,9 +285,10 @@ def wedge(a: LocalForm, b: LocalForm) -> LocalForm:
     _same_dim(a, b)
     a_terms = [(ka, sum(_contact_parity(g) for g in ka[1]) % 2, sa)
                for ka, sa in a.terms.items()]
+    a_odd = any((len(ka[0]) + cpar) % 2 for ka, cpar, _ in a_terms)
     out: dict[Key, GradedScalar] = {}
     for kb, sb in b.terms.items():
-        flipped = _odd_part_negated(sb)
+        flipped = _odd_part_negated(sb) if a_odd else sb
         for ka, cpar, sa in a_terms:
             # b's scalar moves left past a's dx's and contacts
             s = sa * (flipped if (len(ka[0]) + cpar) % 2 else sb)
@@ -396,7 +409,12 @@ def _d(form: LocalForm) -> LocalForm:
 
 
 def delta(form: LocalForm) -> LocalForm:
-    """Vertical differential (odd right derivation)."""
+    """Vertical differential (odd right derivation).  The form keeps it
+    (``kernel.keep``), as it keeps ``d``."""
+    return kernel.keep(form.memo, "delta", lambda: _delta(form))
+
+
+def _delta(form: LocalForm) -> LocalForm:
     out: dict[Key, GradedScalar] = {}
     dim = form.dim
     for (dxs, contacts), s in form.terms.items():
@@ -534,8 +552,7 @@ def add_fields(X: EvoField, Y: EvoField) -> EvoField:
 def contract(X: EvoField, form: LocalForm) -> LocalForm:
     """Interior product with an evolutionary field: a right derivation of
     parity parity(X) + 1 sending d(phi^a_I) to X^a_I."""
-    out: dict[Key, GradedScalar] = {}
-    dim = form.dim
+    out: dict[Key, dict[kernel.Monomial, kernel.Coefficient]] = {}
     dpar = (X.parity + 1) % 2
     for (dxs, contacts), s in form.terms.items():
         crossed = len(dxs)
@@ -545,12 +562,15 @@ def contract(X: EvoField, form: LocalForm) -> LocalForm:
                 # the component moves left past the dx^i and contacts[:idx]
                 if crossed % 2:
                     comp = _odd_part_negated(comp)
-                if dpar and sum(_contact_parity(h) for h in contacts[idx + 1:]) % 2:
-                    comp = -comp
-                kernel.add_into(out, (dxs, contacts[:idx] + contacts[idx + 1:]),
-                                s * comp)
+                negate = bool(dpar and sum(_contact_parity(h)
+                                           for h in contacts[idx + 1:]) % 2)
+                kernel.mul_into(
+                    out.setdefault((dxs, contacts[:idx] + contacts[idx + 1:]), {}),
+                    s.terms, comp.terms, negate)
             crossed += _contact_parity(g)
-    return LocalForm._wrap(dim, out)
+    # a key whose monomials all cancelled is dropped
+    return LocalForm._wrap(form.dim, {key: GradedScalar._wrap(t)
+                                      for key, t in out.items() if t})
 
 
 def lie(X: EvoField, form: LocalForm) -> LocalForm:

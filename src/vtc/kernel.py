@@ -7,13 +7,14 @@ Coefficients are exact rationals in one form (``exact``): an ``int``
 exactly when the value is integral, a ``Fraction`` only when its
 denominator is greater than 1, and never zero.  Every sparse sum, of
 coefficients or of scalars, is built by ``add_into``, which keeps that
-contract in one place.  Grassmann-odd generators anticommute and
-square to zero.  Everything downstream (forms, variational calculus,
-brackets) is built on top of this module.  Its one bound is the jet-order
-cap, ``JET_ORDER_CAP``: a context variable that every jet shift reads, so
-no operation takes the cap as an argument.  Every result an object keeps
-lives on its owner's ``memo`` dict, kept by ``keep`` under the operation
-and the cap.
+contract in one place; ``mul_into``, the one multiply-accumulate, adds a
+product of scalars into a sparse sum through it.  Grassmann-odd
+generators anticommute and square to zero.  Everything downstream (forms,
+variational calculus, brackets) is built on top of this module.  Its one
+bound is the jet-order cap, ``JET_ORDER_CAP``: a context variable that
+every jet shift reads, so no operation takes the cap as an argument.
+Every result an object keeps lives on its owner's ``memo`` dict, kept by
+``keep`` under the operation and the cap.
 """
 
 from __future__ import annotations
@@ -337,7 +338,14 @@ ONE_MONO: Monomial = ()
 
 
 def mono_parity(m: Monomial) -> int:
-    return sum(gen_parity(g) * e for g, e in m) % 2
+    odd = 0
+    for g, e in m:
+        rank = g[0]
+        if rank == 2:
+            odd += g[5] * e
+        elif rank == 3:
+            odd += g[2] * e
+    return odd % 2
 
 
 def mono_ghost(m: Monomial) -> int:
@@ -458,6 +466,18 @@ def add_into(out: dict, key, value) -> None:
         out.pop(key, None)
 
 
+def mul_into(out: dict, a_terms: Mapping[Monomial, Coefficient],
+             b_terms: Mapping[Monomial, Coefficient], negate: bool) -> None:
+    """Add the product of the scalars on ``a_terms`` and ``b_terms``, negated
+    when ``negate``, into the sparse sum ``out``, term by term
+    (``add_into``): the one multiply-accumulate."""
+    for m1, c1 in a_terms.items():
+        for m2, c2 in b_terms.items():
+            sign, m = mono_mul(m1, m2)
+            if m is not None:
+                add_into(out, m, -c1 * c2 if (sign < 0) != negate else c1 * c2)
+
+
 class GradedScalar:
     """Exact polynomial in graded generators: a map monomial -> rational.
 
@@ -550,11 +570,7 @@ class GradedScalar:
             return GradedScalar._wrap(
                 {m: exact(c * other) for m, c in self.terms.items()} if other else {})
         out: dict[Monomial, Coefficient] = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                sign, m = mono_mul(m1, m2)
-                if m is not None:
-                    add_into(out, m, -c1 * c2 if sign < 0 else c1 * c2)
+        mul_into(out, self.terms, other.terms, False)
         return GradedScalar._wrap(out)
 
     def __rmul__(self, other: Coefficient) -> "GradedScalar":
@@ -569,10 +585,15 @@ class GradedScalar:
 
         ``grading`` is one of "parity", "ghost", "momentum", "polyvector".
         """
-        values = {mono_grade(m, grading) for m in self.terms}
-        if len(values) != 1:
-            return None
-        return values.pop()
+        grade = None
+        for m in self.terms:
+            w = (mono_parity(m) if grading == "parity"
+                 else mono_grade(m, grading))
+            if w != grade:
+                if grade is not None:
+                    return None
+                grade = w
+        return grade
 
     def grade_split(self, grading: str) -> dict[int, "GradedScalar"]:
         """Decompose into homogeneous pieces of the given grading."""

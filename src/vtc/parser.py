@@ -40,6 +40,7 @@ equal model.
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Any, Callable, Optional, Sequence
@@ -173,11 +174,21 @@ class _Parser:
 
     # -- small shared pieces ----------------------------------------------
 
+    def literal(self, read: Callable[[str], Any], t: Token) -> Any:
+        """``read`` of a number token's text; a literal with more digits
+        than Python converts (``sys.get_int_max_str_digits``) fails at
+        its token."""
+        try:
+            return read(t.text)
+        except ValueError:
+            self.fail(f"number has more than {sys.get_int_max_str_digits()} "
+                      "digits", t)
+
     def integer(self) -> int:
         t = self.peek()
         if t.kind != "number" or "/" in t.text:
             self.fail(f"expected an integer, got {_shown(t)}", t)
-        return int(self.next().text)
+        return self.literal(int, self.next())
 
     def signed_integer(self) -> int:
         if self.at("op", "-"):
@@ -189,7 +200,7 @@ class _Parser:
         """The rational literal of a number token, with nonzero denominator."""
         if re.fullmatch(r"\d+/0+", t.text):
             self.fail(f"zero denominator in {t.text!r}", t)
-        return Fraction(t.text)
+        return self.literal(Fraction, t)
 
     def number(self) -> Fraction:
         neg = False
@@ -222,10 +233,10 @@ class _Parser:
             out.append(self.name())
         return tuple(out)
 
-    def int_list(self) -> tuple[int, ...]:
+    def int_list(self, signed: bool = False) -> tuple[int, ...]:
         out = []
-        while self.at("number"):
-            out.append(self.integer())
+        while self.at("number") or signed and self.at("op", "-"):
+            out.append(self.signed_integer() if signed else self.integer())
         return tuple(out)
 
     def num_list(self) -> tuple[Fraction, ...]:
@@ -510,7 +521,8 @@ class _Parser:
         self.end_line()
 
         self.expect("name", "time")
-        time = self.int_list()
+        # signed, so that check_time_directions names a negative direction
+        time = self.int_list(signed=True)
         if not time:
             self.fail("expected time directions")
         # first, so the leaf below drops only directions of the base

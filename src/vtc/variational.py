@@ -74,16 +74,15 @@ def el_derivative(lam: LocalForm) -> dict[Gen, GradedScalar]:
     variation are omitted.
     """
     L = _top_scalar(lam)
-    acc: dict[Gen, GradedScalar] = {}
+    acc: dict[Gen, dict[kernel.Monomial, kernel.Coefficient]] = {}
     for g, part in sorted(L.partials().items()):
         if not kernel.is_jet(g):
             continue
         mi = kernel.jet_mi(g)
-        term = part.total_derivative_mi(mi)
-        if len(mi) % 2:
-            term = -term
-        kernel.add_into(acc, kernel.jet_base(g), term)
-    return acc
+        out = acc.setdefault(kernel.jet_base(g), {})
+        for m, c in part.total_derivative_mi(mi).terms.items():
+            kernel.add_into(out, m, -c if len(mi) % 2 else c)
+    return {g: GradedScalar._wrap(t) for g, t in acc.items() if t}
 
 
 def _contact_vol_sign(dim: int, g: Gen) -> int:

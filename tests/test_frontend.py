@@ -9,9 +9,12 @@ import dataclasses
 import hashlib
 import importlib
 import json
+import os
 import pathlib
 import pkgutil
 import re
+import subprocess
+import sys
 from fractions import Fraction as Fr
 
 import pytest
@@ -621,6 +624,8 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
      "line 11, column 11: bad time direction 7"),
     (_maxwell_with("  time 0\n", "  time 4\n"), None,
      "line 11, column 11: bad time direction 4"),
+    (_maxwell_with("  time 0\n", "  time -1\n"), None,
+     "line 11, column 11: bad time direction -1"),
     (_maxwell_with("parity 1, ghost 1,", "parity 2, ghost 1,"), None,
      "line 5, column 7: parity must be 0 or 1, got 2"),
     (_maxwell_with("role field }", "role gauge }"), None,
@@ -650,7 +655,8 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
         "dressing-over-a-leaf-of-dimension-0", "dimension-0",
         "duplicate-field", "metric-too-short", "coordinate-out-of-range",
         "time-without-directions", "time-direction-7",
-        "time-direction-past-the-base", "parity-2", "unknown-role",
+        "time-direction-past-the-base", "negative-time-direction",
+        "parity-2", "unknown-role",
         "slot-kinds-too-few", "unknown-slot-kind"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
@@ -664,6 +670,25 @@ def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
     captured = capsys.readouterr()
     assert captured.err == f"vtc: {message}\n"
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("old, new, where", [
+    ("density S = (1/2*", "density S = (1/2*" + "7" * 4301 + "*",
+     "line 9, column 18"),
+    ("parity 1,", "parity 1" + "0" * 4300 + ",", "line 5, column 18"),
+], ids=["coefficient", "integer-attribute"])
+def test_cli_rejects_a_literal_past_the_digit_limit(tmp_path, old, new, where):
+    # Python converts at most 4300 digits by default; a longer literal is a
+    # parse error at its token, not a traceback from int() or Fraction()
+    path = tmp_path / "long.vtc"
+    path.write_text(_maxwell_with(old, new))
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(vtc.__file__).parents[1]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    done = subprocess.run([sys.executable, "-m", "vtc.cli", "check-master",
+                           str(path)], capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert done.stderr == f"vtc: {where}: number has more than 4300 digits\n"
+    assert "Traceback" not in done.stdout + done.stderr
 
 
 def test_base_slot_past_the_metric_is_a_stage_error(tmp_path, capsys):

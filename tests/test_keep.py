@@ -34,7 +34,7 @@ class Pool:
                         "leaf": self.model.foliation.spatial}
         self.structure = self.model.structure()
         queries = calculus.make_queries(0, 200)
-        # forms d and h are asked of: homotopy and divergence inputs
+        # forms d, delta and h are asked of: homotopy and divergence inputs
         self.forms = sorted({(q.space, q.texts[0]) for q in queries
                              if q.kind != "bracket"})
         # densities over the spacetime structure: bracket arguments and
@@ -94,6 +94,7 @@ def _system_site(name):
 SITES = {
     "LocalForm.__hash__": _form_site(forms.LocalForm.__hash__),
     "forms.d": _form_site(forms.d),
+    "forms.delta": _form_site(forms.delta),
     "horizontal_homotopy": _form_site(variational.horizontal_homotopy),
     "EvoField.component": _component_site,
     "hamiltonian_field": _field_site,

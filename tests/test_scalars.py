@@ -514,3 +514,42 @@ def test_grade_split_reassembles_random():
             parts = w.grade_split(grading)
             assert sum(parts.values(), F.LocalForm(4)) == w
             assert all(p.grade_of(grading) == k for k, p in parts.items())
+
+
+@pytest.fixture(scope="module")
+def calculus_forms():
+    """Every form the seed-0 calculus queries parse, in every space."""
+    m = parser.parse_model(builtin_models.model_text("maxwell"))
+    spectra = {"spacetime": m.spectrum, "leaf": m.foliation.spatial}
+    texts = sorted({(q.space, t) for q in _load_calculus().make_queries(0, 200)
+                    for t in q.texts})
+    return [parser.parse_expression(t, spectra[space]) for space, t in texts]
+
+
+def _split_grade(parts):
+    return next(iter(parts)) if len(parts) == 1 else None
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), rnd=st.randoms(use_true_random=False))
+def test_grade_of_is_the_one_key_of_the_split(calculus_forms, data, rnd):
+    # grade_of reads grades term by term and stops at a second one; it
+    # names the piece grade_split would make, or None when there are two
+    # or none
+    drawn = (data.draw(st.sampled_from(calculus_forms)), random_form(rnd),
+             random_scalar(rnd, nterms=4))
+    for v in drawn:
+        for grading in ("parity", "ghost", "momentum", "polyvector"):
+            assert v.grade_of(grading) == _split_grade(v.grade_split(grading))
+
+
+GENERATORS = [K.param_gen("k"), K.coord_gen(1), G("A", (0,), (1,)), G("C"),
+              G("As", (2,)), G("Cs", (), (0, 0)), K.aux_gen("e"),
+              K.aux_gen("o", K.ODD, 1)]
+
+
+@given(st.lists(st.tuples(st.sampled_from(GENERATORS), st.integers(1, 4)),
+                max_size=6))
+def test_mono_parity_sums_the_generator_parities(m):
+    m = tuple(m)
+    assert K.mono_parity(m) == sum(K.gen_parity(g) * e for g, e in m) % 2
