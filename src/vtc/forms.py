@@ -350,38 +350,43 @@ def d_monomial(dim: int, key: MonoKey) -> dict[MonoKey, int]:
     1, as {form monomial: integer coefficient}."""
     dxs, contacts, mono = key
     out: dict[MonoKey, int] = {}
-    if len(dxs) == dim:
+    n = len(dxs)
+    if n == dim:
         return out
-    cpar = sum(_contact_parity(g) for g in contacts)
+    pars = [_contact_parity(g) for g in contacts]
+    cpar = sum(pars)
     # the directions j whose dx^j is not in w yet, with the number of
-    # dx^i in w with i < j
-    free = [(j, bisect_left(dxs, j)) for j in range(dim) if j not in dxs]
+    # dx^i in w with i < j and the dx of the image
+    free = []
+    for j in range(dim):
+        pos = bisect_left(dxs, j)
+        if pos == n or dxs[pos] != j:
+            free.append((j, pos, dxs[:pos] + (j,) + dxs[pos:]))
     # (-1)^{P(w)} total_j(s) ^ dx^j ^ w: dx^j moves right past the dx^i
     # with i < j; the image monomials are distinct
-    for j, pos in free:
-        odd = (len(dxs) + cpar + pos) % 2
-        jdxs = dxs[:pos] + (j,) + dxs[pos:]
+    for j, pos, jdxs in free:
+        odd = (n + cpar + pos) % 2
         for m, k in kernel.mono_total_derivative(mono, j):
             out[(jdxs, contacts, m)] = -k if odd else k
     # d(phi_I) -> d(phi_{Ij}) ^ dx^j, signed by the parity of the contacts
     # after it; dx^j moves left past the earlier contacts, d(phi_{Ij}) and
     # the dx^i with i > j (together C(w) + #(i > j)), then d(phi_{Ij})
-    # moves to its sorted place among the others.  A repeated even contact
-    # gives the same image once per copy.
+    # moves to its sorted place k among the others, past the contacts of
+    # the others between k and idx.  A repeated even contact gives the same
+    # image once per copy.
     for idx, g in enumerate(contacts):
-        p = _contact_parity(g)
+        p = pars[idx]
         others = contacts[:idx] + contacts[idx + 1:]
-        for j, pos in free:
+        for j, pos, jdxs in free:
             g2 = kernel.jet_shift(g, j)
-            if p and g2 in others:
-                continue
-            k = bisect_right(others, g2)
-            sign = cpar + len(dxs) - pos
+            k = bisect_left(others, g2)
+            sign = cpar + n - pos
             if p:
-                sign += sum(_contact_parity(h)
-                            for h in others[min(k, idx):max(k, idx)])
-            image = (dxs[:pos] + (j,) + dxs[pos:], others[:k] + (g2,) + others[k:], mono)
-            kernel.add_into(out, image, -1 if sign % 2 else 1)
+                if k < len(others) and others[k] == g2:
+                    continue
+                sign += sum(pars[k:idx]) if k <= idx else sum(pars[idx + 1:k + 1])
+            kernel.add_into(out, (jdxs, others[:k] + (g2,) + others[k:], mono),
+                            -1 if sign % 2 else 1)
     return out
 
 

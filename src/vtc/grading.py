@@ -419,6 +419,29 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
 # ---------------------------------------------------------------------------
 
 
+def check_arity(generator: LocalForm, arity: int,
+                args: Sequence[LocalForm]) -> None:
+    """Raise ArityError unless ``generator`` is homogeneous of momentum
+    degree ``arity``, at least 1, and every nonzero one of ``args`` is
+    homogeneous of momentum degree 0."""
+    if not arity:
+        raise ArityError("derived bracket needs at least one argument")
+    degrees = list(generator.grade_split(KIND_MOMENTUM))
+    if len(degrees) != 1:
+        raise ArityError(
+            f"generator is not degree-homogeneous (degrees {degrees})")
+    gen_degree = degrees[0]
+    if gen_degree != arity:
+        raise ArityError(
+            f"generator of degree {gen_degree} defines a {gen_degree}-ary "
+            f"bracket, got {arity} arguments")
+    for pos, a in enumerate(args):
+        found = list(a.grade_split(KIND_MOMENTUM))
+        if found not in ([], [0]):
+            raise ArityError(
+                f"argument {pos} has momentum degrees {found}, expected [0]")
+
+
 def derived_bracket(generator: LocalForm, args: Sequence[LocalForm],
                     structure: symplectic.PresympStructure) -> LocalForm:
     """n-ary bracket of degree-0 densities derived from a degree-n generator.
@@ -426,26 +449,11 @@ def derived_bracket(generator: LocalForm, args: Sequence[LocalForm],
     Evaluates the nested bracket {...{{generator, a_1}, a_2}, ..., a_n}.
     The generator must be homogeneous of momentum degree equal to the number
     of arguments, and every nonzero argument homogeneous of momentum degree
-    0; mismatches raise ArityError.  Each nesting step consumes one degree,
-    so the result is again of degree 0.
+    0; mismatches raise ArityError (``check_arity``).  Each nesting step
+    consumes one degree, so the result is again of degree 0.
     """
     args = list(args)
-    if not args:
-        raise ArityError("derived bracket needs at least one argument")
-    degrees = list(generator.grade_split(KIND_MOMENTUM))
-    if len(degrees) != 1:
-        raise ArityError(
-            f"generator is not degree-homogeneous (degrees {degrees})")
-    gen_degree = degrees[0]
-    if gen_degree != len(args):
-        raise ArityError(
-            f"generator of degree {gen_degree} defines a {gen_degree}-ary "
-            f"bracket, got {len(args)} arguments")
-    for pos, a in enumerate(args):
-        found = list(a.grade_split(KIND_MOMENTUM))
-        if found not in ([], [0]):
-            raise ArityError(
-                f"argument {pos} has momentum degrees {found}, expected [0]")
+    check_arity(generator, len(args), args)
     out = generator
     for a in args:
         out = symplectic.bracket(out, a, structure)

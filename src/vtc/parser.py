@@ -110,6 +110,13 @@ _WANTED = _ENDS | {"name": "a name", "number": "a number", "arrow": "'->'",
                    "assign": "':='"}
 
 
+# How deep an expression may nest.  Each level costs the recursive descent
+# at most four frames, so the deepest expression stays far below Python's
+# default recursion limit of 1000 frames wherever the parser is called from,
+# and whether an input parses does not depend on that limit.
+MAX_NESTING = 100
+
+
 def _shown(t: Token) -> str:
     return _ENDS.get(t.kind) or repr(t.text)
 
@@ -118,6 +125,8 @@ class _Parser:
     def __init__(self, toks: Sequence[Token]):
         self.toks = list(toks)
         self.pos = 0
+        # the levels of nesting open at the current token (``opened``)
+        self.nesting = 0
         # the keyword token of each declaration, keyed by the
         # (declaration, name) pair a kernel.DeclarationError names
         self.declarations: dict[tuple[str, Optional[str]], Token] = {}
@@ -263,18 +272,33 @@ class _Parser:
             a = forms.wedge(a, self.factor(spectrum))
         return a
 
+    def opened(self, t: Token) -> None:
+        """Enter the level of nesting that ``t`` opens: a parenthesis,
+        ``d(``, ``del(``, ``ib(`` or a unary minus.  The level past
+        MAX_NESTING fails at ``t``."""
+        if self.nesting == MAX_NESTING:
+            self.fail(f"expression nested more than {MAX_NESTING} levels deep", t)
+        self.nesting += 1
+
+    def closed(self) -> None:
+        """Leave a level of nesting at its closing parenthesis."""
+        self.expect("op", ")")
+        self.nesting -= 1
+
     def factor(self, spectrum: Spectrum) -> LocalForm:
         if self.at("op", "-"):
-            self.next()
-            return self.factor(spectrum).scale(-1)
+            self.opened(self.next())
+            a = self.factor(spectrum).scale(-1)
+            self.nesting -= 1
+            return a
         return self.atom(spectrum)
 
     def atom(self, spectrum: Spectrum) -> LocalForm:
         dim = spectrum.dim
         if self.at("op", "("):
-            self.next()
+            self.opened(self.next())
             a = self.expression(spectrum)
-            self.expect("op", ")")
+            self.closed()
             return a
         if self.at("number"):
             return forms.scalar_form(dim, self.fraction(self.next()))
@@ -293,11 +317,13 @@ class _Parser:
                 dim, GradedScalar.generator(kernel.coord_gen(j)))
         if word in ("d", "del"):
             self.expect("op", "(")
+            self.opened(t)
             a = self.expression(spectrum)
-            self.expect("op", ")")
+            self.closed()
             return forms.d(a) if word == "d" else forms.delta(a)
         if word == "ib":
             self.expect("op", "(")
+            self.opened(t)
             j = self.integer()
             if not 0 <= j < dim:
                 self.fail(f"direction {j} out of range for dimension {dim}", t)
@@ -306,7 +332,7 @@ class _Parser:
             a = self.expression(spectrum)
             if not a.is_zero() and a.vdeg() != 0:
                 self.fail("ib(j, ...) takes a horizontal form", arg)
-            self.expect("op", ")")
+            self.closed()
             return forms.interior_coordinate(a, j)
         if word in spectrum.parameters:
             return forms.scalar_form(dim, kernel.parameter(word))

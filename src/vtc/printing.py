@@ -29,6 +29,38 @@ if TYPE_CHECKING:
     from .forms import LocalForm
 
 
+# A power of ten with fewer digits than any limit on int-to-str conversion
+# Python allows (``sys.set_int_max_str_digits`` takes 0 or at least 640).
+_CHUNK_DIGITS = 500
+_CHUNK = 10 ** _CHUNK_DIGITS
+
+
+def int_text(n: int) -> str:
+    """The decimal text of an int of any size, as ``int.__repr__`` writes
+    it.  That refuses more than ``sys.get_int_max_str_digits()`` digits;
+    only then are the digits cut off by divmod, a chunk at a time."""
+    try:
+        return int.__repr__(n)
+    except ValueError:
+        pass
+    sign, rest = ("-", -n) if n < 0 else ("", n)
+    chunks = []
+    while rest >= _CHUNK:
+        rest, low = divmod(rest, _CHUNK)
+        chunks.append(f"{low:0{_CHUNK_DIGITS}d}")
+    chunks.append(int.__repr__(rest))
+    return sign + "".join(reversed(chunks))
+
+
+def number_text(q: kernel.Coefficient) -> str:
+    """``str`` of an exact coefficient, an int or a Fraction, of any size."""
+    try:
+        return str(q)
+    except ValueError:
+        text = int_text(q.numerator)
+        return text if q.denominator == 1 else f"{text}/{int_text(q.denominator)}"
+
+
 def index_text(t: Sequence[int]) -> str:
     """Indices separated by spaces, as in ``A[0 1]`` or ``time 0``."""
     return " ".join(str(i) for i in t)
@@ -76,7 +108,10 @@ def sum_text(pairs: Iterable[tuple[list[str], kernel.Coefficient]]) -> str:
     out = ""
     for factors, c in pairs:
         a, body = abs(c), "*".join(factors)
-        body = f"{a}*{body}" if body and a != 1 else body or str(a)
+        if not body:
+            body = number_text(a)
+        elif a != 1:
+            body = f"{number_text(a)}*{body}"
         if out:
             out += (" - " if c < 0 else " + ") + body
         else:

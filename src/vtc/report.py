@@ -33,7 +33,8 @@ def form_json(a: LocalForm) -> dict:
     the one ``printing.form_walk`` of the form."""
     walk = printing.form_walk(a)
     terms = [{"dx": list(dxs), "contacts": contacts,
-              "scalar": [{"monomial": factors, "coefficient": str(c)}
+              "scalar": [{"monomial": factors,
+                          "coefficient": printing.number_text(c)}
                          for factors, c in pairs]}
              for dxs, contacts, pairs in walk]
     return {"text": printing.walk_text(walk), "terms": terms}
@@ -155,14 +156,18 @@ def _algebra_closure(run: _Run, hs: LocalForm,
     pair = next(f for c, f in spl.conjugate_pairs())
     dens = [forms.wedge(forms.dressed(spl, pair.name, (i,)),
                         forms.volume(spl.dim)) for i in range(rank)]
+    # grading.derived_bracket(hs, [dens[i], dens[j]], st), with {hs, dens[i]}
+    # bracketed once for every j
+    grading.check_arity(hs, 2, dens)
     for i in range(rank):
+        first = symplectic.bracket(hs, dens[i], st)
         for j in range(rank):
             want = LocalForm(spl.dim)
             for kk in range(rank):
                 s = eps.get((i, j, kk))
                 if s:
                     want = want + dens[kk].scale(s)
-            got = grading.derived_bracket(hs, [dens[i], dens[j]], st)
+            got = symplectic.bracket(first, dens[j], st)
             if not variational.equiv_mod_d(got, want):
                 return False
     return True
@@ -282,6 +287,8 @@ def _scalar_text(value) -> str:
         return "yes"
     if value is False:
         return "no"
+    if isinstance(value, int):
+        return printing.int_text(value)
     return str(value)
 
 
@@ -324,7 +331,7 @@ def _json_value(value, pad: str, out: list) -> None:
     elif value is None:
         out.append("null")
     elif isinstance(value, int):
-        out.append(int.__repr__(value))
+        out.append(printing.int_text(value))
     else:
         raise TypeError(f"cannot write a {type(value).__name__} "
                         f"as report JSON")

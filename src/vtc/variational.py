@@ -22,6 +22,7 @@ other columns, the homogenizer with its candidates' Lie images as columns.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional
 
@@ -180,7 +181,11 @@ def _lower_contact(g: Gen, j: int) -> Gen:
 
 
 def _preimages(key: MonoKey, x_cap: int) -> Iterator[MonoKey]:
-    """Candidate monomials whose horizontal differential can hit ``key``."""
+    """Candidate monomials whose horizontal differential can hit ``key``.
+
+    A lowered factor goes to its sorted place by bisection.  ``key`` is
+    canonical, so a lowered contact repeats an even-field contact (and the
+    candidate is zero) only when it equals its neighbour there."""
     dxs, contacts, mono = key
     below_cap = _mono_x_degree(mono) < x_cap
     for pos, j in enumerate(dxs):
@@ -189,30 +194,33 @@ def _preimages(key: MonoKey, x_cap: int) -> Iterator[MonoKey]:
         for idx, g in enumerate(contacts):
             if j in kernel.jet_mi(g):
                 low = _lower_contact(g, j)
-                newc = tuple(sorted(contacts[:idx] + (low,) + contacts[idx + 1:]))
-                if kernel.gen_parity(low) == kernel.EVEN and _has_repeat_odd_contact(newc):
+                others = contacts[:idx] + contacts[idx + 1:]
+                k = bisect_left(others, low)
+                if (k < len(others) and others[k] == low
+                        and kernel.gen_parity(low) == kernel.EVEN):
                     continue
-                yield (rest, newc, mono)
+                yield (rest, others[:k] + (low,) + others[k:], mono)
         # lower a scalar jet factor
         for idx, (g, e) in enumerate(mono):
             if kernel.is_jet(g) and j in kernel.jet_mi(g):
-                low = _lower_contact(g, j)
                 head = mono[:idx] + ((g, e - 1),) if e > 1 else mono[:idx]
-                sign, newm = kernel.mono_mul(head + mono[idx + 1:], ((low, 1),))
+                newm = _mono_times(head + mono[idx + 1:], _lower_contact(g, j))
                 if newm is not None:
                     yield (rest, contacts, newm)
         # trade the dx for a base-coordinate power
         if below_cap:
-            _, newm = kernel.mono_mul(mono, ((kernel.coord_gen(j), 1),))
-            yield (rest, contacts, newm)
+            yield (rest, contacts, _mono_times(mono, kernel.coord_gen(j)))
 
 
-def _has_repeat_odd_contact(contacts: tuple[Gen, ...]) -> bool:
-    # contacts of even fields are odd generators: no repeats allowed
-    for i in range(1, len(contacts)):
-        if contacts[i] == contacts[i - 1] and kernel.gen_parity(contacts[i]) == kernel.EVEN:
-            return True
-    return False
+def _mono_times(m: kernel.Monomial, g: Gen) -> Optional[kernel.Monomial]:
+    """The canonical monomial m times one more factor g, which goes to its
+    place by bisection; None when g is odd and already a factor."""
+    k = bisect_left(m, (g,))
+    if k < len(m) and m[k][0] == g:
+        if kernel.gen_parity(g):
+            return None
+        return m[:k] + ((g, m[k][1] + 1),) + m[k + 1:]
+    return m[:k] + ((g, 1),) + m[k:]
 
 
 def block_key(key: MonoKey) -> tuple:
@@ -252,33 +260,32 @@ def saturate_d(dim: int, rows: Iterable[MonoKey], x_cap: int,
     Every candidate is a preimage (within coordinate degree ``x_cap``) of a
     row already present, and every monomial of its nonzero d-image
     (``forms.d_monomial``) becomes a row in turn.  Candidates past the
-    jet-order cap are skipped.  The result is the least fixpoint, so it does
-    not depend on the order of the rows.
+    jet-order cap are skipped.  Each candidate met is imaged once and
+    ``known`` keeps its image (None for a zero one or one past the cap), so
+    every preimage yielded costs one probe.  The result is the least
+    fixpoint, so it does not depend on the order of the rows.
     """
-    candidates: dict[MonoKey, dict[MonoKey, int]] = {}
-    rejected: set[MonoKey] = set()
+    known: dict[MonoKey, Optional[dict[MonoKey, int]]] = {}
     seen_rows: set[MonoKey] = set(rows)
     queue = list(seen_rows)
     while queue:
         next_rows: list[MonoKey] = []
         for row in queue:
             for cand in _preimages(row, x_cap):
-                if cand in candidates or cand in rejected:
+                if cand in known:
                     continue
                 try:
-                    image = forms.d_monomial(dim, cand)
+                    image = forms.d_monomial(dim, cand) or None
                 except kernel.JetOrderCapExceeded:
                     image = None
-                if not image:
-                    rejected.add(cand)
-                    continue
-                candidates[cand] = image
-                for r in image:
-                    if r not in seen_rows:
-                        seen_rows.add(r)
-                        next_rows.append(r)
+                known[cand] = image
+                if image:
+                    for r in image:
+                        if r not in seen_rows:
+                            seen_rows.add(r)
+                            next_rows.append(r)
         queue = next_rows
-    return candidates
+    return {cand: image for cand, image in known.items() if image}
 
 
 def solve_mod_d(dim: int, rows: dict[MonoKey, dict],

@@ -26,7 +26,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from vtc import builtin_models
@@ -336,6 +336,10 @@ def form_monomial_items(form):
 
 @settings(max_examples=200, deadline=None)
 @given(form_monomials())
+# d(A[0]) ^ d(A[0],[1]): d(A[0],[j]) passes d(A[0],[1]) for j > 1, and
+# repeats it for j = 1
+@example((4, ((), (K.jet_gen(MAXWELL_SPECTRA[0], "A", (0,)),
+                   K.jet_gen(MAXWELL_SPECTRA[0], "A", (0,), (1,))), ())))
 def test_d_of_a_form_monomial_matches_the_right_derivation_oracle(case):
     dim, key = case
     assert F.d_monomial(dim, key) == \

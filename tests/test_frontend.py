@@ -6,6 +6,7 @@ first descendant matches the radiative structure written out longhand.
 """
 
 import dataclasses
+import decimal
 import hashlib
 import importlib
 import json
@@ -22,8 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vtc
-from vtc import (builtin_models, cli, forms, kernel, model, parser, report,
-                 symplectic)
+from vtc import (builtin_models, cli, forms, kernel, model, parser, printing,
+                 report, symplectic)
 from vtc.forms import LocalForm
 
 
@@ -200,6 +201,31 @@ def test_emit_json_is_the_stdlib_bytes(value):
         (json.dumps(value, sort_keys=True, indent=2) + "\n").encode()
 
 
+def _decimal_text(n):
+    # the decimal module converts an int exactly, with no digit limit
+    return str(decimal.Decimal(n))
+
+
+# ints of 1 to 20000 digits, far past the 4300 that str writes by default
+_BIG_INTS = st.integers(1, 20000).flatmap(
+    lambda k: st.integers(10 ** (k - 1), 10 ** k - 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(_BIG_INTS, st.booleans(), _BIG_INTS)
+@example(10 ** 4300, True, 3)
+@example(10 ** 5000 + 1, False, 10 ** 1000)
+def test_numbers_print_in_full_at_any_size(n, negative, d):
+    n = -n if negative else n
+    assert printing.int_text(n) == _decimal_text(n)
+    q = Fr(n, d)
+    want = _decimal_text(q.numerator)
+    if q.denominator != 1:
+        want += "/" + _decimal_text(q.denominator)
+    assert printing.number_text(q) == want
+    assert printing.number_text(n) == _decimal_text(n)
+
+
 @pytest.mark.parametrize("value, kind", [
     (0.5, "float"), (Fr(1, 2), "Fraction"), ((1, 2), "tuple"),
     ({1: "one"}, "int"), ({"stages": {2: []}}, "int"), ({1: 0, "a": 0}, "int"),
@@ -270,6 +296,16 @@ def test_chiral_homogenizer_section(chiral_report):
     assert sec["degree"] == 1
     assert sec["certificate_exact"] is True
     assert sec["algebra_closes"] is True
+
+
+def test_chiral_with_a_scaled_algebra_form_does_not_close():
+    # the algebra form weights the internal components of the canonical
+    # pairing; doubled, the derived bracket of the homogenized charge no
+    # longer returns the su2 structure constants
+    text = _chiral_with("form 1 1 1", "form 2 2 2")
+    rep = report.run_pipeline(parser.parse_model(text))
+    assert rep["stages"]["homogenize"]["algebra_closes"] is False
+    assert rep["ok"] is False
 
 
 def test_empty_stage_selection_gives_empty_report(built):
@@ -672,6 +708,17 @@ def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
     assert captured.out == ""
 
 
+def _cli(tmp_path, text, command="check-master", *options):
+    """``python -m vtc.cli`` on a model file holding ``text``, under
+    Python's default limit of 4300 digits on int-string conversion."""
+    path = tmp_path / "model.vtc"
+    path.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(vtc.__file__).parents[1]))
+    env.pop("PYTHONINTMAXSTRDIGITS", None)
+    return subprocess.run([sys.executable, "-m", "vtc.cli", command, str(path),
+                           *options], capture_output=True, text=True, env=env)
+
+
 @pytest.mark.parametrize("old, new, where", [
     ("density S = (1/2*", "density S = (1/2*" + "7" * 4301 + "*",
      "line 9, column 18"),
@@ -680,14 +727,54 @@ def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
 def test_cli_rejects_a_literal_past_the_digit_limit(tmp_path, old, new, where):
     # Python converts at most 4300 digits by default; a longer literal is a
     # parse error at its token, not a traceback from int() or Fraction()
-    path = tmp_path / "long.vtc"
-    path.write_text(_maxwell_with(old, new))
-    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(vtc.__file__).parents[1]))
-    env.pop("PYTHONINTMAXSTRDIGITS", None)
-    done = subprocess.run([sys.executable, "-m", "vtc.cli", "check-master",
-                           str(path)], capture_output=True, text=True, env=env)
+    done = _cli(tmp_path, _maxwell_with(old, new))
     assert done.returncode == 2
     assert done.stderr == f"vtc: {where}: number has more than 4300 digits\n"
+    assert "Traceback" not in done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("opener, closer", [
+    ("(", ")"), ("-", ""), ("d(", ")"), ("del(", ")"), ("ib(0, ", ")"),
+])
+def test_expressions_nest_as_deep_as_the_bound(opener, closer):
+    sp = builtin_models.builtin("maxwell").spectrum
+    n = parser.MAX_NESTING
+    parser.parse_expression(opener * n + "x[0]" + closer * n, sp)
+    with pytest.raises(parser.ParseError, match="nested more than") as err:
+        parser.parse_expression(opener * (n + 1) + "x[0]" + closer * (n + 1), sp)
+    # at the opener of the level past the bound
+    assert (err.value.line, err.value.col) == (1, n * len(opener) + 1)
+    # levels side by side do not add up
+    parser.parse_expression(" + ".join([opener + "x[0]" + closer] * (n + 1)), sp)
+
+
+@pytest.mark.parametrize("opener, closer, n",
+                         [("(", ")", 244), ("-", "", 2000)],
+                         ids=["parentheses", "unary-minus"])
+def test_cli_rejects_nesting_past_the_bound(tmp_path, opener, closer, n):
+    # a recursive descent without the bound runs out of stack at 244
+    # parentheses, or at about a thousand unary minus signs, and exits with
+    # a traceback
+    text = re.sub(r"^density S = (.*)$",
+                  lambda m: f"density S = {opener * n}{m.group(1)}{closer * n}",
+                  builtin_models.model_text("maxwell"), flags=re.M)
+    done = _cli(tmp_path, text)
+    assert done.returncode == 2
+    assert done.stderr == (f"vtc: line 9, column {13 + parser.MAX_NESTING}: "
+                           f"expression nested more than "
+                           f"{parser.MAX_NESTING} levels deep\n")
+    assert "Traceback" not in done.stdout + done.stderr
+
+
+@pytest.mark.parametrize("command", [("check-master",),
+                                     ("report", "--format", "json")])
+def test_cli_prints_coefficients_past_the_digit_limit(tmp_path, command):
+    # S times 10^2999 parses, and {S, S} has coefficients of about 6000
+    # digits, more than Python's int-string conversion writes by default
+    scaled = _maxwell_with("density S = (", f"density S = 1{'0' * 2999}*(")
+    done = _cli(tmp_path, scaled, *command)
+    assert done.returncode == 0
+    assert "0" * 5000 in done.stdout
     assert "Traceback" not in done.stdout + done.stderr
 
 

@@ -5,7 +5,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vtc
@@ -15,6 +15,7 @@ from vtc import linsolve
 from vtc import parser
 from vtc import variational as V
 
+from test_form_oracle import MAXWELL_SPECTRA, form_monomials
 from test_linsolve import _load_calculus
 
 
@@ -397,6 +398,56 @@ def test_saturation_does_not_depend_on_the_order_of_the_rows(distinct_calculus_s
                        for key in data.draw(st.permutations(list(target)))}
     assert V.solve_mod_d(dim, rows, target_shuffled, x_cap) == \
         V.solve_mod_d(dim, rows, target, x_cap)
+
+
+def assert_canonical(key):
+    """A form monomial as the form engine writes one: dx directions
+    increasing, contacts sorted with no even-field contact twice, and a
+    monomial of distinct generators in order, an odd one at power 1, with
+    every multi-index sorted."""
+    dxs, contacts, mono = key
+    assert list(dxs) == sorted(set(dxs)), key
+    assert list(contacts) == sorted(contacts), key
+    assert all(K.gen_parity(g) or contacts.count(g) == 1 for g in contacts), key
+    gens = [g for g, _ in mono]
+    assert gens == sorted(set(gens)), key
+    assert all(e >= 1 and (e == 1 or not K.gen_parity(g)) for g, e in mono), key
+    for g in list(contacts) + gens:
+        if K.is_jet(g):
+            assert K.jet_mi(g) == tuple(sorted(K.jet_mi(g))), key
+
+
+_A0 = K.jet_gen(MAXWELL_SPECTRA[0], "A", (0,))
+_A0_1 = K.jet_gen(MAXWELL_SPECTRA[0], "A", (0,), (1,))
+_C = K.jet_gen(MAXWELL_SPECTRA[0], "C")
+_C_1 = K.jet_gen(MAXWELL_SPECTRA[0], "C", (), (1,))
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_monomials(), st.integers(0, 2))
+# d(A[0]) ^ d(A[0],[1]): one image would repeat the odd contact d(A[0],[1])
+@example((4, ((), (_A0, _A0_1), ())), 0)
+def test_every_row_of_a_d_image_has_its_candidate_among_its_preimages(case, extra):
+    # saturation reaches its fixpoint only if each monomial d(c) holds
+    # leads back to c, for any coordinate-degree cap that admits c
+    dim, cand = case
+    x_cap = V.max_x_degree([cand]) + extra
+    for row in F.d_monomial(dim, cand):
+        assert_canonical(row)
+        assert cand in set(V._preimages(row, x_cap)), row
+
+
+@settings(max_examples=300, deadline=None)
+@given(form_monomials(), st.integers(0, 3))
+# C * C,[1] ^ dx[1]: lowering C,[1] squares the odd C
+@example((4, ((1,), (), ((_C, 1), (_C_1, 1)))), 0)
+# d(A[0]) ^ d(A[0],[1]) ^ dx[1]: lowering A[0],[1] repeats the odd d(A[0])
+@example((4, ((1,), (_A0, _A0_1), ())), 0)
+def test_preimages_are_canonical_form_monomials(case, x_cap):
+    _, row = case
+    for cand in V._preimages(row, x_cap):
+        assert_canonical(cand)
+        assert V.max_x_degree([cand]) <= max(x_cap, V.max_x_degree([row]))
 
 
 # -- divergence primitive ---------------------------------------------------
