@@ -256,12 +256,18 @@ def coord_gen(i: int) -> Gen:
 
 def jet_gen(spectrum: Spectrum, name: str, comp: Sequence[int] = (),
             mi: Iterable[int] = ()) -> Gen:
-    f = spectrum.field(name)
+    return field_jet(spectrum, spectrum.field(name), comp, mi)
+
+
+def field_jet(spectrum: Spectrum, f: FieldSpec, comp: Sequence[int],
+              mi: Iterable[int]) -> Gen:
+    """The jet variable of ``spectrum``'s field ``f`` at component ``comp``
+    and multi-index ``mi``."""
     comp = tuple(comp)
     dims = f.shape
     if len(comp) != len(dims) or any(not 0 <= c < d for c, d in zip(comp, dims)):
-        raise ValueError(f"component {comp} out of range for field {name} with shape {dims}")
-    return (2, spectrum.index[name], name, comp, multi_index(mi), f.parity, f.ghost, f.role)
+        raise ValueError(f"component {comp} out of range for field {f.name} with shape {dims}")
+    return (2, spectrum.index[f.name], f.name, comp, multi_index(mi), f.parity, f.ghost, f.role)
 
 
 def aux_gen(name: str, parity: int = EVEN, ghost: int = 0) -> Gen:

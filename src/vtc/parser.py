@@ -33,7 +33,8 @@ product, ``dx[j]``, ``x[j]``, ``vol``, ``del(...)``, ``d(...)``,
 ``ib(j, ...)`` for contraction of a horizontal form with the j-th
 coordinate field, rational literals like ``3/4``, parameters by name, and
 jet variables written ``A[0],[1 2]`` (component labels, then derivative
-indices).  Those atom names are reserved; ``#`` starts a comment.  The
+indices).  Those atom names are reserved; ``#`` starts a comment.  Any
+character outside the grammar is an error at its own line and column.  The
 canonical rendering produced by ``model.print_model`` parses back to an
 equal model.
 """
@@ -41,9 +42,8 @@ from __future__ import annotations
 
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Any, Callable, Optional, Sequence
+from typing import Any, Callable, Iterator, NamedTuple, Optional, Sequence
 
 from . import foliation, forms, kernel, model, symplectic
 from .forms import LocalForm
@@ -59,43 +59,43 @@ class ParseError(Exception):
         self.col = col
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: str
     text: str
     line: int
     col: int
 
 
+# Every character of a text falls in one match: ``bad`` takes any character
+# the grammar has no token for.
 _TOKEN_RE = re.compile(r"""
-    (?P<ws>[^\S\n]+)
-  | (?P<comment>\#[^\n]*)
+    (?P<blank>[^\S\n]+|\#[^\n]*)
   | (?P<nl>\n)
   | (?P<number>\d+(?:/\d+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<arrow>->)
   | (?P<assign>:=)
   | (?P<op>[{}()\[\],=+\-*^])
+  | (?P<bad>.)
 """, re.VERBOSE)
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of ``text``, closed by an ``nl`` and an ``eof`` token."""
     toks: list[Token] = []
     line, start = 1, 0
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ParseError(f"unexpected character {text[pos]!r}",
-                             line, pos - start + 1)
+    for m in _TOKEN_RE.finditer(text):
         kind = m.lastgroup
-        if kind not in ("ws", "comment"):
-            toks.append(Token(kind, m.group(), line, m.start() - start + 1))
+        if kind == "blank":
+            continue
+        col = m.start() - start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m.group()!r}", line, col)
+        toks.append(Token(kind, m.group(), line, col))
         if kind == "nl":
             line += 1
             start = m.end()
-        pos = m.end()
-    toks.append(Token("nl", "\n", line, max(len(text) - start, 0) + 1))
+    toks.append(Token("nl", "\n", line, len(text) - start + 1))
     toks.append(Token("eof", "", line + 1, 1))
     return toks
 
@@ -123,7 +123,8 @@ def _shown(t: Token) -> str:
 
 class _Parser:
     def __init__(self, toks: Sequence[Token]):
-        self.toks = list(toks)
+        # closed by the ``eof`` token, which ``next`` never passes
+        self.toks = toks
         self.pos = 0
         # the levels of nesting open at the current token (``opened``)
         self.nesting = 0
@@ -134,7 +135,7 @@ class _Parser:
     # -- token plumbing ----------------------------------------------------
 
     def peek(self, ahead: int = 0) -> Token:
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+        return self.toks[self.pos + ahead]
 
     def next(self) -> Token:
         t = self.peek()
@@ -181,6 +182,13 @@ class _Parser:
         while self.at("nl"):
             self.next()
 
+    def lines(self, keyword: str) -> Iterator[Token]:
+        """The keyword token of each line of a run that starts with
+        ``keyword``; the caller reads the rest of the line."""
+        while self.at("name", keyword):
+            yield self.next()
+            self.end_line()
+
     # -- small shared pieces ----------------------------------------------
 
     def literal(self, read: Callable[[str], Any], t: Token) -> Any:
@@ -199,25 +207,19 @@ class _Parser:
             self.fail(f"expected an integer, got {_shown(t)}", t)
         return self.literal(int, self.next())
 
-    def signed_integer(self) -> int:
-        if self.at("op", "-"):
-            self.next()
-            return -self.integer()
-        return self.integer()
-
-    def fraction(self, t: Token) -> Fraction:
-        """The rational literal of a number token, with nonzero denominator."""
+    def rational(self) -> Fraction:
+        """A rational literal, with nonzero denominator."""
+        t = self.expect("number")
         if re.fullmatch(r"\d+/0+", t.text):
             self.fail(f"zero denominator in {t.text!r}", t)
         return self.literal(Fraction, t)
 
-    def number(self) -> Fraction:
-        neg = False
+    def signed(self, read: Callable[[], Any]) -> Any:
+        """``read()``, negated after a minus sign."""
         if self.at("op", "-"):
             self.next()
-            neg = True
-        q = self.fraction(self.expect("number"))
-        return -q if neg else q
+            return -read()
+        return read()
 
     def name(self) -> str:
         return self.expect("name").text
@@ -236,23 +238,21 @@ class _Parser:
             end = t.col + len(t.text)
         return text
 
-    def names(self) -> tuple[str, ...]:
+    def many(self, read: Callable[[], Any], kind: str,
+             signed: bool) -> tuple[Any, ...]:
+        """The items ``read`` reads while the next token is of ``kind``, or
+        is a minus sign when the items are ``signed``."""
         out = []
-        while self.at("name"):
-            out.append(self.name())
+        while self.at(kind) or signed and self.at("op", "-"):
+            out.append(self.signed(read))
         return tuple(out)
 
-    def int_list(self, signed: bool = False) -> tuple[int, ...]:
-        out = []
-        while self.at("number") or signed and self.at("op", "-"):
-            out.append(self.signed_integer() if signed else self.integer())
-        return tuple(out)
-
-    def num_list(self) -> tuple[Fraction, ...]:
-        out = []
-        while self.at("number") or self.at("op", "-"):
-            out.append(self.number())
-        return tuple(out)
+    def direction(self, j: int, dim: int, t: Token) -> int:
+        """Coordinate direction ``j`` of dimension ``dim``; one out of
+        range fails at ``t``."""
+        if not 0 <= j < dim:
+            self.fail(f"direction {j} out of range for dimension {dim}", t)
+        return j
 
     # -- expressions -------------------------------------------------------
 
@@ -281,15 +281,14 @@ class _Parser:
         self.nesting += 1
 
     def closed(self) -> None:
-        """Leave a level of nesting at its closing parenthesis."""
-        self.expect("op", ")")
+        """Leave the level of nesting opened last."""
         self.nesting -= 1
 
     def factor(self, spectrum: Spectrum) -> LocalForm:
         if self.at("op", "-"):
             self.opened(self.next())
             a = self.factor(spectrum).scale(-1)
-            self.nesting -= 1
+            self.closed()
             return a
         return self.atom(spectrum)
 
@@ -298,10 +297,11 @@ class _Parser:
         if self.at("op", "("):
             self.opened(self.next())
             a = self.expression(spectrum)
+            self.expect("op", ")")
             self.closed()
             return a
         if self.at("number"):
-            return forms.scalar_form(dim, self.fraction(self.next()))
+            return forms.scalar_form(dim, self.rational())
         t = self.peek()
         if t.kind != "name":
             self.fail(f"expected an expression, got {_shown(t)}")
@@ -319,28 +319,24 @@ class _Parser:
             self.expect("op", "(")
             self.opened(t)
             a = self.expression(spectrum)
+            self.expect("op", ")")
             self.closed()
             return forms.d(a) if word == "d" else forms.delta(a)
         if word == "ib":
             self.expect("op", "(")
             self.opened(t)
-            j = self.integer()
-            if not 0 <= j < dim:
-                self.fail(f"direction {j} out of range for dimension {dim}", t)
+            j = self.direction(self.integer(), dim, t)
             self.expect("op", ",")
             arg = self.peek()
             a = self.expression(spectrum)
             if not a.is_zero() and a.vdeg() != 0:
                 self.fail("ib(j, ...) takes a horizontal form", arg)
+            self.expect("op", ")")
             self.closed()
             return forms.interior_coordinate(a, j)
         if word in spectrum.parameters:
             return forms.scalar_form(dim, kernel.parameter(word))
-        try:
-            spectrum.field(word)
-        except KeyError:
-            self.fail(f"unknown name {word!r}", t)
-        g = self.jet_of(spectrum, word, t)
+        g = self.jet_of(spectrum, t, "name")
         return forms.scalar_form(dim, GradedScalar.generator(g))
 
     def bracketed_index(self, dim: int) -> int:
@@ -348,21 +344,19 @@ class _Parser:
         t = self.peek()
         j = self.integer()
         self.expect("op", "]")
-        if not 0 <= j < dim:
-            self.fail(f"direction {j} out of range for dimension {dim}", t)
-        return j
+        return self.direction(j, dim, t)
 
     def jet_indices(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         comp: tuple[int, ...] = ()
         mi: tuple[int, ...] = ()
         if self.at("op", "["):
             self.next()
-            comp = self.int_list()
+            comp = self.many(self.integer, "number", False)
             self.expect("op", "]")
         if self.at("op", ",") and self.at("op", "[", ahead=1):
             self.next()
             self.next()
-            mi = self.int_list()
+            mi = self.many(self.integer, "number", False)
             self.expect("op", "]")
         return comp, mi
 
@@ -371,25 +365,23 @@ class _Parser:
         word = self.name()
         if word in _RESERVED or word in spectrum.parameters:
             self.fail(f"{word!r} is not a field", t)
-        try:
-            spectrum.field(word)
-        except KeyError:
-            self.fail(f"unknown field {word!r}", t)
-        return self.jet_of(spectrum, word, t)
+        return self.jet_of(spectrum, t, "field")
 
-    def jet_of(self, spectrum: Spectrum, word: str, t: Token) -> kernel.Gen:
-        """The jet variable of field ``word`` named by the indices that follow."""
-        shape = spectrum.field(word).shape
+    def jet_of(self, spectrum: Spectrum, t: Token, what: str) -> kernel.Gen:
+        """The jet variable of the field that name token ``t`` names, at the
+        indices that follow; any other name fails at ``t`` as an unknown
+        ``what``."""
+        f = spectrum.by_name.get(t.text)
+        if f is None:
+            self.fail(f"unknown {what} {t.text!r}", t)
         comp, mi = self.jet_indices()
-        if len(comp) != len(shape):
-            self.fail(f"field {word!r} takes {len(shape)} component "
+        if len(comp) != len(f.shape):
+            self.fail(f"field {f.name!r} takes {len(f.shape)} component "
                       f"labels, got {len(comp)}", t)
         for j in mi:
-            if j >= spectrum.dim:
-                self.fail(f"direction {j} out of range for dimension "
-                          f"{spectrum.dim}", t)
+            self.direction(j, spectrum.dim, t)
         try:
-            return kernel.jet_gen(spectrum, word, comp, mi)
+            return kernel.field_jet(spectrum, f, comp, mi)
         except ValueError as e:
             self.fail(str(e), t)
 
@@ -434,9 +426,11 @@ class _Parser:
         if fname in _RESERVED:
             self.fail(f"{fname!r} is reserved", t)
         attrs = self.attributes({
-            "parity": self.integer, "ghost": self.signed_integer,
-            "role": self.name, "shape": self.int_list,
-            "conjugate": self.name, "slots": self.names,
+            "parity": self.integer, "ghost": lambda: self.signed(self.integer),
+            "role": self.name,
+            "shape": lambda: self.many(self.integer, "number", False),
+            "conjugate": self.name,
+            "slots": lambda: self.many(self.name, "name", False),
             "factor": lambda: self.form_factor(base)})
         for req in ("parity", "ghost", "role"):
             if req not in attrs:
@@ -457,8 +451,7 @@ class _Parser:
                   declaration: str) -> dict[str, LocalForm]:
         """The ``density name = expression`` lines that follow."""
         out: dict[str, LocalForm] = {}
-        while self.at("name", "density"):
-            kw = self.next()
+        for kw in self.lines("density"):
             t = self.peek()
             dname = self.name()
             if dname in out:
@@ -466,7 +459,6 @@ class _Parser:
             self.declarations[declaration, dname] = kw
             self.expect("op", "=")
             out[dname] = self.expression(spectrum)
-            self.end_line()
         return out
 
     # -- model files -------------------------------------------------------
@@ -484,28 +476,23 @@ class _Parser:
         metric = None
         if self.at("name", "metric"):
             self.declarations["metric", None] = self.next()
-            metric = self.num_list()
+            metric = self.many(self.rational, "number", True)
             self.end_line()
         header = self.declared(lambda: Spectrum(dim, [], metric=metric))
 
-        parameters = []
-        while self.at("name", "parameter"):
-            self.next()
-            parameters.append(self.name())
-            self.end_line()
+        parameters = [self.name() for _ in self.lines("parameter")]
 
         fields = []
-        while self.at("name", "field"):
-            kw = self.next()
+        for kw in self.lines("field"):
             fields.append(self.field_spec(header))
             self.declarations["field", fields[-1].name] = kw
-            self.end_line()
 
         algebra: dict[str, Any] = {}
         if self.at("name", "algebra"):
             self.declarations["algebra", None] = self.next()
-            algebra = self.attributes({"constants": self.name,
-                                       "form": self.num_list})
+            algebra = self.attributes({
+                "constants": self.name,
+                "form": lambda: self.many(self.rational, "number", True)})
             self.end_line()
 
         spectrum = self.declared(lambda: Spectrum(
@@ -548,7 +535,7 @@ class _Parser:
 
         self.expect("name", "time")
         # signed, so that check_time_directions names a negative direction
-        time = self.int_list(signed=True)
+        time = self.many(self.integer, "number", True)
         if not time:
             self.fail("expected time directions")
         # first, so the leaf below drops only directions of the base
@@ -557,8 +544,7 @@ class _Parser:
         self.end_line()
 
         field_map: dict[str, str] = {}
-        while self.at("name", "map"):
-            self.next()
+        for _ in self.lines("map"):
             t = self.peek()
             src = self.name()
             if src not in spectrum.by_name:
@@ -568,30 +554,23 @@ class _Parser:
             if src in field_map:
                 self.fail(f"field {src!r} mapped twice", t)
             field_map[src] = dst
-            self.end_line()
 
         leaf = self.declared(
             lambda: Spectrum(spectrum.dim - len(time), []), start)
-        extras = []
-        while self.at("name", "field"):
-            self.next()
-            extras.append(self.field_spec(leaf))
-            self.end_line()
+        extras = [self.field_spec(leaf) for _ in self.lines("field")]
 
         spatial = self.declared(
             lambda: model.phase_spectrum(spectrum, time, field_map, extras),
             start)
 
         rules: dict[kernel.Gen, GradedScalar] = {}
-        while self.at("name", "phase"):
-            self.next()
+        for _ in self.lines("phase"):
             t = self.peek()
             g = self.jet_generator(spectrum)
             if g in rules:
                 self.fail("duplicate phase rule", t)
             self.expect("assign")
             rules[g] = self.scalar_expression(spatial)
-            self.end_line()
 
         phase_densities = self.densities(spatial, "phase density")
 

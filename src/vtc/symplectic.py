@@ -83,7 +83,7 @@ class PresympStructure:
 def _pair_weight(spectrum: Spectrum, f: kernel.FieldSpec,
                  comp: tuple[int, ...]) -> kernel.Coefficient:
     w = 1
-    kinds = getattr(f, "slot_kinds", None) or ("base",) * len(f.shape)
+    kinds = f.slot_kinds or ("base",) * len(f.shape)
     for kind_slot, n, c in zip(kinds, f.shape, comp):
         if kind_slot == "base":
             if n > spectrum.dim:

@@ -670,6 +670,11 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
      "line 4, column 7: slot_kinds must mark every shape slot"),
     (_maxwell_with("shape 4 }", "shape 4, slots spatial }"), None,
      "line 4, column 7: unknown slot kind 'spatial'"),
+    (_maxwell_with("density S = (", "density S = @("), None,
+     "line 9, column 13: unexpected character '@'"),
+    (None, "k ^ vol\n  $", "line 2, column 3: unexpected character '$'"),
+    (None, "etab[2] ^ vol\t\u00e9",
+     "line 1, column 15: unexpected character '\u00e9'"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
@@ -693,7 +698,9 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
         "time-without-directions", "time-direction-7",
         "time-direction-past-the-base", "negative-time-direction",
         "parity-2", "unknown-role",
-        "slot-kinds-too-few", "unknown-slot-kind"])
+        "slot-kinds-too-few", "unknown-slot-kind",
+        "stray-character-in-file", "stray-character-on-a-second-line",
+        "non-ascii-character-after-a-tab"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:

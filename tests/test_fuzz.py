@@ -13,11 +13,17 @@ coefficient in its one form (``kernel.exact``).
 The seeds are the shipped model files and the bracket expressions of the
 command line.  Examples are derandomized, so every run sees the same
 mutants.
+
+Two mutations aim at the parser's limits: one wraps an atom of a shipped
+density in openers to just below and past ``parser.MAX_NESTING``, and one
+rewrites a coefficient to about as many digits as Python converts.  Every
+``ParseError`` a mutant raises must point inside its own text.
 """
 
 import contextlib
 import io
 import re
+import sys
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -198,3 +204,137 @@ def test_mutation_keeps_the_untouched_text():
     assert mutate("a ^ b", [("replace", 1, "+")]) == "a + b"
     assert mutate("a ^ b", [("delete", 0, "x")]) == " ^ b"
     assert mutate("a ^ b", [("insert", 2, "d")]) == "a ^ d b"
+
+
+# An atom of a density: a number, or a name with the indices that follow it,
+# but not the ``d`` or ``del`` of ``d(`` and ``del(``.
+_ATOM = re.compile(r"\d+(?:/\d+)?"
+                   r"|[A-Za-z_]\w*(?![\w(])(?:\[[\d ]*\])?(?:,\[[\d ]*\])?")
+
+
+def density_atoms(text):
+    """(line number, line, start, end, depth) of each atom on the right side
+    of a ``density`` line of ``text``; depth counts the parentheses open at
+    the atom."""
+    out = []
+    for n, line in enumerate(text.split("\n"), 1):
+        head = re.match(r"\s*density \w+ = ", line)
+        if head is None:
+            continue
+        # with no unary minus in the seed, parentheses are all its nesting
+        assert not re.search(r"[=(*^,+-]\s*-", line)
+        for m in _ATOM.finditer(line, head.end()):
+            depth = line.count("(", 0, m.start()) - line.count(")", 0, m.start())
+            out.append((n, line, m.start(), m.end(), depth))
+    return out
+
+
+def _with_line(text, n, line):
+    lines = text.split("\n")
+    lines[n - 1] = line
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("name", builtin_models.BUILTINS)
+def test_atoms_wrapped_near_the_nesting_bound_keep_the_exit_contract(
+        workdir, name):
+    path = workdir / f"nested-{name}.vtc"
+    seed = builtin_models.model_text(name)
+    atoms = density_atoms(seed)
+    bound = parser.MAX_NESTING
+
+    @settings(FUZZ, max_examples=25)
+    @given(site=st.integers(0, 10_000),
+           wrap=st.sampled_from((("(", ")"), ("-", ""), ("d(", ")"),
+                                 ("del(", ")"))),
+           k=st.integers(bound - 1, bound + 2),
+           command=st.sampled_from(("check-master", "descend", "current")))
+    def check(site, wrap, k, command):
+        n, line, start, end, depth = atoms[site % len(atoms)]
+        opener, closer = wrap
+        wrapped = (line[:start] + opener * k + line[start:end] + closer * k
+                   + line[end:])
+        path.write_text(_with_line(seed, n, wrapped), encoding="utf-8")
+        rc, err = run_cli([command, str(path)])
+        assert_contract(rc, err)
+        if depth + k > bound:
+            # at the opener of the level past the bound
+            col = start + (bound - depth) * len(opener) + 1
+            assert rc == 2
+            assert err == (f"vtc: line {n}, column {col}: expression nested "
+                           f"more than {bound} levels deep\n")
+        else:
+            assert "nested more than" not in err
+
+    check()
+
+
+@pytest.mark.parametrize("name", builtin_models.BUILTINS)
+def test_coefficients_near_the_digit_limit_keep_the_exit_contract(
+        workdir, name):
+    path = workdir / f"long-{name}.vtc"
+    seed = builtin_models.model_text(name)
+    coefficients = [(n, line, start, end)
+                    for n, line, start, end, _ in density_atoms(seed)
+                    if line[start].isdigit()]
+    limit = sys.get_int_max_str_digits()
+
+    @settings(FUZZ, max_examples=15)
+    @given(site=st.integers(0, 10_000), digits=st.integers(4299, 4301),
+           command=st.sampled_from(("check-master", "descend", "current")))
+    def check(site, digits, command):
+        n, line, start, end = coefficients[site % len(coefficients)]
+        long = line[:start] + "7" * digits + line[end:]
+        path.write_text(_with_line(seed, n, long), encoding="utf-8")
+        rc, err = run_cli([command, str(path)])
+        assert_contract(rc, err)
+        if 0 < limit < digits:
+            assert rc == 2
+            assert err == (f"vtc: line {n}, column {start + 1}: number has "
+                           f"more than {limit} digits\n")
+        else:
+            assert "number has more than" not in err
+
+    check()
+
+
+# Characters the grammar has no token for, and a tab, a blank one column
+# wide.
+STRAY = ("@", "$", "!", "\u00e9", "\t")
+
+
+def assert_inside(text, error):
+    """``error`` points at a line of ``text`` or the one after its last,
+    and at a column of that line or just past its end."""
+    lines = text.split("\n") + [""]
+    assert 1 <= error.line <= len(lines)
+    assert 1 <= error.col <= len(lines[error.line - 1]) + 1
+
+
+@pytest.mark.parametrize("name", builtin_models.BUILTINS)
+def test_parse_errors_point_inside_their_text(name):
+    seed = builtin_models.model_text(name)
+    spectrum = builtin_models.builtin(name).spectrum
+    edits = st.lists(
+        st.tuples(st.sampled_from(("replace", "delete", "insert")),
+                  st.integers(0, 10_000), st.sampled_from(VOCABULARY + STRAY)),
+        min_size=1, max_size=2)
+
+    @FUZZ
+    @given(model_edits=edits, literals=literal_rewrites(seed),
+           expression=st.sampled_from(EXPRESSIONS[name]),
+           expression_edits=edits)
+    def check(model_edits, literals, expression, expression_edits):
+        text = mutate(_replaced(seed, literals), model_edits)
+        expression = mutate(expression, expression_edits)
+        for source, parse in ((text, parser.parse_model),
+                              (expression, lambda t: parser.parse_expression(
+                                  t, spectrum))):
+            try:
+                parse(source)
+            except parser.ParseError as e:
+                assert_inside(source, e)
+            except kernel.EngineError:
+                pass
+
+    check()
