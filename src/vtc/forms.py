@@ -106,9 +106,9 @@ class LocalForm:
     """A local differential form over an n-dimensional base.
 
     Forms are values: never mutate ``terms``.  A form keeps its own hash,
-    d, delta and horizontal homotopy once computed, in its ``memo`` dict
-    under the operation and the jet-order cap (``kernel.keep``), and drops
-    them with itself.
+    d, delta, horizontal homotopy and split by each grading once computed,
+    in its ``memo`` dict under the operation and the jet-order cap
+    (``kernel.keep``), and drops them with itself.
     """
 
     __slots__ = ("dim", "terms", "memo")
@@ -148,8 +148,8 @@ class LocalForm:
         return self.dim == other.dim and self.terms == other.terms
 
     def __hash__(self) -> int:
-        return kernel.keep(self.memo, "hash", lambda: hash((self.dim, tuple(
-            sorted((k, hash(s)) for k, s in self.terms.items())))))
+        return kernel.keep(self.memo, "hash", lambda: hash(
+            (self.dim, frozenset(self.terms.items()))))
 
     def __repr__(self) -> str:
         return printing.form_text(self)
@@ -205,7 +205,12 @@ class LocalForm:
     def grade_split(self, grading: str) -> dict[int, "LocalForm"]:
         """Decompose into homogeneous pieces of a grading of
         ``GradedScalar.grade_of``, counting each term's dx and contact
-        factors (``_key_grade``) as well as its coefficient."""
+        factors (``_key_grade``) as well as its coefficient.  The form keeps
+        the split (``kernel.keep``): never mutate the dict."""
+        return kernel.keep(self.memo, ("grade_split", grading),
+                           lambda: self._grade_split(grading))
+
+    def _grade_split(self, grading: str) -> dict[int, "LocalForm"]:
         out: dict[int, dict[Key, GradedScalar]] = {}
         for key, s in self.terms.items():
             kg = _key_grade(key, grading)
@@ -530,8 +535,7 @@ class EvoField:
 
     def __hash__(self) -> int:
         return hash((self.spectrum, self.parity, self.ghost,
-                     tuple(sorted((g, hash(v))
-                                  for g, v in self._components.items()))))
+                     frozenset(self._components.items())))
 
     def __repr__(self) -> str:
         bits = [f"{g}: {v}" for g, v in

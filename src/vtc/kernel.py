@@ -404,10 +404,6 @@ def mono_mul(m1: Monomial, m2: Monomial) -> tuple[int, Optional[Monomial]]:
     return sign, tuple(out)
 
 
-def mono_sort_key(m: Monomial) -> tuple:
-    return (len(m), m)
-
-
 def mono_total_derivative(m: Monomial, j: int) -> list[tuple[Monomial, int]]:
     """Total derivative in base direction j of the monomial m, as
     (monomial, coefficient) pairs with distinct monomials.
@@ -539,7 +535,7 @@ class GradedScalar:
         return NotImplemented
 
     def __hash__(self) -> int:
-        return hash(tuple(sorted(self.terms.items(), key=lambda t: mono_sort_key(t[0]))))
+        return hash(frozenset(self.terms.items()))
 
     def __repr__(self) -> str:
         from . import printing

@@ -71,7 +71,7 @@ class Token(NamedTuple):
 _TOKEN_RE = re.compile(r"""
     (?P<blank>[^\S\n]+|\#[^\n]*)
   | (?P<nl>\n)
-  | (?P<number>\d+(?:/\d+)?)
+  | (?P<number>[0-9]+(?:/[0-9]+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)
   | (?P<arrow>->)
   | (?P<assign>:=)
@@ -210,7 +210,7 @@ class _Parser:
     def rational(self) -> Fraction:
         """A rational literal, with nonzero denominator."""
         t = self.expect("number")
-        if re.fullmatch(r"\d+/0+", t.text):
+        if re.fullmatch(r"[0-9]+/0+", t.text):
             self.fail(f"zero denominator in {t.text!r}", t)
         return self.literal(Fraction, t)
 

@@ -54,11 +54,8 @@ def int_text(n: int) -> str:
 
 def number_text(q: kernel.Coefficient) -> str:
     """``str`` of an exact coefficient, an int or a Fraction, of any size."""
-    try:
-        return str(q)
-    except ValueError:
-        text = int_text(q.numerator)
-        return text if q.denominator == 1 else f"{text}/{int_text(q.denominator)}"
+    text = int_text(q.numerator)
+    return text if q.denominator == 1 else f"{text}/{int_text(q.denominator)}"
 
 
 def index_text(t: Sequence[int]) -> str:

@@ -88,10 +88,6 @@ class _Run:
             w1red, spectrum=self.slicing.spatial)
 
     @cached_property
-    def momentum_split(self):
-        return self.reduced_structure.omega.grade_split(grading.KIND_MOMENTUM)
-
-    @cached_property
     def charge(self):
         return foliation.charge_density(
             self.current, self.slicing, self.reduced_structure)
@@ -176,7 +172,7 @@ def _algebra_closure(run: _Run, hs: LocalForm,
 def _stage_homogenize(run: _Run) -> tuple[dict, bool]:
     """The homogenizer is verified when found, so the stage fails only on
     the algebra closure."""
-    parts = run.momentum_split
+    parts = run.reduced_structure.omega.grade_split(grading.KIND_MOMENTUM)
     if len(parts) > 1 and min(parts) < 1:
         raise grading.NoHomogenizerError(
             "the reduced structure has a momentum-degree-0 block, which the "
@@ -215,15 +211,15 @@ def default_stages(run: _Run) -> tuple[str, ...]:
     The foliated stages need a declared slicing; homogenization applies
     when the reduced structure is momentum-inhomogeneous with every block
     at positive degree, so the momentum Euler flow can act on it.  The
-    reduced structure and its momentum split are the run's own, so the
-    stages reuse them.
+    reduced structure is the run's own and keeps its momentum split, so
+    the stages and the homogenizer reuse both.
     """
     stages = ["master", "descend", "current"]
     if run.m.foliation is None:
         return tuple(stages)
     stages += ["reduce", "brackets"]
     try:
-        parts = run.momentum_split
+        parts = run.reduced_structure.omega.grade_split(grading.KIND_MOMENTUM)
     except kernel.EngineError:
         return tuple(stages)
     if len(parts) > 1 and min(parts) >= 1:

@@ -92,20 +92,6 @@ def _contact_vol_sign(dim: int, g: Gen) -> int:
     return -1 if (kernel.gen_parity(g) == kernel.EVEN and dim % 2) else 1
 
 
-def source_form(dim: int, components: dict[Gen, GradedScalar]) -> LocalForm:
-    """Assemble sum of E_a ^ d(phi^a) ^ vol from coefficient scalars."""
-    vol = tuple(range(dim))
-    terms: dict[forms.Key, GradedScalar] = {}
-    for g in sorted(components):
-        E = components[g]
-        if not E:
-            continue
-        if kernel.jet_mi(g):
-            raise ValueError("source components must be keyed by underived variables")
-        terms[(vol, (g,))] = E * _contact_vol_sign(dim, g)
-    return LocalForm(dim, terms)
-
-
 @dataclass
 class SourceDecomposition:
     """Split of a (1,n)-form into its source part plus a total divergence."""
@@ -119,8 +105,8 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
     """Write a (1,n)-form as (source form) + d(boundary).
 
     Integration by parts is applied to the contact factor with the longest
-    multi-index until only underived contacts remain; that residue is the
-    unique source part.
+    multi-index until only underived contacts remain; that remainder is the
+    unique source part, sum of E_a ^ d(phi^a) ^ vol over the components.
     """
     n = alpha.dim
     vol_key = tuple(range(n))
@@ -159,7 +145,7 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
     for (dxs, contacts), s in rem.terms.items():
         g = contacts[0]
         kernel.add_into(components, g, s * _contact_vol_sign(n, g))
-    return SourceDecomposition(source_form(n, components), boundary, components)
+    return SourceDecomposition(rem, boundary, components)
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,8 @@ from fractions import Fraction as Fr
 
 import pytest
 
-from vtc import builtin_models, foliation, forms, kernel, symplectic, variational
+from vtc import (builtin_models, foliation, forms, kernel, parser, symplectic,
+                 variational)
 from vtc.forms import LocalForm
 from vtc.kernel import EVEN, FieldSpec, ODD, ROLE_FIELD, Spectrum
 
@@ -191,6 +192,13 @@ def test_purely_spatial_forms_rename_only(maxwell):
     want = forms.wedge(forms.scalar_form(
         3, kernel.jet(spl, "A", (3,), (0, 1))), forms.dx(3, 2))
     assert got == want
+
+
+def test_spatial_coordinates_rename_to_leaf_coordinates(maxwell):
+    m = maxwell["m"]
+    a = parser.parse_expression("x[2]*A[1] ^ dx[1] ^ dx[2] ^ dx[3]", m.spectrum)
+    assert foliation.reduce(a, maxwell["F"]) == parser.parse_expression(
+        "x[1]*A[1] ^ dx[0] ^ dx[1] ^ dx[2]", maxwell["spl"])
 
 
 def test_velocity_rule_solves_for_the_field_strength(maxwell):

@@ -23,8 +23,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vtc
-from vtc import (builtin_models, cli, forms, kernel, model, parser, printing,
-                 report, symplectic)
+from vtc import (builtin_models, cli, forms, grading, kernel, model, parser,
+                 printing, report, symplectic)
 from vtc.forms import LocalForm
 
 
@@ -111,6 +111,17 @@ def test_parse_errors_carry_positions():
         parser.parse_model(text)
     assert err.value.line == 4
     assert "oops" in str(err.value)
+
+
+@pytest.mark.parametrize("text, message", [
+    ("x[\u0663] ^ vol", "line 1, column 3: unexpected character '\u0663'"),
+    ("\u0661/\u0662*vol", "line 1, column 1: unexpected character '\u0661'"),
+], ids=["digit-in-a-component", "digits-of-a-fraction"])
+def test_only_ascii_digits_are_numbers(text, message):
+    sp = builtin_models.builtin("maxwell").spectrum
+    with pytest.raises(parser.ParseError) as err:
+        parser.parse_expression(text, sp)
+    assert str(err.value) == message
 
 
 def test_unknown_names_and_attributes_are_rejected():
@@ -338,6 +349,34 @@ def test_report_checks_master_and_descends_twice(monkeypatch):
     counted("descend")
     report.run_pipeline(builtin_models.builtin("maxwell"))
     assert calls == {"check_master": 2, "descend": 2}
+
+
+def test_a_chiral_report_splits_its_reduced_structure_by_momentum_once(
+        monkeypatch):
+    split = []
+    original = forms.LocalForm._grade_split
+
+    def counted(self, kind):
+        split.append((self, kind))
+        return original(self, kind)
+    monkeypatch.setattr(forms.LocalForm, "_grade_split", counted)
+    rep = report.run_pipeline(builtin_models.builtin("chiral"))
+    reduced = rep["stages"]["reduce"]["structure"]
+    assert [kind for a, kind in split if report.form_json(a) == reduced] == [
+        grading.KIND_MOMENTUM]
+
+
+def test_a_model_without_a_foliation_reports_the_spacetime_stages(
+        tmp_path, capsys):
+    text = builtin_models.model_text("maxwell")
+    path = tmp_path / "m.vtc"
+    path.write_text(text[:text.index("foliation {")])
+    assert cli.main(["report", str(path)]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert sorted(rep["stages"]) == ["current", "descend", "master"]
+    assert cli.main(["homogenize", str(path)]) == 1
+    assert "error: FoliationError: model declares no foliation\n" in \
+        capsys.readouterr().out
 
 
 def test_reduction_without_descent_steps_is_an_error():
@@ -675,6 +714,8 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
     (None, "k ^ vol\n  $", "line 2, column 3: unexpected character '$'"),
     (None, "etab[2] ^ vol\t\u00e9",
      "line 1, column 15: unexpected character '\u00e9'"),
+    (_maxwell_with("density S = (1/2", "density S = (\u0661/2"), None,
+     "line 9, column 14: unexpected character '\u0661'"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
@@ -700,7 +741,7 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
         "parity-2", "unknown-role",
         "slot-kinds-too-few", "unknown-slot-kind",
         "stray-character-in-file", "stray-character-on-a-second-line",
-        "non-ascii-character-after-a-tab"])
+        "non-ascii-character-after-a-tab", "non-ascii-digit-in-file"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:
@@ -856,6 +897,21 @@ def test_cli_math_violations_exit_1(tmp_path, capsys):
     assert cli.main(["check-master", str(path)]) == 1
     out = capsys.readouterr().out
     assert "ok: no" in out
+
+
+def test_cli_field_without_a_partner_exits_1(tmp_path, capsys):
+    path = tmp_path / "m.vtc"
+    path.write_text(_maxwell_with(", conjugate C }", " }"))
+    assert cli.main(["check-master", str(path)]) == 1
+    assert "error: SpectrumError: field C has no conjugate partner\n" in \
+        capsys.readouterr().out
+
+
+def test_a_phase_rule_to_zero_is_kept():
+    m = parser.parse_model(
+        _maxwell_with("phase C,[0] := Cd", "phase C,[0] := 0"))
+    C0 = kernel.jet_gen(m.spectrum, "C", (), (0,))
+    assert m.foliation.jet_rules[C0] == kernel.ZERO
 
 
 def test_cli_report_writes_files(tmp_path, capsys):

@@ -93,6 +93,7 @@ def _system_site(name):
 
 SITES = {
     "LocalForm.__hash__": _form_site(forms.LocalForm.__hash__),
+    "LocalForm.grade_split": _form_site(lambda a: a.grade_split("momentum")),
     "forms.d": _form_site(forms.d),
     "forms.delta": _form_site(forms.delta),
     "horizontal_homotopy": _form_site(variational.horizontal_homotopy),

@@ -455,6 +455,11 @@ def test_brst_current_cross_checks(maxwell):
     assert J == sigma
 
 
+def test_zero_generates_no_evolution(maxwell):
+    assert symplectic.verify_evolution_generator(
+        maxwell["S"], LocalForm(4), maxwell["st"])
+
+
 # ---------------------------------------------------------------------------
 # Hamiltonian field edge cases
 # ---------------------------------------------------------------------------

@@ -503,6 +503,10 @@ def test_equiv_mod_d_below_top_uses_closure():
     assert V.equiv_mod_d(F.d(sig), F.LocalForm(DIM))
 
 
+def test_equiv_mod_d_horizontal_degree_zero_is_exact_only_at_zero():
+    assert not V.equiv_mod_d(F.scalar_form(DIM, 1), F.LocalForm(DIM))
+
+
 def test_equiv_mod_d_degree_mismatch():
     with pytest.raises(V.DegreeError):
         V.equiv_mod_d(F.dx(DIM, 0), VOL)
