@@ -35,7 +35,11 @@ class UsageError(Exception):
 def _load_model(ref: str) -> Model:
     if os.path.exists(ref):
         with open(ref, encoding="utf-8") as fh:
-            text = fh.read()
+            try:
+                text = fh.read()
+            except UnicodeDecodeError as exc:
+                raise UsageError(f"model file {ref!r} is not UTF-8: "
+                                 f"bad byte at offset {exc.start}") from None
         return parser.parse_model(text)
     if ref in builtin_models.BUILTINS:
         return builtin_models.builtin(ref)

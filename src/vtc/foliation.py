@@ -125,7 +125,9 @@ def _gen_image(F: FoliationContext, g: Gen,
     if image is None:
         offenders.add(printing.gen_text(g))
         return None
-    return image.total_derivative_mi(mapped_space)
+    for j in mapped_space:
+        image = image.total_derivative(j)
+    return image
 
 
 def reduce(a: LocalForm, F: FoliationContext) -> LocalForm:

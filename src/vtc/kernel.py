@@ -646,12 +646,6 @@ class GradedScalar:
                 add_into(out, mono, c if k == 1 else -c if k == -1 else c * k)
         return GradedScalar._wrap(out)
 
-    def total_derivative_mi(self, mi: Sequence[int]) -> "GradedScalar":
-        cur = self
-        for j in mi:
-            cur = cur.total_derivative(j)
-        return cur
-
     # -- inspection -------------------------------------------------------
 
     def max_jet_order(self) -> int:

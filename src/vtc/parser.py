@@ -67,9 +67,9 @@ class Token(NamedTuple):
 
 
 # Every character of a text falls in one match: ``bad`` takes any character
-# the grammar has no token for.
+# the grammar has no token for, so a blank is ASCII whitespace only.
 _TOKEN_RE = re.compile(r"""
-    (?P<blank>[^\S\n]+|\#[^\n]*)
+    (?P<blank>[ \t\r\f\v]+|\#[^\n]*)
   | (?P<nl>\n)
   | (?P<number>[0-9]+(?:/[0-9]+)?)
   | (?P<name>[A-Za-z_][A-Za-z0-9_]*)

@@ -365,11 +365,8 @@ class MasterCheck:
 def check_master(O: LocalForm, structure: PresympStructure) -> MasterCheck:
     """Whether {O,O} is a total divergence, and the density it is one of."""
     br = bracket(O, O, structure)
-    rhs = br.scale(Fraction(-1, 2))
-    if rhs.is_zero():
-        return MasterCheck(True, LocalForm(O.dim))
     try:
-        sigma = variational.divergence_primitive(rhs)
+        sigma = variational.divergence_primitive(br.scale(Fraction(-1, 2)))
     except variational.NotDivergenceError as exc:
         return MasterCheck(False, None, exc.residual)
     return MasterCheck(True, sigma)

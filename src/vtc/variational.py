@@ -67,23 +67,37 @@ def _top_scalar(lam: LocalForm) -> GradedScalar:
     return lam.terms.get(vol_key, kernel.ZERO)
 
 
-def el_derivative(lam: LocalForm) -> dict[Gen, GradedScalar]:
-    """Euler-Lagrange derivatives of a horizontal top form.
+def _by_parts(coeffs: dict[Gen, dict]) -> tuple[dict, list]:
+    """Integrate jet-indexed term dicts by parts, which the pass owns.
 
-    Returns a map from underived field generators to the variation
-    (-total)_I applied to the right jet-partials; fields with vanishing
-    variation are omitted.
-    """
-    L = _top_scalar(lam)
-    acc: dict[Gen, dict[kernel.Monomial, kernel.Coefficient]] = {}
-    for g, part in sorted(L.partials().items()):
-        if not kernel.is_jet(g):
-            continue
-        mi = kernel.jet_mi(g)
-        out = acc.setdefault(kernel.jet_base(g), {})
-        for m, c in part.total_derivative_mi(mi).terms.items():
-            kernel.add_into(out, m, -c if len(mi) % 2 else c)
-    return {g: GradedScalar._wrap(t) for g, t in acc.items() if t}
+    Longest multi-index first (the greatest generator first among equals),
+    the terms t of phi_I move to phi_{I-j} as -D_j(t), j the last index of
+    I.  Returns the nonzero remainder, on underived generators, and the
+    steps (phi_I, t) in order."""
+    steps = []
+    top = max((len(kernel.jet_mi(g)) for g in coeffs), default=0)
+    for order in range(top, 0, -1):
+        for g in sorted([g for g in coeffs if len(kernel.jet_mi(g)) == order],
+                        reverse=True):
+            t = coeffs.pop(g)
+            if not t:
+                continue
+            j = kernel.jet_mi(g)[-1]
+            low = coeffs.setdefault(_lower_contact(g, j), {})
+            for m, c in t.items():
+                for mono, k in kernel.mono_total_derivative(m, j):
+                    kernel.add_into(low, mono, -c if k == 1 else c if k == -1 else -c * k)
+            steps.append((g, t))
+    return {g: t for g, t in coeffs.items() if t}, steps
+
+
+def el_derivative(lam: LocalForm) -> dict[Gen, GradedScalar]:
+    """Euler-Lagrange derivatives of a horizontal top form: underived field
+    generators to (-total)_I of the right jet-partials (``_by_parts``),
+    fields with vanishing variation omitted."""
+    rem, _ = _by_parts({g: s.terms for g, s in _top_scalar(lam).partials().items()
+                        if kernel.is_jet(g)})
+    return {g: GradedScalar._wrap(t) for g, t in rem.items()}
 
 
 def _contact_vol_sign(dim: int, g: Gen) -> int:
@@ -104,48 +118,29 @@ class SourceDecomposition:
 def source_decompose(alpha: LocalForm) -> SourceDecomposition:
     """Write a (1,n)-form as (source form) + d(boundary).
 
-    Integration by parts is applied to the contact factor with the longest
-    multi-index until only underived contacts remain; that remainder is the
-    unique source part, sum of E_a ^ d(phi^a) ^ vol over the components.
+    Integrating the contact coefficients by parts (``_by_parts``) leaves the
+    unique source part, sum of E_a ^ d(phi^a) ^ vol over the components.  A
+    step moving t off d(phi_I) adds e*t ^ d^{n-1}x_j ^ d(phi_{I-j}) to the
+    boundary, e = -1 exactly when n - j + parity(phi) is odd.
     """
     n = alpha.dim
     vol_key = tuple(range(n))
-    for (dxs, contacts) in alpha.terms:
+    coeffs = {}
+    for (dxs, contacts), s in alpha.terms.items():
         if dxs != vol_key or len(contacts) != 1:
             raise DegreeError(f"expected a (1,{n})-form")
-    rem = alpha
-    boundary = LocalForm(n)
-    while True:
-        target: Optional[tuple] = None
-        best = 0
-        for (dxs, contacts) in rem.terms:
-            g = contacts[0]
-            k = len(kernel.jet_mi(g))
-            if k > best or (k == best and k > 0 and (target is None or contacts > target[1])):
-                best, target = k, (dxs, contacts)
-        if best == 0:
-            break
-        g = target[1][0]
+        coeffs[contacts[0]] = dict(s.terms)
+    rem, steps = _by_parts(coeffs)
+    boundary = {}
+    for g, t in steps:
         j = kernel.jet_mi(g)[-1]
-        # s ^ d^{n-1}x_j ^ d(phi_{I-j}), up to a sign the check below fixes
-        s = rem.terms[target]
-        cand = LocalForm(n, {(tuple(i for i in vol_key if i != j),
-                              (_lower_contact(g, j),)): s})
-        dc = forms.d(cand)
-        high = dc.terms.get(target, kernel.ZERO)
-        if high == s:
-            sign = 1
-        elif high == -s:
-            sign = -1
-        else:
-            raise AssertionError("integration-by-parts step lost its leading term")
-        rem = rem - sign * dc
-        boundary = boundary + sign * cand
-    components: dict[Gen, GradedScalar] = {}
-    for (dxs, contacts), s in rem.terms.items():
-        g = contacts[0]
-        kernel.add_into(components, g, s * _contact_vol_sign(n, g))
-    return SourceDecomposition(rem, boundary, components)
+        s = GradedScalar._wrap(t)
+        boundary[(vol_key[:j] + vol_key[j + 1:], (_lower_contact(g, j),))] = \
+            -s if (n - j + kernel.gen_parity(g)) % 2 else s
+    source = {(vol_key, (g,)): GradedScalar._wrap(t) for g, t in rem.items()}
+    components = {g: s * _contact_vol_sign(n, g) for (_, (g,)), s in source.items()}
+    return SourceDecomposition(LocalForm._wrap(n, source),
+                               LocalForm._wrap(n, boundary), components)
 
 
 # ---------------------------------------------------------------------------

@@ -124,6 +124,24 @@ def test_only_ascii_digits_are_numbers(text, message):
     assert str(err.value) == message
 
 
+@pytest.mark.parametrize("text, message", [
+    ("x[0] ^\u00a0vol", "line 1, column 7: unexpected character '\\xa0'"),
+    ("x[0] ^\u3000vol", "line 1, column 7: unexpected character '\\u3000'"),
+], ids=["no-break-space", "ideographic-space"])
+def test_only_ascii_whitespace_is_blank(text, message):
+    sp = builtin_models.builtin("maxwell").spectrum
+    with pytest.raises(parser.ParseError) as err:
+        parser.parse_expression(text, sp)
+    assert str(err.value) == message
+
+
+def test_every_ascii_blank_separates_tokens():
+    sp = builtin_models.builtin("maxwell").spectrum
+    for blank in (" ", "\t", "\r", "\f", "\v", " \t\r"):
+        assert parser.parse_expression(f"x[0] ^{blank}vol", sp) == \
+            parser.parse_expression("x[0] ^ vol", sp)
+
+
 def test_unknown_names_and_attributes_are_rejected():
     sp = builtin_models.builtin("chiral").spectrum
     with pytest.raises(parser.ParseError, match="unknown name"):
@@ -716,6 +734,8 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
      "line 1, column 15: unexpected character '\u00e9'"),
     (_maxwell_with("density S = (1/2", "density S = (\u0661/2"), None,
      "line 9, column 14: unexpected character '\u0661'"),
+    (_maxwell_with("density S = (", "density S =\u00a0("), None,
+     "line 9, column 12: unexpected character '\\xa0'"),
 ], ids=["structure-kind", "no-algebra-form", "no-algebra-line",
         "algebra-form-length", "unknown-conjugate",
         "zero-denominator-in-file", "zero-denominator-in-expression",
@@ -741,7 +761,8 @@ DRESSED_OVER_NO_LEAF = ("model bad\ndim 1\nmetric 1\n"
         "parity-2", "unknown-role",
         "slot-kinds-too-few", "unknown-slot-kind",
         "stray-character-in-file", "stray-character-on-a-second-line",
-        "non-ascii-character-after-a-tab", "non-ascii-digit-in-file"])
+        "non-ascii-character-after-a-tab", "non-ascii-digit-in-file",
+        "no-break-space-in-file"])
 def test_cli_bad_model_inputs_exit_2(tmp_path, capsys, text, expression,
                                      message):
     if text is None:
@@ -765,6 +786,24 @@ def _cli(tmp_path, text, command="check-master", *options):
     env.pop("PYTHONINTMAXSTRDIGITS", None)
     return subprocess.run([sys.executable, "-m", "vtc.cli", command, str(path),
                            *options], capture_output=True, text=True, env=env)
+
+
+@pytest.mark.parametrize("data, offset", [
+    (b"model m\xff\n", 7),
+    # past the first 8 KiB a reader may decode on its own
+    (b"model m\n# " + b"a" * 10000 + b"\n\xc3\xa9\xc3(\n", 10013),
+], ids=["in-the-name", "past-8-kib"])
+def test_cli_rejects_a_model_file_that_is_not_utf8(tmp_path, data, offset):
+    path = tmp_path / "model.vtc"
+    path.write_bytes(data)
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(vtc.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", "vtc.cli", "report", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert done.returncode == 2
+    assert done.stderr == (f"vtc: model file {str(path)!r} is not UTF-8: "
+                           f"bad byte at offset {offset}\n")
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("old, new, where", [

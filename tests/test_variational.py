@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import vtc
+from vtc import builtin_models
 from vtc import forms as F
 from vtc import kernel as K
 from vtc import linsolve
@@ -215,6 +216,177 @@ def test_contact_vol_sign_matches_the_wedge():
             ((key, s),) = probe.terms.items()
             assert key == (tuple(range(dim)), (g,))
             assert s == K.GradedScalar.constant(V._contact_vol_sign(dim, g))
+
+
+# -- integration by parts against the two direct algorithms -------------------
+
+
+# one spectrum per base dimension: even and odd fields and antifields
+SPECTRA = [K.Spectrum(n, [
+    K.FieldSpec("A", K.EVEN, 0, shape=(2,)),
+    K.FieldSpec("C", K.ODD, 1),
+    K.FieldSpec("As", K.ODD, -1, role=K.ROLE_ANTIFIELD, shape=(2,)),
+    K.FieldSpec("Cs", K.EVEN, -2, role=K.ROLE_ANTIFIELD),
+]) for n in range(1, 5)]
+
+
+@st.composite
+def jet_gens(draw, sp):
+    """A jet variable of order 0 to 3 over ``sp``."""
+    f = draw(st.sampled_from(sp.fields))
+    comp = tuple(draw(st.integers(0, d - 1)) for d in f.shape)
+    return K.jet_gen(sp, f.name, comp,
+                     draw(st.lists(st.integers(0, sp.dim - 1), max_size=3)))
+
+
+@st.composite
+def jet_scalars(draw, sp):
+    """A sum of one to three terms: a rational times up to three factors,
+    each a coordinate, the parameter k or a jet variable."""
+
+    def factor():
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            return K.x(draw(st.integers(0, sp.dim - 1)))
+        if kind == 1:
+            return K.parameter("k")
+        return K.GradedScalar.generator(draw(jet_gens(sp)))
+
+    s = K.ZERO
+    for _ in range(draw(st.integers(1, 3))):
+        term = K.GradedScalar.constant(Fraction(draw(st.integers(-3, 3)) or 1,
+                                                draw(st.integers(1, 3))))
+        for _ in range(draw(st.integers(0, 3))):
+            term = term * factor()
+        s = s + term
+    return s
+
+
+@st.composite
+def densities(draw):
+    sp = draw(st.sampled_from(SPECTRA))
+    return F.wedge(F.scalar_form(sp.dim, draw(jet_scalars(sp))), F.volume(sp.dim))
+
+
+@st.composite
+def source_candidates(draw):
+    """A (1,n)-form: one to three terms s ^ vol ^ d(phi_I), |I| <= 3."""
+    sp = draw(st.sampled_from(SPECTRA))
+    n = sp.dim
+    alpha = F.LocalForm(n)
+    for _ in range(draw(st.integers(1, 3))):
+        alpha = alpha + F.wedge_all([F.scalar_form(n, draw(jet_scalars(sp))),
+                                     F.volume(n), F.contact(n, draw(jet_gens(sp)))])
+    return alpha
+
+
+def ref_el_derivative(lam):
+    """Sum over I of (-D)_I applied to the right partial along phi_I."""
+    n = lam.dim
+    out = {}
+    for g, part in lam.terms.get((tuple(range(n)), ()), K.ZERO).partials().items():
+        if not K.is_jet(g):
+            continue
+        for j in K.jet_mi(g):
+            part = -part.total_derivative(j)
+        base = K.jet_base(g)
+        out[base] = out.get(base, K.ZERO) + part
+    return {g: v for g, v in out.items() if v}
+
+
+def ref_source_decompose(alpha):
+    """Integration by parts on forms: the term with the longest contact,
+    s ^ vol ^ d(phi_I), is the leading term of d(s ^ d^{n-1}x_j ^
+    d(phi_{I-j})) up to a sign, read off that d."""
+    n = alpha.dim
+    vol = tuple(range(n))
+    rem, boundary = alpha, F.LocalForm(n)
+    while True:
+        derived = [key for key in rem.terms if K.jet_mi(key[1][0])]
+        if not derived:
+            break
+        target = max(derived, key=lambda key: (len(K.jet_mi(key[1][0])), key[1]))
+        (g,) = target[1]
+        j = K.jet_mi(g)[-1]
+        low = K.jet_with_mi(g, K.mi_remove(K.jet_mi(g), j))
+        s = rem.terms[target]
+        cand = F.LocalForm(n, {(tuple(i for i in vol if i != j), (low,)): s})
+        dc = F.d(cand)
+        sign = 1 if dc.terms[target] == s else -1
+        assert dc.terms[target] == sign * s
+        rem = rem - sign * dc
+        boundary = boundary + sign * cand
+    components = {}
+    for (_, (g,)), s in rem.terms.items():
+        ((_, layout),) = F.wedge(F.contact(n, g), F.volume(n)).terms.items()
+        components[g] = s * layout
+    return rem, boundary, components
+
+
+@settings(max_examples=200, deadline=None)
+@given(densities())
+def test_el_derivative_is_the_sum_of_the_integrated_partials(lam):
+    assert V.el_derivative(lam) == ref_el_derivative(lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(source_candidates())
+def test_source_decompose_is_the_form_level_integration_by_parts(alpha):
+    # the boundary representative feeds descent, so it is pinned too
+    dec = V.source_decompose(alpha)
+    assert (dec.source, dec.boundary, dec.components) == ref_source_decompose(alpha)
+
+
+@settings(max_examples=100, deadline=None)
+@given(densities())
+def test_source_decompose_of_delta_is_the_form_level_integration_by_parts(lam):
+    alpha = F.delta(lam)
+    dec = V.source_decompose(alpha)
+    assert (dec.source, dec.boundary, dec.components) == ref_source_decompose(alpha)
+
+
+def _under_cap(cap, op, *args):
+    token = K.JET_ORDER_CAP.set(cap)
+    try:
+        return op(*args)
+    finally:
+        K.JET_ORDER_CAP.reset(token)
+
+
+def _decomposed(alpha):
+    dec = V.source_decompose(alpha)
+    return dec.source, dec.boundary, dec.components
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(densities().map(lambda lam: (V.el_derivative, lam)),
+                 source_candidates().map(lambda alpha: (_decomposed, alpha))),
+       st.integers(1, 3))
+def test_a_lower_jet_order_cap_raises_or_gives_the_default_cap_result(case, cap):
+    op, form = case
+    expected = op(form)
+    try:
+        got = _under_cap(cap, op, form)
+    except K.JetOrderCapExceeded:
+        return
+    assert got == expected
+
+
+def test_el_derivative_merges_partials_before_it_differentiates_them():
+    # C,[2] and the divergence expand to partials along C,[2], C,[2 2] and
+    # C,[2 2 2]; merged, they cancel before any fourth derivative is taken
+    sp = builtin_models.builtin("maxwell").spectrum
+    lam = parser.parse_expression("C,[2] ^ vol + d(Cs,[0]*C,[2 2] ^ ib(2, vol))", sp)
+    assert V.el_derivative(lam) == {}
+    assert _under_cap(3, V.el_derivative, lam) == {}
+
+
+def test_source_decompose_takes_no_derivative_of_a_contact_it_holds():
+    sp = builtin_models.builtin("maxwell").spectrum
+    alpha = parser.parse_expression(
+        "2 ^ vol ^ del(As[3],[0]) + d(C ^ ib(1, vol) ^ del(A[1],[1 1]))", sp)
+    assert _under_cap(2, _decomposed, alpha) == _decomposed(alpha)
+
 
 
 # -- horizontal homotopy ----------------------------------------------------
