@@ -380,15 +380,18 @@ def descend(sys: GaugeSystem) -> GaugeSystem:
     boundary part of delta(H)'s source decomposition, negated, is a
     presymplectic potential for the descendant.  Otherwise the descendant is
     the horizontal homotopy of lie(Q, omega).  The next Hamiltonian is the
-    sigma of ``sys.master`` (the divergence primitive of -1/2 {H,H}) when
-    the bracket is available, so the master check is not repeated.
+    sigma of ``sys.master`` (the divergence primitive of -1/2 {H,H}), so the
+    master check is not repeated.  It is read only when H is a top form:
+    below top degree the check cannot succeed, since a Hamiltonian field is
+    solved from the Euler-Lagrange derivatives of a top form.
     """
     Q = sys.Q
     om = sys.structure.omega
     target = forms.lie(Q, om)
     omega1: Optional[LocalForm] = None
     theta1: Optional[LocalForm] = None
-    if sys.H is not None and sys.H.hdeg() == om.dim:
+    top = sys.H is not None and sys.H.hdeg() == om.dim
+    if top:
         dec = variational.source_decompose(forms.delta(sys.H))
         cand_theta = -dec.boundary
         cand_omega = forms.delta(cand_theta)
@@ -400,12 +403,7 @@ def descend(sys: GaugeSystem) -> GaugeSystem:
             raise DescentError("homotopy produced no primitive of the descent source")
         if not forms.delta(omega1).is_zero():
             raise DescentError("descendant representative is not delta-closed")
-    H1: Optional[LocalForm] = None
-    if sys.H is not None:
-        try:
-            H1 = sys.master.sigma
-        except (NoHamiltonianFieldError, GradingError):
-            pass
+    H1 = sys.master.sigma if top else None
     structure1 = PresympStructure(omega1, theta1, None, sys.structure.spectrum)
     return GaugeSystem(Q, structure1, H1)
 

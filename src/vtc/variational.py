@@ -18,12 +18,19 @@ saturated candidate set keeps the system solvable, so failure of the
 bounded solve is an honest obstruction report rather than a search
 artifact.  That engine is ``solve_mod_d``: ``_solve_d`` calls it with no
 other columns, the homogenizer with its candidates' Lie images as columns.
+It sorts the candidates once; their ranks in that order, then the
+caller's columns, number the columns of the system.  Each image is written
+straight into rows of ranked coefficients, which go in the order first met
+to ``linsolve.eliminate``, the elimination core: no keyed system is built
+and no row is sorted.  The solution comes back in column order, the order
+``_solve_d`` writes the primitive in.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from . import forms, kernel, linsolve, printing
@@ -277,9 +284,11 @@ def solve_mod_d(dim: int, rows: dict[MonoKey, dict],
     ``rows`` maps form monomials to their coefficients in the caller's
     columns (it may be empty), ``target`` maps monomials to the right-hand
     side.  The row set is closed under ``saturate_d``, and each preimage
-    ``cand`` becomes a column ``("b", cand)`` holding d(cand).  Returns the
-    reduced row-echelon solution over every column, or None when the system
-    is inconsistent.  ``rows`` is not changed.
+    ``cand`` becomes a column ``("b", cand)`` holding d(cand).  The caller's
+    column keys sort after all of these, as the homogenizer's ``("c", i)``
+    do.  Returns the reduced row-echelon solution over every column, in
+    key order, or None when the system is inconsistent.  ``rows`` is not
+    changed.
 
     ``x_cap`` bounds the base-coordinate degree of the preimages.  The
     caller reads it off the rows it passes, never off rows outside them:
@@ -287,15 +296,21 @@ def solve_mod_d(dim: int, rows: dict[MonoKey, dict],
     input, or one more than that.  So a block of the system gets the same
     answer whether or not other blocks are solved with it.
     """
-    system = {row: dict(coeffs) for row, coeffs in rows.items()}
+    images = sorted(saturate_d(dim, [*rows, *target], x_cap).items(),
+                    key=itemgetter(0))
+    keys = [("b", cand) for cand, _ in images]
+    callers = sorted({c for coeffs in rows.values() for c, v in coeffs.items() if v})
+    rank = {c: i for i, c in enumerate(callers, len(keys))}
+    # each row's {column rank: coefficient}, the rows in the order first met
+    system = {row: {rank[c]: v for c, v in coeffs.items() if v}
+              for row, coeffs in rows.items()}
     for row in target:
         system.setdefault(row, {})
-    for cand, image in saturate_d(dim, system, x_cap).items():
-        column = ("b", cand)
+    for col, (_, image) in enumerate(images):
         for row, c in image.items():
-            system.setdefault(row, {})[column] = c
-    return linsolve.solve_linear(
-        [(system[row], target.get(row, 0)) for row in sorted(system)])
+            system.setdefault(row, {})[col] = c
+    return linsolve.eliminate(keys + callers, [(coeffs, target.get(row, 0))
+                                               for row, coeffs in system.items()])
 
 
 def _solve_d(rho: LocalForm) -> LocalForm:
@@ -325,7 +340,7 @@ def _solve_d(rho: LocalForm) -> LocalForm:
                 "no primitive found within jet-order cap "
                 f"{kernel.JET_ORDER_CAP.get()} and coordinate degree {x_base + 1}")
         # the candidates of distinct blocks are distinct
-        for (_, (dxs, contacts, mono)), c in sorted(solution.items()):
+        for (_, (dxs, contacts, mono)), c in solution.items():
             if c:
                 terms.setdefault((dxs, contacts), {})[mono] = c
     return LocalForm(dim, {key: GradedScalar(t) for key, t in terms.items()})

@@ -440,6 +440,10 @@ def test_pruned_stage_solve_equals_the_full_solve(first_stage):
 
 @pytest.fixture
 def two_blocks():
+    return two_block_stage()
+
+
+def two_block_stage():
     """A stage where the direction w meets two rows of L, so the candidate
     u_x d/dw reaches the blocks {u, u} and {u, v}; u_x d/dz reaches only
     {u, v} and v_x d/du only {v, w}.  The residual lies in {u, u}."""
@@ -464,6 +468,33 @@ def two_blocks():
     assert residual and image_labels(residual) == {uu}
     return dict(spec=spec, ct=ct, leading=leading, residual=residual,
                 basis=basis, images=images)
+
+
+def retry_solves():
+    """The retries modulo d of the stages of the two retry tests below,
+    each a ``variational.solve_mod_d`` call with the caller's columns
+    ``("c", id)``: [(dim, rows, target, x_cap), ...]."""
+    stage = two_block_stage()
+    spec, leading, basis, ct = (stage[k] for k in ("spec", "leading", "basis", "ct"))
+    exact = forms.d(forms.wedge(ct("u"), ct("v")))
+    u, w = kernel.jet_gen(spec, "u"), kernel.jet_gen(spec, "w")
+    calls = []
+    solve = variational.solve_mod_d
+
+    def recording(dim, rows, target, x_cap):
+        calls.append((dim, {key: dict(c) for key, c in rows.items()},
+                      dict(target), x_cap))
+        return solve(dim, rows, target, x_cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(variational, "solve_mod_d", recording)
+        grading._stage_solve(spec, leading, stage["residual"] + exact, Listed(basis))
+        grading._stage_solve(
+            spec, leading,
+            exact - forms.lie(grading._basis_field(spec, w, ((u, 1),)), leading),
+            grading._Pool(spec, 0, 0, 1))
+    assert len(calls) == 2 and all(rows for _, rows, _, _ in calls)
+    return calls
 
 
 def test_closure_follows_a_candidate_into_a_second_block(two_blocks):
@@ -496,13 +527,15 @@ def test_retry_modulo_d_solves_the_full_system(two_blocks, monkeypatch):
         two_blocks[k] for k in ("spec", "leading", "basis", "images", "ct"))
     residual = two_blocks["residual"] + forms.d(forms.wedge(ct("u"), ct("v")))
     systems = []
-    solve_linear = linsolve.solve_linear
+    eliminate = linsolve.eliminate
 
-    def recording(equations):
-        systems.append(equation_counter(equations))
-        return solve_linear(equations)
+    def recording(keys, rows):
+        rows = [(dict(row), rhs) for row, rhs in rows]
+        systems.append(equation_counter(
+            ({keys[r]: v for r, v in row.items()}, rhs) for row, rhs in rows))
+        return eliminate(keys, rows)
 
-    monkeypatch.setattr(linsolve, "solve_linear", recording)
+    monkeypatch.setattr(linsolve, "eliminate", recording)
     sol = grading._stage_solve(spec, leading, residual, Listed(basis))
     assert (sol, False) == full_stage_solve(spec, leading, residual, basis, images)
     assert sol
@@ -538,10 +571,10 @@ def test_retry_images_only_the_candidates_in_reach(two_blocks, monkeypatch):
     kept = grading._candidates_in_reach(leading, residual, pool)
     verdicts = []
     images = []
-    solve_linear, lie = linsolve.solve_linear, forms.lie
+    eliminate, lie = linsolve.eliminate, forms.lie
 
-    def recording_solve(equations):
-        sol = solve_linear(equations)
+    def recording_solve(keys, rows):
+        sol = eliminate(keys, rows)
         verdicts.append(sol is not None)
         return sol
 
@@ -549,7 +582,7 @@ def test_retry_images_only_the_candidates_in_reach(two_blocks, monkeypatch):
         images.append(args)
         return lie(*args)
 
-    monkeypatch.setattr(linsolve, "solve_linear", recording_solve)
+    monkeypatch.setattr(linsolve, "eliminate", recording_solve)
     monkeypatch.setattr(forms, "lie", counting_lie)
     sol = grading._stage_solve(spec, leading, residual, pool)
     assert verdicts == [False, True]

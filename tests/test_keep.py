@@ -185,8 +185,9 @@ def test_only_kernel_keys_results_by_the_cap():
 def test_only_kernel_makes_coefficients_exact():
     # a coefficient is made exact where kernel makes it (a scalar or a
     # spectrum from caller input, a product by a coefficient, a partial),
-    # where add_into adds it into a sparse sum, and in linsolve's back
-    # substitution; every other sum goes through add_into
+    # where add_into adds it into a sparse sum, and in the back
+    # substitution of linsolve's elimination core; every other sum goes
+    # through add_into
     callers = set()
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text())
@@ -196,4 +197,4 @@ def test_only_kernel_makes_coefficients_exact():
                 assert node.name != "_add_term", path.name
     assert callers == {("kernel", "__init__"), ("kernel", "__mul__"),
                        ("kernel", "partials"), ("kernel", "add_into"),
-                       ("linsolve", "solve_linear")}
+                       ("linsolve", "eliminate")}

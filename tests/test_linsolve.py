@@ -9,9 +9,10 @@ or None exactly when the oracle finds a row 0 = b with b nonzero.
 The sparse oracle, ``fraction_solve``, is the elimination ``solve_linear``
 ran before it became fraction-free: ``Fraction`` rows scaled to a leading
 1, fed in the caller's order and keyed by the column keys themselves
-(``solve_linear`` feeds them largest leading column first and works on
-column ranks).  It is fast enough to replay every system the calculus
-queries and both reports solve.  The seed-0 calculus queries are also
+(the elimination core, ``linsolve.eliminate``, feeds them largest leading
+column first and works on column ranks).  It is fast enough to replay
+every system the calculus queries and both reports hand to the core,
+through ``solve_linear`` or ``variational.solve_mod_d``.  The seed-0 calculus queries are also
 checked against their digest in ``perfbench/pinned.json``, which pins
 the printed answers of the engine's homotopy, divergence and bracket
 queries.
@@ -377,18 +378,21 @@ def _load_calculus():
 
 
 def _recording(run):
-    """run() with every system ``solve_linear`` receives recorded:
-    (run's result, [equations, ...])."""
+    """run() with every system the elimination core receives recorded as
+    keyed equations, rebuilt from the column keys it gets: (run's result,
+    [equations, ...]).  Both ``solve_linear`` and ``solve_mod_d`` feed the
+    core."""
     systems = []
-    solve = linsolve.solve_linear
+    eliminate = linsolve.eliminate
 
-    def recording(equations):
-        equations = [(dict(coeffs), rhs) for coeffs, rhs in equations]
-        systems.append(equations)
-        return solve(equations)
+    def recording(keys, rows):
+        rows = [(dict(row), rhs) for row, rhs in rows]
+        systems.append([({keys[r]: v for r, v in row.items()}, rhs)
+                        for row, rhs in rows])
+        return eliminate(keys, rows)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(linsolve, "solve_linear", recording)
+        mp.setattr(linsolve, "eliminate", recording)
         return run(), systems
 
 

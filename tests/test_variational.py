@@ -14,9 +14,11 @@ from vtc import forms as F
 from vtc import kernel as K
 from vtc import linsolve
 from vtc import parser
+from vtc import report
 from vtc import variational as V
 
 from test_form_oracle import MAXWELL_SPECTRA, form_monomials
+from test_grading import retry_solves
 from test_linsolve import _load_calculus
 
 
@@ -559,17 +561,77 @@ def test_a_calculus_pass_solves_each_homotopy_system_once(calculus_solves):
     assert len(calculus_solves[0]) <= 229
 
 
+@pytest.fixture(scope="module")
+def homogenizer_retry_solves():
+    """The ``solve_mod_d`` calls of the homogenizer's retries in
+    test_grading, the systems with caller columns."""
+    return retry_solves()
+
+
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_saturation_does_not_depend_on_the_order_of_the_rows(distinct_calculus_solves, data):
-    dim, rows, target, x_cap = data.draw(st.sampled_from(distinct_calculus_solves))
+def test_saturation_does_not_depend_on_the_order_of_the_rows(
+        distinct_calculus_solves, homogenizer_retry_solves, data):
+    dim, rows, target, x_cap = data.draw(st.one_of(
+        st.sampled_from(distinct_calculus_solves),
+        st.sampled_from(homogenizer_retry_solves)))
     keys = list(rows) + [key for key in target if key not in rows]
     shuffled = data.draw(st.permutations(keys))
     assert V.saturate_d(dim, shuffled, x_cap) == V.saturate_d(dim, keys, x_cap)
+    rows_shuffled = {key: rows[key] for key in data.draw(st.permutations(list(rows)))}
     target_shuffled = {key: target[key]
                        for key in data.draw(st.permutations(list(target)))}
-    assert V.solve_mod_d(dim, rows, target_shuffled, x_cap) == \
+    assert V.solve_mod_d(dim, rows_shuffled, target_shuffled, x_cap) == \
         V.solve_mod_d(dim, rows, target, x_cap)
+
+
+def keyed_solve_mod_d(dim, rows, target, x_cap):
+    """``solve_mod_d`` as it was before it fed the elimination core, kept
+    as an oracle: the saturation copied into a keyed system with a column
+    ``("b", cand)`` per candidate, solved by ``solve_linear`` over its rows
+    in sorted order."""
+    system = {row: dict(coeffs) for row, coeffs in rows.items()}
+    for row in target:
+        system.setdefault(row, {})
+    for cand, image in V.saturate_d(dim, system, x_cap).items():
+        for row, c in image.items():
+            system.setdefault(row, {})[("b", cand)] = c
+    return linsolve.solve_linear(
+        [(system[row], target.get(row, 0)) for row in sorted(system)])
+
+
+@pytest.fixture(scope="module")
+def report_solves():
+    """The ``solve_mod_d`` calls of both built-in report pipelines."""
+    recorded = []
+    solve = V.solve_mod_d
+
+    def recording_solve(dim, rows, target, x_cap):
+        recorded.append((dim, {key: dict(c) for key, c in rows.items()},
+                         dict(target), x_cap))
+        return solve(dim, rows, target, x_cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(V, "solve_mod_d", recording_solve)
+        for name in builtin_models.BUILTINS:
+            report.run_pipeline(builtin_models.builtin(name))
+    return recorded
+
+
+def test_solve_mod_d_is_the_keyed_solve(distinct_calculus_solves, report_solves,
+                                        homogenizer_retry_solves):
+    # the same values, of the same types, in the same key order, on every
+    # calculus system, both reports' systems and the homogenizer's retries
+    assert report_solves
+    for dim, rows, target, x_cap in [*distinct_calculus_solves, *report_solves,
+                                     *homogenizer_retry_solves]:
+        got = V.solve_mod_d(dim, rows, target, x_cap)
+        expected = keyed_solve_mod_d(dim, rows, target, x_cap)
+        assert got == expected
+        if got is not None:
+            assert list(got) == list(expected)
+            assert [type(v) for v in got.values()] == \
+                [type(v) for v in expected.values()]
 
 
 def assert_canonical(key):
