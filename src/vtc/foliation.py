@@ -110,7 +110,7 @@ def _gen_image(F: FoliationContext, g: Gen,
         if j in F.time_directions:
             offenders.add(printing.gen_text(g))
             return None
-        return GradedScalar.generator(kernel.coord_gen(F.spatial_index(j)))
+        return kernel.x(F.spatial_index(j))
     name, comp, mi = kernel.jet_name(g), kernel.jet_comp(g), kernel.jet_mi(g)
     time_mi, space_mi = F._split_mi(mi)
     mapped_space = kernel.multi_index(F.spatial_index(j) for j in space_mi)

@@ -453,17 +453,14 @@ class EvoField:
     missing entries are zero.  Parity and ghost number are inferred from the
     nonzero components and checked for consistency.  Two fields are equal
     when their spectrum, parity, ghost number and nonzero components are;
-    the display ``name`` and the prolonged components computed so far do
-    not count.
+    the prolonged components computed so far do not count.
     """
 
     def __init__(self, spectrum: Spectrum,
                  components: Mapping[Gen, GradedScalar],
                  parity: Optional[int] = None,
-                 ghost: Optional[int] = None,
-                 name: str = ""):
+                 ghost: Optional[int] = None):
         self.spectrum = spectrum
-        self.name = name
         comps: dict[Gen, GradedScalar] = {}
         for g, v in components.items():
             if not kernel.is_jet(g):
@@ -540,13 +537,12 @@ class EvoField:
     def __repr__(self) -> str:
         bits = [f"{g}: {v}" for g, v in
                 printing.component_texts(self._components).items()]
-        label = self.name or "EvoField"
-        return f"{label}[" + "; ".join(bits) + "]" if bits else f"{label}[0]"
+        return "EvoField[" + "; ".join(bits) + "]" if bits else "EvoField[0]"
 
 
 def scale_field(X: EvoField, c: Union[int, Fraction]) -> EvoField:
     comps = {g: v * c for g, v in X.base_components().items()}
-    return EvoField(X.spectrum, comps, parity=X.parity, ghost=X.ghost, name=X.name)
+    return EvoField(X.spectrum, comps, parity=X.parity, ghost=X.ghost)
 
 
 def add_fields(X: EvoField, Y: EvoField) -> EvoField:

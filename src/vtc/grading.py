@@ -1,8 +1,8 @@
 """Degree gradings, exponential jet-space flows, and derived multibrackets.
 
-This module provides the Euler fields of the two auxiliary gradings carried
-by the jet algebra (the number of source factors and the number of antifield
-factors), the pullback by the formal diffeomorphism e^X that a
+This module names the two auxiliary gradings carried by the jet algebra
+(the number of source factors and the number of antifield factors), and
+provides the pullback by the formal diffeomorphism e^X that a
 degree-raising evolutionary field X generates (``pullback(X, a)``), a
 bounded search that homogenizes an inhomogeneous presymplectic form by such
 a flow, and the nested-bracket construction that turns a degree-n generator
@@ -55,8 +55,8 @@ from .kernel import Gen, GradedScalar, Spectrum
 KIND_MOMENTUM = "momentum"
 KIND_POLYVECTOR = "polyvector"
 
-# The order bound of every exponential series here (flows, the conjugated
-# Euler field) and of the homogenizer's stages.
+# The order bound of the pullback's exponential series and of the
+# homogenizer's stages.
 TRUNCATION_ORDER = 16
 
 
@@ -74,49 +74,6 @@ class NoHomogenizerError(kernel.EngineError):
 
 class ArityError(kernel.EngineError):
     """Multibracket arguments do not match the generator's degree."""
-
-
-# ---------------------------------------------------------------------------
-# Euler fields
-# ---------------------------------------------------------------------------
-
-
-def euler_field(spectrum: Spectrum, kind: str,
-                conjugator: Optional[EvoField] = None) -> EvoField:
-    """The Euler field of a grading, optionally conjugated by a flow e^X.
-
-    ``kind`` selects which factors are counted: ``"momentum"`` counts source
-    variables, ``"polyvector"`` counts antifield variables.  Without a
-    conjugator this is the literal field X^a = phi^a on the counted fields,
-    whose Lie derivative multiplies each homogeneous component by its
-    degree.  With one, the field is transported through the inverse flow,
-    e^{-ad X}, so that it measures the degree of the flow's image; a
-    structure made homogeneous by e^X is an exact eigenform of the result.
-    Raises ValueError on any other ``kind``, and TruncationError if that
-    series has not terminated after ``TRUNCATION_ORDER`` terms.
-    """
-    role = kernel.grading_role(kind)
-    comps: dict[Gen, GradedScalar] = {}
-    for f in spectrum.fields:
-        if f.role != role:
-            continue
-        for comp in f.components():
-            g = kernel.jet_gen(spectrum, f.name, comp, ())
-            comps[g] = GradedScalar.generator(g)
-    base = EvoField(spectrum, comps, parity=kernel.EVEN, ghost=0,
-                    name=f"E[{kind}]")
-    if conjugator is None or conjugator.is_zero():
-        return base
-    total = term = base
-    for k in range(1, TRUNCATION_ORDER + 1):
-        term = forms.scale_field(
-            forms.commutator(conjugator, term), Fraction(-1, k))
-        if term.is_zero():
-            return total
-        total = forms.add_fields(total, term)
-    raise TruncationError(
-        f"conjugated Euler field did not stabilize within order "
-        f"{TRUNCATION_ORDER}")
 
 
 # ---------------------------------------------------------------------------

@@ -313,8 +313,7 @@ class _Parser:
             return forms.dx(dim, j)
         if word == "x":
             j = self.bracketed_index(dim)
-            return forms.scalar_form(
-                dim, GradedScalar.generator(kernel.coord_gen(j)))
+            return forms.scalar_form(dim, kernel.x(j))
         if word in ("d", "del"):
             self.expect("op", "(")
             self.opened(t)

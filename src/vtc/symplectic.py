@@ -66,7 +66,6 @@ class PresympStructure:
 
     omega: LocalForm
     theta: Optional[LocalForm] = None
-    kind: Optional[str] = None
     spectrum: Optional[Spectrum] = None
 
     def __post_init__(self) -> None:
@@ -166,7 +165,7 @@ def canonical_structure(spectrum: Spectrum, kind: str) -> PresympStructure:
                 th_pair = -th_pair
             omega = omega + om_pair
             theta = theta + th_pair
-    return PresympStructure(omega, theta, kind, spectrum)
+    return PresympStructure(omega, theta, spectrum)
 
 
 # ---------------------------------------------------------------------------
@@ -200,7 +199,7 @@ def _pairing_rows(structure: PresympStructure, xpar: int,
               for i, h in enumerate(directions)}
     X = EvoField(structure.spectrum,
                  {h: GradedScalar.generator(p) for p, h in probes.items()},
-                 parity=xpar, name="probe")
+                 parity=xpar)
     vol_key = tuple(range(om.dim))
     rows: dict[Gen, dict[Gen, GradedScalar]] = {}
     not_source: list[Gen] = []
@@ -404,7 +403,7 @@ def descend(sys: GaugeSystem) -> GaugeSystem:
         if not forms.delta(omega1).is_zero():
             raise DescentError("descendant representative is not delta-closed")
     H1 = sys.master.sigma if top else None
-    structure1 = PresympStructure(omega1, theta1, None, sys.structure.spectrum)
+    structure1 = PresympStructure(omega1, theta1, sys.structure.spectrum)
     return GaugeSystem(Q, structure1, H1)
 
 

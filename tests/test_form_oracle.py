@@ -507,8 +507,7 @@ def ref_components_json(components):
 def ref_field_repr(X):
     bits = [f"{printing.gen_text(g)}: {ref_scalar_text(v)}"
             for g, v in sorted(X.base_components().items())]
-    label = X.name or "EvoField"
-    return f"{label}[" + "; ".join(bits) + "]" if bits else f"{label}[0]"
+    return "EvoField[" + "; ".join(bits) + "]" if bits else "EvoField[0]"
 
 
 @st.composite
@@ -536,7 +535,7 @@ def even_fields(draw):
                               scalars([K.parameter("k"), K.x(0), K.x(2)])))
     return F.EvoField(SP, {g: q * K.GradedScalar.generator(g)
                            for g, q in qs.items()},
-                      parity=K.EVEN, name=draw(st.sampled_from(["", "X"])))
+                      parity=K.EVEN)
 
 
 @settings(max_examples=150, deadline=None)

@@ -364,13 +364,13 @@ def test_fields_are_equal_by_value():
     Q = brs_field()
     half = F.scale_field(Q, Fraction(1, 2))
     rebuilt = F.add_fields(half, F.scale_field(half, 1))
-    named = F.EvoField(SP, {**Q.base_components(), G("C"): K.ZERO},
-                       parity=K.ODD, name="Q")
-    named.component(G("A", (1,), (0, 3)))  # the prolongation memo does not count
-    for other in (rebuilt, named):
+    padded = F.EvoField(SP, {**Q.base_components(), G("C"): K.ZERO},
+                        parity=K.ODD)
+    padded.component(G("A", (1,), (0, 3)))  # the prolongation memo does not count
+    for other in (rebuilt, padded):
         assert other is not Q
         assert other == Q and hash(other) == hash(Q)
-    assert len({Q, rebuilt, named}) == 1
+    assert len({Q, rebuilt, padded}) == 1
 
 
 def test_fields_that_differ_are_unequal():

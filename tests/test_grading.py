@@ -13,7 +13,7 @@ from fractions import Fraction as Fr
 import pytest
 
 from vtc import (builtin_models, forms, foliation, grading, kernel, linsolve,
-                 parser, report, symplectic, variational)
+                 model, parser, report, symplectic, variational)
 from vtc.forms import LocalForm
 from vtc.kernel import FieldSpec, Spectrum
 
@@ -41,6 +41,43 @@ def reduced(chiral):
 
 def sf1(s):
     return forms.scalar_form(1, s)
+
+
+def euler_field(spectrum, kind, conjugator=None):
+    """The Euler field of a grading, optionally conjugated by a flow e^X:
+    the oracle of ``grade_split`` and of the homogenizer's flow.
+
+    ``kind`` selects which factors are counted: ``"momentum"`` counts source
+    variables, ``"polyvector"`` counts antifield variables.  Without a
+    conjugator this is the literal field X^a = phi^a on the counted fields,
+    whose Lie derivative multiplies each homogeneous component by its
+    degree.  With one, the field is transported through the inverse flow,
+    e^{-ad X}, so that it measures the degree of the flow's image; a
+    structure made homogeneous by e^X is an exact eigenform of the result.
+    Raises ValueError on any other ``kind``, and TruncationError if that
+    series has not terminated after ``grading.TRUNCATION_ORDER`` terms.
+    """
+    role = kernel.grading_role(kind)
+    comps = {}
+    for f in spectrum.fields:
+        if f.role != role:
+            continue
+        for comp in f.components():
+            g = kernel.jet_gen(spectrum, f.name, comp, ())
+            comps[g] = kernel.GradedScalar.generator(g)
+    base = forms.EvoField(spectrum, comps, parity=kernel.EVEN, ghost=0)
+    if conjugator is None or conjugator.is_zero():
+        return base
+    total = term = base
+    for k in range(1, grading.TRUNCATION_ORDER + 1):
+        term = forms.scale_field(
+            forms.commutator(conjugator, term), Fr(-1, k))
+        if term.is_zero():
+            return total
+        total = forms.add_fields(total, term)
+    raise grading.TruncationError(
+        f"conjugated Euler field did not stabilize within order "
+        f"{grading.TRUNCATION_ORDER}")
 
 
 # -- degree splits ----------------------------------------------------------
@@ -89,14 +126,14 @@ def test_split_of_zero_is_empty():
 
 
 def test_counting_field_measures_degree(chiral):
-    Em = grading.euler_field(chiral["m"].spectrum, grading.KIND_MOMENTUM)
+    Em = euler_field(chiral["m"].spectrum, grading.KIND_MOMENTUM)
     for k, c in chiral["O"].grade_split(grading.KIND_MOMENTUM).items():
         assert forms.lie(Em, c) == c.scale(k)
 
 
 def test_an_unknown_grading_name_is_one_error_everywhere(chiral):
     for call in (lambda: chiral["O"].grade_split("momentun"),
-                 lambda: grading.euler_field(chiral["m"].spectrum, "momentun")):
+                 lambda: euler_field(chiral["m"].spectrum, "momentun")):
         with pytest.raises(ValueError, match="^unknown grading 'momentun'$"):
             call()
 
@@ -129,7 +166,7 @@ def test_pullback_inverts(reduced):
 
 def test_pullback_reports_nonterminating_series(reduced):
     spl = reduced["spl"]
-    E = grading.euler_field(spl, grading.KIND_MOMENTUM)
+    E = euler_field(spl, grading.KIND_MOMENTUM)
     # phib has momentum degree 1, so every term of e^{L_E} is nonzero
     with pytest.raises(grading.TruncationError) as info:
         grading.pullback(E, sf1(kernel.jet(spl, "phib", (0,))))
@@ -701,7 +738,7 @@ def test_retry_over_the_pool_solves_the_full_system(two_blocks):
 def test_conjugated_euler_field_fixes_structure(reduced):
     spl = reduced["spl"]
     K = kernel.parameter("k")
-    Ep = grading.euler_field(spl, grading.KIND_MOMENTUM, reduced["h"].X)
+    Ep = euler_field(spl, grading.KIND_MOMENTUM, reduced["h"].X)
     comps = {g: v for g, v in Ep.base_components().items() if not v.is_zero()}
     expected = {}
     for i in range(3):
@@ -775,6 +812,43 @@ def test_derived_bracket_rejects_arguments_of_mixed_degree(chiral):
                        match=r"^argument 0 has momentum degrees \[0, 1\], "
                              r"expected \[0\]$"):
         grading.derived_bracket(O1, [a], chiral["m"].structure())
+
+
+def derived_closure(run, hs, st):
+    """The report's algebra closure check, one (i, j) at a time through
+    ``grading.derived_bracket``: {{hs, e_i}, e_j} == eps_ijk e_k modulo d
+    for the plain field densities e_i."""
+    spl = run.slicing.spatial
+    eps = model.structure_constants(run.m.algebra_constants)
+    rank = max(i for (i, _, _) in eps) + 1
+    pair = next(f for c, f in spl.conjugate_pairs())
+    dens = [forms.wedge(forms.dressed(spl, pair.name, (i,)),
+                        forms.volume(spl.dim)) for i in range(rank)]
+    for i, j in itertools.product(range(rank), repeat=2):
+        want = LocalForm(spl.dim)
+        for k in range(rank):
+            want = want + dens[k].scale(eps.get((i, j, k), 0))
+        got = grading.derived_bracket(hs, [dens[i], dens[j]], st)
+        if not variational.equiv_mod_d(got, want):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("sign", [1, -1], ids=["su2", "negated"])
+def test_algebra_closure_is_the_derived_bracket_check(chiral, monkeypatch,
+                                                      sign):
+    constants = model.structure_constants
+    monkeypatch.setattr(model, "structure_constants", lambda name: {
+        key: sign * c for key, c in constants(name).items()})
+    run = report._Run(chiral["m"], steps=1)
+    h = run.homogenizer
+    hs = grading.pullback(h.X, run.charge)
+    st = symplectic.PresympStructure(h.pulled_back, spectrum=run.slicing.spatial)
+    closes = sign == 1
+    assert report._algebra_closure(run, hs, st) is closes
+    assert derived_closure(run, hs, st) is closes
+    rep = report.run_pipeline(chiral["m"], ("homogenize",))
+    assert rep["stages"]["homogenize"]["algebra_closes"] is closes
 
 
 def test_binary_bracket_symmetry_sign(chiral):

@@ -494,12 +494,12 @@ def test_presymp_structure_is_frozen_and_memos_are_not_fields(maxwell):
     with pytest.raises(dataclasses.FrozenInstanceError):
         st.omega = LocalForm(4)
     assert [f.name for f in dataclasses.fields(st)] == [
-        "omega", "theta", "kind", "spectrum"]
+        "omega", "theta", "spectrum"]
     symplectic.hamiltonian_field(maxwell["S"], st)
     cap = kernel.JET_ORDER_CAP.get()
     assert {"field", "pairing"} <= {op for op, c in kept_ops(st) if c == cap}
     # the memo stays out of equality, hashing and repr
-    twin = symplectic.PresympStructure(st.omega, st.theta, st.kind, st.spectrum)
+    twin = symplectic.PresympStructure(st.omega, st.theta, st.spectrum)
     assert twin == st and hash(twin) == hash(st) and repr(twin) == repr(st)
 
 
