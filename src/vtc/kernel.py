@@ -10,11 +10,14 @@ coefficients or of scalars, is built by ``add_into``, which keeps that
 contract in one place; ``mul_into``, the one multiply-accumulate, adds a
 product of scalars into a sparse sum through it.  Grassmann-odd
 generators anticommute and square to zero.  Everything downstream (forms,
-variational calculus, brackets) is built on top of this module.  Its one
-bound is the jet-order cap, ``JET_ORDER_CAP``: a context variable that
-every jet shift reads, so no operation takes the cap as an argument.
-Every result an object keeps lives on its owner's ``memo`` dict, kept by
-``keep`` under the operation and the cap.
+variational calculus, brackets) is built on top of this module.  A jet
+variable's key is one interned int per jet (``Jet``), so every sparse sum
+hashes and compares an int, not a nested tuple; the ``Spectrum`` owns the
+table that interns them.  Its one bound is the jet-order cap,
+``JET_ORDER_CAP``: a context variable that every jet shift reads, so no
+operation takes the cap as an argument.  Every result an object keeps
+lives on its owner's ``memo`` dict, kept by ``keep`` under the operation
+and the cap; a jet keeps only its neighbours one derivative up and down.
 """
 
 from __future__ import annotations
@@ -98,9 +101,8 @@ def keep(memo: dict, key, compute: Callable[[], object]):
 def multi_index(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted) multi-index from an iterable of directions."""
     mi = tuple(sorted(parts))
-    for p in mi:
-        if p < 0:
-            raise ValueError(f"negative direction in multi-index: {mi}")
+    if mi and mi[0] < 0:
+        raise DeclarationError(f"negative direction in multi-index: {mi}", "dim")
     return mi
 
 
@@ -169,6 +171,10 @@ class Spectrum:
                  algebra_form: Optional[Sequence[Fraction]] = None):
         if dim < 1:
             raise DeclarationError("base dimension must be positive", "dim")
+        if dim > MAX_DIM:
+            raise DeclarationError(
+                f"base dimension {dim} exceeds {MAX_DIM}, the most a jet "
+                "generator's key holds", "dim")
         self.dim = dim
         self.fields = tuple(fields)
         self.by_name: dict[str, FieldSpec] = {}
@@ -203,6 +209,16 @@ class Spectrum:
                         f"field {f.name} has an internal slot of range {n}, "
                         f"so the algebra form needs {n} entries", "algebra",
                         f.name)
+            if (len(f.shape) > MAX_COMPONENT_LABELS
+                    or any(n > MAX_COMPONENT_RANGE for n in f.shape)):
+                raise DeclarationError(
+                    f"field {f.name} has shape {f.shape}, but a jet "
+                    f"generator's key holds at most {MAX_COMPONENT_LABELS} "
+                    f"component labels, each of range at most "
+                    f"{MAX_COMPONENT_RANGE}", "field", f.name)
+        # the table that interns the spectrum's jet generators, per field
+        self.jet_fields = {f.name: JetField.of(pos, f, dim)
+                           for pos, f in enumerate(self.fields)}
 
     def _key(self):
         return (self.dim, self.fields, self.metric, self.parameters,
@@ -232,18 +248,83 @@ class Spectrum:
 # ---------------------------------------------------------------------------
 # Generators
 #
-# A generator is a plain tuple so monomials order and hash cheaply:
-#   (0, name)                                   parameter (even)
-#   (1, i)                                      base coordinate x^i (even)
-#   (2, pos, name, comp, mi, parity, ghost, role)   jet variable
-#   (3, name, parity, ghost)                    auxiliary constant
-# The leading rank makes the canonical monomial order: parameters, base
-# coordinates, then jet variables by (field declaration order, component,
-# multi-index), auxiliaries last.  Jet generators carry their field name and
-# grading so scalars print and grade without a spectrum at hand.
+# A generator is a plain tuple whose leading rank makes the canonical
+# monomial order: parameters, base coordinates, jet variables, auxiliaries.
+#   (0, name)                     parameter (even)
+#   (1, i)                        base coordinate x^i (even)
+#   (2, J, F)                     jet variable
+#   (3, name, parity, ghost)      auxiliary constant
+# A jet variable's J is a ``Jet``: an int whose value packs (field
+# declaration position, component, multi-index), so that int order is the
+# order of those tuples, and a jet is hashed and compared as one int.  Its
+# F is its field's ``JetField``: the str repr((name, parity, ghost, role)),
+# whose hash Python caches, so that two jet variables are equal exactly
+# when (position, name, component, multi-index, parity, ghost, role) are.
+# Jets are interned per field in the ``Spectrum``'s ``jet_fields``, and
+# scalars print and grade from the attributes of J and F, with no spectrum
+# at hand.
+#
+# The packing has fixed widths: a component label of range at most
+# MAX_COMPONENT_RANGE in each of at most MAX_COMPONENT_LABELS slots, and a
+# multi-index of at most MAX_JET_ORDER directions, each below MAX_DIM.
+# ``Spectrum`` rejects a declaration past the first two or the last, and a
+# jet of higher order raises a typed error that names its bound.
 # ---------------------------------------------------------------------------
 
 Gen = tuple
+
+MAX_COMPONENT_LABELS = 4
+MAX_COMPONENT_RANGE = 255  # a label l is packed as l + 1 in 8 bits
+MAX_JET_ORDER = 16
+MAX_DIM = 31  # a direction j is packed as j + 1 in 5 bits
+
+
+class JetField(str):
+    """The field part of a jet generator's key (see "Generators"), with the
+    field's ``name``, ``parity``, ``ghost``, ``role``, declaration ``pos``
+    and base ``dim``, and ``jets``: the table interning the field's jet
+    generators by (component, multi-index)."""
+
+    @classmethod
+    def of(cls, pos: int, f: FieldSpec, dim: int) -> "JetField":
+        # made by str's constructor, so a pickled one loads as it is
+        F = cls(repr((f.name, f.parity, f.ghost, f.role)))
+        F.name, F.parity, F.ghost, F.role = f.name, f.parity, f.ghost, f.role
+        F.pos, F.dim, F.jets = pos, dim, {}
+        return F
+
+
+class Jet(int):
+    """The int of a jet generator's key (see "Generators"), with its
+    ``comp`` and ``mi``.  Once asked for, the jets one derivative up
+    (``jet_shift``) and down (``jet_lower``) in direction j are kept in the
+    list ``near``, at j and at dim + j."""
+
+    near: Optional[list] = None
+
+
+def _intern(F: JetField, comp: tuple[int, ...], mi: tuple[int, ...]) -> Gen:
+    """The jet generator of field ``F`` at ``comp`` and ``mi``, made and
+    entered in ``F``'s table; ``comp`` is in the field's range."""
+    if len(mi) > MAX_JET_ORDER:
+        raise DeclarationError(
+            f"multi-index {mi} of field {F.name} has more than "
+            f"{MAX_JET_ORDER} directions, the most a jet generator's key "
+            "holds", "field", F.name)
+    for j in mi:
+        if not 0 <= j < F.dim:
+            raise DeclarationError(
+                f"direction {j} out of range for dimension {F.dim}", "dim")
+    code = F.pos
+    for c in comp:
+        code = code << 8 | c + 1
+    code <<= 8 * (MAX_COMPONENT_LABELS - len(comp))
+    for j in mi:
+        code = code << 5 | j + 1
+    J = Jet(code << 5 * (MAX_JET_ORDER - len(mi)))
+    J.comp, J.mi = comp, mi
+    g = F.jets[(comp, mi)] = (2, J, F)
+    return g
 
 
 def param_gen(name: str) -> Gen:
@@ -266,8 +347,12 @@ def field_jet(spectrum: Spectrum, f: FieldSpec, comp: Sequence[int],
     comp = tuple(comp)
     dims = f.shape
     if len(comp) != len(dims) or any(not 0 <= c < d for c, d in zip(comp, dims)):
-        raise ValueError(f"component {comp} out of range for field {f.name} with shape {dims}")
-    return (2, spectrum.index[f.name], f.name, comp, multi_index(mi), f.parity, f.ghost, f.role)
+        raise DeclarationError(
+            f"component {comp} out of range for field {f.name} with shape "
+            f"{dims}", "field", f.name)
+    mi = multi_index(mi)
+    F = spectrum.jet_fields[f.name]
+    return F.jets.get((comp, mi)) or _intern(F, comp, mi)
 
 
 def aux_gen(name: str, parity: int = EVEN, ghost: int = 0) -> Gen:
@@ -276,7 +361,7 @@ def aux_gen(name: str, parity: int = EVEN, ghost: int = 0) -> Gen:
 
 def gen_parity(g: Gen) -> int:
     if g[0] == 2:
-        return g[5]
+        return g[2].parity
     if g[0] == 3:
         return g[2]
     return EVEN
@@ -284,14 +369,14 @@ def gen_parity(g: Gen) -> int:
 
 def gen_ghost(g: Gen) -> int:
     if g[0] == 2:
-        return g[6]
+        return g[2].ghost
     if g[0] == 3:
         return g[3]
     return 0
 
 
 def gen_role(g: Gen) -> Optional[str]:
-    return g[7] if g[0] == 2 else None
+    return g[2].role if g[0] == 2 else None
 
 
 def is_jet(g: Gen) -> bool:
@@ -299,21 +384,22 @@ def is_jet(g: Gen) -> bool:
 
 
 def jet_name(g: Gen) -> str:
-    return g[2]
+    return g[2].name
 
 
 def jet_comp(g: Gen) -> tuple[int, ...]:
-    return g[3]
+    return g[1].comp
 
 
 def jet_mi(g: Gen) -> tuple[int, ...]:
-    return g[4]
+    return g[1].mi
 
 
 def jet_with_mi(g: Gen, mi: tuple[int, ...]) -> Gen:
     """The jet generator of the same field component with the canonical
     multi-index ``mi``."""
-    return g[:4] + (mi,) + g[5:]
+    F, comp = g[2], g[1].comp
+    return F.jets.get((comp, mi)) or _intern(F, comp, mi)
 
 
 def jet_base(g: Gen) -> Gen:
@@ -324,14 +410,40 @@ def jet_base(g: Gen) -> Gen:
 def jet_shift(g: Gen, j: int) -> Gen:
     """The jet generator with one more derivative in direction j, within the
     jet-order cap in force (``JET_ORDER_CAP``)."""
-    mi = g[4]
+    J = g[1]
+    n = len(J.mi)
     cap = JET_ORDER_CAP.get()
-    if len(mi) >= cap:
+    if n >= cap:
         raise JetOrderCapExceeded(
-            f"jet order {len(mi) + 1} exceeds cap {cap} (raise kernel.JET_ORDER_CAP, "
+            f"jet order {n + 1} exceeds cap {cap} (raise kernel.JET_ORDER_CAP, "
             "or VTC_JET_ORDER_CAP for vtc)")
-    k = bisect_right(mi, j)
-    return jet_with_mi(g, mi[:k] + (j,) + mi[k:])
+    near = J.near
+    if near is None:
+        near = J.near = [None] * (2 * g[2].dim)
+    # a direction out of range meets its error in _intern
+    out = near[j] if 0 <= j < g[2].dim else None
+    if out is None:
+        if n >= MAX_JET_ORDER:
+            raise JetOrderCapExceeded(
+                f"jet order {n + 1} exceeds {MAX_JET_ORDER}, the most a jet "
+                "generator's key holds")
+        mi = J.mi
+        k = bisect_right(mi, j)
+        out = near[j] = jet_with_mi(g, mi[:k] + (j,) + mi[k:])
+    return out
+
+
+def jet_lower(g: Gen, j: int) -> Gen:
+    """The jet generator with one derivative in direction j fewer; j is in
+    the multi-index (``mi_remove`` raises when it is not)."""
+    J, dim = g[1], g[2].dim
+    near = J.near
+    if near is None:
+        near = J.near = [None] * (2 * dim)
+    out = near[dim + j] if 0 <= j < dim else None
+    if out is None:
+        out = near[dim + j] = jet_with_mi(g, mi_remove(J.mi, j))
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +460,7 @@ def mono_parity(m: Monomial) -> int:
     for g, e in m:
         rank = g[0]
         if rank == 2:
-            odd += g[5] * e
+            odd += g[2].parity * e
         elif rank == 3:
             odd += g[2] * e
     return odd % 2
@@ -427,12 +539,13 @@ def mono_total_derivative(m: Monomial, j: int) -> list[tuple[Monomial, int]]:
             else:
                 rest = m[:idx] + m[idx + 1:]
             k = bisect_left(rest, (repl,))
+            odd = g[2].parity
             if k < len(rest) and rest[k][0] == repl:
-                if repl[5]:
+                if odd:
                     continue  # odd generator squared
                 out.append((rest[:k] + ((repl, rest[k][1] + 1),) + rest[k + 1:], e))
             else:
-                sign = -1 if repl[5] and (k - idx) % 2 else 1
+                sign = -1 if odd and (k - idx) % 2 else 1
                 out.append((rest[:k] + ((repl, 1),) + rest[k:], sign * e))
     return out
 

@@ -90,7 +90,7 @@ def _by_parts(coeffs: dict[Gen, dict]) -> tuple[dict, list]:
             if not t:
                 continue
             j = kernel.jet_mi(g)[-1]
-            low = coeffs.setdefault(_lower_contact(g, j), {})
+            low = coeffs.setdefault(kernel.jet_lower(g, j), {})
             for m, c in t.items():
                 for mono, k in kernel.mono_total_derivative(m, j):
                     kernel.add_into(low, mono, -c if k == 1 else c if k == -1 else -c * k)
@@ -142,7 +142,7 @@ def source_decompose(alpha: LocalForm) -> SourceDecomposition:
     for g, t in steps:
         j = kernel.jet_mi(g)[-1]
         s = GradedScalar._wrap(t)
-        boundary[(vol_key[:j] + vol_key[j + 1:], (_lower_contact(g, j),))] = \
+        boundary[(vol_key[:j] + vol_key[j + 1:], (kernel.jet_lower(g, j),))] = \
             -s if (n - j + kernel.gen_parity(g)) % 2 else s
     source = {(vol_key, (g,)): GradedScalar._wrap(t) for g, t in rem.items()}
     components = {g: s * _contact_vol_sign(n, g) for (_, (g,)), s in source.items()}
@@ -164,10 +164,6 @@ def _mono_x_degree(mono: kernel.Monomial) -> int:
     return sum(e for g, e in mono if g[0] == 1)
 
 
-def _lower_contact(g: Gen, j: int) -> Gen:
-    return kernel.jet_with_mi(g, kernel.mi_remove(kernel.jet_mi(g), j))
-
-
 def _preimages(key: MonoKey, x_cap: int) -> Iterator[MonoKey]:
     """Candidate monomials whose horizontal differential can hit ``key``.
 
@@ -181,7 +177,7 @@ def _preimages(key: MonoKey, x_cap: int) -> Iterator[MonoKey]:
         # lower a contact factor
         for idx, g in enumerate(contacts):
             if j in kernel.jet_mi(g):
-                low = _lower_contact(g, j)
+                low = kernel.jet_lower(g, j)
                 others = contacts[:idx] + contacts[idx + 1:]
                 k = bisect_left(others, low)
                 if (k < len(others) and others[k] == low
@@ -192,7 +188,7 @@ def _preimages(key: MonoKey, x_cap: int) -> Iterator[MonoKey]:
         for idx, (g, e) in enumerate(mono):
             if kernel.is_jet(g) and j in kernel.jet_mi(g):
                 head = mono[:idx] + ((g, e - 1),) if e > 1 else mono[:idx]
-                newm = _mono_times(head + mono[idx + 1:], _lower_contact(g, j))
+                newm = _mono_times(head + mono[idx + 1:], kernel.jet_lower(g, j))
                 if newm is not None:
                     yield (rest, contacts, newm)
         # trade the dx for a base-coordinate power

@@ -95,7 +95,7 @@ def oracle_shift(g, j):
     """phi^a_{Ij}: j joins the sorted multi-index, within the jet-order cap."""
     if len(K.jet_mi(g)) >= K.JET_ORDER_CAP.get():
         raise K.JetOrderCapExceeded(f"cap {K.JET_ORDER_CAP.get()}")
-    return g[:4] + (tuple(sorted(K.jet_mi(g) + (j,))),) + g[5:]
+    return K.jet_with_mi(g, tuple(sorted(K.jet_mi(g) + (j,))))
 
 
 def oracle_total_derivative(s, j):

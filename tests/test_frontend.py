@@ -578,6 +578,50 @@ def test_cli_component_out_of_range_in_model_file_exits_2(tmp_path, capsys):
     assert err.startswith("vtc: line 5, column 13: component (5,) out of range")
 
 
+@pytest.mark.parametrize("text, message", [
+    ("model big\ndim 32\nfield u { parity 0, ghost 0, role field }\n"
+     "structure odd-BV\ndensity S = u ^ vol\nmaster S\n",
+     "line 2, column 1: base dimension 32 exceeds 31, the most a jet "
+     "generator's key holds"),
+    ("model big\ndim 2\nfield u { parity 0, ghost 0, role field, shape 256 }\n"
+     "structure odd-BV\ndensity S = u[0] ^ vol\nmaster S\n",
+     "line 3, column 1: field u has shape (256,), but a jet generator's key "
+     "holds at most 4 component labels, each of range at most 255"),
+    ("model big\ndim 2\nfield u { parity 0, ghost 0, role field }\n"
+     "structure odd-BV\ndensity S = u,[" + " ".join(["1"] * 17) + "] ^ vol\n"
+     "master S\n",
+     "line 5, column 13: multi-index (" + ", ".join(["1"] * 17) + ") of field "
+     "u has more than 16 directions, the most a jet generator's key holds"),
+], ids=["dim", "shape", "multi-index"])
+def test_cli_model_past_a_key_bound_exits_2(tmp_path, capsys, text, message):
+    path = tmp_path / "big.vtc"
+    path.write_text(text)
+    assert cli.main(["check-master", str(path)]) == 2
+    assert capsys.readouterr().err == f"vtc: {message}\n"
+
+
+def test_cli_jet_order_past_the_key_is_a_stage_error(tmp_path, capsys,
+                                                     monkeypatch):
+    # the Euler-Lagrange derivative of u_9^2 needs u_18: past the default
+    # cap 8 a cap error, and past the key's 16 under cap 40
+    path = tmp_path / "deep.vtc"
+    u9 = "u,[" + " ".join(["0"] * 9) + "]"
+    path.write_text("model deep\ndim 1\n"
+                    "field u { parity 0, ghost 0, role field }\n"
+                    "field us { parity 1, ghost -1, role antifield, "
+                    "conjugate u }\nstructure odd-BV\n"
+                    f"density S = {u9}*{u9} ^ vol\nmaster S\n")
+    for cap, message in [(None, "jet order 10 exceeds cap 8"),
+                         ("40", "jet order 17 exceeds 16, the most a jet "
+                                "generator's key holds")]:
+        if cap is not None:
+            monkeypatch.setenv("VTC_JET_ORDER_CAP", cap)
+        assert cli.main(["check-master", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert f"error: JetOrderCapExceeded: {message}" in captured.out
+        assert captured.err == ""
+
+
 def _chiral_with(old, new):
     text = builtin_models.model_text("chiral")
     assert old in text

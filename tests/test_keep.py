@@ -68,7 +68,7 @@ def _component_site(pool, data):
     base = data.draw(st.sampled_from(sorted(X.base_components())))
     mi = kernel.multi_index(data.draw(
         st.lists(st.integers(0, X.spectrum.dim - 1), min_size=1, max_size=5)))
-    g = base[:4] + (mi,) + base[5:]
+    g = kernel.jet_with_mi(base, mi)
 
     def fresh():
         return forms.EvoField(X.spectrum, X.base_components(), X.parity, X.ghost)

@@ -5,6 +5,7 @@ The frozen expected values in this file were worked out by hand on paper
 (sign tracking for each swap) before the kernel was written.
 """
 
+import pickle
 import random
 from fractions import Fraction
 
@@ -61,6 +62,119 @@ def test_odd_squares_vanish():
     # an odd scalar squares to zero: the cross terms anticancel
     s = J("C") + J("As", (0,))
     assert (s * s).is_zero()
+
+
+# -- generator keys -----------------------------------------------------------
+
+
+def _field_at_0(**change):
+    """A jet of the field at position 0 of its own spectrum: A of ``SP``,
+    with the attributes in ``change`` changed."""
+    f = K.FieldSpec(**{**dict(name="A", parity=K.EVEN, ghost=0, shape=(4,)),
+                       **change})
+    return K.jet_gen(K.Spectrum(4, [f]), f.name, (1,), (0, 2))
+
+
+@pytest.mark.parametrize("change", [
+    {"name": "B"}, {"parity": K.ODD}, {"ghost": 1}, {"role": K.ROLE_SOURCE}],
+    ids=["name", "parity", "ghost", "role"])
+def test_jets_at_one_position_of_fields_that_differ_are_unequal(change):
+    a, b = _field_at_0(), _field_at_0(**change)
+    assert a == G("A", (1,), (0, 2))
+    assert a != b
+    assert len({a: 0, b: 1}) == 2
+
+
+def test_jets_of_equal_spectra_built_apart_are_equal_and_hash_alike():
+    other = bv_spectrum()
+    assert other == SP
+    for name, comp, mi in [("A", (1,), (0, 2)), ("C", (), ()), ("Cs", (), (3, 3))]:
+        a, b = G(name, comp, mi), K.jet_gen(other, name, comp, mi)
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        assert {a: 1}[b] == 1
+    a, b = G("As", (2,)), K.jet_gen(other, "As", (2,))
+    assert K.jet_shift(a, 3) == K.jet_shift(b, 3)
+
+
+def test_a_pickled_model_loads_equal_with_working_jets():
+    m = builtin_models.builtin("maxwell")
+    again = pickle.loads(pickle.dumps(m))
+    assert again == m
+    g = K.jet_gen(again.spectrum, "A", (1,), (0,))
+    assert g == K.jet_gen(m.spectrum, "A", (1,), (0,))
+    assert K.jet_shift(g, 2) == K.jet_gen(m.spectrum, "A", (1,), (0, 2))
+
+
+# a spectrum at every bound of a jet generator's key: dimension 31, 4
+# component labels of range 255, multi-indices of 16 directions
+WIDE = K.Spectrum(31, [
+    K.FieldSpec("u", K.EVEN, 0, shape=(255,) * 4),
+    K.FieldSpec("v", K.ODD, 1, shape=(2, 255)),
+    K.FieldSpec("w", K.EVEN, -1)])
+
+_WIDE_MI = st.lists(st.integers(0, 30), max_size=16).map(K.multi_index)
+_WIDE_KEYS = st.one_of(
+    st.tuples(st.just(0), st.tuples(*[st.integers(0, 254)] * 4), _WIDE_MI),
+    st.tuples(st.just(1), st.tuples(st.integers(0, 1), st.integers(0, 254)),
+              _WIDE_MI),
+    st.tuples(st.just(2), st.just(()), _WIDE_MI))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(_WIDE_KEYS, min_size=2, max_size=12))
+def test_jets_order_as_position_component_and_multi_index(keys):
+    gens = [K.jet_gen(WIDE, WIDE.fields[p].name, c, mi) for p, c, mi in keys]
+    order = sorted(range(len(keys)), key=lambda i: keys[i])
+    assert sorted(range(len(gens)), key=lambda i: gens[i]) == order
+    for i, j in zip(order, order[1:]):
+        assert (gens[i] == gens[j]) == (keys[i] == keys[j])
+
+
+def test_key_bounds_are_declaration_errors_past_the_boundary():
+    assert (K.MAX_DIM, K.MAX_COMPONENT_LABELS, K.MAX_COMPONENT_RANGE,
+            K.MAX_JET_ORDER) == (31, 4, 255, 16)
+    assert WIDE.dim == 31
+    with pytest.raises(K.DeclarationError,
+                       match="base dimension 32 exceeds 31") as info:
+        K.Spectrum(K.MAX_DIM + 1, [])
+    assert info.value.declaration == "dim"
+    for shape in [(256,), (2, 2, 2, 2, 2)]:
+        with pytest.raises(K.DeclarationError, match="at most 4 component "
+                           "labels, each of range at most 255") as info:
+            K.Spectrum(2, [K.FieldSpec("u", K.EVEN, 0, shape=shape)])
+        assert (info.value.declaration, info.value.name) == ("field", "u")
+    top = G("A", (0,), (3,) * K.MAX_JET_ORDER)
+    assert K.jet_mi(top) == (3,) * 16
+    with pytest.raises(K.DeclarationError, match="more than 16 directions"):
+        G("A", (0,), (3,) * (K.MAX_JET_ORDER + 1))
+
+
+@pytest.mark.parametrize("make", [
+    lambda: G("A", (4,)),
+    lambda: G("A", (0, 0)),
+    lambda: G("A", (0,), (4,)),
+    lambda: G("A", (0,), (-1, 2)),
+    lambda: K.jet_shift(G("A", (0,)), 4),
+    lambda: K.jet_shift(G("A", (0,)), -1),
+], ids=["component", "labels", "direction", "negative", "shift",
+        "negative-shift"])
+def test_jets_out_of_range_are_declaration_errors(make):
+    with pytest.raises(K.DeclarationError):
+        make()
+
+
+def test_a_shift_past_the_key_order_exceeds_the_jet_order_cap():
+    token = K.JET_ORDER_CAP.set(40)
+    try:
+        top = K.jet_shift(G("A", (0,), (1,) * 15), 2)
+        assert K.jet_mi(top) == (1,) * 15 + (2,)
+        assert K.jet_lower(top, 2) == G("A", (0,), (1,) * 15)
+        with pytest.raises(K.JetOrderCapExceeded,
+                           match="^jet order 17 exceeds 16, the most"):
+            K.jet_shift(top, 0)
+    finally:
+        K.JET_ORDER_CAP.reset(token)
 
 
 # -- frozen product signs ---------------------------------------------------

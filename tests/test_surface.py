@@ -5,11 +5,12 @@ the bracket plain and on the leaf), ``model.print_model`` of both, and the
 200 seed-0 calculus queries of ``perfbench/calculus.py`` run in-process
 under a profile hook, which records every function of the ``vtc`` package
 that is entered.  The definitions that none of them enters are pinned in
-``NEVER_ENTERED``, each with the reason it stays: an error path, a
-``__repr__``, or documented API that README or the tests use.  A definition
-that the commands stop entering fails the test until it is moved to the
-tests, deleted or pinned with its reason; one that they start entering
-fails it until its pin goes.
+``NEVER_ENTERED`` by file and qualified name, not by line, so an edit
+elsewhere in a file moves no pin; each has the reason it stays: an error
+path, a ``__repr__``, or documented API that README or the tests use.  A
+definition that the commands stop entering fails the test until it is
+moved to the tests, deleted or pinned with its reason; one that they start
+entering fails it until its pin goes.
 """
 
 import ast
@@ -39,33 +40,33 @@ SCALAR_API = ("the scalar's half of an operation that forms have too; the "
 BY_VALUE = ("pairs with __eq__, which drops the default hash: values are "
             "equal and hash alike by value, as the tests check")
 
-# (file, first line, decorators included): (qualified name, reason)
+# (file, qualified name): reason
 NEVER_ENTERED = {
-    ("foliation.py", 28): ("IncompletePhaseMapError.__init__", ERROR),
-    ("forms.py", 154): ("LocalForm.__repr__", REPR),
-    ("forms.py", 177): ("LocalForm.__mul__", TESTS_USE),
-    ("forms.py", 251): ("LocalForm.max_jet_order", TESTS_USE),
-    ("forms.py", 331): ("contact", TESTS_USE),
-    ("forms.py", 515): ("EvoField.apply", README_QQ),
-    ("forms.py", 523): ("EvoField.is_zero", README_QQ),
-    ("forms.py", 526): ("EvoField.__eq__", BY_VALUE),
-    ("forms.py", 533): ("EvoField.__hash__", BY_VALUE),
-    ("forms.py", 537): ("EvoField.__repr__", REPR),
-    ("forms.py", 543): ("scale_field", SCALE_FIELD),
-    ("forms.py", 590): ("commutator", README_QQ),
-    ("grading.py", 402): ("derived_bracket", DERIVED_BRACKET),
-    ("kernel.py", 66): ("DeclarationError.__init__", ERROR),
-    ("kernel.py", 214): ("Spectrum.__hash__", BY_VALUE),
-    ("kernel.py", 524): ("GradedScalar.is_zero", SCALAR_API),
-    ("kernel.py", 540): ("GradedScalar.__repr__", REPR),
-    ("kernel.py", 560): ("GradedScalar.__rsub__", SCALAR_API),
-    ("kernel.py", 607): ("GradedScalar.parity", SCALAR_API),
-    ("kernel.py", 651): ("GradedScalar.max_jet_order", TESTS_USE),
-    ("parser.py", 56): ("ParseError.__init__", ERROR),
-    ("parser.py", 120): ("_shown", ERROR),
-    ("parser.py", 146): ("_Parser.fail", ERROR),
-    ("symplectic.py", 35): ("NoHamiltonianFieldError.__init__", ERROR),
-    ("variational.py", 48): ("NotDivergenceError.__init__", ERROR),
+    ("foliation.py", "IncompletePhaseMapError.__init__"): ERROR,
+    ("forms.py", "LocalForm.__repr__"): REPR,
+    ("forms.py", "LocalForm.__mul__"): TESTS_USE,
+    ("forms.py", "LocalForm.max_jet_order"): TESTS_USE,
+    ("forms.py", "contact"): TESTS_USE,
+    ("forms.py", "EvoField.apply"): README_QQ,
+    ("forms.py", "EvoField.is_zero"): README_QQ,
+    ("forms.py", "EvoField.__eq__"): BY_VALUE,
+    ("forms.py", "EvoField.__hash__"): BY_VALUE,
+    ("forms.py", "EvoField.__repr__"): REPR,
+    ("forms.py", "scale_field"): SCALE_FIELD,
+    ("forms.py", "commutator"): README_QQ,
+    ("grading.py", "derived_bracket"): DERIVED_BRACKET,
+    ("kernel.py", "DeclarationError.__init__"): ERROR,
+    ("kernel.py", "Spectrum.__hash__"): BY_VALUE,
+    ("kernel.py", "GradedScalar.is_zero"): SCALAR_API,
+    ("kernel.py", "GradedScalar.__repr__"): REPR,
+    ("kernel.py", "GradedScalar.__rsub__"): SCALAR_API,
+    ("kernel.py", "GradedScalar.parity"): SCALAR_API,
+    ("kernel.py", "GradedScalar.max_jet_order"): TESTS_USE,
+    ("parser.py", "ParseError.__init__"): ERROR,
+    ("parser.py", "_shown"): ERROR,
+    ("parser.py", "_Parser.fail"): ERROR,
+    ("symplectic.py", "NoHamiltonianFieldError.__init__"): ERROR,
+    ("variational.py", "NotDivergenceError.__init__"): ERROR,
 }
 
 # exit code of each command: maxwell has no homogenizer
@@ -93,9 +94,9 @@ COMMANDS = [
 
 
 def definitions():
-    """Every function definition of the package, keyed by its file and its
-    first line, decorators included, as its code object's
-    ``co_firstlineno`` is."""
+    """Every function definition of the package: its qualified name, keyed
+    by its file and its first line, decorators included, as its code
+    object's ``co_firstlineno`` is."""
     defs = {}
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"))
@@ -156,12 +157,18 @@ def entered_under(run):
     return entered
 
 
+def test_qualified_names_are_unique_per_file():
+    # so that (file, qualified name) names one definition
+    names = [(file, name) for (file, _), name in definitions().items()]
+    assert len(names) == len(set(names))
+
+
 def test_the_commands_enter_every_definition_but_the_pinned_ones():
     previous = sys.getprofile()
     defs = definitions()
     entered = entered_under(run_commands)
     assert sys.getprofile() is previous
-    entered = {(file, line) for file, line, name in entered
+    entered = {(file, defs[(file, line)]) for file, line, name in entered
                if defs.get((file, line), "").rpartition(".")[2] == name}
-    never = {key: defs[key] for key in sorted(set(defs) - entered)}
-    assert never == {key: name for key, (name, _) in NEVER_ENTERED.items()}
+    never = {(file, name) for (file, _), name in defs.items()} - entered
+    assert sorted(never) == sorted(NEVER_ENTERED)
