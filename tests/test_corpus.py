@@ -10,8 +10,8 @@ built-in pins of ``test_frontend.py``.  The corpus:
   is the shipped ``maxwell.vtc``, checked against the built-in pins;
 - su(2) Yang-Mills in dimension 2, 3 and 4 (``modelgen.yang_mills``), and
   in dimension 3 with the coupling signs (+, -, +), which fail the master
-  equation.  The three passing reports are byte for byte the ones the
-  ROADMAP baseline measured after PR 35;
+  equation.  The three passing reports are byte for byte the ones of the
+  ROADMAP baseline;
 - accepted fuzz mutants of both built-ins, written out in ``corpus.json``
   as text with the ``test_fuzz.mutate`` edits that made them.
 
@@ -20,6 +20,7 @@ another hash seed.
 """
 
 import hashlib
+import itertools
 import json
 import os
 import pathlib
@@ -90,7 +91,6 @@ def test_maxwell_in_dimension_4_is_the_builtin():
 
 
 def test_exactly_two_coupling_sign_choices_pass_in_dimension_3():
-    import itertools
     passing = [s for s in itertools.product((1, -1), repeat=3)
                if report.run_pipeline(parser.parse_model(
                    modelgen.yang_mills(3, s)))["ok"]]

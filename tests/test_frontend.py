@@ -611,6 +611,7 @@ def test_cli_jet_order_past_the_key_is_a_stage_error(tmp_path, capsys,
                     "field us { parity 1, ghost -1, role antifield, "
                     "conjugate u }\nstructure odd-BV\n"
                     f"density S = {u9}*{u9} ^ vol\nmaster S\n")
+    monkeypatch.delenv("VTC_JET_ORDER_CAP", raising=False)
     for cap, message in [(None, "jet order 10 exceeds cap 8"),
                          ("40", "jet order 17 exceeds 16, the most a jet "
                                 "generator's key holds")]:
