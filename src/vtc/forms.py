@@ -429,7 +429,7 @@ def _delta(form: LocalForm) -> LocalForm:
     dim = form.dim
     for (dxs, contacts), s in form.terms.items():
         base_par = len(dxs) + sum(_contact_parity(h) for h in contacts)
-        for g, df in sorted(s.partials().items()):
+        for g, df in s.partials().items():
             p = _contact_parity(g)
             if kernel.is_jet(g) and not (p and g in contacts):
                 # d(g) moves right past the dx^i and the contacts below it

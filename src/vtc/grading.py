@@ -293,7 +293,7 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
     for key in target:
         rows.setdefault(key, {})
     sol = linsolve.solve_linear(
-        [(rows[key], target.get(key, 0)) for key in sorted(rows)])
+        [(rows[key], target.get(key, 0)) for key in rows])
     if sol is None:
         sol = variational.solve_mod_d(spectrum.dim, rows, target,
                                       variational.max_x_degree(rows) + 1)
@@ -360,7 +360,7 @@ def find_homogenizer(omega1: LocalForm, spectrum: Spectrum, *,
                 f"{jet_order} and polynomial degree {poly_degree} removes "
                 f"the degree-{gap} component")
         comps: dict[Gen, GradedScalar] = {}
-        for key, c in sorted(sol.items()):
+        for key, c in sol.items():
             direction, mono = pool.candidate(key)
             kernel.add_into(comps, direction, GradedScalar({mono: c}))
         X = forms.add_fields(

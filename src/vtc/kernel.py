@@ -17,7 +17,7 @@ table that interns them.  Its one bound is the jet-order cap,
 ``JET_ORDER_CAP``: a context variable that every jet shift reads, so no
 operation takes the cap as an argument.  Every result an object keeps
 lives on its owner's ``memo`` dict, kept by ``keep`` under the operation
-and the cap; a jet keeps only its neighbours one derivative up and down.
+and the cap; a jet's neighbour list is made with it and filled on demand.
 """
 
 from __future__ import annotations
@@ -100,10 +100,7 @@ def keep(memo: dict, key, compute: Callable[[], object]):
 
 def multi_index(parts: Iterable[int]) -> tuple[int, ...]:
     """Canonical (sorted) multi-index from an iterable of directions."""
-    mi = tuple(sorted(parts))
-    if mi and mi[0] < 0:
-        raise DeclarationError(f"negative direction in multi-index: {mi}", "dim")
-    return mi
+    return tuple(sorted(parts))
 
 
 def mi_remove(mi: Sequence[int], j: int) -> tuple[int, ...]:
@@ -183,7 +180,6 @@ class Spectrum:
                 raise DeclarationError(f"duplicate field {f.name}", "field",
                                        f.name)
             self.by_name[f.name] = f
-        self.index = {f.name: i for i, f in enumerate(self.fields)}
         if metric is None:
             metric = [1] * dim
         self.metric = tuple(exact(Fraction(m)) for m in metric)
@@ -296,11 +292,9 @@ class JetField(str):
 
 class Jet(int):
     """The int of a jet generator's key (see "Generators"), with its
-    ``comp`` and ``mi``.  Once asked for, the jets one derivative up
-    (``jet_shift``) and down (``jet_lower``) in direction j are kept in the
-    list ``near``, at j and at dim + j."""
-
-    near: Optional[list] = None
+    ``comp``, its ``mi`` and the list ``near``, made with the jet: once
+    asked for, the jets one derivative up (``jet_shift``) and down
+    (``jet_lower``) in direction j are kept in it, at j and at dim + j."""
 
 
 def _intern(F: JetField, comp: tuple[int, ...], mi: tuple[int, ...]) -> Gen:
@@ -322,7 +316,7 @@ def _intern(F: JetField, comp: tuple[int, ...], mi: tuple[int, ...]) -> Gen:
     for j in mi:
         code = code << 5 | j + 1
     J = Jet(code << 5 * (MAX_JET_ORDER - len(mi)))
-    J.comp, J.mi = comp, mi
+    J.comp, J.mi, J.near = comp, mi, [None] * (2 * F.dim)
     g = F.jets[(comp, mi)] = (2, J, F)
     return g
 
@@ -418,8 +412,6 @@ def jet_shift(g: Gen, j: int) -> Gen:
             f"jet order {n + 1} exceeds cap {cap} (raise kernel.JET_ORDER_CAP, "
             "or VTC_JET_ORDER_CAP for vtc)")
     near = J.near
-    if near is None:
-        near = J.near = [None] * (2 * g[2].dim)
     # a direction out of range meets its error in _intern
     out = near[j] if 0 <= j < g[2].dim else None
     if out is None:
@@ -434,14 +426,16 @@ def jet_shift(g: Gen, j: int) -> Gen:
 
 
 def jet_lower(g: Gen, j: int) -> Gen:
-    """The jet generator with one derivative in direction j fewer; j is in
-    the multi-index (``mi_remove`` raises when it is not)."""
-    J, dim = g[1], g[2].dim
+    """The jet generator with one derivative in direction j fewer; a j that
+    is not in the multi-index is a ``DeclarationError``."""
+    J, F, dim = g[1], g[2], g[2].dim
     near = J.near
-    if near is None:
-        near = J.near = [None] * (2 * dim)
     out = near[dim + j] if 0 <= j < dim else None
     if out is None:
+        if j not in J.mi:
+            raise DeclarationError(
+                f"direction {j} not in the multi-index {J.mi} of field "
+                f"{F.name} at component {J.comp}", "dim")
         out = near[dim + j] = jet_with_mi(g, mi_remove(J.mi, j))
     return out
 
@@ -788,10 +782,6 @@ class GradedScalar:
                     val = GradedScalar.generator(g)
                 for _ in range(e):
                     acc = acc * val
-                    if not acc:
-                        break
-                if not acc:
-                    break
             total = total + acc
         return total
 

@@ -211,7 +211,7 @@ def _pairing_rows(structure: PresympStructure, xpar: int,
             not_source.extend(by_h)
             continue
         sign = variational._contact_vol_sign(om.dim, contacts[0])
-        rows[contacts[0]] = {h: c * sign for h, c in sorted(by_h.items())}
+        rows[contacts[0]] = {h: c * sign for h, c in by_h.items()}
     if not_source:
         raise NoHamiltonianFieldError(min(not_source),
                                       "contraction is not a source form")
@@ -382,7 +382,8 @@ def descend(sys: GaugeSystem) -> GaugeSystem:
     sigma of ``sys.master`` (the divergence primitive of -1/2 {H,H}), so the
     master check is not repeated.  It is read only when H is a top form:
     below top degree the check cannot succeed, since a Hamiltonian field is
-    solved from the Euler-Lagrange derivatives of a top form.
+    solved from the Euler-Lagrange derivatives of a top form.  The
+    descendant's ``PresympStructure`` checks that it is delta-closed.
     """
     Q = sys.Q
     om = sys.structure.omega
@@ -400,8 +401,6 @@ def descend(sys: GaugeSystem) -> GaugeSystem:
         omega1 = variational.horizontal_homotopy(target)
         if forms.d(omega1) != target:
             raise DescentError("homotopy produced no primitive of the descent source")
-        if not forms.delta(omega1).is_zero():
-            raise DescentError("descendant representative is not delta-closed")
     H1 = sys.master.sigma if top else None
     structure1 = PresympStructure(omega1, theta1, sys.structure.spectrum)
     return GaugeSystem(Q, structure1, H1)

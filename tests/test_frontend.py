@@ -983,12 +983,19 @@ def test_cli_math_violations_exit_1(tmp_path, capsys):
     assert "ok: no" in out
 
 
-def test_cli_field_without_a_partner_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("old, new, message", [
+    (", conjugate C }", " }", "field C has no conjugate partner"),
+    ("shape 4, conjugate A", "shape 5, conjugate A",
+     "conjugate pair As/A has mismatched shapes"),
+    ("conjugate C }", "conjugate C, factor dx[0] }",
+     "dressings of pair Cs/C fill horizontal degree 1, expected 0 or 4"),
+], ids=["partner", "shapes", "dressings"])
+def test_cli_field_without_a_partner_exits_1(tmp_path, capsys, old, new,
+                                             message):
     path = tmp_path / "m.vtc"
-    path.write_text(_maxwell_with(", conjugate C }", " }"))
+    path.write_text(_maxwell_with(old, new))
     assert cli.main(["check-master", str(path)]) == 1
-    assert "error: SpectrumError: field C has no conjugate partner\n" in \
-        capsys.readouterr().out
+    assert f"error: SpectrumError: {message}\n" in capsys.readouterr().out
 
 
 def test_a_phase_rule_to_zero_is_kept():

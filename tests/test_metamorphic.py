@@ -5,6 +5,12 @@ models give answers related in a known way.
   byte-identical.
 * Scaling the master density by a nonzero rational c scales the BRST field
   Q by c and the master equation's current sigma by c^2, exactly.
+* In su(2) Yang-Mills (``modelgen.yang_mills``), negating every magnetic
+  1/2*(F_ij)^2 term of the Hamiltonian, a gauge-invariant change, leaves
+  the report bytes at the corpus pin.  Adding the term 1/2*(A^0_1)^2, which
+  is not gauge invariant, makes the Hamiltonian neither commute with the
+  charge nor have an evolution the charge generates; its bracket with
+  itself still vanishes.
 """
 
 import re
@@ -13,6 +19,9 @@ from fractions import Fraction as Fr
 import pytest
 
 from vtc import builtin_models, forms, parser, report, symplectic
+
+import modelgen
+from test_corpus import PINS, pins
 
 
 def scaled_master(text, c):
@@ -56,3 +65,36 @@ def test_scaling_the_master_density_scales_q_and_sigma(name, c):
     Qc, sigma_c = master(scaled_master(text, c))
     assert Qc == forms.scale_field(Q, Fr(c))
     assert sigma_c == sigma.scale(Fr(c) ** 2)
+
+
+HAMILTONIAN = re.compile(r"^  density H = \((.*)\) \^ vol$", re.M)
+
+
+def with_hamiltonian(text, edit):
+    """text with its foliation's density H passed through ``edit``."""
+    return HAMILTONIAN.sub(
+        lambda m: f"  density H = ({edit(m.group(1))}) ^ vol", text, count=1)
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_negating_the_magnetic_energy_keeps_the_yang_mills_pin(n):
+    # after the electric 1/2*(E.E), H is the sum of the 1/2*(F^a_ij)^2, one
+    # per colour a and spatial pair i < j
+    flipped = with_hamiltonian(modelgen.yang_mills(n),
+                               lambda h: h.replace(" + 1/2*(A[", " - 1/2*(A["))
+    H = HAMILTONIAN.search(flipped).group(1)
+    assert H.count(" - 1/2*(A[") == 3 * (n - 1) * (n - 2) // 2
+    assert " + 1/2*(A[" not in H
+    assert pins(flipped) == PINS["reports"][f"ym-{n}"]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_a_non_invariant_hamiltonian_term_breaks_the_charge_verdicts(n):
+    text = with_hamiltonian(modelgen.yang_mills(n),
+                            lambda h: h + " + 1/2*A[1 0]*A[1 0]")
+    assert "A[1 0]*A[1 0]) ^ vol" in text
+    rep = report.run_pipeline(parser.parse_model(text))
+    assert rep["stages"]["brackets"]["verdicts"]["H"] == {
+        "commutes_with_charge": False,
+        "evolution_generated_by_charge": False,
+        "involutive": True}

@@ -157,11 +157,23 @@ def test_key_bounds_are_declaration_errors_past_the_boundary():
     lambda: G("A", (0,), (-1, 2)),
     lambda: K.jet_shift(G("A", (0,)), 4),
     lambda: K.jet_shift(G("A", (0,)), -1),
+    lambda: K.jet_lower(G("A", (0,), (0,)), 1),
+    lambda: K.jet_lower(G("A", (0,), (0,)), 4),
 ], ids=["component", "labels", "direction", "negative", "shift",
-        "negative-shift"])
+        "negative-shift", "lower-absent", "lower-out-of-range"])
 def test_jets_out_of_range_are_declaration_errors(make):
     with pytest.raises(K.DeclarationError):
         make()
+
+
+@pytest.mark.parametrize("j", [1, 4, -1])
+def test_a_lower_names_the_jet_and_the_direction(j):
+    g = G("A", (2,), (0, 3))
+    with pytest.raises(K.DeclarationError) as info:
+        K.jet_lower(g, j)
+    assert str(info.value) == (f"direction {j} not in the multi-index (0, 3) "
+                               "of field A at component (2,)")
+    assert K.jet_lower(g, 3) == G("A", (2,), (0,))
 
 
 def test_a_shift_past_the_key_order_exceeds_the_jet_order_cap():
