@@ -108,7 +108,8 @@ class LocalForm:
     Forms are values: never mutate ``terms``.  A form keeps its own hash,
     d, delta, horizontal homotopy and split by each grading once computed,
     in its ``memo`` dict under the operation and the jet-order cap
-    (``kernel.keep``), and drops them with itself.
+    (``kernel.keep``), and drops them with itself; a d-image is made
+    keeping its zero d (``d``).
     """
 
     __slots__ = ("dim", "terms", "memo")
@@ -249,11 +250,18 @@ class LocalForm:
     # -- inspection -------------------------------------------------------
 
     def max_jet_order(self) -> int:
+        """The highest jet order among the contacts and the coefficients'
+        jet factors; ``d`` asks it of every image, so it reads each
+        generator's key in place (see kernel's "Generators")."""
         m = 0
-        for (dxs, contacts), s in self.terms.items():
-            m = max(m, s.max_jet_order())
+        for (_, contacts), s in self.terms.items():
             for g in contacts:
-                m = max(m, len(kernel.jet_mi(g)))
+                if len(g[1].mi) > m:
+                    m = len(g[1].mi)
+            for mono in s.terms:
+                for g, _ in mono:
+                    if g[0] == 2 and len(g[1].mi) > m:
+                        m = len(g[1].mi)
         return m
 
 
@@ -398,7 +406,11 @@ def d_monomial(dim: int, key: MonoKey) -> dict[MonoKey, int]:
 def d(form: LocalForm) -> LocalForm:
     """Horizontal differential (odd right derivation), monomial by monomial
     (``d_monomial``).  The form keeps it (``kernel.keep``), so asking
-    again returns the same object."""
+    again returns the same object.  The image keeps its own d, the zero
+    form (d^2 = 0), when computing that d could not meet the jet-order
+    cap: every jet of the image shifts under the cap in force
+    (``kernel.shifts_under_cap``).  Otherwise d of the image is computed,
+    and raises, as for any form."""
     return kernel.keep(form.memo, "d", lambda: _d(form))
 
 
@@ -414,8 +426,11 @@ def _d(form: LocalForm) -> LocalForm:
                 kernel.add_into(out.setdefault((jdxs, jcontacts), {}), m,
                                 c if k == 1 else -c if k == -1 else c * k)
     # a key whose monomials all cancelled is dropped
-    return LocalForm._wrap(dim, {key: GradedScalar._wrap(t)
-                                 for key, t in out.items() if t})
+    image = LocalForm._wrap(dim, {key: GradedScalar._wrap(t)
+                                  for key, t in out.items() if t})
+    if kernel.shifts_under_cap(image.max_jet_order()):
+        kernel.keep(image.memo, "d", lambda: LocalForm(dim))
+    return image
 
 
 def delta(form: LocalForm) -> LocalForm:

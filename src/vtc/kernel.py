@@ -104,7 +104,11 @@ def multi_index(parts: Iterable[int]) -> tuple[int, ...]:
 
 
 def mi_remove(mi: Sequence[int], j: int) -> tuple[int, ...]:
-    """Multi-index with one occurrence of direction j removed."""
+    """Multi-index with one occurrence of direction j removed; a j that is
+    not in ``mi`` is a ``DeclarationError``."""
+    if j not in mi:
+        raise DeclarationError(
+            f"direction {j} not in the multi-index {tuple(mi)}", "dim")
     parts = list(mi)
     parts.remove(j)
     return tuple(parts)
@@ -401,9 +405,18 @@ def jet_base(g: Gen) -> Gen:
     return jet_with_mi(g, ())
 
 
+def shifts_under_cap(order: int) -> bool:
+    """Whether ``jet_shift`` gives a jet of this order one more derivative
+    under the cap in force, rather than raising ``JetOrderCapExceeded``:
+    the order is below both the cap and ``MAX_JET_ORDER``."""
+    return order < min(JET_ORDER_CAP.get(), MAX_JET_ORDER)
+
+
 def jet_shift(g: Gen, j: int) -> Gen:
     """The jet generator with one more derivative in direction j, within the
-    jet-order cap in force (``JET_ORDER_CAP``)."""
+    jet-order cap in force (``JET_ORDER_CAP``).  For a direction in range
+    it raises exactly when ``shifts_under_cap`` of the jet's order is
+    false."""
     J = g[1]
     n = len(J.mi)
     cap = JET_ORDER_CAP.get()

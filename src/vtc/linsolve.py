@@ -13,8 +13,8 @@ tuple does not cache its hash, so a dict probe or comparison on a key
 costs several times one on an int.  ``solve_linear`` is its keyed front
 end: it sorts the distinct column keys once and ranks every row.
 ``variational.solve_mod_d`` builds its ranked rows itself, straight from
-the saturation, and calls the core directly.  The core runs in three
-passes:
+the saturation's numbered rows, and calls the core directly.  The core
+runs in three passes:
 
 * set-up: each row with a Fraction in it is scaled to integers by the lcm
   of its denominators, right-hand side included; a row of ints is taken as
@@ -43,8 +43,10 @@ unique reduced row-echelon one.  So neither the ranks (rank order is key
 order) nor the row order changes the answer: a system gives the same
 values in any row order, each an ``int`` when it is integral and a
 ``Fraction`` only when it has a denominator (``kernel.exact``).  That is
-why ``variational.solve_mod_d`` may number its rows in the order it first
-meets them instead of sorting them.
+why ``variational.solve_mod_d`` feeds its rows in the numbers that
+``variational.saturate_d`` gives them as it first meets them, the
+caller's rows first, instead of sorting them: the columns, their ranks and
+the row set fix the answer, and the numbering fixes only the row order.
 """
 
 from __future__ import annotations

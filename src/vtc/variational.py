@@ -18,12 +18,14 @@ saturated candidate set keeps the system solvable, so failure of the
 bounded solve is an honest obstruction report rather than a search
 artifact.  That engine is ``solve_mod_d``: ``_solve_d`` calls it with no
 other columns, the homogenizer with its candidates' Lie images as columns.
-It sorts the candidates once; their ranks in that order, then the
-caller's columns, number the columns of the system.  Each image is written
-straight into rows of ranked coefficients, which go in the order first met
-to ``linsolve.eliminate``, the elimination core: no keyed system is built
-and no row is sorted.  The solution comes back in column order, the order
-``_solve_d`` writes the primitive in.
+The saturation numbers each row as it first meets it and gives each
+image as (row number, coefficient) pairs.  ``solve_mod_d`` sorts the
+candidates once; their ranks in that order, then the caller's columns,
+number the columns of the system.  Each image is written straight into
+its numbered rows of ranked coefficients, which go in number order to
+``linsolve.eliminate``, the elimination core: no image row is keyed
+again, no keyed system is built and no row is sorted.  The solution comes back in
+column order, the order ``_solve_d`` writes the primitive in.
 """
 
 from __future__ import annotations
@@ -238,38 +240,40 @@ def max_x_degree(keys: Iterable[MonoKey]) -> int:
 
 
 def saturate_d(dim: int, rows: Iterable[MonoKey], x_cap: int,
-               ) -> dict[MonoKey, dict[MonoKey, int]]:
-    """Close ``rows`` under preimages of d: ``{candidate: d(candidate)}``.
+               ) -> tuple[dict[MonoKey, int], dict[MonoKey, list[tuple[int, int]]]]:
+    """Close ``rows`` under preimages of d: (row numbers, candidate images).
 
     Every candidate is a preimage (within coordinate degree ``x_cap``) of a
     row already present, and every monomial of its nonzero d-image
     (``forms.d_monomial``) becomes a row in turn.  Candidates past the
-    jet-order cap are skipped.  Each candidate met is imaged once and
-    ``known`` keeps its image (None for a zero one or one past the cap), so
-    every preimage yielded costs one probe.  The result is the least
-    fixpoint, so it does not depend on the order of the rows.
+    jet-order cap are skipped.  Each row gets a number in the order first
+    met, the given ``rows`` first in their own order, so the numbering
+    does not depend on the hash seed.  Returns {row: number} and each
+    candidate's nonzero image as [(row number, coefficient), ...].  Each
+    candidate met is imaged once and ``known`` keeps its image (empty for
+    a zero one or one past the cap), so every preimage yielded costs one
+    probe.  The row and candidate sets are the least fixpoint, so they do
+    not depend on the order of the rows; only the numbers do.
     """
-    known: dict[MonoKey, Optional[dict[MonoKey, int]]] = {}
-    seen_rows: set[MonoKey] = set(rows)
-    queue = list(seen_rows)
-    while queue:
-        next_rows: list[MonoKey] = []
-        for row in queue:
-            for cand in _preimages(row, x_cap):
-                if cand in known:
-                    continue
-                try:
-                    image = forms.d_monomial(dim, cand) or None
-                except kernel.JetOrderCapExceeded:
-                    image = None
-                known[cand] = image
-                if image:
-                    for r in image:
-                        if r not in seen_rows:
-                            seen_rows.add(r)
-                            next_rows.append(r)
-        queue = next_rows
-    return {cand: image for cand, image in known.items() if image}
+    known: dict[MonoKey, list[tuple[int, int]]] = {}
+    # the rows by number; the loop goes on over the rows appended to it
+    met = list(dict.fromkeys(rows))
+    numbers = {row: i for i, row in enumerate(met)}
+    for row in met:
+        for cand in _preimages(row, x_cap):
+            if cand in known:
+                continue
+            try:
+                image = forms.d_monomial(dim, cand)
+            except kernel.JetOrderCapExceeded:
+                image = {}
+            pairs = known[cand] = []
+            for r, c in image.items():
+                i = numbers.setdefault(r, len(met))
+                if i == len(met):
+                    met.append(r)
+                pairs.append((i, c))
+    return numbers, {cand: image for cand, image in known.items() if image}
 
 
 def solve_mod_d(dim: int, rows: dict[MonoKey, dict],
@@ -286,27 +290,32 @@ def solve_mod_d(dim: int, rows: dict[MonoKey, dict],
     key order, or None when the system is inconsistent.  ``rows`` is not
     changed.
 
+    The system is built on the saturation's row numbers: ``rows`` and
+    ``target`` are numbered first, so the caller's rows are the first
+    ones, and each image goes into its rows by number, keying none of
+    them again.
+
     ``x_cap`` bounds the base-coordinate degree of the preimages.  The
     caller reads it off the rows it passes, never off rows outside them:
     ``max_x_degree`` of those rows, which suffices for translation-covariant
     input, or one more than that.  So a block of the system gets the same
     answer whether or not other blocks are solved with it.
     """
-    images = sorted(saturate_d(dim, [*rows, *target], x_cap).items(),
-                    key=itemgetter(0))
+    numbers, images = saturate_d(dim, [*rows, *target], x_cap)
+    images = sorted(images.items(), key=itemgetter(0))
     keys = [("b", cand) for cand, _ in images]
     callers = sorted({c for coeffs in rows.values() for c, v in coeffs.items() if v})
     rank = {c: i for i, c in enumerate(callers, len(keys))}
-    # each row's {column rank: coefficient}, the rows in the order first met
-    system = {row: {rank[c]: v for c, v in coeffs.items() if v}
-              for row, coeffs in rows.items()}
-    for row in target:
-        system.setdefault(row, {})
+    # each row's {column rank: coefficient} and right-hand side, by number
+    system = [{rank[c]: v for c, v in coeffs.items() if v} for coeffs in rows.values()]
+    system += [{} for _ in range(len(rows), len(numbers))]
+    rhs = [0] * len(numbers)
+    for row, c in target.items():
+        rhs[numbers[row]] = c
     for col, (_, image) in enumerate(images):
-        for row, c in image.items():
-            system.setdefault(row, {})[col] = c
-    return linsolve.eliminate(keys + callers, [(coeffs, target.get(row, 0))
-                                               for row, coeffs in system.items()])
+        for i, c in image:
+            system[i][col] = c
+    return linsolve.eliminate(keys + callers, zip(system, rhs))
 
 
 def _solve_d(rho: LocalForm) -> LocalForm:
@@ -358,6 +367,10 @@ def horizontal_homotopy(rho: LocalForm) -> LocalForm:
 
 
 def _homotopy(rho: LocalForm) -> LocalForm:
+    """h(rho): at top degree the primitive of rho, below it the primitive
+    of rho - h(d rho).  h(d rho) reads d(d rho) = 0 off the d-image, which
+    keeps its zero d unless the jet-order cap could be met (``forms.d``),
+    so d rho is not differentiated again."""
     if rho.is_zero():
         return LocalForm(rho.dim)
     bd = rho.bidegree()

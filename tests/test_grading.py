@@ -404,6 +404,14 @@ def every(pool):
     return sorted(ids)
 
 
+def keyed_saturation(dim, rows, x_cap):
+    """``variational.saturate_d`` as {candidate: {row: coefficient}}, the
+    rows named back from their numbers."""
+    numbers, images = variational.saturate_d(dim, rows, x_cap)
+    names = {i: row for row, i in numbers.items()}
+    return {cand: {names[i]: c for i, c in image} for cand, image in images.items()}
+
+
 def stage_system(spectrum, residual, images, modulo_d):
     """The equations {row: (coefficients, rhs)} of a stage over every
     candidate; with ``modulo_d``, those of its retry: every row closed under
@@ -418,7 +426,7 @@ def stage_system(spectrum, residual, images, modulo_d):
         rows.setdefault(key, {})
     if modulo_d:
         x_cap = variational.max_x_degree(rows) + 1
-        for cand, image in variational.saturate_d(spectrum.dim, rows, x_cap).items():
+        for cand, image in keyed_saturation(spectrum.dim, rows, x_cap).items():
             for key, c in image.items():
                 rows.setdefault(key, {})[("b", cand)] = c
     return {key: (coeffs, -rhs.get(key, Fr(0))) for key, coeffs in rows.items()}

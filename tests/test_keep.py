@@ -165,9 +165,10 @@ def _calls_exact(call) -> bool:
 
 
 def test_only_kernel_keys_results_by_the_cap():
-    # the cap is read where a jet shift checks it, where keep keys a result,
-    # and in the message of a failed primitive search; no function, method
-    # or attribute keeps results another way
+    # the cap is read where a jet shift checks it, in the rule that says
+    # when a jet shifts under it, where keep keys a result, and in the
+    # message of a failed primitive search; no function, method or
+    # attribute keeps results another way
     deleted = {"_kept", "_keep", "kept", "pairing_rows", "hamiltonian_fields"}
     readers = set()
     for path in sorted(SRC.glob("*.py")):
@@ -178,8 +179,8 @@ def test_only_kernel_keys_results_by_the_cap():
                 assert node.name not in deleted, (path.name, node.name)
             elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
                 assert node.attr not in deleted, (path.name, node.attr)
-    assert readers == {("kernel", "jet_shift"), ("kernel", "keep"),
-                       ("variational", "_solve_d")}
+    assert readers == {("kernel", "jet_shift"), ("kernel", "shifts_under_cap"),
+                       ("kernel", "keep"), ("variational", "_solve_d")}
 
 
 def test_only_kernel_makes_coefficients_exact():

@@ -159,11 +159,38 @@ def test_key_bounds_are_declaration_errors_past_the_boundary():
     lambda: K.jet_shift(G("A", (0,)), -1),
     lambda: K.jet_lower(G("A", (0,), (0,)), 1),
     lambda: K.jet_lower(G("A", (0,), (0,)), 4),
+    lambda: K.mi_remove((0, 3), 1),
+    lambda: K.mi_remove((), 0),
 ], ids=["component", "labels", "direction", "negative", "shift",
-        "negative-shift", "lower-absent", "lower-out-of-range"])
+        "negative-shift", "lower-absent", "lower-out-of-range",
+        "remove-absent", "remove-from-empty"])
 def test_jets_out_of_range_are_declaration_errors(make):
     with pytest.raises(K.DeclarationError):
         make()
+
+
+def test_a_remove_names_the_multi_index_and_the_direction():
+    with pytest.raises(K.DeclarationError) as info:
+        K.mi_remove([0, 3, 3], 1)
+    assert str(info.value) == "direction 1 not in the multi-index (0, 3, 3)"
+    assert info.value.declaration == "dim"
+    assert K.mi_remove([0, 3, 3], 3) == (0, 3)
+
+
+@pytest.mark.parametrize("cap", [1, 2, 3, 15, 16, 17, 40])
+def test_a_jet_shifts_exactly_when_its_order_shifts_under_the_cap(cap):
+    token = K.JET_ORDER_CAP.set(cap)
+    try:
+        for order in range(K.MAX_JET_ORDER + 1):
+            g = G("A", (0,), (1,) * order)
+            try:
+                K.jet_shift(g, 2)
+                shifted = True
+            except K.JetOrderCapExceeded:
+                shifted = False
+            assert shifted == K.shifts_under_cap(order), (cap, order)
+    finally:
+        K.JET_ORDER_CAP.reset(token)
 
 
 @pytest.mark.parametrize("j", [1, 4, -1])
@@ -464,6 +491,14 @@ def test_max_jet_order_counts_derivatives_not_component_labels():
     assert F.scalar_form(4, a).max_jet_order() == 3
     assert F.scalar_form(4, c).max_jet_order() == 2
     assert F.contact(4, G("C", (), (0, 0))).max_jet_order() == 2
+    # a form counts its contacts and its coefficients' jet factors, not
+    # their coordinates or parameters
+    xk = K.x(0) * K.parameter("k")
+    assert F.wedge(F.scalar_form(4, xk * c), F.contact(4, G("A", (1,), (3,)))
+                   ).max_jet_order() == 2
+    assert F.wedge(F.scalar_form(4, xk), F.contact(4, G("C", (), (0, 1, 2)))
+                   ).max_jet_order() == 3
+    assert F.scalar_form(4, xk).max_jet_order() == 0
 
 
 # -- grading ----------------------------------------------------------------

@@ -33,8 +33,7 @@ SCALE_FIELD = ("builds e^{-X}, the inverse flow that pullback's docstring "
                "names; test_pullback_inverts uses it")
 DERIVED_BRACKET = ("the benchmark's tracer installs a span on it (ROADMAP "
                    "item 14); the oracle of report._algebra_closure")
-TESTS_USE = ("the tests use it across the suite, and a bound on an input's "
-             "own jet order will need it (ROADMAP item 10)")
+TESTS_USE = "the tests use it across the suite"
 SCALAR_API = ("the scalar's half of an operation that forms have too; the "
               "tests use it")
 BY_VALUE = ("pairs with __eq__, which drops the default hash: values are "
@@ -45,7 +44,6 @@ NEVER_ENTERED = {
     ("foliation.py", "IncompletePhaseMapError.__init__"): ERROR,
     ("forms.py", "LocalForm.__repr__"): REPR,
     ("forms.py", "LocalForm.__mul__"): TESTS_USE,
-    ("forms.py", "LocalForm.max_jet_order"): TESTS_USE,
     ("forms.py", "contact"): TESTS_USE,
     ("forms.py", "EvoField.apply"): README_QQ,
     ("forms.py", "EvoField.is_zero"): README_QQ,

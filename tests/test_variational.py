@@ -1,7 +1,11 @@
 """Tests for Euler-Lagrange derivatives, source decomposition, horizontal
 homotopy, divergence inversion and mod-d equivalence."""
 
+import os
+import pathlib
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -18,7 +22,7 @@ from vtc import report
 from vtc import variational as V
 
 from test_form_oracle import MAXWELL_SPECTRA, form_monomials
-from test_grading import retry_solves
+from test_grading import keyed_saturation, retry_solves
 from test_linsolve import _load_calculus
 
 
@@ -490,6 +494,75 @@ def test_kept_d_and_h_raise_under_a_lower_jet_order_cap_as_fresh_forms_do():
     assert all(again[name] is v for name, v in kept.items())
 
 
+def _counting_d(monkeypatch):
+    """The forms whose d is computed (``forms._d``) from now on."""
+    computed = []
+    d = F._d
+
+    def counting(form):
+        computed.append(form)
+        return d(form)
+
+    monkeypatch.setattr(F, "_d", counting)
+    return computed
+
+
+def test_the_homotopy_below_top_computes_d_once(monkeypatch):
+    # h(w) = primitive of w - h(d w), and d w is below the top degree: its
+    # own d is the zero it kept, so d is computed of w alone
+    w = _contract_form()
+    assert w.bidegree() == (1, 2) and F.d(F.LocalForm(DIM, dict(w.terms)))
+    computed = _counting_d(monkeypatch)
+    assert V.horizontal_homotopy(w)
+    assert computed == [w]
+
+
+def test_a_kept_zero_d_is_the_d_of_a_fresh_copy(monkeypatch):
+    # on the d-images of the seed-0 calculus homotopy inputs, every one of
+    # them within the cap, d of the image is read, not computed, and is
+    # what a copy that kept nothing computes
+    calculus = _load_calculus()
+    calc = calculus.Calculus(vtc)
+    images = []
+    for q in calculus.make_queries(0, 200):
+        if q.kind == "homotopy":
+            w = parser.parse_expression(q.texts[0], calc.spectra[q.space])
+            images.append(F.d(w))
+    assert len(images) > 100
+    assert all(K.shifts_under_cap(dw.max_jet_order()) for dw in images)
+    computed = _counting_d(monkeypatch)
+    kept = [F.d(dw) for dw in images]
+    assert computed == []
+    for dw, zero in zip(images, kept):
+        assert zero.is_zero()
+        assert zero == F._d(F.LocalForm(dw.dim, dict(dw.terms)))
+    assert len(computed) == len(images)
+
+
+@pytest.mark.parametrize("cap, order", [(2, 1), (40, K.MAX_JET_ORDER - 1)])
+def test_a_d_image_at_the_cap_computes_its_d_and_raises(cap, order, monkeypatch):
+    # d(w) holds a jet at the cap (or at the key's own bound, under a cap
+    # above it), so it keeps no zero: d(d(w)) raises as on a fresh copy
+    w = F.wedge(sf(J("A", (1,), (0,) * order)), F.dx(DIM, 2))
+    token = K.JET_ORDER_CAP.set(cap)
+    try:
+        dw = F.d(w)
+        assert dw.max_jet_order() == order + 1
+        assert not K.shifts_under_cap(dw.max_jet_order())
+        with pytest.raises(K.JetOrderCapExceeded) as kept:
+            F.d(dw)
+        with pytest.raises(K.JetOrderCapExceeded) as fresh:
+            F.d(F.LocalForm(DIM, dict(dw.terms)))
+    finally:
+        K.JET_ORDER_CAP.reset(token)
+    assert str(kept.value) == str(fresh.value)
+    assert str(kept.value).startswith(f"jet order {order + 2} exceeds ")
+    # under the default cap the same image computes its d, the zero form
+    computed = _counting_d(monkeypatch)
+    if order + 1 < K.JET_ORDER_CAP.get():
+        assert F.d(dw).is_zero() and computed == [dw]
+
+
 def test_homotopy_rejects_vertical_degree_zero():
     with pytest.raises(V.DegreeError):
         V.horizontal_homotopy(F.wedge(sf(J("C")), F.dx(DIM, 0)))
@@ -577,12 +650,39 @@ def test_saturation_does_not_depend_on_the_order_of_the_rows(
         st.sampled_from(homogenizer_retry_solves)))
     keys = list(rows) + [key for key in target if key not in rows]
     shuffled = data.draw(st.permutations(keys))
-    assert V.saturate_d(dim, shuffled, x_cap) == V.saturate_d(dim, keys, x_cap)
+    assert keyed_saturation(dim, shuffled, x_cap) == keyed_saturation(dim, keys, x_cap)
+    # the given rows are numbered first, in their order, then every other
+    # row once, as it is met
+    numbers, _ = V.saturate_d(dim, shuffled, x_cap)
+    assert list(numbers.values()) == list(range(len(numbers)))
+    assert list(numbers)[:len(shuffled)] == shuffled
     rows_shuffled = {key: rows[key] for key in data.draw(st.permutations(list(rows)))}
     target_shuffled = {key: target[key]
                        for key in data.draw(st.permutations(list(target)))}
     assert V.solve_mod_d(dim, rows_shuffled, target_shuffled, x_cap) == \
         V.solve_mod_d(dim, rows, target, x_cap)
+
+
+def saturation_numbering():
+    """The row numbers and images of the saturations of d(w) for the
+    contract form w and of the homogenizer's retries, each over its rows in
+    sorted order, as text."""
+    dw = F.d(_contract_form())
+    systems = [(DIM, sorted(key for key, _ in V.form_mono_items(dw)), 1)]
+    systems += [(dim, sorted({*rows, *target}), x_cap)
+                for dim, rows, target, x_cap in retry_solves()]
+    return repr([V.saturate_d(*system) for system in systems])
+
+
+def test_saturation_numbers_rows_alike_under_another_hash_seed():
+    env = dict(os.environ, PYTHONHASHSEED="5", PYTHONPATH=os.pathsep.join(
+        [str(pathlib.Path(__file__).parent), str(pathlib.Path(vtc.__file__).parents[1])]))
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import test_variational; print(test_variational.saturation_numbering())"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == saturation_numbering() + "\n"
 
 
 def keyed_solve_mod_d(dim, rows, target, x_cap):
@@ -593,7 +693,7 @@ def keyed_solve_mod_d(dim, rows, target, x_cap):
     system = {row: dict(coeffs) for row, coeffs in rows.items()}
     for row in target:
         system.setdefault(row, {})
-    for cand, image in V.saturate_d(dim, system, x_cap).items():
+    for cand, image in keyed_saturation(dim, system, x_cap).items():
         for row, c in image.items():
             system.setdefault(row, {})[("b", cand)] = c
     return linsolve.solve_linear(
