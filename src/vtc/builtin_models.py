@@ -3,11 +3,13 @@
 Each built-in is defined once, by its model file in the package data
 (``models/<name>.vtc``), written in physics form: field strengths squared,
 dressings spelled out.  ``builtin`` parses that file, so a built-in is
-exactly what a user model file with the same text would be.
+exactly what a user model file with the same text would be.  The file is
+read as ``vtc`` reads a model file: ``open`` with UTF-8 and universal
+newlines, next to this module.
 """
 from __future__ import annotations
 
-from importlib import resources
+import os
 
 from . import kernel, model, parser
 
@@ -24,5 +26,6 @@ def model_text(name: str) -> str:
     if name not in BUILTINS:
         raise kernel.DeclarationError(f"unknown built-in model {name!r}",
                                       "model", name)
-    return resources.files(__package__).joinpath(
-        f"models/{name}.vtc").read_text(encoding="utf-8")
+    path = os.path.join(os.path.dirname(__file__), "models", f"{name}.vtc")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()

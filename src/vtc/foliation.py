@@ -10,12 +10,11 @@ machinery as upstairs, one horizontal degree down.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
 from . import forms, kernel, printing, symplectic, variational
 from .forms import LocalForm
-from .kernel import Gen, GradedScalar, Spectrum
+from .kernel import Fresh, Gen, GradedScalar, Spectrum, record
 
 
 class FoliationError(kernel.EngineError):
@@ -41,7 +40,7 @@ def check_time_directions(dim: int, time: Sequence[int]) -> None:
         raise FoliationError("a foliation needs at least one time direction")
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FoliationContext:
     """Constant-coefficient time slicing together with its phase algebra.
 
@@ -57,8 +56,8 @@ class FoliationContext:
     spacetime: Spectrum
     spatial: Spectrum
     time_directions: tuple[int, ...]
-    field_map: Mapping[str, str] = dc_field(default_factory=dict)
-    jet_rules: Mapping[Gen, GradedScalar] = dc_field(default_factory=dict)
+    field_map: Mapping[str, str] = Fresh(dict)
+    jet_rules: Mapping[Gen, GradedScalar] = Fresh(dict)
 
     def __post_init__(self) -> None:
         check_time_directions(self.spacetime.dim, self.time_directions)

@@ -44,13 +44,12 @@ coordinate-degree bound is read off them alone.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import forms, kernel, linsolve, symplectic, variational
 from .forms import EvoField, LocalForm
-from .kernel import Gen, GradedScalar, Spectrum
+from .kernel import Gen, GradedScalar, Spectrum, record
 
 KIND_MOMENTUM = "momentum"
 KIND_POLYVECTOR = "polyvector"
@@ -302,7 +301,7 @@ def _stage_solve(spectrum: Spectrum, leading: LocalForm, residual: LocalForm,
     return {i: v for (tag, i), v in sol.items() if tag == "c" and v}
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class Homogenizer:
     """A verified homogenization: the flow e^X pulls the input form back to
     ``pulled_back``, which equals ``leading``, the input's lowest momentum

@@ -18,14 +18,19 @@ table that interns them.  Its one bound is the jet-order cap,
 operation takes the cap as an argument.  Every result an object keeps
 lives on its owner's ``memo`` dict, kept by ``keep`` under the operation
 and the cap; a jet's neighbour list is made with it and filled on demand.
+The engine's value classes (``FieldSpec`` here, the model, its foliation,
+structures, gauge systems and the results they return) are records:
+``record`` gives a class of annotated fields its constructor, equality,
+repr and, when frozen, immutability and a hash, with no code generated
+at import.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from bisect import bisect_left, bisect_right
 from contextvars import ContextVar
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import (TYPE_CHECKING, Callable, Iterable, Iterator, Mapping,
                     Optional, Sequence, Union)
@@ -60,11 +65,14 @@ class JetOrderCapExceeded(EngineError):
 
 class DeclarationError(ValueError):
     """A declaration that ``FieldSpec``, ``Spectrum`` or ``model.Model``
-    rejects.  ``declaration`` names its kind (``"dim"``, ``"metric"``,
-    ``"field"``, ``"algebra"``, ``"master"``, ``"density"``, ``"phase
-    density"``, ``"foliation"`` or ``"model"``) and ``name`` the field,
-    density or model it concerns, if any: the parser reports the error at
-    that declaration's line, and ``vtc`` exits 2."""
+    rejects, or an argument naming something the engine does not have.
+    ``declaration`` names its kind (``"dim"``, ``"metric"``, ``"field"``,
+    ``"algebra"``, ``"master"``, ``"density"``, ``"phase density"``,
+    ``"foliation"`` or ``"model"``; ``"stage"`` and ``"format"`` for a
+    report's stages and output format, ``"grading"`` for a counting
+    grading) and ``name`` the field, density, model, format or grading it
+    concerns, if any: the parser reports the error at that declaration's
+    line, and ``vtc`` exits 2."""
 
     def __init__(self, message: str, declaration: str,
                  name: Optional[str] = None):
@@ -115,11 +123,104 @@ def mi_remove(mi: Sequence[int], j: int) -> tuple[int, ...]:
 
 
 # ---------------------------------------------------------------------------
+# Records
+# ---------------------------------------------------------------------------
+
+
+class Fresh:
+    """A record field's default made anew for each instance: a field whose
+    default is ``Fresh(dict)`` gives every record its own empty dict."""
+
+    __slots__ = ("make",)
+
+    def __init__(self, make: Callable[[], object]):
+        self.make = make
+
+
+def record(cls=None, *, frozen: bool = False):
+    """Make a class a record of its annotated names, used as ``@record`` or
+    ``@record(frozen=True)``.
+
+    The annotated names, in declaration order, are the fields; a class
+    attribute of the same name is that field's default, and a ``Fresh``
+    default is made anew for each instance.  Annotations are read as names
+    only, never evaluated.  The record gets ``__init__``, taking the fields
+    by position or keyword and then calling ``__post_init__`` if the class
+    defines one, ``__eq__`` (same class, equal fields) and ``__repr__``.  A
+    frozen record raises ``AttributeError`` on assignment or deletion and
+    hashes by its fields; any other record is unhashable.  The fields live
+    in the instance's ``__dict__``, so a ``cached_property`` memo sits
+    beside them, out of equality, hash and repr, and a record pickles as
+    any plain object does.
+    """
+    if cls is None:
+        return lambda c: record(c, frozen=frozen)
+    names = tuple(cls.__annotations__)
+    own = vars(cls)
+    defaults = {n: own[n] for n in names if n in own}
+    for n, default in defaults.items():
+        if isinstance(default, Fresh):
+            delattr(cls, n)
+    values = operator.attrgetter(*names)
+    post_init = hasattr(cls, "__post_init__")
+    title = cls.__qualname__
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(f"{title}() takes {len(names)} positional "
+                            f"arguments but {len(args)} were given")
+        fields = self.__dict__
+        fields.update(zip(names, args))
+        for n, v in kwargs.items():
+            if n not in names or n in fields:
+                raise TypeError(
+                    f"{title}() got an unexpected or repeated argument {n!r}")
+            fields[n] = v
+        for n in names[len(args):]:
+            if n in fields:
+                continue
+            if n not in defaults:
+                raise TypeError(f"{title}() missing argument {n!r}")
+            default = defaults[n]
+            fields[n] = (default.make() if isinstance(default, Fresh)
+                         else default)
+        if post_init:
+            self.__post_init__()
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return values(self) == values(other)
+
+    def __repr__(self):
+        return title + "(" + ", ".join(
+            f"{n}={getattr(self, n)!r}" for n in names) + ")"
+
+    def __hash__(self):
+        return hash(values(self))
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    cls.__init__ = __init__
+    cls.__eq__ = __eq__
+    cls.__repr__ = __repr__
+    cls.__hash__ = __hash__ if frozen else None
+    if frozen:
+        cls.__setattr__ = __setattr__
+        cls.__delattr__ = __delattr__
+    return cls
+
+
+# ---------------------------------------------------------------------------
 # Field declarations
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class FieldSpec:
     """Declaration of one field: name, statistics and tensor layout.
 
@@ -818,7 +919,8 @@ def grading_role(grading: str) -> str:
     """The role whose variables a counting grading counts."""
     role = GRADING_ROLES.get(grading)
     if role is None:
-        raise ValueError(f"unknown grading {grading!r}")
+        raise DeclarationError(f"unknown grading {grading!r}", "grading",
+                               grading)
     return role
 
 

@@ -10,13 +10,12 @@ through text.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Optional, Sequence
 
 from . import symplectic
 from .foliation import FoliationContext
 from .forms import LocalForm
-from .kernel import DeclarationError, FieldSpec, Spectrum
+from .kernel import DeclarationError, FieldSpec, Fresh, Spectrum, record
 from .printing import component_texts, form_text, index_text
 
 
@@ -63,7 +62,7 @@ def phase_spectrum(spacetime: Spectrum, time_directions: Sequence[int],
                     algebra_form=spacetime.algebra_form)
 
 
-@dataclass
+@record
 class Model:
     """A named gauge system: spectrum, bracket kind, densities, slicing."""
 
@@ -73,7 +72,7 @@ class Model:
     densities: dict[str, LocalForm]
     master: str
     foliation: Optional[FoliationContext] = None
-    phase_densities: dict[str, LocalForm] = dc_field(default_factory=dict)
+    phase_densities: dict[str, LocalForm] = Fresh(dict)
     algebra_constants: Optional[str] = None
 
     def __post_init__(self) -> None:

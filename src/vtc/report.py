@@ -235,7 +235,7 @@ def run_pipeline(m: Model, stages: Optional[Sequence[str]] = None,
         stages = default_stages(run)
     bad = [s for s in stages if s not in STAGES]
     if bad:
-        raise ValueError(f"unknown stages {bad}")
+        raise kernel.DeclarationError(f"unknown stages {bad}", "stage")
     selected = [s for s in STAGES if s in stages]
     report: dict = {"model": m.name, "dim": m.spectrum.dim,
                     "stages": {}, "ok": True}
@@ -349,7 +349,8 @@ def emit(report: dict, format: str = "json") -> bytes:
     if format == "json":
         return _json_text(report).encode()
     if format != "text":
-        raise ValueError(f"unknown format {format!r}")
+        raise kernel.DeclarationError(f"unknown format {format!r}", "format",
+                                      format)
     lines = [f"model {report.get('model', '?')} (dim {report.get('dim', '?')})",
              "ok: " + _scalar_text(report.get("ok", False))]
     for name in STAGES:

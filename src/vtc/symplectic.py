@@ -11,14 +11,13 @@ hard-coded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
 from . import forms, kernel, printing, variational
 from .forms import EvoField, LocalForm
-from .kernel import Gen, GradedScalar, Spectrum
+from .kernel import Gen, GradedScalar, Spectrum, record
 
 KIND_EVEN_COTANGENT = "even-cotangent"
 KIND_ODD_BV = "odd-BV"
@@ -51,14 +50,14 @@ class StructureError(kernel.EngineError, ValueError):
     gauge system lacks what an operation needs (a Hamiltonian)."""
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class PresympStructure:
     """A delta-closed (2,m)-form, with its potential when known.
 
     Frozen, so what depends on the structure alone is kept on it once
     computed, in its ``memo`` under the operation and the jet-order cap
     (``kernel.keep``): its pairing rows by field parity and the Hamiltonian
-    field of each form.  The memo is not a dataclass field, so it stays out
+    field of each form.  The memo is not a record field, so it stays out
     of equality, hashing and repr.  It has no bound and lives as long as the
     structure: a caller that keeps one structure keeps every field solved
     against it, and drops them all with it.
@@ -323,7 +322,7 @@ def bracket(A: LocalForm, B: LocalForm, structure: PresympStructure) -> LocalFor
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@record(frozen=True)
 class GaugeSystem:
     """A gauge system (Q, omega), with a Hamiltonian H of Q when known.
 
@@ -354,8 +353,12 @@ class GaugeSystem:
         return kernel.keep(self.memo, "descendant", lambda: descend(self))
 
 
-@dataclass
+@record
 class MasterCheck:
+    """The verdict of ``check_master``: whether {H,H} is a total divergence,
+    with sigma, d(sigma) = -1/2 {H,H}, when it is, and otherwise the
+    residual, its nonzero Euler-Lagrange derivatives by generator."""
+
     ok: bool
     sigma: Optional[LocalForm]
     residual: Optional[dict[Gen, GradedScalar]] = None

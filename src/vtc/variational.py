@@ -31,13 +31,12 @@ column order, the order ``_solve_d`` writes the primitive in.
 from __future__ import annotations
 
 from bisect import bisect_left
-from dataclasses import dataclass
 from operator import itemgetter
 from typing import Iterable, Iterator, Optional
 
 from . import forms, kernel, linsolve, printing
 from .forms import LocalForm, MonoKey
-from .kernel import Gen, GradedScalar
+from .kernel import Gen, GradedScalar, record
 
 
 class DegreeError(kernel.EngineError):
@@ -115,7 +114,7 @@ def _contact_vol_sign(dim: int, g: Gen) -> int:
     return -1 if (kernel.gen_parity(g) == kernel.EVEN and dim % 2) else 1
 
 
-@dataclass
+@record
 class SourceDecomposition:
     """Split of a (1,n)-form into its source part plus a total divergence."""
 

@@ -5,7 +5,6 @@ pinned by digest and parse back to equal models, and the Maxwell report's
 first descendant matches the radiative structure written out longhand.
 """
 
-import dataclasses
 import decimal
 import hashlib
 import importlib
@@ -68,6 +67,31 @@ def test_builtin_models_match_pinned_renderings(built):
     name, m = built
     text = model.print_model(m)
     assert hashlib.sha256(text.encode()).hexdigest() == _MODEL_SHA256[name]
+
+
+def test_builtin_text_is_read_with_universal_newlines(tmp_path, monkeypatch):
+    # as a model file is: a CRLF copy of a built-in gives the same text
+    text = builtin_models.model_text("maxwell")
+    (tmp_path / "models").mkdir()
+    (tmp_path / "models" / "maxwell.vtc").write_bytes(
+        text.replace("\n", "\r\n").encode("utf-8"))
+    crlf = tmp_path / "crlf.vtc"
+    crlf.write_bytes(text.replace("\n", "\r\n").encode("utf-8"))
+    monkeypatch.setattr(builtin_models, "__file__",
+                        str(tmp_path / "builtin_models.py"))
+    assert builtin_models.model_text("maxwell") == text
+    assert cli._load_model(str(crlf)) == builtin_models.builtin("maxwell")
+
+
+def test_the_command_module_and_a_builtin_load_no_slow_module():
+    # dataclasses imports inspect, ast, dis and tokenize, and
+    # importlib.resources imports pathlib: vtc needs none of them
+    guard = pathlib.Path(__file__).with_name("import_guard.py")
+    src = pathlib.Path(vtc.__file__).parents[1]
+    done = subprocess.run([sys.executable, "-I", "-S", str(guard), str(src)],
+                          capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("vtc.cli and a built-in model from ")
 
 
 def test_expressions_round_trip(built):
@@ -267,8 +291,10 @@ def test_emit_json_rejects_other_types(value, kind):
 
 
 def test_emit_rejects_an_unknown_format(chiral_report):
-    with pytest.raises(ValueError, match="unknown format 'xml'"):
+    with pytest.raises(ValueError, match="unknown format 'xml'") as info:
         report.emit(chiral_report, "xml")
+    assert type(info.value) is kernel.DeclarationError
+    assert (info.value.declaration, info.value.name) == ("format", "xml")
 
 
 @pytest.mark.parametrize("name, solves", [("maxwell", 3), ("chiral", 9)])
@@ -348,8 +374,10 @@ def test_empty_stage_selection_gives_empty_report(built):
 
 def test_unknown_stage_is_rejected(built):
     _, m = built
-    with pytest.raises(ValueError, match="unknown stages"):
+    with pytest.raises(ValueError, match="unknown stages") as info:
         report.run_pipeline(m, stages=("master", "polish"))
+    assert type(info.value) is kernel.DeclarationError
+    assert (info.value.declaration, info.value.name) == ("stage", None)
 
 
 def test_report_checks_master_and_descends_twice(monkeypatch):
@@ -493,7 +521,9 @@ def test_model_rejects_declarations_no_model_text_reaches(
     # densities only inside a foliation block, so these need the library
     m = builtin_models.builtin("maxwell")
     with pytest.raises(kernel.DeclarationError, match=f"^{message}$") as info:
-        dataclasses.replace(m, **changes(m))
+        model.Model(**{**{n: getattr(m, n)
+                           for n in model.Model.__annotations__},
+                        **changes(m)})
     assert (info.value.declaration, info.value.name) == (declaration, name)
 
 

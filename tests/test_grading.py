@@ -134,8 +134,12 @@ def test_counting_field_measures_degree(chiral):
 def test_an_unknown_grading_name_is_one_error_everywhere(chiral):
     for call in (lambda: chiral["O"].grade_split("momentun"),
                  lambda: euler_field(chiral["m"].spectrum, "momentun")):
-        with pytest.raises(ValueError, match="^unknown grading 'momentun'$"):
+        with pytest.raises(ValueError,
+                           match="^unknown grading 'momentun'$") as info:
             call()
+        assert type(info.value) is kernel.DeclarationError
+        assert (info.value.declaration, info.value.name) == ("grading",
+                                                             "momentun")
 
 
 # -- pullback ---------------------------------------------------------------

@@ -7,7 +7,8 @@ under a profile hook, which records every function of the ``vtc`` package
 that is entered.  The definitions that none of them enters are pinned in
 ``NEVER_ENTERED`` by file and qualified name, not by line, so an edit
 elsewhere in a file moves no pin; each has the reason it stays: an error
-path, a ``__repr__``, or documented API that README or the tests use.  A
+path, a ``__repr__``, code that runs only while the package is imported,
+or documented API that README or the tests use.  A
 definition that the commands stop entering fails the test until it is
 moved to the tests, deleted or pinned with its reason; one that they start
 entering fails it until its pin goes.
@@ -38,6 +39,12 @@ SCALAR_API = ("the scalar's half of an operation that forms have too; the "
               "tests use it")
 BY_VALUE = ("pairs with __eq__, which drops the default hash: values are "
             "equal and hash alike by value, as the tests check")
+IMPORT = ("runs while the package is imported, when each module declares "
+          "its records, before any command")
+RECORD_VALUE = ("a record compares, and a frozen one hashes, by its fields; "
+                "no command compares records, and the tests check both")
+FROZEN = ("refuses to change a frozen record's field: no command tries, "
+          "and the tests check that it raises")
 
 # (file, qualified name): reason
 NEVER_ENTERED = {
@@ -54,6 +61,13 @@ NEVER_ENTERED = {
     ("forms.py", "commutator"): README_QQ,
     ("grading.py", "derived_bracket"): DERIVED_BRACKET,
     ("kernel.py", "DeclarationError.__init__"): ERROR,
+    ("kernel.py", "Fresh.__init__"): IMPORT,
+    ("kernel.py", "record"): IMPORT,
+    ("kernel.py", "record.<locals>.__eq__"): RECORD_VALUE,
+    ("kernel.py", "record.<locals>.__hash__"): RECORD_VALUE,
+    ("kernel.py", "record.<locals>.__repr__"): REPR,
+    ("kernel.py", "record.<locals>.__setattr__"): FROZEN,
+    ("kernel.py", "record.<locals>.__delattr__"): FROZEN,
     ("kernel.py", "Spectrum.__hash__"): BY_VALUE,
     ("kernel.py", "GradedScalar.is_zero"): SCALAR_API,
     ("kernel.py", "GradedScalar.__repr__"): REPR,

@@ -7,7 +7,6 @@ equation, and two descent steps land on the expected lower-degree
 structures with all exactness properties holding on the nose.
 """
 
-import dataclasses
 import itertools
 import random
 from fractions import Fraction as Fr
@@ -491,9 +490,10 @@ def kept_ops(st) -> list:
 
 def test_presymp_structure_is_frozen_and_memos_are_not_fields(maxwell):
     st = maxwell["st"]
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         st.omega = LocalForm(4)
-    assert [f.name for f in dataclasses.fields(st)] == [
+    # a record's fields are its annotated names, in declaration order
+    assert list(symplectic.PresympStructure.__annotations__) == [
         "omega", "theta", "spectrum"]
     symplectic.hamiltonian_field(maxwell["S"], st)
     cap = kernel.JET_ORDER_CAP.get()
